@@ -188,7 +188,8 @@ def cmd_moments(args) -> int:
         path = outdir / f"moments_p{p:g}.csv"
         with open(path, "w") as fh:
             _csv_header(fh, cfg, extra=f" p={p:g} replicas={series.replicas}"
-                                       f" aggregator={series.aggregator}")
+                                       f" aggregator={series.aggregator}"
+                                       f" admissible={series.admissible}")
             fh.write("t,sup_mean,sup_se,inf_mean,inf_se\n")
             for k in range(len(series.times)):
                 fh.write(",".join(_fmt(v) for v in (

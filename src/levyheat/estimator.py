@@ -1,10 +1,12 @@
 """Monte Carlo moment estimation, Lyapunov slope fits, and growth-index scans.
 
-Replicas stream through the solver one at a time; only per-cell moment
-accumulators are kept, so memory stays flat in the replica count.  Spatial
-extrema are taken over grid cells, which under-/over-shoots the continuum
-extrema; the heavy-tail aggregator is median-of-means (16 blocks) by
-default for p > 1.5, since a single mean is fragile under jump noise.
+Replicas stream through the solver in batches stepped as one (batch, n_x)
+array; a batch's noise takes at most BATCH_BYTES (one replica's noise if
+that is larger), and only per-cell moment accumulators outlive it, so
+memory stays flat in the replica count.  Spatial extrema are taken over
+grid cells, which under-/over-shoots the continuum extrema; the heavy-tail
+aggregator is median-of-means (16 blocks) by default for p > 1.5, since a
+single mean is fragile under jump noise.
 """
 
 import math
@@ -12,14 +14,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .analytics import ModelSpec, RenewalProblem, renewal_solve
-from .errors import DomainError
+from .errors import BlowupError, DomainError
 from .solver import (GridSpec, build_discrete_kernel, initial_field, mild_step)
 from .noise import sample_increments
 
 MOM_BLOCKS = 16
+# memory for one batch's noise, (n_t, batch, n_x) float64: 16 replicas on
+# the 500 x 256 reference grid
+BATCH_BYTES = 16 * 2 ** 20
 # asymptotic SE inflation of a median of near-normal block means
 _MEDIAN_SE = math.sqrt(math.pi / 2.0)
 
@@ -87,32 +92,72 @@ class MomentSurface:
     replicas: int
 
 
+def _batch_size(grid: GridSpec) -> int:
+    """Replicas per batch: as many (n_t, n_x) noise planes as BATCH_BYTES holds."""
+    return max(1, BATCH_BYTES // (8 * grid.n_t * grid.n_x))
+
+
+def _distinct_runs(blk: np.ndarray) -> list:
+    """Split a batch into consecutive (lo, hi) runs with no repeated block id,
+    so each run adds into its blocks with one fancy-indexed +=, and each
+    block still receives its replicas in order."""
+    cuts, seen = [0], set()
+    for i, b in enumerate(blk.tolist()):
+        if b in seen:
+            cuts.append(i)
+            seen.clear()
+        seen.add(b)
+    cuts.append(len(blk))
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 def _accumulate_block(ms: ModelSpec, grid: GridSpec, p: float, seed: int,
                       replicas, blocks: int):
-    """Stream a set of replicas; return block sums of |X|^p and |X|^(2p)."""
+    """Step the given replicas in batches.
+
+    Returns the shift c = |noise-free flow of u0|^p per (time, cell), the
+    per-cell sums of |X|^p - c and of its square, the per-block sums of
+    |X|^p, and the block sizes.  Shifting by c keeps the one-pass variance
+    well conditioned in cells the noise has barely reached, where every
+    replica's |X|^p agrees to many digits.
+    """
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
     u0 = initial_field(ms, grid)
-    nt1, nx = grid.n_t + 1, grid.n_x
-    s1 = np.zeros((nt1, nx))
-    s2 = np.zeros((nt1, nx))
-    bsum = np.zeros((blocks, nt1, nx))
-    bcount = np.zeros(blocks, dtype=int)
+    n_t, nx = grid.n_t, grid.n_x
+    powers = dk.spectrum ** np.arange(1, n_t + 1)[:, None]
+    flow = np.vstack([u0, np.fft.irfft(np.fft.rfft(u0) * powers, n=nx)])
+    shift = np.abs(flow) ** p
+    s1 = np.zeros((n_t + 1, nx))
+    s2 = np.zeros((n_t + 1, nx))
+    bsum = np.zeros((blocks, n_t + 1, nx))
+    bcount = np.bincount(np.asarray(replicas, dtype=int) % blocks,
+                         minlength=blocks)
     b_drift = ms.b
-    for r in replicas:
-        incr = sample_increments(ms.levy, grid.noise_grid(seed, r), ms.rho)
-        dlam = incr.combined(b=b_drift)
-        x = u0.copy()
-        pows = np.empty((nt1, nx))
-        pows[0] = np.abs(x) ** p
-        for k in range(grid.n_t):
-            x = mild_step(x, dk, ms, dlam[k], grid.dx)
-            pows[k + 1] = np.abs(x) ** p
-        s1 += pows
-        s2 += pows * pows
-        blk = r % blocks
-        bsum[blk] += pows
-        bcount[blk] += 1
-    return s1, s2, bsum, bcount
+    size = _batch_size(grid)
+    dlam = np.empty((n_t, min(size, len(replicas)), nx))
+    for start in range(0, len(replicas), size):
+        batch = replicas[start:start + size]
+        b = len(batch)
+        for i, r in enumerate(batch):
+            incr = sample_increments(ms.levy, grid.noise_grid(seed, r), ms.rho)
+            dlam[:, i, :] = incr.combined(b=b_drift)
+        blk = np.array(batch) % blocks
+        runs = _distinct_runs(blk)
+        x = np.tile(u0, (b, 1))
+        for k in range(n_t + 1):
+            if k:
+                try:
+                    x = mild_step(x, dk, ms, dlam[k - 1, :b], grid.dx)
+                except BlowupError as exc:
+                    raise BlowupError(step=k - 1, cell=exc.cell,
+                                      value=exc.value) from None
+            pw = np.abs(x) ** p
+            dev = pw - shift[k]
+            s1[k] += dev.sum(axis=0)
+            s2[k] += (dev * dev).sum(axis=0)
+            for lo, hi in runs:
+                bsum[blk[lo:hi], k] += pw[lo:hi]
+    return shift, s1, s2, bsum, bcount
 
 
 def simulate_moments(ms: ModelSpec, grid: GridSpec, p: float, replicas: int,
@@ -134,16 +179,16 @@ def simulate_moments(ms: ModelSpec, grid: GridSpec, p: float, replicas: int,
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_accumulate_worker,
                                   [(ms, grid, p, seed, ch, blocks) for ch in chunks]))
-        s1 = sum(pt[0] for pt in parts)
-        s2 = sum(pt[1] for pt in parts)
-        bsum = sum(pt[2] for pt in parts)
-        bcount = sum(pt[3] for pt in parts)
+        shift = parts[0][0]
+        s1, s2, bsum, bcount = (sum(pt[i] for pt in parts) for i in range(1, 5))
     else:
-        s1, s2, bsum, bcount = _accumulate_block(ms, grid, p, seed, ids, blocks)
+        shift, s1, s2, bsum, bcount = _accumulate_block(ms, grid, p, seed, ids,
+                                                        blocks)
 
     r = replicas
-    mean = s1 / r
-    var = np.maximum(s2 / r - mean * mean, 0.0) * r / max(r - 1, 1)
+    dev = s1 / r
+    mean = shift + dev
+    var = np.maximum(s2 / r - dev * dev, 0.0) * r / max(r - 1, 1)
     se_mean = np.sqrt(var / r)
     if aggregator == "mom":
         bm = bsum / bcount[:, None, None]
@@ -209,7 +254,7 @@ def fit_log_slope(t: np.ndarray, values: np.ndarray,
     resid = y - (intercept + slope * t)
     dof = len(t) - 2
     se = math.sqrt(float(np.sum(resid ** 2)) / dof / sxx)
-    q = stats.t.ppf(0.5 + confidence / 2.0, dof)
+    q = stdtrit(dof, 0.5 + confidence / 2.0)
     return SlopeFit(slope=slope, intercept=intercept, se=se,
                     ci_low=slope - q * se, ci_high=slope + q * se, n=len(t))
 

@@ -3,7 +3,7 @@
 Measures come in two finite-activity variants: a finite list of atoms, or a
 symmetric truncated power density amplitude * |z|^(-1-gamma) on
 delta_in <= |z| <= M.  Moments and drift have closed forms.  Increments are
-sampled cell by cell on a regular space-time grid; streams are keyed by
+sampled on a regular space-time grid of cells; streams are keyed by
 (seed, replica_index) through a counter-based Philox generator, so identical
 keys reproduce identical fields and replicas sample independently.
 """
@@ -219,6 +219,11 @@ def sample_increments(spec: LevyMeasureSpec, grid: NoiseGrid, rho: float = 0.0,
     Per cell: N ~ Poisson(dt dx lambda(R)) jumps with sizes i.i.d. from
     lambda / lambda(R); the compensator dt dx int z lambda makes the
     compensated field mean zero; the Gaussian part is scaled by rho.
+    Untilted, the counts are drawn as one Poisson total over the grid with
+    each jump placed in a uniform cell: given the total, the points of a
+    Poisson process are i.i.d. uniform (Kingman, Poisson Processes, 1993,
+    sec. 2.4), so the per-cell counts are independent Poisson(dt dx
+    lambda(R)) as before, and the cost is O(jumps) instead of O(cells).
     Jump positions inside a cell are not tracked.  The whole field is a
     pure function of (spec, grid, rho, tilt).
     """
@@ -227,11 +232,11 @@ def sample_increments(spec: LevyMeasureSpec, grid: NoiseGrid, rho: float = 0.0,
     rng = grid.generator()
     cell = grid.dt * grid.dx
     shape = (grid.n_t, grid.n_x)
+    n_cells = grid.n_t * grid.n_x
 
     if tilt is None:
-        rate = spec.total_mass() * cell
-        counts = rng.poisson(rate, shape)
-        total = int(counts.sum())
+        total = int(rng.poisson(spec.total_mass() * cell * n_cells))
+        cell_of_jump = np.sort(rng.integers(0, n_cells, total))
         sizes = spec.sample_sizes(rng, total)
         comp = cell * spec.first_moment()
     else:
@@ -241,13 +246,12 @@ def sample_increments(spec: LevyMeasureSpec, grid: NoiseGrid, rho: float = 0.0,
             raise DegenerateMeasureError(
                 f"lambda carries no mass above delta = {tilt.delta}")
         counts = rng.poisson(rate)
-        total = int(counts.sum())
-        sizes = spec.sample_sizes(rng, total, min_abs=tilt.delta)
+        cell_of_jump = np.repeat(np.arange(n_cells), counts.ravel())
+        sizes = spec.sample_sizes(rng, len(cell_of_jump), min_abs=tilt.delta)
         comp = cell * spec.signed_moment(tilt.delta) * ratio
 
-    cell_of_jump = np.repeat(np.arange(grid.n_t * grid.n_x), counts.ravel())
     jump_sum = np.bincount(cell_of_jump, weights=sizes,
-                           minlength=grid.n_t * grid.n_x).reshape(shape)
+                           minlength=n_cells).reshape(shape)
     if rho > 0.0:
         gauss = rho * math.sqrt(cell) * rng.standard_normal(shape)
     else:

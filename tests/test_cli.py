@@ -136,6 +136,19 @@ class TestCLI:
         assert lines[1] == "t,sup_mean,sup_se,inf_mean,inf_se"
         assert len(lines) == 2 + 51
 
+    def test_moments_header_flags_admissibility(self, tmp_path):
+        # alpha = 1.5, d = 1: moments are finite for p < 2.5 only
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN.replace("run.p = 2", "run.p = 2, 2.5"))
+        assert main(["moments", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        for name, flag in (("moments_p2.csv", "True"),
+                           ("moments_p2.5.csv", "False")):
+            header = (tmp_path / name).read_text().splitlines()[0].split()
+            assert f"admissible={flag}" in header
+            assert header.index(f"admissible={flag}") == \
+                header.index("aggregator=mom") + 1
+
     def test_simulate_and_growth_scan(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text(SMALL_RUN.replace("run.replicas = 6",

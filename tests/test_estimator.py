@@ -4,15 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
+from levyheat import estimator
 from levyheat.analytics import ModelSpec, SigmaSpec, U0Spec, renewal_weight
-from levyheat.errors import DomainError
+from levyheat.errors import BlowupError, DomainError
 from levyheat.estimator import (MomentSeries, MomentSurface, calibrate_renewal,
                                 fit_log_slope, growth_index_scan, lyapunov_fit,
                                 moment_estimate, renewal_check,
                                 simulate_moments)
 from levyheat.kernel import KernelParams
 from levyheat.noise import LevyMeasureSpec
-from levyheat.solver import GridSpec
+from levyheat.solver import GridSpec, run_trajectory
 
 KP15 = KernelParams(d=1, alpha=1.5)
 ATOMS = LevyMeasureSpec(variant="atoms", atoms=((1.0, 1.0), (-1.0, 1.0)))
@@ -181,6 +182,56 @@ class TestSimulateMoments:
                                      seed=5, jobs=2)
         assert np.allclose(surf1.mean, surf2.mean)
         assert np.allclose(ser1.sup_mean, ser2.sup_mean)
+
+
+class TestBatchedEngine:
+    """The batched engine against replicas stepped one at a time."""
+
+    GRID = GridSpec(half_width=8.0, n_x=32, horizon=0.5, n_t=20)
+
+    @pytest.fixture
+    def batches_of_three(self, monkeypatch):
+        plane = 8 * self.GRID.n_t * self.GRID.n_x
+        monkeypatch.setattr(estimator, "BATCH_BYTES", 3 * plane + plane // 2)
+        assert estimator._batch_size(self.GRID) == 3
+
+    @pytest.mark.parametrize("p, aggregator", [(1.2, "mean"), (2.0, "mom")])
+    def test_matches_per_replica_trajectories(self, batches_of_three, p,
+                                              aggregator):
+        # 7 replicas in batches 3, 3, 1; 3 blocks hold 3, 2 and 2 replicas
+        ms = model(u0=U0Spec(kind="poly_decay", c0=1.0, decay_c=0.5))
+        series, surface = quiet_simulate(ms, self.GRID, p=p, replicas=7,
+                                         seed=11, aggregator=aggregator,
+                                         blocks=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fields = np.stack([run_trajectory(ms, self.GRID, 11, r).fields
+                               for r in range(7)])
+        est, se = moment_estimate(fields, p, aggregator=aggregator, blocks=3)
+        np.testing.assert_allclose(surface.mean, est, rtol=1e-12, atol=0.0)
+        # every replica starts from u0, so the t = 0 spread is rounding
+        # residue, which the one- and two-pass formulas leave differently
+        assert np.all(surface.se[0] <= 1e-15 * surface.mean[0])
+        assert np.all(se[1:] > 0.0)
+        np.testing.assert_allclose(surface.se[1:], se[1:], rtol=1e-12, atol=0.0)
+        assert series.aggregator == aggregator
+
+    def test_blowup_reports_step(self, batches_of_three):
+        # replicas 0, 1, 2 of seed 4 blow up at steps 12, 10 and 17 when
+        # stepped alone; the first batch holds all three
+        ms = model(slope=1e4)
+        steps = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for r in range(3):
+                with pytest.raises(BlowupError) as info:
+                    run_trajectory(ms, self.GRID, 4, r)
+                steps.append(info.value.step)
+        assert min(steps) > 0
+        with pytest.raises(BlowupError) as info:
+            quiet_simulate(ms, self.GRID, p=2.0, replicas=7, seed=4)
+        assert info.value.step == min(steps)
+        assert info.value.value > 1e12
 
 
 class TestRenewalCheck:

@@ -114,13 +114,15 @@ class TestSampling:
         assert abs(c.var() - var_cell) < 3.0 * se_var
 
     def test_count_distribution_chisquare(self):
-        grid = NoiseGrid(dt=0.05, dx=0.2, n_t=400, n_x=250, seed=9)
-        f = sample_increments(ATOMS, grid)
-        # |jumps| per cell is not observable after lumping; test the count
-        # law through a fresh stream with the same cell rate
-        lam = ATOMS.total_mass() * grid.dt * grid.dx
-        counts = grid.generator().poisson(lam, 100_000)
-        kmax = 3
+        # a single unit atom makes jump_sum the per-cell jump count; at
+        # lam = 0.5 one cell in eleven holds 2 or more jumps, so a sampler
+        # that caps the count per cell or clusters jumps fails
+        spec = LevyMeasureSpec(variant="atoms", atoms=((1.0, 1.0),))
+        grid = NoiseGrid(dt=0.5, dx=1.0, n_t=200, n_x=500, seed=9)
+        counts = sample_increments(spec, grid).jump_sum.ravel()
+        lam = spec.total_mass() * grid.dt * grid.dx
+        assert lam == 0.5
+        kmax = 4
         obs = np.array([(counts == k).sum() for k in range(kmax)]
                        + [(counts >= kmax).sum()], dtype=float)
         pmf = stats.poisson.pmf(np.arange(kmax), lam)
