@@ -13,16 +13,15 @@ downstream consumers cannot mistake the output for sharp constants.
 """
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateMeasureError, DomainError, NoRootError
-from .kernel import (ComparisonKernel, ConvConstants, I_formula, KernelParams,
-                     conv_constants, hmoment_constant, levelset_volume_minform,
+from .kernel import (ConvConstants, I_formula, KernelParams, conv_constants,
+                     hmoment_constant, levelset_volume_minform,
                      minform_level_integral)
 from .noise import LevyMeasureSpec, drift_b
-from .specfun import gamma_fn
 
 # ---------------------------------------------------------------------------
 # model description
@@ -515,34 +514,3 @@ def renewal_solve(rp: RenewalProblem) -> RenewalSolution:
         limit_rhs = rp.c3 / denom if denom > 0 else None
     return RenewalSolution(t=t1, f=f, beta1=beta1,
                            limit_lhs=limit_lhs, limit_rhs=limit_rhs)
-
-
-# ---------------------------------------------------------------------------
-# empirical moment inequalities (Monte Carlo property checks)
-
-
-def poisson_moment_series(lam: float, r: float, terms: int = 200) -> float:
-    """E[X^r] for X ~ Poisson(lam) by direct summation of the series."""
-    if lam <= 0.0:
-        raise DomainError("lam must be positive")
-    ks = np.arange(1, terms)
-    log_terms = (ks * math.log(lam) - lam
-                 - np.array([math.lgamma(k + 1.0) for k in ks])
-                 + r * np.log(ks))
-    return float(np.exp(log_terms).sum())
-
-
-def centered_moment_floor(samples: np.ndarray, a: float, p: float):
-    """Sample check of E|a + X|^p >= kappa_p (|a|^p + E|X|^p), E X = 0.
-
-    kappa_p = 1/4 on (1, 2] and 1/6 on (2, 3].  Returns (lhs, rhs, se_lhs).
-    """
-    if not (1.0 < p <= 3.0):
-        raise DomainError("p must lie in (1, 3]")
-    kap = 0.25 if p <= 2.0 else 1.0 / 6.0
-    x = np.asarray(samples, dtype=float)
-    vals = np.abs(a + x) ** p
-    lhs = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(len(x)))
-    rhs = kap * (abs(a) ** p + float((np.abs(x) ** p).mean()))
-    return lhs, rhs, se

@@ -18,14 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytics import (ConstantsConfig, RenewalProblem, compute_bounds,
-                        renewal_solve, renewal_weight)
+from .analytics import (RenewalProblem, compute_bounds, renewal_solve,
+                        renewal_weight)
 from .certify import verify_lemmas
 from .config import ExperimentConfig
 from .errors import ValidationError
 from .estimator import (MomentSeries, calibrate_renewal, growth_index_scan,
                         lyapunov_fit, renewal_check, simulate_moments)
-from .solver import GridSpec, dump_trajectory, run_trajectory, trajectory_csv
+from .solver import dump_trajectory, run_trajectory, trajectory_csv
 from . import specfun
 
 EXIT_OK = 0

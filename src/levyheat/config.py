@@ -2,26 +2,21 @@
 
 Format: one `key = value` per line, `#` comments, keys like `model.alpha`.
 Unknown keys and type mismatches fail with the offending key path; a parsed
-config serializes back canonically (sorted keys), and the sha256 of that
-canonical text is the config hash embedded in every emitted artifact.
+config serializes back canonically (sorted keys).  The config hash embedded
+in every emitted artifact is the sha256 of the resolved configuration (every
+key with a value, set or default) and the package version, so two configs
+that build the same experiment hash alike and a changed default does not.
 """
 
 import hashlib
 from dataclasses import dataclass, field
 
+from . import __version__
 from .analytics import ConstantsConfig, ModelSpec, SigmaSpec, U0Spec
 from .errors import ValidationError
 from .kernel import KernelParams
 from .noise import LevyMeasureSpec
 from .solver import GridSpec
-
-
-def _parse_bool(s):
-    if s.lower() in ("true", "1", "yes"):
-        return True
-    if s.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {s}")
 
 
 def _parse_float_list(s):
@@ -192,19 +187,28 @@ class ExperimentConfig:
     # -- serialization -------------------------------------------------------
 
     def canonical_text(self) -> str:
-        lines = []
-        for key in sorted(self.values):
-            val = self.values[key]
-            if isinstance(val, tuple) and val and isinstance(val[0], tuple):
-                txt = ", ".join(f"{z:.17g}:{m:.17g}" for z, m in val)
-            elif isinstance(val, tuple):
-                txt = ", ".join(f"{v:.17g}" for v in val)
-            elif isinstance(val, float):
-                txt = f"{val:.17g}"
-            else:
-                txt = str(val)
-            lines.append(f"{key} = {txt}")
-        return "\n".join(lines) + "\n"
+        return _canonical(self.values)
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
+        """Hash of the resolved configuration, unset keys without a default
+        left out, and of the package version."""
+        resolved = {k: self.get(k) for k in SCHEMA if self.get(k) is not None}
+        text = f"levyheat = {__version__}\n" + _canonical(resolved)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _canonical(values: dict) -> str:
+    """`key = value` lines in sorted key order; floats with 17 digits."""
+    lines = []
+    for key in sorted(values):
+        val = values[key]
+        if isinstance(val, tuple) and val and isinstance(val[0], tuple):
+            txt = ", ".join(f"{z:.17g}:{m:.17g}" for z, m in val)
+        elif isinstance(val, tuple):
+            txt = ", ".join(f"{v:.17g}" for v in val)
+        elif isinstance(val, float):
+            txt = f"{val:.17g}"
+        else:
+            txt = str(val)
+        lines.append(f"{key} = {txt}")
+    return "\n".join(lines) + "\n"

@@ -17,9 +17,9 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .analytics import ModelSpec, RenewalProblem, renewal_solve
-from .errors import BlowupError, DomainError
-from .solver import (GridSpec, build_discrete_kernel, initial_field, mild_step)
-from .noise import sample_increments
+from .errors import DomainError
+from .solver import (GridSpec, build_discrete_kernel, heat_flow, initial_field,
+                     mild_step, sample_noise)
 
 MOM_BLOCKS = 16
 # memory for one batch's noise, (n_t, batch, n_x) float64: 16 replicas on
@@ -49,11 +49,16 @@ def moment_estimate(fields: np.ndarray, p: float, aggregator: str = "mean",
     if aggregator == "mom":
         blocks = min(blocks, r)
         ids = np.arange(r) % blocks
-        bm = np.stack([vals[ids == b].mean(axis=0) for b in range(blocks)])
-        est = np.median(bm, axis=0)
-        se = _MEDIAN_SE * bm.std(axis=0, ddof=1) / math.sqrt(blocks)
-        return est, se
+        return _median_of_means(
+            np.stack([vals[ids == b].mean(axis=0) for b in range(blocks)]))
     raise DomainError(f"unknown aggregator {aggregator!r}")
+
+
+def _median_of_means(bm: np.ndarray):
+    """Median of the block means `bm` (blocks on axis 0) and its standard
+    error from the block spread."""
+    se = _MEDIAN_SE * bm.std(axis=0, ddof=1) / math.sqrt(len(bm))
+    return np.median(bm, axis=0), se
 
 
 @dataclass
@@ -124,33 +129,23 @@ def _accumulate_block(ms: ModelSpec, grid: GridSpec, p: float, seed: int,
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
     u0 = initial_field(ms, grid)
     n_t, nx = grid.n_t, grid.n_x
-    powers = dk.spectrum ** np.arange(1, n_t + 1)[:, None]
-    flow = np.vstack([u0, np.fft.irfft(np.fft.rfft(u0) * powers, n=nx)])
-    shift = np.abs(flow) ** p
+    shift = np.abs(heat_flow(ms, grid, dk)) ** p
     s1 = np.zeros((n_t + 1, nx))
     s2 = np.zeros((n_t + 1, nx))
     bsum = np.zeros((blocks, n_t + 1, nx))
     bcount = np.bincount(np.asarray(replicas, dtype=int) % blocks,
                          minlength=blocks)
-    b_drift = ms.b
     size = _batch_size(grid)
-    dlam = np.empty((n_t, min(size, len(replicas)), nx))
+    buf = np.empty((n_t, min(size, len(replicas)), nx))
     for start in range(0, len(replicas), size):
         batch = replicas[start:start + size]
-        b = len(batch)
-        for i, r in enumerate(batch):
-            incr = sample_increments(ms.levy, grid.noise_grid(seed, r), ms.rho)
-            dlam[:, i, :] = incr.combined(b=b_drift)
+        dlam = sample_noise(ms, grid, seed, batch, out=buf)
         blk = np.array(batch) % blocks
         runs = _distinct_runs(blk)
-        x = np.tile(u0, (b, 1))
+        x = np.tile(u0, (len(batch), 1))
         for k in range(n_t + 1):
             if k:
-                try:
-                    x = mild_step(x, dk, ms, dlam[k - 1, :b], grid.dx)
-                except BlowupError as exc:
-                    raise BlowupError(step=k - 1, cell=exc.cell,
-                                      value=exc.value) from None
+                x = mild_step(x, dk, ms, dlam[k - 1], grid.dx, k - 1)
             pw = np.abs(x) ** p
             dev = pw - shift[k]
             s1[k] += dev.sum(axis=0)
@@ -191,9 +186,7 @@ def simulate_moments(ms: ModelSpec, grid: GridSpec, p: float, replicas: int,
     var = np.maximum(s2 / r - dev * dev, 0.0) * r / max(r - 1, 1)
     se_mean = np.sqrt(var / r)
     if aggregator == "mom":
-        bm = bsum / bcount[:, None, None]
-        est = np.median(bm, axis=0)
-        se = _MEDIAN_SE * bm.std(axis=0, ddof=1) / math.sqrt(len(bcount))
+        est, se = _median_of_means(bsum / bcount[:, None, None])
     else:
         est, se = mean, se_mean
 

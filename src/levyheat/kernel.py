@@ -176,7 +176,8 @@ _PROFILE_CACHE: dict = {}
 
 
 def get_profile(alpha: float, settings: QuadSettings | None = None) -> StableProfile:
-    key = round(float(alpha), 12)
+    settings = settings or QuadSettings()
+    key = (round(float(alpha), 12), settings)
     if key not in _PROFILE_CACHE:
         _PROFILE_CACHE[key] = StableProfile(alpha, settings)
     return _PROFILE_CACHE[key]
@@ -299,12 +300,6 @@ class ComparisonKernel:
         r = np.asarray(r, dtype=float)
         d, a = self.d, self.alpha
         return self.kappa * t / (t ** (2.0 / a) + r * r) ** ((d + a) / 2.0)
-
-    def g_ratio(self, t: float, x) -> float:
-        """g(t, x) / g(t, 0) = (1 + (|x|/t^(1/alpha))^2)^(-(d+alpha)/2)."""
-        r = _norm(x)
-        d, a = self.d, self.alpha
-        return (1.0 + (r / t ** (1.0 / a)) ** 2) ** (-(d + a) / 2.0)
 
     def g_mass_numeric(self, t: float = 1.0) -> float:
         if self.d != 1:
@@ -540,15 +535,6 @@ def g_p_integral(ck: ComparisonKernel, t: float, p: float) -> float:
                        - lgamma_fn(p * (d + a) / 2.0)))
 
 
-def g_p_time_integral(ck: ComparisonKernel, t: float, p: float) -> float:
-    """Closed form of the time-space integral (1 star g^p)(t, x); x-independent."""
-    d, a = ck.d, ck.alpha
-    if not (d / (d + a) < p < 1.0 + a / d):
-        raise DomainError("requires p in (d/(d+alpha), 1 + alpha/d)")
-    return g_p_integral(ck, 1.0, p) * t ** (1.0 - (p - 1.0) * d / a) \
-        / (1.0 - (p - 1.0) * d / a)
-
-
 def nu_const(d: int, alpha: float, p: float):
     """(nu, c_nu) of the Fourier lower bound: nu = p(d+alpha)/2 - d/2."""
     nu = p * (d + alpha) / 2.0 - d / 2.0
@@ -730,11 +716,6 @@ class CertificateReport:
     def passed(self) -> bool:
         return self.min_slack >= self.tolerance
 
-    def worst_point(self):
-        if not self.slacks:
-            return None
-        return self.grid[int(np.argmin(self.slacks))]
-
 
 def conv_lower_certify(ck: ComparisonKernel, p: float, t: float, s: float,
                        x_grid) -> CertificateReport:
@@ -756,40 +737,3 @@ def conv_lower_certify(ck: ComparisonKernel, p: float, t: float, s: float,
         grid.append((t, s, float(x)))
     return CertificateReport(name="space-convolution-lower-bound",
                              slacks=slacks, grid=grid)
-
-
-def k_series(ck: ComparisonKernel, c_coef: float, p: float, t: float, x: float,
-             n_max: int = 1):
-    """Iterated-convolution series versus its Mittag-Leffler lower bound.
-
-    partial_sum = sum_{n<=n_max} c^n (n+1)-fold time-space self-convolution of
-    g^p: the single and double convolution powers are computed numerically,
-    deeper terms fall back to the closed recursive lower bound (so the
-    partial sum remains a certified lower estimate).  ml_lower is the
-    matching truncation of Gamma(a) g^p E_{a,a}(c Lambda t^a) with
-    a = 1 - (p-1) d / alpha.  Returns (partial_sum, ml_lower).
-    """
-    d, a = ck.d, ck.alpha
-    if not (d / (d + a) < p < 1.0 + a / d):
-        raise DomainError("requires p in (d/(d+alpha), 1+alpha/d)")
-    a_ml = 1.0 - (p - 1.0) * d / a
-    if a_ml <= 0.0:
-        raise DomainError("requires (p-1) d / alpha < 1")
-    cc = conv_constants(d, a, p)
-    gp = ck.g(t, x) ** p
-
-    terms = []
-    for n in range(n_max + 1):
-        if n == 0:
-            terms.append(gp)
-        elif n == 1:
-            terms.append(timespace_conv_gp(ck, p, t, x))
-        else:
-            # recursive closed lower bound for the deep terms
-            terms.append(cc.lambda_p ** n * gamma_fn(a_ml)
-                         / gamma_fn((n + 1.0) * a_ml) * t ** (n * a_ml) * gp)
-    partial = sum(c_coef ** n * term for n, term in enumerate(terms))
-    ml_lower = sum(
-        (c_coef * cc.lambda_p * t ** a_ml) ** n * gamma_fn(a_ml)
-        / gamma_fn((n + 1.0) * a_ml) for n in range(n_max + 1)) * gp
-    return partial, ml_lower

@@ -9,12 +9,11 @@ keys reproduce identical fields and replicas sample independently.
 """
 
 import math
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMeasureError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -85,14 +84,11 @@ class LevyMeasureSpec:
             return 0.0
         return 2.0 * self._power_moment(p, lo, self.outer_cut)
 
-    def signed_moment(self, lo: float = 0.0) -> float:
-        """int_{|z| > lo} z lambda(dz); zero for symmetric specs by construction."""
+    def first_moment(self) -> float:
+        """int z lambda(dz); zero for symmetric specs by construction."""
         if self.variant == "truncated_power":
             return 0.0
-        return sum(m * z for z, m in self.atoms if abs(z) > lo)
-
-    def first_moment(self) -> float:
-        return self.signed_moment(0.0)
+        return sum(m * z for z, m in self.atoms)
 
     def discarded_l2(self) -> float:
         """L2 size of the small jumps the inner cutoff removes from the
@@ -115,20 +111,15 @@ class LevyMeasureSpec:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample_sizes(self, rng: np.random.Generator, n: int,
-                     min_abs: float = 0.0) -> np.ndarray:
-        """n i.i.d. jump sizes from lambda / lambda(R), optionally |z| > min_abs."""
+    def sample_sizes(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n i.i.d. jump sizes from lambda / lambda(R)."""
         if n == 0:
             return np.empty(0)
         if self.variant == "atoms":
-            zs = np.array([z for z, m in self.atoms if abs(z) > min_abs])
-            ms = np.array([m for z, m in self.atoms if abs(z) > min_abs])
-            if len(zs) == 0:
-                raise DegenerateMeasureError(f"no atoms with |z| > {min_abs}")
+            zs = np.array([z for z, m in self.atoms])
+            ms = np.array([m for z, m in self.atoms])
             return rng.choice(zs, size=n, p=ms / ms.sum())
-        lo = max(min_abs, self.delta_in)
-        if lo >= self.outer_cut:
-            raise DegenerateMeasureError(f"no mass with |z| > {min_abs}")
+        lo = self.delta_in
         g = self.gamma_exp
         u = rng.random(n)
         if abs(g) < 1e-14:
@@ -174,33 +165,18 @@ class NoiseGrid:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class TiltSpec:
-    """Kernel-ratio tilt of the jump intensity toward a space-time point.
-
-    Cell (k, j) keeps jumps with |z| > delta at the reduced rate
-    q_{t_ref - s_k}(x_ref - x_j) / q_{t_ref - s_k}(0), with s_k the cell
-    midpoint; cells in the final slab t_ref - s_k < dt are excluded (the
-    ratio is well defined there but the discrete analogue is not).
-    """
-
-    t_ref: float
-    x_ref: float
-    delta: float = 0.0
-
-
 @dataclass
 class IncrementField:
     """Per-cell noise increments over one replica of the grid.
 
     jump_sum[k, j]  : sum of sampled jump sizes in cell (k, j)
-    compensator     : dt dx int z lambda(dz) (scalar; array under a tilt)
-    gaussian[k, j]  : rho * sqrt(dt dx) * N(0, 1), zeros when rho = 0
+    compensator     : dt dx int z lambda(dz), the same in every cell
+    gaussian[k, j]  : rho * sqrt(dt dx) * N(0, 1), 0.0 when rho = 0
     """
 
     grid: NoiseGrid
     jump_sum: np.ndarray
-    compensator: np.ndarray | float
+    compensator: float
     gaussian: np.ndarray | float
     rho: float = 0.0
 
@@ -211,21 +187,19 @@ class IncrementField:
                 + b * self.grid.dt * self.grid.dx + self.gaussian)
 
 
-def sample_increments(spec: LevyMeasureSpec, grid: NoiseGrid, rho: float = 0.0,
-                      tilt: TiltSpec | None = None,
-                      kernel_params=None) -> IncrementField:
+def sample_increments(spec: LevyMeasureSpec, grid: NoiseGrid,
+                      rho: float = 0.0) -> IncrementField:
     """Draw one replica of the cell-lumped space-time noise.
 
     Per cell: N ~ Poisson(dt dx lambda(R)) jumps with sizes i.i.d. from
     lambda / lambda(R); the compensator dt dx int z lambda makes the
     compensated field mean zero; the Gaussian part is scaled by rho.
-    Untilted, the counts are drawn as one Poisson total over the grid with
-    each jump placed in a uniform cell: given the total, the points of a
-    Poisson process are i.i.d. uniform (Kingman, Poisson Processes, 1993,
-    sec. 2.4), so the per-cell counts are independent Poisson(dt dx
-    lambda(R)) as before, and the cost is O(jumps) instead of O(cells).
-    Jump positions inside a cell are not tracked.  The whole field is a
-    pure function of (spec, grid, rho, tilt).
+    The counts are drawn as one Poisson total over the grid with each jump
+    placed in a uniform cell: given the total, the points of a Poisson
+    process are i.i.d. uniform (Kingman, Poisson Processes, 1993, sec. 2.4),
+    so the per-cell counts are independent Poisson(dt dx lambda(R)), and the
+    cost is O(jumps) instead of O(cells).  Jump positions inside a cell are
+    not tracked.  The whole field is a pure function of (spec, grid, rho).
     """
     if rho < 0.0:
         raise DomainError("rho must be >= 0")
@@ -233,91 +207,15 @@ def sample_increments(spec: LevyMeasureSpec, grid: NoiseGrid, rho: float = 0.0,
     cell = grid.dt * grid.dx
     shape = (grid.n_t, grid.n_x)
     n_cells = grid.n_t * grid.n_x
-
-    if tilt is None:
-        total = int(rng.poisson(spec.total_mass() * cell * n_cells))
-        cell_of_jump = np.sort(rng.integers(0, n_cells, total))
-        sizes = spec.sample_sizes(rng, total)
-        comp = cell * spec.first_moment()
-    else:
-        ratio = _tilt_ratios(tilt, grid, kernel_params)
-        rate = spec.mass_above(tilt.delta) * cell * ratio
-        if spec.mass_above(tilt.delta) <= 0.0:
-            raise DegenerateMeasureError(
-                f"lambda carries no mass above delta = {tilt.delta}")
-        counts = rng.poisson(rate)
-        cell_of_jump = np.repeat(np.arange(n_cells), counts.ravel())
-        sizes = spec.sample_sizes(rng, len(cell_of_jump), min_abs=tilt.delta)
-        comp = cell * spec.signed_moment(tilt.delta) * ratio
-
+    total = int(rng.poisson(spec.total_mass() * cell * n_cells))
+    cell_of_jump = np.sort(rng.integers(0, n_cells, total))
+    sizes = spec.sample_sizes(rng, total)
     jump_sum = np.bincount(cell_of_jump, weights=sizes,
                            minlength=n_cells).reshape(shape)
     if rho > 0.0:
         gauss = rho * math.sqrt(cell) * rng.standard_normal(shape)
     else:
         gauss = 0.0
-    return IncrementField(grid=grid, jump_sum=jump_sum, compensator=comp,
+    return IncrementField(grid=grid, jump_sum=jump_sum,
+                          compensator=cell * spec.first_moment(),
                           gaussian=gauss, rho=rho)
-
-
-def _tilt_ratios(tilt: TiltSpec, grid: NoiseGrid, kernel_params) -> np.ndarray:
-    from .kernel import KernelParams, get_profile, kappa_const
-
-    kp = kernel_params or KernelParams()
-    if kp.d != 1:
-        raise DomainError("tilted sampling implemented for d = 1 only")
-    s_mid = (np.arange(grid.n_t) + 0.5) * grid.dt
-    lag = tilt.t_ref - s_mid
-    x = (np.arange(grid.n_x) - grid.n_x // 2) * grid.dx
-    dist = np.abs(tilt.x_ref - x)
-    ratio = np.zeros((grid.n_t, grid.n_x))
-    alive = lag >= grid.dt         # final slab excluded
-    if kp.alpha == 1.0:
-        for k in np.nonzero(alive)[0]:
-            u = lag[k]
-            ratio[k] = (u * u) / (u * u + dist * dist)
-    else:
-        prof = get_profile(kp.alpha)
-        p0 = prof(0.0)
-        for k in np.nonzero(alive)[0]:
-            scale = lag[k] ** (-1.0 / kp.alpha)
-            ratio[k] = prof(dist * scale) / p0
-    return ratio
-
-
-# ---------------------------------------------------------------------------
-# binary field dumps
-
-_MAGIC = b"LVHN"
-_HEADER = struct.Struct("<4sQQddQQ")
-
-
-def dump_increments(field: IncrementField, path) -> None:
-    """Little-endian binary dump: header {n_t, n_x, dt, dx, seed, replica},
-    then jump_sum, compensator, gaussian planes as row-major float64."""
-    g = field.grid
-    shape = (g.n_t, g.n_x)
-    comp = np.broadcast_to(np.asarray(field.compensator, dtype=float), shape)
-    gauss = np.broadcast_to(np.asarray(field.gaussian, dtype=float), shape)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, g.n_t, g.n_x, g.dt, g.dx,
-                              g.seed, g.replica_index))
-        fh.write(np.ascontiguousarray(field.jump_sum, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(comp, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(gauss, dtype="<f8").tobytes())
-
-
-def load_increments(path) -> IncrementField:
-    with open(path, "rb") as fh:
-        magic, n_t, n_x, dt, dx, seed, replica = _HEADER.unpack(
-            fh.read(_HEADER.size))
-        if magic != _MAGIC:
-            raise ValidationError("file", "not an increment dump")
-        plane = n_t * n_x * 8
-        jump = np.frombuffer(fh.read(plane), dtype="<f8").reshape(n_t, n_x)
-        comp = np.frombuffer(fh.read(plane), dtype="<f8").reshape(n_t, n_x)
-        gauss = np.frombuffer(fh.read(plane), dtype="<f8").reshape(n_t, n_x)
-    grid = NoiseGrid(dt=dt, dx=dx, n_t=int(n_t), n_x=int(n_x),
-                     seed=int(seed), replica_index=int(replica))
-    return IncrementField(grid=grid, jump_sum=jump.copy(),
-                          compensator=comp.copy(), gaussian=gauss.copy())

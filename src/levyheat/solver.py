@@ -137,24 +137,49 @@ def heat_step(fields: np.ndarray, dk: DiscreteKernel) -> np.ndarray:
     return np.fft.irfft(spec * dk.spectrum, n=fields.shape[-1], axis=-1)
 
 
-def mild_step(fields: np.ndarray, dk: DiscreteKernel, ms: ModelSpec,
-              dlam: np.ndarray, dx: float,
-              guard: float = BLOWUP_GUARD) -> np.ndarray:
-    """One mild-solution step:
+def heat_flow(ms: ModelSpec, grid: GridSpec, dk: DiscreteKernel) -> np.ndarray:
+    """Noise-free flow of u0 at every time point, (n_t + 1, n_x): step k
+    applies the k-th power of the kernel spectrum to u0 in one transform."""
+    u0 = initial_field(ms, grid)
+    powers = dk.spectrum ** np.arange(1, grid.n_t + 1)[:, None]
+    return np.vstack([u0, np.fft.irfft(np.fft.rfft(u0) * powers, n=grid.n_x)])
 
-        X_{k+1} = Q_dt X_k + Q_dt( sigma(X_k) dLambda_k ) / dx ,
 
-    with sigma evaluated at the left point.  dlam is the combined cell noise
-    measure (compensated jumps + drift + Gaussian).  Raises BlowupError past
-    the guard threshold.
+def sample_noise(ms: ModelSpec, grid: GridSpec, seed: int, replicas,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Combined cell noise of the listed replicas as one (n_t, R, n_x) array.
+
+    Replica r draws from its own (seed, r) Philox stream, so its noise does
+    not depend on which replicas it is sampled with.  `out`, if given, is a
+    buffer with at least R columns; the result is its leading R columns.
     """
-    forced = fields + ms.sigma(fields) * dlam / dx
-    out = heat_step(forced, dk)
+    if out is None:
+        out = np.empty((grid.n_t, len(replicas), grid.n_x))
+    for i, r in enumerate(replicas):
+        incr = sample_increments(ms.levy, grid.noise_grid(seed, r), ms.rho)
+        out[:, i, :] = incr.combined(b=ms.b)
+    return out[:, :len(replicas)]
+
+
+def mild_step(fields: np.ndarray, dk: DiscreteKernel, ms: ModelSpec,
+              dlam: np.ndarray, dx: float, step: int,
+              sigma_at: np.ndarray | None = None,
+              guard: float = BLOWUP_GUARD) -> np.ndarray:
+    """Mild-solution step `step` -> `step + 1`:
+
+        X_{k+1} = Q_dt X_k + Q_dt( sigma(Y_k) dLambda_k ) / dx ,
+
+    with sigma evaluated at the left point, Y = X unless `sigma_at` gives
+    another field (the previous Picard iterate).  dlam is the combined cell
+    noise measure (compensated jumps + drift + Gaussian).  Raises
+    BlowupError with `step` and the largest cell past the guard threshold.
+    """
+    sig = ms.sigma(fields if sigma_at is None else sigma_at)
+    out = heat_step(fields + sig * dlam / dx, dk)
     amax = np.abs(out).max()
     if not np.isfinite(amax) or amax > guard:
-        flat = np.abs(out)
-        idx = np.unravel_index(int(np.nanargmax(flat)), out.shape)
-        raise BlowupError(step=-1, cell=idx[-1], value=float(amax))
+        idx = np.unravel_index(int(np.nanargmax(np.abs(out))), out.shape)
+        raise BlowupError(step=step, cell=int(idx[-1]), value=float(amax))
     return out
 
 
@@ -182,16 +207,15 @@ def run_trajectory(ms: ModelSpec, grid: GridSpec, seed: int, replica: int,
         warnings.warn("domain half-width below 4 T^(1/alpha); wrap-around "
                       "bias may be significant", stacklevel=2)
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
-    incr = increments if increments is not None else sample_increments(
-        ms.levy, grid.noise_grid(seed, replica), ms.rho)
-    dlam = incr.combined(b=ms.b)
+    if increments is None:
+        dlam = sample_noise(ms, grid, seed, [replica])[:, 0]
+    else:
+        dlam = increments.combined(b=ms.b)
     fields = np.empty((grid.n_t + 1, grid.n_x))
     fields[0] = initial_field(ms, grid)
     for k in range(grid.n_t):
-        try:
-            fields[k + 1] = mild_step(fields[k], dk, ms, dlam[k], grid.dx, guard)
-        except BlowupError as exc:
-            raise BlowupError(step=k, cell=exc.cell, value=exc.value) from None
+        fields[k + 1] = mild_step(fields[k], dk, ms, dlam[k], grid.dx, k,
+                                  guard=guard)
     return Trajectory(fields=fields, model=ms, grid=grid, seed=seed,
                       replica=replica)
 
@@ -260,35 +284,23 @@ def picard_solve(ms: ModelSpec, grid: GridSpec, seed: int, replicas: int,
     if beta <= 0.0:
         raise DomainError("beta must be positive")
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
-    n_t, n_x, dx = grid.n_t, grid.n_x, grid.dx
-    dlam = np.empty((n_t, replicas, n_x))
-    for r in range(replicas):
-        incr = sample_increments(ms.levy, grid.noise_grid(seed, r), ms.rho)
-        dlam[:, r, :] = incr.combined(b=ms.b)
-
-    base = np.empty((n_t + 1, n_x))
-    base[0] = initial_field(ms, grid)
-    for k in range(n_t):
-        base[k + 1] = heat_step(base[k], dk)
+    dlam = sample_noise(ms, grid, seed, range(replicas))
 
     def sweep(prev: np.ndarray) -> np.ndarray:
-        """X^{n+1} from X^n: stochastic convolution by forward recursion."""
+        """X^{n+1} from X^n: the mild recursion with sigma frozen at X^n,
+        which by linearity of the step equals X^0 plus the stochastic
+        convolution of sigma(X^n)."""
         nxt = np.empty_like(prev)
-        s = np.zeros((replicas, n_x))
-        nxt[0] = base[0][None, :]
-        for k in range(n_t):
-            s = heat_step(s + ms.sigma(prev[k]) * dlam[k] / dx, dk)
-            amax = np.abs(s).max()
-            if not np.isfinite(amax) or amax > guard:
-                raise BlowupError(step=k, cell=0, value=float(amax))
-            nxt[k + 1] = base[k + 1][None, :] + s
+        nxt[0] = prev[0]
+        for k in range(grid.n_t):
+            nxt[k + 1] = mild_step(nxt[k], dk, ms, dlam[k], grid.dx, k,
+                                   sigma_at=prev[k], guard=guard)
         return nxt
 
-    iterates_prev = np.broadcast_to(base[:, None, :],
-                                    (n_t + 1, replicas, n_x)).copy()
+    current = np.broadcast_to(heat_flow(ms, grid, dk)[:, None, :],
+                              (grid.n_t + 1, replicas, grid.n_x)).copy()
     log_d = []
     rel_se = []
-    current = iterates_prev
     for _ in range(n_iter):
         nxt = sweep(current)
         ld, rs = _weighted_log_norm(nxt - current, grid.times, grid.x, beta, c, p)

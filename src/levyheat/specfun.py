@@ -1,29 +1,18 @@
 """Special functions: Gamma/Beta, two-parameter Mittag-Leffler, modified Bessel K.
 
 Everything here is a pure function of its arguments and safe to call
-concurrently.  Precision targets: gamma_fn >= 12 significant digits on
-(0, 50], bessel_k relative error <= 1e-8 for |nu| <= 5, 0 < x <= 50,
+concurrently.  gamma_fn and bessel_k wrap math.gamma and scipy.special.kv
+and add the package's error types at poles, divergences and overflow.
+Precision targets: gamma_fn relative error <= 1e-15 on (0, 50], bessel_k
+<= 1e-13 for |nu| <= 5, 1e-3 <= x <= 50 (against 40-digit mpmath),
 mittag_leffler relative error <= 1e-10 inside the series-safe region.
 """
 
 import math
 
-from .errors import DivergenceError, DomainError, OverflowSignal, PoleError
+from scipy.special import kv
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error ~ 1e-14
-# on the right half plane, which meets the 12-digit contract with margin.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+from .errors import DivergenceError, DomainError, OverflowSignal, PoleError
 
 # Switch point of the Mittag-Leffler evaluation: series while the terms
 # decay before this index and z**(1/a) stays below the cap.
@@ -32,7 +21,7 @@ ML_SERIES_ARG_CAP = 30.0
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma function via Lanczos approximation, reflection for x < 0.5.
+    """Gamma function.
 
     Raises PoleError at non-positive integers and OverflowSignal when the
     value exceeds the double range (x > ~171.6).
@@ -40,16 +29,8 @@ def gamma_fn(x: float) -> float:
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"Gamma pole at non-positive integer x = {x}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
     try:
-        return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+        return math.gamma(x)
     except OverflowError as exc:
         raise OverflowSignal(f"Gamma({x}) overflows double range") from exc
 
@@ -141,19 +122,11 @@ def mittag_leffler(a: float, b: float, z: float) -> float:
     return ml_series(a, b, z)
 
 
-def _log_cosh(u: float) -> float:
-    u = abs(u)
-    return u + math.log1p(math.exp(-2.0 * u)) - math.log(2.0)
-
-
-def bessel_k(nu: float, x: float, h: float = 1.0 / 64.0) -> float:
+def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel function of the second kind K_nu(x), x > 0.
 
-    Evaluates the integral representation
-        K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt
-    by the trapezoidal rule; the integrand is even and analytic in t, so the
-    rule converges near-exponentially in the step.  nu is canonicalized to
-    |nu| (K_nu = K_{-nu} holds exactly at the interface).
+    nu is canonicalized to |nu| (K_nu = K_{-nu} holds exactly at the
+    interface).
     """
     nu = abs(float(nu))
     x = float(x)
@@ -161,51 +134,4 @@ def bessel_k(nu: float, x: float, h: float = 1.0 / 64.0) -> float:
         raise DomainError(f"bessel_k requires x >= 0, got {x}")
     if x == 0.0:
         raise DivergenceError("K_nu(x) diverges as x -> 0 for every nu")
-
-    def log_integrand(t):
-        return -x * math.cosh(t) + _log_cosh(nu * t)
-
-    # exponent peaks where x sinh t = nu
-    t_peak = math.asinh(nu / x) if nu > 0 else 0.0
-    log_peak = log_integrand(t_peak)
-    t_hi = t_peak + 1.0
-    while log_integrand(t_hi) > log_peak - 46.0:
-        t_hi += 0.5
-
-    def trapezoid(step):
-        n = int(math.ceil(t_hi / step))
-        total = 0.5 * math.exp(log_integrand(0.0) - log_peak)
-        for i in range(1, n + 1):
-            total += math.exp(log_integrand(i * step) - log_peak)
-        return total * step * math.exp(log_peak)
-
-    val = trapezoid(h)
-    val_fine = trapezoid(h / 2.0)
-    if abs(val_fine - val) > 1e-10 * abs(val_fine):
-        val = val_fine
-        val_fine = trapezoid(h / 4.0)
-    return val_fine
-
-
-def bessel_k_series(nu: float, x: float, max_terms: int = 60) -> float:
-    """Series definition of K_nu for non-integer nu; cross-check route.
-
-    K_nu(x) = pi / (2 sin(nu pi)) * [ sum (x/2)^(-nu+2n) / (n! Gamma(-nu+n+1))
-                                     - sum (x/2)^(nu+2n) / (n! Gamma(nu+n+1)) ]
-
-    Suffers cancellation near integer nu; intended for |nu| <= 0.4, x <= 2 as
-    an independent check of the quadrature route.
-    """
-    nu = float(nu)
-    x = float(x)
-    if x <= 0.0:
-        raise DivergenceError("series requires x > 0")
-    if nu == math.floor(nu):
-        raise DomainError("series form is singular at integer nu")
-    half = x / 2.0
-    s_minus = 0.0
-    s_plus = 0.0
-    for n in range(max_terms):
-        s_minus += half ** (-nu + 2 * n) / (math.factorial(n) * gamma_fn(-nu + n + 1.0))
-        s_plus += half ** (nu + 2 * n) / (math.factorial(n) * gamma_fn(nu + n + 1.0))
-    return math.pi / (2.0 * math.sin(nu * math.pi)) * (s_minus - s_plus)
+    return float(kv(nu, x))

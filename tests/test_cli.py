@@ -47,6 +47,16 @@ class TestConfig:
         assert cfg2.canonical_text() == text
         assert cfg2.config_hash() == cfg.config_hash()
 
+    def test_hash_follows_resolved_config(self, monkeypatch):
+        import levyheat.config
+        default = ExperimentConfig().config_hash()
+        assert ExperimentConfig.from_text("model.alpha = 1.5").config_hash() \
+            == default
+        assert ExperimentConfig.from_text("model.alpha = 1.4").config_hash() \
+            != default
+        monkeypatch.setattr(levyheat.config, "__version__", "0.0.0")
+        assert ExperimentConfig().config_hash() != default
+
     def test_unknown_key_names_path(self):
         with pytest.raises(ValidationError) as err:
             ExperimentConfig.from_text("model.banana = 3\n")

@@ -6,10 +6,10 @@ from scipy.integrate import quad
 
 from levyheat.errors import DomainError
 from levyheat.kernel import (ComparisonKernel, KernelParams, I_formula,
-                             conv_constants, conv_lower_certify,
+                             QuadSettings, conv_constants, conv_lower_certify,
                              fourier_power_transform, g_fourier,
                              g_fourier_lower, g_p_integral, get_profile,
-                             h_moment, hmoment_constant, k_series,
+                             h_moment, hmoment_constant,
                              kappa_const, kernel_sandwich_check,
                              minform_kernel, nu_const, q_density,
                              q_mass_numeric, space_conv_gp,
@@ -65,6 +65,13 @@ class TestQDensity:
             scale = t ** (-1.0 / 1.5)
             assert q_density(KP15, t, x) == pytest.approx(
                 scale * prof.direct(x * scale), rel=1e-12)
+
+    def test_profile_cache_keeps_settings(self):
+        assert get_profile(1.3).settings.tail_terms == 6
+        prof = get_profile(1.3, QuadSettings(tail_terms=2))
+        assert prof.settings.tail_terms == 2
+        assert get_profile(1.3, QuadSettings(tail_terms=2)) is prof
+        assert get_profile(1.3, QuadSettings()) is get_profile(1.3)
 
     def test_radial_monotonicity(self):
         xs = np.linspace(0.0, 15.0, 40)
@@ -343,26 +350,3 @@ class TestConvolution:
             rhs1 = cc.theta_p * gamma_fn(a_ml) / gamma_fn(2 * a_ml) \
                 * t ** a_ml * gp1
             assert lhs1 >= rhs1
-
-
-class TestKSeries:
-    def test_single_term_matches_direct(self):
-        # n_max = 0: the series is just the first convolution power
-        ps, ml = k_series(CK15, 0.7, 1.2, 1.0, 0.5, n_max=0)
-        assert ps == pytest.approx(CK15.g(1.0, 0.5) ** 1.2, rel=1e-12)
-        assert ps >= ml
-
-    def test_degenerate_time(self):
-        # t -> 0: only the first term survives in the truncation
-        ps, ml = k_series(CK15, 1.0, 1.2, 1e-9, 0.0, n_max=1)
-        gp = CK15.g(1e-9, 0.0) ** 1.2
-        assert ml == pytest.approx(gp, rel=1e-6)
-        assert ps >= ml
-
-    def test_two_term_bound(self):
-        ps, ml = k_series(CK15, 1.0, 1.2, 1.0, 0.0, n_max=1)
-        assert ps >= ml
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            k_series(CK15, 1.0, 0.3, 1.0, 0.0)

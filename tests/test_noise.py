@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from levyheat.errors import (DegenerateMeasureError, DomainError,
-                             ValidationError)
-from levyheat.kernel import KernelParams
-from levyheat.noise import (IncrementField, LevyMeasureSpec, NoiseGrid,
-                            TiltSpec, drift_b, dump_increments, levy_moment,
-                            load_increments, sample_increments)
+from levyheat.errors import DomainError, ValidationError
+from levyheat.noise import (LevyMeasureSpec, NoiseGrid,
+                            drift_b, levy_moment, sample_increments)
 
 ATOMS = LevyMeasureSpec(variant="atoms", atoms=((1.0, 1.0), (-1.0, 1.0)))
 TPOW = LevyMeasureSpec(variant="truncated_power", gamma_exp=0.5,
@@ -156,23 +153,6 @@ class TestSampling:
             sample_increments(ATOMS, grid, rho=-1.0)
 
 
-class TestTilt:
-    def test_final_slab_excluded_and_rates_shaped(self):
-        grid = NoiseGrid(dt=0.05, dx=0.25, n_t=20, n_x=64, seed=7)
-        tilt = TiltSpec(t_ref=1.0, x_ref=0.0, delta=0.5)
-        f = sample_increments(ATOMS, grid, tilt=tilt,
-                              kernel_params=KernelParams(d=1, alpha=1.5))
-        assert np.all(f.jump_sum[-1] == 0.0)
-        # compensator is an array under a tilt, zero for symmetric measures
-        assert np.all(np.asarray(f.compensator) == 0.0)
-
-    def test_tilt_needs_mass(self):
-        grid = NoiseGrid(dt=0.05, dx=0.25, n_t=4, n_x=8, seed=7)
-        with pytest.raises(DegenerateMeasureError):
-            sample_increments(ATOMS, grid, tilt=TiltSpec(1.0, 0.0, delta=2.0),
-                              kernel_params=KernelParams(d=1, alpha=1.5))
-
-
 class TestCompensatedIntegralFloor:
     def test_ratio_bounded_below_across_intensities(self):
         """Monitor: E|int H d(mu-nu)|^p over the floor
@@ -197,22 +177,3 @@ class TestCompensatedIntegralFloor:
             ratios.append(lhs / rhs)
         assert min(ratios) > 0.01
         assert max(ratios) / min(ratios) < 100.0
-
-
-class TestDumps:
-    def test_roundtrip(self, tmp_path):
-        grid = NoiseGrid(dt=0.01, dx=0.1, n_t=20, n_x=30, seed=12,
-                         replica_index=4)
-        f = sample_increments(ATOMS, grid, rho=0.3)
-        path = tmp_path / "field.bin"
-        dump_increments(f, path)
-        g = load_increments(path)
-        assert g.grid == grid
-        assert np.array_equal(g.jump_sum, f.jump_sum)
-        assert np.allclose(g.gaussian, np.asarray(f.gaussian))
-
-    def test_magic_checked(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"nope" + b"\0" * 100)
-        with pytest.raises(ValidationError):
-            load_increments(path)

@@ -7,10 +7,11 @@ import pytest
 from levyheat.analytics import ModelSpec, SigmaSpec, U0Spec, compute_bounds
 from levyheat.errors import BlowupError, DomainError, ValidationError
 from levyheat.kernel import KernelParams, q_density
-from levyheat.noise import IncrementField, LevyMeasureSpec
+from levyheat.noise import IncrementField, LevyMeasureSpec, sample_increments
 from levyheat.solver import (GridSpec, build_discrete_kernel, dump_trajectory,
-                             heat_step, initial_field, mild_step,
-                             picard_solve, run_trajectory, trajectory_csv)
+                             heat_flow, heat_step, initial_field, mild_step,
+                             picard_solve, run_trajectory, sample_noise,
+                             trajectory_csv)
 
 KP15 = KernelParams(d=1, alpha=1.5)
 KP1 = KernelParams(d=1, alpha=1.0)
@@ -135,6 +136,55 @@ class TestHeatStep:
         assert heat_step(f, self.dk).min() > -1e-12
 
 
+class TestSimulationCore:
+    GRID = GridSpec(half_width=16.0, n_x=64, horizon=1.0, n_t=40)
+
+    def test_heat_flow_matches_iterated_steps(self):
+        ms = model(u0=U0Spec(kind="poly_decay", c0=1.0, decay_c=0.5))
+        dk = build_discrete_kernel(KP15, self.GRID, self.GRID.dt)
+        flow = heat_flow(ms, self.GRID, dk)
+        x = initial_field(ms, self.GRID)
+        assert np.array_equal(flow[0], x)
+        for k in range(1, self.GRID.n_t + 1):
+            x = heat_step(x, dk)
+            np.testing.assert_allclose(flow[k], x, rtol=1e-12, atol=0.0)
+
+    def test_noise_matches_per_replica_increments(self):
+        # asymmetric atoms, so the drift and compensator terms are nonzero
+        levy = LevyMeasureSpec(variant="atoms", atoms=((2.0, 0.5), (-0.5, 1.0)))
+        ms = ModelSpec(kp=KP15, rho=0.3, levy=levy,
+                       sigma=SigmaSpec(kind="linear", slope=1.0),
+                       u0=U0Spec(kind="constant", value=1.0))
+        assert ms.b != 0.0
+        replicas = [4, 0, 9]
+        buf = np.full((self.GRID.n_t, 5, self.GRID.n_x), np.nan)
+        dlam = sample_noise(ms, self.GRID, 21, replicas, out=buf)
+        assert dlam.shape == (self.GRID.n_t, 3, self.GRID.n_x)
+        for i, r in enumerate(replicas):
+            incr = sample_increments(levy, self.GRID.noise_grid(21, r), rho=0.3)
+            assert np.array_equal(dlam[:, i], incr.combined(b=ms.b))
+
+    def test_picard_blowup_reports_first_step_and_cell(self):
+        ms = model()
+        grid, guard = self.GRID, 3.0
+        dk = build_discrete_kernel(KP15, grid, grid.dt)
+        dlam = sample_noise(ms, grid, 5, range(4))
+        # the first sweep by hand: X^1 = Q(X^1 + sigma(X^0) dLambda / dx)
+        x0 = heat_flow(ms, grid, dk)
+        x = np.tile(x0[0], (4, 1))
+        for k in range(grid.n_t):
+            x = heat_step(x + ms.sigma(x0[k]) * dlam[k] / grid.dx, dk)
+            if np.abs(x).max() > guard:
+                cell = int(np.argmax(np.abs(x)) % grid.n_x)
+                break
+        assert cell != 0
+        with pytest.raises(BlowupError) as info:
+            picard_solve(ms, grid, seed=5, replicas=4, n_iter=2, beta=1.0,
+                         c=0.0, p=2.0, guard=guard)
+        assert (info.value.step, info.value.cell) == (k, cell)
+        assert info.value.value == pytest.approx(np.abs(x).max(), rel=1e-12)
+
+
 class TestMildStep:
     def setup_method(self):
         self.grid = GridSpec(half_width=16.0, n_x=128, horizon=1.0, n_t=20)
@@ -143,20 +193,20 @@ class TestMildStep:
     def test_zero_noise_reduces_to_heat(self):
         f = np.exp(-0.5 * (self.grid.x / 3.0) ** 2)
         out = mild_step(f, self.dk, model(slope=7.3), np.zeros(128),
-                        self.grid.dx)
+                        self.grid.dx, 0)
         assert np.array_equal(out, heat_step(f, self.dk))
 
     def test_sigma_zero_decouples_noise(self):
         f = np.exp(-0.5 * (self.grid.x / 3.0) ** 2)
         noise = np.random.default_rng(0).normal(size=128)
-        out = mild_step(f, self.dk, model(slope=0.0), noise, self.grid.dx)
+        out = mild_step(f, self.dk, model(slope=0.0), noise, self.grid.dx, 0)
         assert np.allclose(out, heat_step(f, self.dk))
 
     def test_blowup_guard(self):
         f = np.full(128, 1.0)
         with pytest.raises(BlowupError):
             mild_step(f, self.dk, model(slope=1.0), np.full(128, 1e15),
-                      self.grid.dx)
+                      self.grid.dx, 0)
 
 
 class TestTrajectory:

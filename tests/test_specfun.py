@@ -6,7 +6,7 @@ from scipy.special import kv
 
 from levyheat.errors import (DivergenceError, DomainError, OverflowSignal,
                              PoleError)
-from levyheat.specfun import (bessel_k, bessel_k_series, beta_fn, gamma_fn,
+from levyheat.specfun import (bessel_k, beta_fn, gamma_fn,
                               lgamma_fn, mittag_leffler, ml_asymptotic,
                               ml_series)
 
@@ -141,13 +141,3 @@ class TestBesselK:
     def test_divergence_at_zero(self):
         with pytest.raises(DivergenceError):
             bessel_k(1.0, 0.0)
-
-    def test_series_cross_check(self):
-        for nu in (0.1, 0.25, 0.4):
-            for x in (0.3, 1.0, 2.0):
-                assert bessel_k_series(nu, x) == pytest.approx(
-                    bessel_k(nu, x), rel=1e-9)
-
-    def test_series_rejects_integer_order(self):
-        with pytest.raises(DomainError):
-            bessel_k_series(1.0, 0.5)
