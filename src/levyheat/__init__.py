@@ -3,7 +3,8 @@
 Submodules:
     specfun    Gamma/Beta, two-parameter Mittag-Leffler, modified Bessel K.
     kernel     alpha-stable heat kernel, comparison kernel, integral identities
-               and inequality certificates.
+               and the numeric convolutions the certificates check.
+    certify    grid certificates of the kernel identities and inequalities.
     analytics  contraction constant, beta0, Lyapunov / growth-index bounds,
                renewal weight and discrete Volterra solver.
     noise      Levy jump measures and Poisson-random-measure sampling.

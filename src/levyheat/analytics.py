@@ -146,11 +146,6 @@ class ModelSpec:
         return drift_b(self.levy)
 
 
-def admissible_p_range(kp: KernelParams):
-    """Moment orders with finite jump moments: the interval [1, 1 + alpha/d)."""
-    return (1.0, 1.0 + kp.alpha / kp.d)
-
-
 # ---------------------------------------------------------------------------
 # contraction constant and beta0
 

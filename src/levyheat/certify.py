@@ -165,50 +165,61 @@ def check_g_time_monotone(ck: K.ComparisonKernel, t_grid=DEFAULT_T_GRID,
 
 def check_space_conv(ck: K.ComparisonKernel, p: float, t_grid=(0.5, 1.0, 2.0),
                      s_fracs=(0.2, 0.4, 0.8), x_grid=None) -> LemmaRecord:
-    """Space-convolution lower bound with gamma_{d,alpha}^(p) at every point."""
+    """Space-convolution lower bound at every grid point:
+
+        (g(t-s,.)^p * g(s,.)^p)(x)
+            >= gamma_{d,alpha}^(p) (t-s)^(d/alpha) / (s^((p-1)d/alpha) t^(d/alpha))
+               g(t-s, x)^p,
+
+    with the left side by quadrature and slack = LHS / RHS.
+    """
+    d, a = ck.d, ck.alpha
+    if not (d / (d + a) < p < 1.0 + a / d):
+        raise DomainError("requires p in (d/(d+alpha), 1+alpha/d)")
     x_grid = x_grid if x_grid is not None else default_x_grid(9, 10.0)
+    gam = K.gamma_conv_constant(d, a, p)
     slacks = []
     for t in t_grid:
         for frac in s_fracs:
-            rep = K.conv_lower_certify(ck, p, t, frac * t, x_grid)
-            slacks.extend(rep.slacks)
+            s = frac * t
+            for x in x_grid:
+                lhs = K.space_conv_gp(ck, p, t, s, x)
+                rhs = (gam * (t - s) ** (d / a)
+                       / (s ** ((p - 1.0) * d / a) * t ** (d / a))
+                       * ck.g(t - s, x) ** p)
+                slacks.append(lhs / rhs)
     return _ineq_record("g-space-convolution", slacks,
                         f"p={p}, t in {tuple(t_grid)}, s/t in {tuple(s_fracs)}")
+
+
+def _timespace_record(lemma_id, ck, p, lhs, const, kernel, t_grid,
+                      x_grid) -> LemmaRecord:
+    """Time-space self-convolution lhs(ck, p, t, x) against the bound
+    const Gamma(a) / Gamma(2a) t^a kernel(t, x), a = 1 - (p-1) d / alpha."""
+    a_ml = 1.0 - (p - 1.0) * ck.d / ck.alpha
+    scale = const * gamma_fn(a_ml) / gamma_fn(2.0 * a_ml)
+    slacks = [lhs(ck, p, t, x) / (scale * t ** a_ml * kernel(t, x))
+              for t in t_grid for x in x_grid]
+    return _ineq_record(lemma_id, slacks,
+                        f"p={p}, t in {tuple(t_grid)}, x in {tuple(x_grid)}")
 
 
 def check_timespace_conv(ck: K.ComparisonKernel, p: float,
                          t_grid=(0.5, 2.0), x_grid=(0.0, 1.0, 5.0)) -> LemmaRecord:
     """Single time-space self-convolution of g^p against the Lambda bound."""
-    d, a = ck.d, ck.alpha
-    cc = K.conv_constants(d, a, p)
-    a_ml = 1.0 - (p - 1.0) * d / a
-    slacks = []
-    for t in t_grid:
-        for x in x_grid:
-            lhs = K.timespace_conv_gp(ck, p, t, x)
-            rhs = (cc.lambda_p * gamma_fn(a_ml) / gamma_fn(2.0 * a_ml)
-                   * t ** a_ml * ck.g(t, x) ** p)
-            slacks.append(lhs / rhs)
-    return _ineq_record("g-timespace-convolution", slacks,
-                        f"p={p}, t in {tuple(t_grid)}, x in {tuple(x_grid)}")
+    return _timespace_record(
+        "g-timespace-convolution", ck, p, K.timespace_conv_gp,
+        K.conv_constants(ck.d, ck.alpha, p).lambda_p,
+        lambda t, x: ck.g(t, x) ** p, t_grid, x_grid)
 
 
 def check_timespace_conv_ratio(ck: K.ComparisonKernel, p: float,
                                t_grid=(0.5, 2.0), x_grid=(0.0, 1.0, 5.0)) -> LemmaRecord:
     """Time-space self-convolution of g^(p+1)/g(.,0) against the Theta bound."""
-    d, a = ck.d, ck.alpha
-    cc = K.conv_constants(d, a, p)
-    a_ml = 1.0 - (p - 1.0) * d / a
-    slacks = []
-    for t in t_grid:
-        for x in x_grid:
-            lhs = K.timespace_conv_gratio(ck, p, t, x)
-            gp1 = ck.g(t, x) ** (p + 1.0) / ck.g(t, 0.0)
-            rhs = (cc.theta_p * gamma_fn(a_ml) / gamma_fn(2.0 * a_ml)
-                   * t ** a_ml * gp1)
-            slacks.append(lhs / rhs)
-    return _ineq_record("gratio-timespace-convolution", slacks,
-                        f"p={p}, t in {tuple(t_grid)}, x in {tuple(x_grid)}")
+    return _timespace_record(
+        "gratio-timespace-convolution", ck, p, K.timespace_conv_gratio,
+        K.conv_constants(ck.d, ck.alpha, p).theta_p,
+        lambda t, x: ck.g(t, x) ** (p + 1.0) / ck.g(t, 0.0), t_grid, x_grid)
 
 
 def check_g_p_integral(ck: K.ComparisonKernel, p_grid=(1.4, 2.0),
@@ -245,17 +256,31 @@ def check_h_moment(alphas=(1.0, 1.5), p_grid=(0.0, 0.5, 1.0),
 
 def check_sandwich(kp: K.KernelParams, t_grid=(0.5, 1.0, 2.0),
                    x_grid=None) -> LemmaRecord:
-    """Empirical envelope ratios q/minform and q/g: finite and positive."""
-    x_grid = x_grid if x_grid is not None else default_x_grid()
-    rep = K.kernel_sandwich_check(kp, t_grid, x_grid)
-    slack = min(rep.c1_minform, rep.c1_g) if rep.valid else 0.0
+    """Empirical envelope ratios q/minform and q/g: finite and positive.
+
+    The extrema over the grid are empirical envelope constants, not proven
+    bounds; the slack is the smaller of the two minima.
+    """
+    x_grid = list(x_grid if x_grid is not None else default_x_grid())
+    t_grid = tuple(t_grid)
+    if not t_grid or not x_grid:
+        raise DomainError("sandwich check needs a nonempty grid")
+    ck = K.ComparisonKernel(kp)
+    ratios_m, ratios_g = [], []
+    for t in t_grid:
+        for x in x_grid:
+            q = K.q_density(kp, t, x)
+            ratios_m.append(q / K.minform_kernel(kp, t, x))
+            ratios_g.append(q / ck.g(t, x))
+    c = {"c1_minform": min(ratios_m), "c2_minform": max(ratios_m),
+         "c1_g": min(ratios_g), "c2_g": max(ratios_g)}
+    valid = all(math.isfinite(v) and v > 0.0 for v in c.values())
     return LemmaRecord(
         lemma_id="kernel-envelope-sandwich",
-        status="pass" if rep.valid else "fail",
-        worst_slack=float(slack), tolerance=0.0,
-        grid=f"t in {tuple(t_grid)}, {rep.n_points} points",
-        detail={"c1_minform": rep.c1_minform, "c2_minform": rep.c2_minform,
-                "c1_g": rep.c1_g, "c2_g": rep.c2_g})
+        status="pass" if valid else "fail",
+        worst_slack=float(min(c["c1_minform"], c["c1_g"]) if valid else 0.0),
+        tolerance=0.0, grid=f"t in {t_grid}, {len(ratios_m)} points",
+        detail=c)
 
 
 def check_tail_ratio(kp: K.KernelParams, radii=(50.0, 100.0, 200.0)) -> LemmaRecord:

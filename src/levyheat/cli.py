@@ -77,7 +77,7 @@ def _load_config(args) -> ExperimentConfig:
                       ("levy.atoms", "levy")):
         val = getattr(args, attr, None)
         if val is not None:
-            cfg.set(key, val if not isinstance(val, str) else val)
+            cfg.set(key, val)
     cfg.build_model()
     cfg.build_grid()
     return cfg

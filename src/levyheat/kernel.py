@@ -18,6 +18,7 @@ The comparison kernel
 is two-sided comparable to q_t and exactly equals it when alpha = 1.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -322,44 +323,6 @@ def minform_kernel(kp: KernelParams, t: float, x) -> float:
     return min(flat, t / r ** (kp.d + kp.alpha))
 
 
-@dataclass
-class SandwichReport:
-    """Grid extrema of q / minform and q / g; empirical envelope constants."""
-
-    c1_minform: float
-    c2_minform: float
-    c1_g: float
-    c2_g: float
-    n_points: int
-
-    @property
-    def valid(self) -> bool:
-        vals = (self.c1_minform, self.c2_minform, self.c1_g, self.c2_g)
-        return all(math.isfinite(v) and v > 0.0 for v in vals)
-
-
-def kernel_sandwich_check(kp: KernelParams, t_values, x_values) -> SandwichReport:
-    """Min/max over the grid of q_t(x)/minform and q_t(x)/g(t,x).
-
-    The extrema are empirical envelope constants, not proven bounds.
-    """
-    t_values = list(t_values)
-    x_values = list(x_values)
-    if not t_values or not x_values:
-        raise DomainError("sandwich check needs a nonempty grid")
-    ck = ComparisonKernel(kp)
-    ratios_m, ratios_g = [], []
-    for t in t_values:
-        if t <= 0.0:
-            raise DomainError("sandwich grid requires t > 0")
-        for x in x_values:
-            q = q_density(kp, t, x)
-            ratios_m.append(q / minform_kernel(kp, t, x))
-            ratios_g.append(q / ck.g(t, x))
-    return SandwichReport(min(ratios_m), max(ratios_m), min(ratios_g),
-                          max(ratios_g), len(ratios_m))
-
-
 # ---------------------------------------------------------------------------
 # weighted space-time integrals
 
@@ -391,14 +354,22 @@ def I_formula(kp: KernelParams, beta: float, c: float, p: float) -> float:
     return term1 + term2
 
 
+@functools.cache
+def _legendre_rule(n):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], built once per n
+    and shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss_panels(panels, n):
     """Gauss-Legendre nodes/weights over consecutive panels."""
-    base_x, base_w = np.polynomial.legendre.leggauss(n)
-    xs, ws = [], []
-    for lo, hi in zip(panels[:-1], panels[1:]):
-        xs.append(0.5 * (hi - lo) * base_x + 0.5 * (hi + lo))
-        ws.append(0.5 * (hi - lo) * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
+    base_x, base_w = _legendre_rule(n)
+    cuts = np.asarray(panels, dtype=float)
+    lo, hi = cuts[:-1, None], cuts[1:, None]
+    return ((0.5 * (hi - lo) * base_x + 0.5 * (hi + lo)).ravel(),
+            (0.5 * (hi - lo) * base_w).ravel())
 
 
 def weighted_kernel_integral(kp: KernelParams, beta: float, c: float, p: float) -> float:
@@ -677,63 +648,12 @@ def timespace_conv_gp(ck: ComparisonKernel, p: float, t: float, x: float) -> flo
     return float(total)
 
 
-def space_conv_gratio(ck: ComparisonKernel, p: float, t: float, s: float,
-                      x: float) -> float:
-    """Numeric space convolution of u -> g(u,.)^(p+1)/g(u,0) at times (t-s, s)."""
-    if ck.d != 1:
-        raise DomainError("numeric convolutions implemented for d = 1 only")
-    u = t - s
-    gu0 = ck.g(u, 0.0)
-    gs0 = ck.g(s, 0.0)
-    y, w = _conv_nodes(ck, u, s, x)
-    vals = (ck.g_radial(u, np.abs(x - y)) ** (p + 1.0) / gu0
-            * ck.g_radial(s, np.abs(y)) ** (p + 1.0) / gs0)
-    return float(np.sum(w * vals))
-
-
 def timespace_conv_gratio(ck: ComparisonKernel, p: float, t: float, x: float) -> float:
-    """Numeric (g^(p) star g^(p))(t, x) for the ratio kernel, d = 1."""
+    """Numeric (g^(p) star g^(p))(t, x) for the ratio kernel
+    g^(p)(u, .) = g(u, .)^(p+1) / g(u, 0), d = 1: the space convolution of
+    g^(p+1) divided by the two centre values."""
     s_nodes, s_w = _graded_time_nodes(t)
-    total = sum(ws * space_conv_gratio(ck, p, t, s, x)
+    total = sum(ws * space_conv_gp(ck, p + 1.0, t, s, x)
+                / (ck.g(t - s, 0.0) * ck.g(s, 0.0))
                 for s, ws in zip(s_nodes, s_w))
     return float(total)
-
-
-@dataclass
-class CertificateReport:
-    """Outcome of a pointwise inequality certificate over a grid."""
-
-    name: str
-    slacks: list
-    grid: list
-    tolerance: float = 1.0
-
-    @property
-    def min_slack(self) -> float:
-        return min(self.slacks) if self.slacks else math.inf
-
-    @property
-    def passed(self) -> bool:
-        return self.min_slack >= self.tolerance
-
-
-def conv_lower_certify(ck: ComparisonKernel, p: float, t: float, s: float,
-                       x_grid) -> CertificateReport:
-    """Check the space-convolution lower bound at every grid point.
-
-    LHS = (g(t-s,.)^p * g(s,.)^p)(x) computed numerically; RHS is the
-    closed-form bound with gamma_{d,alpha}^(p).  Slack = LHS / RHS.
-    """
-    d, a = ck.d, ck.alpha
-    if not (d / (d + a) < p < 1.0 + a / d):
-        raise DomainError("requires p in (d/(d+alpha), 1+alpha/d)")
-    gam = gamma_conv_constant(d, a, p)
-    slacks, grid = [], []
-    for x in x_grid:
-        lhs = space_conv_gp(ck, p, t, s, x)
-        rhs = (gam * (t - s) ** (d / a) / (s ** ((p - 1.0) * d / a) * t ** (d / a))
-               * ck.g(t - s, x) ** p)
-        slacks.append(lhs / rhs)
-        grid.append((t, s, float(x)))
-    return CertificateReport(name="space-convolution-lower-bound",
-                             slacks=slacks, grid=grid)

@@ -90,15 +90,6 @@ class LevyMeasureSpec:
             return 0.0
         return sum(m * z for z, m in self.atoms)
 
-    def discarded_l2(self) -> float:
-        """L2 size of the small jumps the inner cutoff removes from the
-        un-truncated power target: int_{|z| < delta_in} z^2 amplitude
-        |z|^(-1-gamma) dz.  Zero for atom specs (nothing is discarded)."""
-        if self.variant != "truncated_power":
-            return 0.0
-        a = 2.0 - self.gamma_exp
-        return 2.0 * self.amplitude * self.delta_in ** a / a
-
     @property
     def symmetric(self) -> bool:
         if self.variant == "truncated_power":
@@ -128,11 +119,6 @@ class LevyMeasureSpec:
             mag = (lo ** -g - u * (lo ** -g - self.outer_cut ** -g)) ** (-1.0 / g)
         sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         return sign * mag
-
-
-def levy_moment(spec: LevyMeasureSpec, p: float) -> float:
-    """int |z|^p lambda(dz) in closed form."""
-    return spec.moment(p)
 
 
 def drift_b(spec: LevyMeasureSpec) -> float:

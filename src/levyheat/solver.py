@@ -18,7 +18,7 @@ import numpy as np
 from .analytics import ModelSpec
 from .errors import BlowupError, DomainError, ValidationError
 from .kernel import get_profile, tail_coefficient
-from .noise import IncrementField, NoiseGrid, sample_increments
+from .noise import NoiseGrid, sample_increments
 
 BLOWUP_GUARD = 1e12
 
@@ -97,11 +97,7 @@ def build_discrete_kernel(kp, grid: GridSpec, dt: float) -> DiscreteKernel:
     offsets[offsets > n / 2] -= n
     y = offsets * dx
     scale = dt ** (-1.0 / alpha)
-    if alpha == 1.0:
-        base = dt / (math.pi * (dt * dt + y * y)) * dx
-    else:
-        prof = get_profile(alpha)
-        base = scale * prof(np.abs(y) * scale) * dx
+    base = scale * get_profile(alpha)(np.abs(y) * scale) * dx
 
     c1 = tail_coefficient(alpha, 1)
     image = np.zeros_like(y)
@@ -199,18 +195,14 @@ class Trajectory:
 
 
 def run_trajectory(ms: ModelSpec, grid: GridSpec, seed: int, replica: int,
-                   guard: float = BLOWUP_GUARD,
-                   increments: IncrementField | None = None) -> Trajectory:
+                   guard: float = BLOWUP_GUARD) -> Trajectory:
     """Advance one noise replica over the whole grid; deterministic in
     (model, grid, seed, replica)."""
     if not grid.containment_ok(ms.kp.alpha):
         warnings.warn("domain half-width below 4 T^(1/alpha); wrap-around "
                       "bias may be significant", stacklevel=2)
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
-    if increments is None:
-        dlam = sample_noise(ms, grid, seed, [replica])[:, 0]
-    else:
-        dlam = increments.combined(b=ms.b)
+    dlam = sample_noise(ms, grid, seed, [replica])[:, 0]
     fields = np.empty((grid.n_t + 1, grid.n_x))
     fields[0] = initial_field(ms, grid)
     for k in range(grid.n_t):

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from levyheat.analytics import (BoundsReport, ConstantsConfig, ModelSpec,
-                                RenewalProblem, SigmaSpec, U0Spec,
-                                admissible_p_range, beta0, compute_bounds,
-                                contraction_constant, lower_bound_exponential,
-                                renewal_solve, renewal_weight, subexp_rate,
-                                upper_bounds)
+                                RenewalProblem, SigmaSpec, U0Spec, beta0,
+                                compute_bounds, contraction_constant,
+                                lower_bound_exponential, renewal_solve,
+                                renewal_weight, subexp_rate, upper_bounds)
 from levyheat.errors import DomainError, NoRootError
 from levyheat.kernel import KernelParams
 from levyheat.noise import LevyMeasureSpec
@@ -25,10 +24,6 @@ def model(kp=KP1, slope=1.0, u0=None, levy=ATOMS, rho=0.0):
 
 
 class TestAdmissibleRange:
-    def test_values(self):
-        assert admissible_p_range(KP15) == (1.0, 2.5)
-        assert admissible_p_range(KernelParams(d=2, alpha=1.0)) == (1.0, 1.5)
-
     def test_endpoint_rejected_downstream(self):
         with pytest.raises(DomainError):
             contraction_constant(model(KP15), 4.0, 0.0, 2.5)

@@ -1,12 +1,18 @@
+import dataclasses
 import json
 
 import pytest
 
-from levyheat.certify import (LemmaRecord, check_beta_identity,
-                              check_g_fourier_equality, check_h_moment,
-                              check_power_law_transform, check_tail_ratio,
-                              verify_lemmas)
-from levyheat.kernel import KernelParams
+from levyheat import kernel as K
+from levyheat.certify import (DEFAULT_T_GRID, LemmaRecord, check_beta_identity,
+                              check_g_fourier_equality, check_g_tensor_split,
+                              check_h_moment, check_power_law_transform,
+                              check_space_conv, check_tail_ratio,
+                              check_timespace_conv, check_timespace_conv_ratio,
+                              default_x_grid, verify_lemmas)
+from levyheat.kernel import ComparisonKernel, KernelParams
+
+CK15 = ComparisonKernel(KernelParams(d=1, alpha=1.5))
 
 
 @pytest.fixture(scope="module")
@@ -57,3 +63,49 @@ def test_record_pass_property():
     rec = LemmaRecord(lemma_id="x", status="fail", worst_slack=0.5,
                       tolerance=1.0, grid="g")
     assert not rec.passed
+
+
+def test_equality_case_passes():
+    # g-tensor-split is an equality at x = y = 0; its worst slack lands a
+    # rounding error below 1 and must still pass
+    rec = check_g_tensor_split(CK15, DEFAULT_T_GRID, default_x_grid())
+    assert rec.worst_slack == pytest.approx(1.0, abs=1e-12)
+    assert rec.passed
+
+
+def inflate_gamma(monkeypatch, factor):
+    orig = K.gamma_conv_constant
+    monkeypatch.setattr(K, "gamma_conv_constant",
+                        lambda d, a, p: factor * orig(d, a, p))
+
+
+def inflate_conv_constant(name):
+    def inflate(monkeypatch, factor):
+        orig = K.conv_constants
+
+        def inflated(d, a, p):
+            cc = orig(d, a, p)
+            return dataclasses.replace(cc, **{name: factor * getattr(cc, name)})
+        monkeypatch.setattr(K, "conv_constants", inflated)
+    return inflate
+
+
+CONV_CERTIFICATES = {
+    "g-space-convolution": (check_space_conv, inflate_gamma),
+    "g-timespace-convolution": (check_timespace_conv,
+                                inflate_conv_constant("lambda_p")),
+    "gratio-timespace-convolution": (check_timespace_conv_ratio,
+                                     inflate_conv_constant("theta_p")),
+}
+
+
+@pytest.mark.parametrize("lemma_id", sorted(CONV_CERTIFICATES))
+def test_convolution_certificate_can_fail(monkeypatch, lemma_id):
+    check, inflate = CONV_CERTIFICATES[lemma_id]
+    good = check(CK15, 1.2, t_grid=(1.0,), x_grid=(0.0, 2.0))
+    assert good.lemma_id == lemma_id and good.passed
+    # a closed-form constant 1% above the worst slack breaks the bound
+    inflate(monkeypatch, 1.01 * good.worst_slack)
+    bad = check(CK15, 1.2, t_grid=(1.0,), x_grid=(0.0, 2.0))
+    assert bad.status == "fail"
+    assert bad.worst_slack == pytest.approx(1.0 / 1.01, rel=1e-12)

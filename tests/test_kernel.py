@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from levyheat.certify import check_sandwich, check_space_conv
 from levyheat.errors import DomainError
 from levyheat.kernel import (ComparisonKernel, KernelParams, I_formula,
-                             QuadSettings, conv_constants, conv_lower_certify,
-                             fourier_power_transform, g_fourier,
-                             g_fourier_lower, g_p_integral, get_profile,
-                             h_moment, hmoment_constant,
-                             kappa_const, kernel_sandwich_check,
+                             QuadSettings, _conv_nodes, _gauss_panels,
+                             conv_constants, fourier_power_transform,
+                             g_fourier, g_fourier_lower, g_p_integral,
+                             get_profile, h_moment, hmoment_constant,
                              minform_kernel, nu_const, q_density,
-                             q_mass_numeric, space_conv_gp,
-                             tail_coefficient, timespace_conv_gp,
-                             timespace_conv_gratio, weighted_kernel_integral)
+                             q_mass_numeric, space_conv_gp, tail_coefficient,
+                             timespace_conv_gp, timespace_conv_gratio,
+                             weighted_kernel_integral)
 from levyheat.specfun import gamma_fn
 
 KP1 = KernelParams(d=1, alpha=1.0)
@@ -156,16 +156,16 @@ class TestMinform:
 
 class TestSandwich:
     def test_alpha1_identity(self):
-        rep = kernel_sandwich_check(KP1, [0.5, 1.0, 2.0], sandwich_grid())
-        assert rep.c1_g == pytest.approx(1.0, abs=1e-9)
-        assert rep.c2_g == pytest.approx(1.0, abs=1e-9)
+        rec = check_sandwich(KP1, [0.5, 1.0, 2.0], sandwich_grid())
+        assert rec.detail["c1_g"] == pytest.approx(1.0, abs=1e-9)
+        assert rec.detail["c2_g"] == pytest.approx(1.0, abs=1e-9)
 
     def test_goldens_alpha15(self):
-        rep = kernel_sandwich_check(KP15, [0.5, 1.0, 2.0], sandwich_grid())
-        assert rep.valid
-        assert 0.0 < rep.c1_minform <= rep.c2_minform < math.inf
+        rec = check_sandwich(KP15, [0.5, 1.0, 2.0], sandwich_grid())
+        assert rec.passed
+        assert 0.0 < rec.detail["c1_minform"] <= rec.detail["c2_minform"] < math.inf
         for key, val in SANDWICH_GOLDEN.items():
-            assert getattr(rep, key) == pytest.approx(val, rel=1e-6)
+            assert rec.detail[key] == pytest.approx(val, rel=1e-6)
 
     def test_tail_ratio_approaches_constant(self):
         cref = tail_coefficient(1.5, 1)
@@ -176,7 +176,7 @@ class TestSandwich:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
-            kernel_sandwich_check(KP15, [], [1.0])
+            check_sandwich(KP15, [], [1.0])
 
 
 class TestIFormula:
@@ -326,9 +326,37 @@ class TestConvolution:
             assert cc.lambda_p > 0 and cc.theta_p > 0 and cc.c_hmom > 0
 
     def test_space_conv_certificate(self):
-        rep = conv_lower_certify(CK15, 1.2, 1.0, 0.4, np.linspace(-5, 5, 11))
-        assert rep.passed
-        assert rep.min_slack >= 1.0
+        rec = check_space_conv(CK15, 1.2, t_grid=(1.0,), s_fracs=(0.4,),
+                               x_grid=np.linspace(-5, 5, 11))
+        assert rec.passed
+        assert rec.worst_slack >= 1.0
+
+    def test_ratio_kernel_space_convolution(self):
+        # g(u,.)^(p+1)/g(u,0) convolved with g(s,.)^(p+1)/g(s,0): the g^(p+1)
+        # convolution over the two centre values, against quadrature and the
+        # integrand divided node by node
+        p, t, s, x = 1.2, 1.0, 0.4, 2.0
+        u = t - s
+        got = space_conv_gp(CK15, p + 1.0, t, s, x) / (CK15.g(u, 0.0) * CK15.g(s, 0.0))
+        ref, _ = quad(lambda y: CK15.g(u, x - y) ** (p + 1.0) / CK15.g(u, 0.0)
+                      * CK15.g(s, y) ** (p + 1.0) / CK15.g(s, 0.0),
+                      -np.inf, np.inf, limit=300)
+        assert got == pytest.approx(ref, rel=1e-9)
+        y, w = _conv_nodes(CK15, u, s, x)
+        nodewise = np.sum(w * (CK15.g_radial(u, np.abs(x - y)) ** (p + 1.0)
+                               / CK15.g(u, 0.0) * CK15.g_radial(s, np.abs(y))
+                               ** (p + 1.0) / CK15.g(s, 0.0)))
+        assert got == pytest.approx(nodewise, rel=1e-14)
+
+    def test_gauss_panels_match_per_panel_rule(self):
+        panels = [-300.0, -2.5, 0.0, 1e-9, 0.25, 1.0, 45.0]
+        x, w = _gauss_panels(panels, 16)
+        bx, bw = np.polynomial.legendre.leggauss(16)
+        pairs = list(zip(panels[:-1], panels[1:]))
+        assert np.array_equal(x, np.concatenate(
+            [0.5 * (hi - lo) * bx + 0.5 * (hi + lo) for lo, hi in pairs]))
+        assert np.array_equal(w, np.concatenate(
+            [0.5 * (hi - lo) * bw for lo, hi in pairs]))
 
     def test_space_conv_accuracy(self):
         ref, _ = quad(lambda y: CK15.g(0.6, 2.0 - y) ** 1.2 * CK15.g(0.4, y) ** 1.2,

@@ -6,7 +6,7 @@ from scipy import stats
 
 from levyheat.errors import DomainError, ValidationError
 from levyheat.noise import (LevyMeasureSpec, NoiseGrid,
-                            drift_b, levy_moment, sample_increments)
+                            drift_b, sample_increments)
 
 ATOMS = LevyMeasureSpec(variant="atoms", atoms=((1.0, 1.0), (-1.0, 1.0)))
 TPOW = LevyMeasureSpec(variant="truncated_power", gamma_exp=0.5,
@@ -15,12 +15,12 @@ TPOW = LevyMeasureSpec(variant="truncated_power", gamma_exp=0.5,
 
 class TestMoments:
     def test_unit_atoms_any_p(self):
-        assert levy_moment(ATOMS, 1.7) == pytest.approx(2.0)
-        assert levy_moment(ATOMS, 0.0) == pytest.approx(2.0)   # total mass
+        assert ATOMS.moment(1.7) == pytest.approx(2.0)
+        assert ATOMS.moment(0.0) == pytest.approx(2.0)   # total mass
 
     def test_truncated_power_p1(self):
         # 2 int_0.1^1 z^{-0.5} dz = 4 (1 - sqrt(0.1))
-        assert levy_moment(TPOW, 1.0) == pytest.approx(
+        assert TPOW.moment(1.0) == pytest.approx(
             4.0 * (1.0 - math.sqrt(0.1)), rel=1e-13)
 
     def test_mass_and_above(self):
@@ -32,12 +32,7 @@ class TestMoments:
 
     def test_moment_requires_nonnegative_order(self):
         with pytest.raises(DomainError):
-            levy_moment(ATOMS, -0.5)
-
-    def test_discarded_l2(self):
-        assert ATOMS.discarded_l2() == 0.0
-        expect = 2.0 * 0.1 ** 1.5 / 1.5
-        assert TPOW.discarded_l2() == pytest.approx(expect, rel=1e-13)
+            ATOMS.moment(-0.5)
 
 
 class TestDrift:
@@ -100,12 +95,12 @@ class TestSampling:
         grid = NoiseGrid(dt=0.01, dx=0.1, n_t=1000, n_x=1000, seed=1)
         f = sample_increments(ATOMS, grid)
         c = f.combined(b=0.0)
-        var_cell = grid.dt * grid.dx * levy_moment(ATOMS, 2.0)
+        var_cell = grid.dt * grid.dx * ATOMS.moment(2.0)
         se_mean = math.sqrt(var_cell / c.size)
         assert abs(c.mean()) < 4.0 * se_mean
         # SE of a sample variance of n cells ~ var * sqrt(2/n + kurtosis term);
         # jump noise is very leptokurtic, so allow its exact fourth moment
-        m4 = grid.dt * grid.dx * levy_moment(ATOMS, 4.0)
+        m4 = grid.dt * grid.dx * ATOMS.moment(4.0)
         se_var = math.sqrt((m4 - var_cell ** 2 * (c.size - 3) / (c.size - 1))
                            / c.size)
         assert abs(c.var() - var_cell) < 3.0 * se_var
