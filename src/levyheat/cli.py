@@ -83,12 +83,14 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _add_common(sub, config_required=False):
-    sub.add_argument("--config", required=config_required,
-                     help="experiment config file (key = value lines)")
+def _add_common(sub):
+    sub.add_argument("--config", help="experiment config file (key = value lines)")
     sub.add_argument("--out", default=None, help="output directory override")
+
+
+def _add_jobs_flag(sub):
     sub.add_argument("--jobs", type=int, default=None,
-                     help="worker pool size over replicas")
+                     help="worker pool size over replicas (run.jobs)")
 
 
 def _add_model_flags(sub):
@@ -111,8 +113,7 @@ def _add_model_flags(sub):
 
 
 def cmd_verify_lemmas(args) -> int:
-    report = verify_lemmas(d=args.d or 1, alpha=args.alpha or 1.5,
-                           p=args.p, fast=args.fast)
+    report = verify_lemmas(d=args.d, alpha=args.alpha, p=args.p, fast=args.fast)
     payload = report.to_dict()
     payload["levyheat"] = __version__
     out = Path(args.out) if args.out else None
@@ -176,7 +177,6 @@ def cmd_moments(args) -> int:
     ms = cfg.build_model()
     grid = cfg.build_grid()
     outdir = _outdir(cfg, args.out)
-    jobs = args.jobs or cfg.get("run.jobs")
     for p in cfg.get("run.p"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -184,7 +184,7 @@ def cmd_moments(args) -> int:
                                          cfg.get("run.seed"),
                                          aggregator=cfg.get("run.aggregator"),
                                          blocks=cfg.get("run.blocks"),
-                                         jobs=jobs)
+                                         jobs=cfg.get("run.jobs"))
         path = outdir / f"moments_p{p:g}.csv"
         with open(path, "w") as fh:
             _csv_header(fh, cfg, extra=f" p={p:g} replicas={series.replicas}"
@@ -206,7 +206,6 @@ def cmd_growth_scan(args) -> int:
     ms = cfg.build_model()
     grid = cfg.build_grid()
     outdir = _outdir(cfg, args.out)
-    jobs = args.jobs or cfg.get("run.jobs")
     p = cfg.get("run.p")[0]
     r_txt = cfg.get("scan.r")
     if r_txt == "subexp":
@@ -219,7 +218,8 @@ def cmd_growth_scan(args) -> int:
         _, surface = simulate_moments(ms, grid, p, cfg.get("run.replicas"),
                                       cfg.get("run.seed"),
                                       aggregator=cfg.get("run.aggregator"),
-                                      blocks=cfg.get("run.blocks"), jobs=jobs)
+                                      blocks=cfg.get("run.blocks"),
+                                      jobs=cfg.get("run.jobs"))
     scan = growth_index_scan(surface, cfg.get("scan.eta"), r=r_exp)
     path = outdir / "growth_scan.csv"
     with open(path, "w") as fh:
@@ -382,11 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("moments", help="Monte Carlo moment series")
     _add_common(s)
+    _add_jobs_flag(s)
     _add_model_flags(s)
     s.set_defaults(func=cmd_moments)
 
     s = sub.add_parser("growth-scan", help="restricted sup-moment scan")
     _add_common(s)
+    _add_jobs_flag(s)
     _add_model_flags(s)
     s.set_defaults(func=cmd_growth_scan)
 

@@ -29,31 +29,6 @@ BATCH_BYTES = 16 * 2 ** 20
 _MEDIAN_SE = math.sqrt(math.pi / 2.0)
 
 
-def moment_estimate(fields: np.ndarray, p: float, aggregator: str = "mean",
-                    blocks: int = MOM_BLOCKS):
-    """Per-cell estimate of E|X|^p from a (replicas, ...) stack.
-
-    aggregator "mean": sample mean with plain standard error;
-    aggregator "mom": median of `blocks` block means, SE from the block
-    spread.  Returns (estimate, se) with the replica axis reduced.
-    """
-    fields = np.asarray(fields)
-    r = fields.shape[0]
-    if r < 2:
-        raise DomainError("need at least 2 replicas for an error estimate")
-    vals = np.abs(fields) ** p
-    if aggregator == "mean":
-        est = vals.mean(axis=0)
-        se = vals.std(axis=0, ddof=1) / math.sqrt(r)
-        return est, se
-    if aggregator == "mom":
-        blocks = min(blocks, r)
-        ids = np.arange(r) % blocks
-        return _median_of_means(
-            np.stack([vals[ids == b].mean(axis=0) for b in range(blocks)]))
-    raise DomainError(f"unknown aggregator {aggregator!r}")
-
-
 def _median_of_means(bm: np.ndarray):
     """Median of the block means `bm` (blocks on axis 0) and its standard
     error from the block spread."""

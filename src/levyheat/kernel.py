@@ -1,15 +1,16 @@
 """Stable heat kernel, comparison kernel, and the integral formulas built on them.
 
-The transition density of the d-dimensional isotropic stable semigroup with
+The transition density of the one-dimensional symmetric stable semigroup with
 symbol exp(-t |xi|^alpha) is self-similar,
 
-    q_t(x) = t^(-d/alpha) * profile(|x| * t^(-1/alpha)),
+    q_t(x) = t^(-1/alpha) * profile(|x| * t^(-1/alpha)),
 
-and every evaluation here goes through the unit-time profile.  For d = 1,
-alpha = 1 the profile is the Cauchy density and is used in closed form;
-otherwise the profile is computed by Fourier inversion (QUADPACK oscillatory
-rules), with a spline fast path for bulk evaluation and the power-tail
-series beyond the spline range.
+and every evaluation goes through the unit-time profile: pointwise Fourier
+inversion (QUADPACK, checked), a cubic spline for bulk evaluation and the
+power-tail series beyond the spline range.  At alpha = 1 the profile is the
+Cauchy density in closed form.  The numeric kernel is d = 1 only; the
+closed-form formulas (comparison kernel, I(beta,c,p), Fourier transforms,
+convolution constants) accept d in {1, 2, 3}.
 
 The comparison kernel
 
@@ -21,7 +22,7 @@ is two-sided comparable to q_t and exactly equals it when alpha = 1.
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -30,29 +31,34 @@ from scipy.interpolate import CubicSpline
 from .errors import DomainError, QuadratureError
 from .specfun import bessel_k, gamma_fn, lgamma_fn
 
+# quadrature tolerances shared by the kernel integrals
+EPSABS = 1e-12
+EPSREL = 1e-10
+LIMIT = 400
+# a quadrature fails when its error estimate exceeds this share of
+# max(|value|, 1)
+QUAD_ERR_REL = 1e-7
+# the unit-time profile: exp(-xi^alpha) is truncated where xi^alpha >= EXPONENT_CUT,
+# the spline covers [0, SPLINE_HI], the TAIL_TERMS-term power-tail series
+# takes over beyond TAIL_START
+EXPONENT_CUT = 45.0
+SPLINE_HI = 48.0
+TAIL_START = 45.0
+TAIL_TERMS = 6
+# q_mass_numeric: quadrature on [0, MASS_RADIUS], tail series beyond
+MASS_RADIUS = 1000.0
+
 # ---------------------------------------------------------------------------
 # parameters
 
 
 @dataclass(frozen=True)
-class QuadSettings:
-    """Quadrature knobs shared by the kernel integrals."""
-
-    epsabs: float = 1e-12
-    epsrel: float = 1e-10
-    limit: int = 400
-    exponent_cut: float = 45.0   # truncate exp(-t xi^alpha) where t xi^alpha >= cut
-    tail_terms: int = 6          # power-tail series length
-    tail_start: float = 45.0     # switch radius from spline to tail series
-
-
-@dataclass(frozen=True)
 class KernelParams:
-    """Dimension and stability index; analytic formulas accept d in {1,2,3}."""
+    """Dimension and stability index; analytic formulas accept d in {1,2,3},
+    the numeric kernel d = 1 only."""
 
     d: int = 1
     alpha: float = 1.5
-    quad: QuadSettings = field(default_factory=QuadSettings)
 
     def __post_init__(self):
         if self.d < 1 or self.d != int(self.d):
@@ -81,13 +87,15 @@ def tail_coefficient(alpha: float, k: int = 1) -> float:
 # unit-time profile (d = 1)
 
 
-def _quad_checked(func, a, b, settings, **kw):
+def _quad_checked(func, a, b, **kw):
+    """integrate.quad at the module tolerances (keywords such as `points`
+    pass through); raises QuadratureError on a non-finite value or an error
+    estimate above QUAD_ERR_REL * max(|value|, 1)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        val, err = integrate.quad(func, a, b, epsabs=settings.epsabs,
-                                  epsrel=settings.epsrel, limit=settings.limit, **kw)
-    tol = max(settings.epsabs, abs(val) * max(settings.epsrel, 1e-9) * 100.0)
-    if not math.isfinite(val) or err > max(tol, 1e-7 * max(abs(val), 1.0)):
+        val, err = integrate.quad(func, a, b, epsabs=EPSABS, epsrel=EPSREL,
+                                  limit=LIMIT, **kw)
+    if not math.isfinite(val) or err > QUAD_ERR_REL * max(abs(val), 1.0):
         raise QuadratureError(
             f"quadrature did not converge (value {val}, error estimate {err})",
             estimate=err, value=val)
@@ -101,15 +109,12 @@ class StableProfile:
     inversion path can be certified against the closed form.
     """
 
-    def __init__(self, alpha: float, settings: QuadSettings | None = None,
-                 force_numeric: bool = False):
+    def __init__(self, alpha: float, force_numeric: bool = False):
         if not (0.0 < alpha < 2.0):
             raise DomainError(f"alpha must lie in (0, 2), got {alpha}")
         self.alpha = float(alpha)
-        self.settings = settings or QuadSettings()
         self.force_numeric = force_numeric
         self._spline = None
-        self._spline_hi = 48.0
 
     def center(self) -> float:
         return gamma_fn(1.0 + 1.0 / self.alpha) / math.pi
@@ -121,35 +126,34 @@ class StableProfile:
             return 1.0 / (math.pi * (1.0 + r * r))
         if r == 0.0:
             return self.center()
-        s = self.settings
-        xi_max = s.exponent_cut ** (1.0 / self.alpha)
+        xi_max = EXPONENT_CUT ** (1.0 / self.alpha)
         if r * xi_max < 40.0:
             # few oscillations over the decay range: plain adaptive rule
             val = _quad_checked(lambda xi: math.exp(-xi ** self.alpha) * math.cos(r * xi),
-                                0.0, xi_max, s)
+                                0.0, xi_max)
         else:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 val, err = integrate.quad(lambda xi: math.exp(-xi ** self.alpha),
                                           0.0, np.inf, weight="cos", wvar=r,
-                                          epsabs=s.epsabs, limit=s.limit)
+                                          epsabs=EPSABS, limit=LIMIT)
             if not math.isfinite(val):
                 raise QuadratureError("oscillatory quadrature failed", estimate=err)
         return max(val, 0.0) / math.pi
 
-    def tail(self, r, terms: int | None = None):
-        """Power-tail series sum_k c_k r^(-1-k alpha); accurate for large r."""
+    def tail(self, r):
+        """Power-tail series sum_k c_k r^(-1-k alpha), k <= TAIL_TERMS;
+        accurate for large r."""
         r = np.asarray(r, dtype=float)
-        terms = terms or self.settings.tail_terms
         out = np.zeros_like(r)
-        for k in range(1, terms + 1):
+        for k in range(1, TAIL_TERMS + 1):
             out += tail_coefficient(self.alpha, k) * r ** (-1.0 - k * self.alpha)
         return out
 
     def _build_spline(self):
         nodes = np.concatenate([
             np.arange(0.0, 4.0, 0.02),
-            np.arange(4.0, self._spline_hi + 0.08, 0.08),
+            np.arange(4.0, SPLINE_HI + 0.08, 0.08),
         ])
         vals = np.array([self.direct(r) for r in nodes])
         self._spline = CubicSpline(nodes, vals)
@@ -165,8 +169,7 @@ class StableProfile:
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
         out = np.empty_like(r)
-        cut = self.settings.tail_start
-        inside = r <= cut
+        inside = r <= TAIL_START
         out[inside] = self._spline(r[inside])
         out[~inside] = self.tail(r[~inside])
         np.maximum(out, 0.0, out=out)
@@ -176,11 +179,11 @@ class StableProfile:
 _PROFILE_CACHE: dict = {}
 
 
-def get_profile(alpha: float, settings: QuadSettings | None = None) -> StableProfile:
-    settings = settings or QuadSettings()
-    key = (round(float(alpha), 12), settings)
+def get_profile(alpha: float) -> StableProfile:
+    """The shared profile of one alpha, cached on its exact value."""
+    key = float(alpha)
     if key not in _PROFILE_CACHE:
-        _PROFILE_CACHE[key] = StableProfile(alpha, settings)
+        _PROFILE_CACHE[key] = StableProfile(key)
     return _PROFILE_CACHE[key]
 
 
@@ -193,77 +196,38 @@ def _norm(x) -> float:
     return float(np.sqrt(np.sum(arr * arr)))
 
 
-def q_center(kp: KernelParams, t: float) -> float:
-    """q_t(0) = omega_d Gamma(d/alpha) / ((2 pi)^d alpha) * t^(-d/alpha)."""
-    d, a = kp.d, kp.alpha
-    return (omega_d(d) * gamma_fn(d / a) * t ** (-d / a)
-            / ((2.0 * math.pi) ** d * a))
+def q_density(kp: KernelParams, t: float, x) -> float:
+    """Stable transition density q_t(x) in d = 1: the scaled unit profile's
+    pointwise inversion, t^(-1/alpha) profile.direct(|x| t^(-1/alpha)).
 
-
-def q_density(kp: KernelParams, t: float, x, fast: bool = False) -> float:
-    """Stable transition density q_t(x), evaluated via the scaled unit profile.
-
-    alpha = 1 uses the exact Cauchy form (any d); d = 1 uses cosine-transform
-    inversion; d = 2, 3 use the radial Bessel/sine reductions.  `fast` routes
-    d = 1 evaluation through the cached spline profile.
+    The profile returns the exact Cauchy form at alpha = 1; d != 1 raises.
     """
+    if kp.d != 1:
+        raise DomainError(f"q_density is implemented for d = 1 only, got d={kp.d}")
     if t <= 0.0:
         raise DomainError(f"q_density requires t > 0, got {t}")
-    d, a = kp.d, kp.alpha
-    r = _norm(x)
-    if a == 1.0:
-        kap = kappa_const(d, 1.0)
-        return kap * t / (t * t + r * r) ** ((d + 1.0) / 2.0)
-    scale = t ** (-1.0 / a)
-    if d == 1:
-        prof = get_profile(a, kp.quad)
-        u = r * scale
-        return scale * (prof(u) if fast else prof.direct(u))
-    s = kp.quad
-    rho_max = (s.exponent_cut / t) ** (1.0 / a)
-    if r * rho_max < 1e-8:
-        return q_center(kp, t)
-    if d == 3:
-        if r * rho_max < 40.0:
-            val = _quad_checked(
-                lambda rho: math.exp(-t * rho ** a) * math.sin(rho * r) * rho,
-                0.0, rho_max, s)
-        else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                val, err = integrate.quad(lambda rho: math.exp(-t * rho ** a) * rho,
-                                          0.0, np.inf, weight="sin", wvar=r,
-                                          epsabs=s.epsabs, limit=s.limit)
-            if not math.isfinite(val):
-                raise QuadratureError("sine-transform quadrature failed",
-                                      estimate=err)
-        return max(val, 0.0) / (2.0 * math.pi ** 2 * r)
-    if d == 2:
-        from scipy.special import j0
-        val = _quad_checked(lambda rho: math.exp(-t * rho ** a) * j0(rho * r) * rho,
-                            0.0, rho_max, s)
-        return max(val, 0.0) / (2.0 * math.pi)
-    raise DomainError(f"q_density supports d in {{1,2,3}}, got d={d}")
+    scale = t ** (-1.0 / kp.alpha)
+    return scale * get_profile(kp.alpha).direct(_norm(x) * scale)
 
 
-def q_mass_numeric(kp: KernelParams, t: float, radius: float = 1000.0) -> float:
-    """Numeric total mass of q_t (d = 1): quadrature plus analytic power tail.
+def q_mass_numeric(kp: KernelParams, t: float) -> float:
+    """Numeric total mass of q_t (d = 1): quadrature on [0, MASS_RADIUS] plus
+    the analytic power tail beyond.
 
     By self-similarity the mass equals the unit-time mass, so the integral is
-    done on the profile directly.
+    done on the profile directly and t does not enter.
     """
     if kp.d != 1:
         raise DomainError("numeric mass check implemented for d = 1 only")
     a = kp.alpha
-    prof = get_profile(a, kp.quad)
     if a == 1.0:
-        core = 2.0 * math.atan(radius) / math.pi
+        core = 2.0 * math.atan(MASS_RADIUS) / math.pi
     else:
-        core = 2.0 * _quad_checked(lambda u: prof.direct(u), 0.0, radius,
-                                   kp.quad, points=[1.0, 10.0, 100.0])
+        core = 2.0 * _quad_checked(get_profile(a).direct, 0.0, MASS_RADIUS,
+                                   points=[1.0, 10.0, 100.0])
     tail = 0.0
-    for k in range(1, kp.quad.tail_terms + 1):
-        tail += 2.0 * tail_coefficient(a, k) * radius ** (-k * a) / (k * a)
+    for k in range(1, TAIL_TERMS + 1):
+        tail += 2.0 * tail_coefficient(a, k) * MASS_RADIUS ** (-k * a) / (k * a)
     return core + tail
 
 
@@ -302,13 +266,16 @@ class ComparisonKernel:
         d, a = self.d, self.alpha
         return self.kappa * t / (t ** (2.0 / a) + r * r) ** ((d + a) / 2.0)
 
-    def g_mass_numeric(self, t: float = 1.0) -> float:
+    def g_p_numeric(self, t: float, p: float = 1.0) -> float:
+        """Quadrature of int_R g(t,y)^p dy (d = 1); g_p_integral is its
+        closed form and p = 1 gives the unit mass."""
         if self.d != 1:
-            raise DomainError("numeric g mass implemented for d = 1 only")
-        mid = 10.0 * t ** (1.0 / self.alpha)
-        core = _quad_checked(lambda r: self.g(t, r), 0.0, mid, self.params.quad,
-                             points=[t ** (1.0 / self.alpha)])
-        far = _quad_checked(lambda r: self.g(t, r), mid, np.inf, self.params.quad)
+            raise DomainError("numeric g integral implemented for d = 1 only")
+        width = t ** (1.0 / self.alpha)
+        mid = 10.0 * width
+        core = _quad_checked(lambda r: self.g(t, r) ** p, 0.0, mid,
+                             points=[width])
+        far = _quad_checked(lambda r: self.g(t, r) ** p, mid, np.inf)
         return 2.0 * (core + far)
 
 
@@ -385,7 +352,7 @@ def weighted_kernel_integral(kp: KernelParams, beta: float, c: float, p: float) 
     if d != 1:
         raise DomainError("weighted_kernel_integral implemented for d = 1 only")
     _check_icpc(d, a, beta, c, p)
-    prof = get_profile(a, kp.quad)
+    prof = get_profile(a)
     pc = p * c
 
     y_in, w_in = _gauss_panels([0.0, 1.0, 4.0, 12.0, 50.0], 64)
@@ -481,12 +448,10 @@ def h_moment(kp: KernelParams, eps: float, p: float):
             h = min(t ** (-1.0 / a), t / y ** (1.0 + a)) if y > 0 else t ** (-1.0 / a)
             return h ** p if h > eps else 0.0
 
-        val, _ = integrate.quad(integrand, 0.0, r_out, points=[min(r_in, r_out)],
-                                epsabs=1e-13, epsrel=1e-11, limit=200)
-        return 2.0 * val
+        return 2.0 * _quad_checked(integrand, 0.0, r_out,
+                                   points=[min(r_in, r_out)])
 
-    quad_val, _ = integrate.quad(inner, 0.0, t_max, epsabs=1e-12, epsrel=1e-9,
-                                 limit=300, points=[t_max * 0.5])
+    quad_val = _quad_checked(inner, 0.0, t_max, points=[t_max * 0.5])
     return closed, quad_val
 
 

@@ -3,10 +3,13 @@ import json
 
 import pytest
 
+from levyheat import certify
 from levyheat import kernel as K
 from levyheat.certify import (DEFAULT_T_GRID, LemmaRecord, check_beta_identity,
-                              check_g_fourier_equality, check_g_tensor_split,
+                              check_g_fourier_equality, check_g_mass,
+                              check_g_p_integral, check_g_tensor_split,
                               check_h_moment, check_power_law_transform,
+                              check_q_mass,
                               check_space_conv, check_tail_ratio,
                               check_timespace_conv, check_timespace_conv_ratio,
                               default_x_grid, verify_lemmas)
@@ -109,3 +112,43 @@ def test_convolution_certificate_can_fail(monkeypatch, lemma_id):
     bad = check(CK15, 1.2, t_grid=(1.0,), x_grid=(0.0, 2.0))
     assert bad.status == "fail"
     assert bad.worst_slack == pytest.approx(1.0 / 1.01, rel=1e-12)
+
+
+def scale_closed_form(module, name):
+    def scale(monkeypatch, factor):
+        orig = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: factor * orig(*args))
+    return scale
+
+
+IDENTITY_CERTIFICATES = {
+    "beta-identity": (check_beta_identity,
+                      scale_closed_form(certify, "beta_fn")),
+    # the unit mass rests on the normalising constant kappa
+    "g-unit-mass": (lambda: check_g_mass(CK15),
+                    scale_closed_form(K, "kappa_const")),
+    "g-power-integral": (lambda: check_g_p_integral(CK15),
+                         scale_closed_form(K, "g_p_integral")),
+}
+
+
+@pytest.mark.parametrize("lemma_id", sorted(IDENTITY_CERTIFICATES))
+def test_identity_certificate_can_fail(monkeypatch, lemma_id):
+    check, scale = IDENTITY_CERTIFICATES[lemma_id]
+    good = check()
+    assert good.lemma_id == lemma_id and good.passed
+    # a closed form 1e-5 off: the relative error is 1e-5, far above tolerance
+    scale(monkeypatch, 1.0 + 1e-5)
+    bad = check()
+    assert bad.status == "fail"
+    assert bad.worst_slack == pytest.approx(bad.tolerance / 1e-5, rel=1e-3)
+
+
+def test_q_mass_evaluates_once_per_alpha(monkeypatch):
+    # the mass does not depend on t, so each alpha needs one quadrature
+    seen = []
+    monkeypatch.setattr(K, "q_mass_numeric",
+                        lambda kp, t: seen.append(kp.alpha) or 1.0)
+    rec = check_q_mass((0.8, 1.2))
+    assert seen == [0.8, 1.2]
+    assert rec.passed and rec.grid == "alpha in (0.8, 1.2)"

@@ -178,6 +178,38 @@ class TestCLI:
         payload = json.loads(out.read_text())
         assert payload["all_pass"] is True
 
+    @pytest.mark.parametrize("flag", [["--alpha", "0"], ["--d", "0"]])
+    def test_verify_lemmas_zero_is_rejected(self, tmp_path, flag):
+        # a zero flag value is passed through, not replaced by the default
+        out = tmp_path / "lemmas.json"
+        assert main(["verify-lemmas", *flag, "--fast", "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bounds", "simulate", "renewal"])
+    def test_jobs_flag_only_on_replica_commands(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--jobs", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["moments", "growth-scan"])
+    def test_jobs_read_from_resolved_config(self, tmp_path, monkeypatch,
+                                            command):
+        import levyheat.cli as cli
+        seen = []
+        real = cli.simulate_moments
+
+        def spy(*args, **kw):
+            seen.append(kw["jobs"])
+            return real(*args, **{**kw, "jobs": 1})
+        monkeypatch.setattr(cli, "simulate_moments", spy)
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN + "run.jobs = 2\n")
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main([command, "--config", str(cfg), "--jobs", "3",
+                     "--out", str(tmp_path / "b")]) == 0
+        assert seen == [2, 3]
+
     def test_replay_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text(SMALL_RUN)

@@ -7,9 +7,9 @@ import pytest
 from levyheat import estimator
 from levyheat.analytics import ModelSpec, SigmaSpec, U0Spec, renewal_weight
 from levyheat.errors import BlowupError, DomainError
-from levyheat.estimator import (MomentSeries, MomentSurface, calibrate_renewal,
-                                fit_log_slope, growth_index_scan, lyapunov_fit,
-                                moment_estimate, renewal_check,
+from levyheat.estimator import (MOM_BLOCKS, MomentSeries, MomentSurface,
+                                calibrate_renewal, fit_log_slope,
+                                growth_index_scan, lyapunov_fit, renewal_check,
                                 simulate_moments)
 from levyheat.kernel import KernelParams
 from levyheat.noise import LevyMeasureSpec
@@ -31,7 +31,33 @@ def quiet_simulate(*args, **kw):
         return simulate_moments(*args, **kw)
 
 
+def moment_estimate(fields, p, aggregator="mean", blocks=MOM_BLOCKS):
+    """Reference per-cell estimate of E|X|^p from a (replicas, ...) stack,
+    written apart from the batched engine so the two can be compared.
+
+    aggregator "mean": sample mean with plain standard error;
+    aggregator "mom": median of `blocks` block means (replica r in block
+    r mod blocks), SE sqrt(pi/2) * block-mean spread / sqrt(blocks).
+    Returns (estimate, se) with the replica axis reduced.
+    """
+    fields = np.asarray(fields)
+    r = fields.shape[0]
+    if r < 2:
+        raise DomainError("need at least 2 replicas for an error estimate")
+    vals = np.abs(fields) ** p
+    if aggregator == "mean":
+        return vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(r)
+    assert aggregator == "mom"
+    blocks = min(blocks, r)
+    ids = np.arange(r) % blocks
+    bm = np.stack([vals[ids == b].mean(axis=0) for b in range(blocks)])
+    se = math.sqrt(math.pi / 2.0) * bm.std(axis=0, ddof=1) / math.sqrt(blocks)
+    return np.median(bm, axis=0), se
+
+
 class TestMomentEstimate:
+    """The reference estimator's own checks."""
+
     def test_deterministic_field(self):
         fields = np.full((8, 5), 2.0)
         mean, se = moment_estimate(fields, 1.5)

@@ -5,9 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from levyheat.certify import check_sandwich, check_space_conv
-from levyheat.errors import DomainError
+from levyheat.errors import DomainError, QuadratureError
 from levyheat.kernel import (ComparisonKernel, KernelParams, I_formula,
-                             QuadSettings, _conv_nodes, _gauss_panels,
+                             _conv_nodes, _gauss_panels, _quad_checked,
                              conv_constants, fourier_power_transform,
                              g_fourier, g_fourier_lower, g_p_integral,
                              get_profile, h_moment, hmoment_constant,
@@ -66,17 +66,17 @@ class TestQDensity:
             assert q_density(KP15, t, x) == pytest.approx(
                 scale * prof.direct(x * scale), rel=1e-12)
 
-    def test_profile_cache_keeps_settings(self):
-        assert get_profile(1.3).settings.tail_terms == 6
-        prof = get_profile(1.3, QuadSettings(tail_terms=2))
-        assert prof.settings.tail_terms == 2
-        assert get_profile(1.3, QuadSettings(tail_terms=2)) is prof
-        assert get_profile(1.3, QuadSettings()) is get_profile(1.3)
+    def test_profile_cache_keys_on_exact_alpha(self):
+        near = get_profile(1.5 + 1e-13)
+        assert near is not get_profile(1.5)
+        assert near.alpha == 1.5 + 1e-13
+        assert get_profile(1.5 + 1e-13) is near
+        assert get_profile(1.5) is get_profile(3 / 2)
 
     def test_radial_monotonicity(self):
-        xs = np.linspace(0.0, 15.0, 40)
-        vals = [q_density(KP15, 1.0, x, fast=True) for x in xs]
-        assert all(v2 < v1 for v1, v2 in zip(vals[:-1], vals[1:]))
+        # the spline profile at t = 1
+        vals = get_profile(1.5)(np.linspace(0.0, 15.0, 40))
+        assert np.all(np.diff(vals) < 0.0)
 
     def test_nonnegative(self):
         assert q_density(KP15, 0.3, 40.0) >= 0.0
@@ -94,30 +94,26 @@ class TestQDensity:
     def test_semigroup_numeric(self):
         # q_s * q_t = q_{s+t} pointwise, d = 1
         prof = get_profile(1.5)
+
+        def q_spline(t, x):
+            scale = t ** (-1.0 / 1.5)
+            return scale * prof(abs(x) * scale)
+
         s, t = 0.6, 0.9
         for x in (0.0, 1.0, 3.0):
             def f(y):
-                return q_density(KP15, s, x - y, fast=True) * \
-                    q_density(KP15, t, y, fast=True)
+                return q_spline(s, x - y) * q_spline(t, y)
             val, _ = quad(f, -80.0, 80.0, points=[0.0, x], limit=300)
             assert val == pytest.approx(q_density(KP15, s + t, x), abs=1e-4)
 
-    def test_d3_center(self):
-        kp3 = KernelParams(d=3, alpha=1.5)
-        from levyheat.kernel import q_center
-        assert q_density(kp3, 1.0, 1e-14) == pytest.approx(q_center(kp3, 1.0),
-                                                           rel=1e-6)
+    def test_numeric_kernel_is_one_dimensional(self):
+        for alpha in (1.0, 1.5):
+            with pytest.raises(DomainError):
+                q_density(KernelParams(d=2, alpha=alpha), 1.0, (0.5, 0.0))
 
-    def test_d2_numeric_vs_center_and_cauchy(self):
-        from levyheat.kernel import kappa_const, q_center
-        kp2 = KernelParams(d=2, alpha=1.5)
-        assert q_density(kp2, 1.0, 0.0) == pytest.approx(q_center(kp2, 1.0),
-                                                         rel=1e-8)
-        # alpha = 1 in d = 2 is the bivariate Cauchy kernel
-        kp2c = KernelParams(d=2, alpha=1.0)
-        r = 1.3
-        expect = kappa_const(2, 1.0) * 1.0 / (1.0 + r * r) ** 1.5
-        assert q_density(kp2c, 1.0, (r, 0.0)) == pytest.approx(expect, rel=1e-12)
+    def test_quadrature_failure_raises(self):
+        with pytest.raises(QuadratureError):
+            _quad_checked(lambda x: 1.0 / x, 0.0, 1.0)
 
 
 class TestComparisonKernel:
@@ -133,7 +129,7 @@ class TestComparisonKernel:
 
     def test_unit_mass(self):
         for t in (0.25, 1.0, 4.0):
-            assert CK15.g_mass_numeric(t) == pytest.approx(1.0, abs=1e-8)
+            assert CK15.g_p_numeric(t) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestMinform:
@@ -276,6 +272,7 @@ class TestGPIntegral:
         num = 2.0 * (quad(lambda y: CK15.g(2.0, y) ** 1.4, 0, mid)[0]
                      + quad(lambda y: CK15.g(2.0, y) ** 1.4, mid, np.inf)[0])
         assert num == pytest.approx(closed, rel=1e-6)
+        assert CK15.g_p_numeric(2.0, 1.4) == pytest.approx(closed, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
