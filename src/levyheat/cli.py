@@ -177,14 +177,15 @@ def cmd_moments(args) -> int:
     ms = cfg.build_model()
     grid = cfg.build_grid()
     outdir = _outdir(cfg, args.out)
-    for p in cfg.get("run.p"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            series, _ = simulate_moments(ms, grid, p, cfg.get("run.replicas"),
-                                         cfg.get("run.seed"),
-                                         aggregator=cfg.get("run.aggregator"),
-                                         blocks=cfg.get("run.blocks"),
-                                         jobs=cfg.get("run.jobs"))
+    ps = cfg.get("run.p")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = simulate_moments(ms, grid, ps, cfg.get("run.replicas"),
+                                   cfg.get("run.seed"),
+                                   aggregator=cfg.get("run.aggregator"),
+                                   blocks=cfg.get("run.blocks"),
+                                   jobs=cfg.get("run.jobs"))
+    for p, (series, _) in zip(ps, results):
         path = outdir / f"moments_p{p:g}.csv"
         with open(path, "w") as fh:
             _csv_header(fh, cfg, extra=f" p={p:g} replicas={series.replicas}"

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .analytics import ConstantsConfig, ModelSpec, SigmaSpec, U0Spec
 from .errors import ValidationError
+from .estimator import AGGREGATORS
 from .kernel import KernelParams
 from .noise import LevyMeasureSpec
 from .solver import GridSpec
@@ -32,6 +33,12 @@ def _parse_atoms(s):
         z, _, m = tok.partition(":")
         out.append((float(z), float(m)))
     return tuple(out)
+
+
+def _parse_aggregator(s):
+    if s not in AGGREGATORS:
+        raise ValueError(f"expected one of {', '.join(AGGREGATORS)}")
+    return s
 
 
 # key -> (parser, default); defaults of None mean "absent unless set"
@@ -64,7 +71,7 @@ SCHEMA = {
     "run.replicas": (int, 100),
     "run.seed": (int, 12345),
     "run.blocks": (int, 16),
-    "run.aggregator": (str, "auto"),
+    "run.aggregator": (_parse_aggregator, "auto"),
     "run.jobs": (int, 1),
     "run.outdir": (str, "."),
     "bounds.c": (float, 0.0),

@@ -1,12 +1,16 @@
 """Monte Carlo moment estimation, Lyapunov slope fits, and growth-index scans.
 
-Replicas stream through the solver in batches stepped as one (batch, n_x)
-array; a batch's noise takes at most BATCH_BYTES (one replica's noise if
-that is larger), and only per-cell moment accumulators outlive it, so
-memory stays flat in the replica count.  Spatial extrema are taken over
-grid cells, which under-/over-shoots the continuum extrema; the heavy-tail
-aggregator is median-of-means (16 blocks) by default for p > 1.5, since a
-single mean is fragile under jump noise.
+Replicas stream through the solver in batches of consecutive replicas, each
+stepped as one (batch, n_x) array.  A batch holds at most BATCH_BYTES: per
+replica, the rows a step keeps live, the sparse jump list, and the dense
+Gaussian plane when rho > 0 (at least one replica per batch).  Only the
+per-cell moment accumulators outlive a batch, so memory stays flat in the
+replica count; one pass accumulates every requested moment order.  With
+`jobs` > 1 each worker process takes one contiguous range of replicas.
+
+Spatial extrema are taken over grid cells, which under-/over-shoots the
+continuum extrema; the heavy-tail aggregator is median-of-means (16 blocks)
+by default for p > 1.5, since a single mean is fragile under jump noise.
 """
 
 import math
@@ -22,9 +26,16 @@ from .solver import (GridSpec, build_discrete_kernel, heat_flow, initial_field,
                      mild_step, sample_noise)
 
 MOM_BLOCKS = 16
-# memory for one batch's noise, (n_t, batch, n_x) float64: 16 replicas on
-# the 500 x 256 reference grid
+AGGREGATORS = ("auto", "mom", "mean")
+# memory for one batch of replicas (see _replica_bytes): 399 replicas on the
+# 500 x 256 reference grid, where each holds about 640 jumps
 BATCH_BYTES = 16 * 2 ** 20
+# float64 (n_x,) rows one replica keeps live during a step: its field and
+# noise row, the stepper's temporaries and the moment accumulation's
+_STEP_ROWS = 8
+# bytes per jump while a batch's noise is built: flat index and value per
+# replica and concatenated, the sort order
+_JUMP_BYTES = 40
 # asymptotic SE inflation of a median of near-normal block means
 _MEDIAN_SE = math.sqrt(math.pi / 2.0)
 
@@ -72,115 +83,154 @@ class MomentSurface:
     replicas: int
 
 
-def _batch_size(grid: GridSpec) -> int:
-    """Replicas per batch: as many (n_t, n_x) noise planes as BATCH_BYTES holds."""
-    return max(1, BATCH_BYTES // (8 * grid.n_t * grid.n_x))
+def _replica_bytes(ms: ModelSpec, grid: GridSpec) -> int:
+    """Memory one replica holds while its batch steps: the float64 rows it
+    keeps live during a step, its expected jump list, and its Gaussian
+    plane when rho > 0."""
+    jumps = ms.levy.total_mass() * grid.horizon * 2.0 * grid.half_width
+    size = 8 * _STEP_ROWS * grid.n_x + _JUMP_BYTES * math.ceil(jumps)
+    if ms.rho > 0.0:
+        size += 8 * grid.n_t * grid.n_x
+    return size
 
 
-def _distinct_runs(blk: np.ndarray) -> list:
-    """Split a batch into consecutive (lo, hi) runs with no repeated block id,
-    so each run adds into its blocks with one fancy-indexed +=, and each
-    block still receives its replicas in order."""
-    cuts, seen = [0], set()
-    for i, b in enumerate(blk.tolist()):
-        if b in seen:
-            cuts.append(i)
-            seen.clear()
-        seen.add(b)
-    cuts.append(len(blk))
-    return list(zip(cuts[:-1], cuts[1:]))
+def _batch_size(ms: ModelSpec, grid: GridSpec) -> int:
+    """Replicas per batch: as many replicas as BATCH_BYTES holds."""
+    return max(1, BATCH_BYTES // _replica_bytes(ms, grid))
 
 
-def _accumulate_block(ms: ModelSpec, grid: GridSpec, p: float, seed: int,
-                      replicas, blocks: int):
-    """Step the given replicas in batches.
+def _add_blocks(acc: np.ndarray, rows: np.ndarray, first: int) -> None:
+    """Add rows[i], the values of replica first + i, into
+    acc[(first + i) % blocks], so that each block receives its replicas
+    in replica order: one partial cycle up to a multiple of `blocks`, the
+    full cycles in one reduction that starts from `acc`, and one partial
+    cycle after them."""
+    blocks = len(acc)
+    head = min(-first % blocks, len(rows))
+    acc[first % blocks:first % blocks + head] += rows[:head]
+    full = (len(rows) - head) // blocks
+    if full:
+        cycles = rows[head:head + full * blocks].reshape(full, blocks, -1)
+        np.sum(np.concatenate((acc[None], cycles)), axis=0, out=acc)
+    tail = rows[head + full * blocks:]
+    acc[:len(tail)] += tail
 
-    Returns the shift c = |noise-free flow of u0|^p per (time, cell), the
-    per-cell sums of |X|^p - c and of its square, the per-block sums of
-    |X|^p, and the block sizes.  Shifting by c keeps the one-pass variance
-    well conditioned in cells the noise has barely reached, where every
-    replica's |X|^p agrees to many digits.
+
+def _accumulate(ms: ModelSpec, grid: GridSpec, ps, moms, seed: int,
+                lo: int, hi: int, blocks: int) -> list:
+    """Step replicas lo..hi-1 in contiguous batches; one pass serves every
+    order in `ps`.
+
+    Per p, returns the per-block sums of |X|^p, shape
+    (blocks, n_t + 1, n_x), where `moms` asks for median of means, and
+    otherwise the shift c = |noise-free flow of u0|^p per (time, cell) with
+    the per-cell sums of |X|^p - c and of its square.  Shifting by c keeps
+    the one-pass variance well conditioned in cells the noise has barely
+    reached, where every replica's |X|^p agrees to many digits.
     """
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
     u0 = initial_field(ms, grid)
     n_t, nx = grid.n_t, grid.n_x
-    shift = np.abs(heat_flow(ms, grid, dk)) ** p
-    s1 = np.zeros((n_t + 1, nx))
-    s2 = np.zeros((n_t + 1, nx))
-    bsum = np.zeros((blocks, n_t + 1, nx))
-    bcount = np.bincount(np.asarray(replicas, dtype=int) % blocks,
-                         minlength=blocks)
-    size = _batch_size(grid)
-    buf = np.empty((n_t, min(size, len(replicas)), nx))
-    for start in range(0, len(replicas), size):
-        batch = replicas[start:start + size]
-        dlam = sample_noise(ms, grid, seed, batch, out=buf)
-        blk = np.array(batch) % blocks
-        runs = _distinct_runs(blk)
-        x = np.tile(u0, (len(batch), 1))
-        for k in range(n_t + 1):
-            if k:
-                x = mild_step(x, dk, ms, dlam[k - 1], grid.dx, k - 1)
-            pw = np.abs(x) ** p
-            dev = pw - shift[k]
-            s1[k] += dev.sum(axis=0)
-            s2[k] += (dev * dev).sum(axis=0)
-            for lo, hi in runs:
-                bsum[blk[lo:hi], k] += pw[lo:hi]
-    return shift, s1, s2, bsum, bcount
+    flow = np.abs(heat_flow(ms, grid, dk))
+    sums = [np.zeros((blocks, n_t + 1, nx)) if mom
+            else (flow ** p, np.zeros((n_t + 1, nx)), np.zeros((n_t + 1, nx)))
+            for p, mom in zip(ps, moms)]
+
+    def add(x, k, first):
+        absx = np.abs(x)
+        for p, acc in zip(ps, sums):
+            pw = absx ** p
+            if isinstance(acc, np.ndarray):
+                _add_blocks(acc[:, k], pw, first)
+            else:
+                shift, s1, s2 = acc
+                dev = pw - shift[k]
+                s1[k] += dev.sum(axis=0)
+                s2[k] += (dev * dev).sum(axis=0)
+
+    size = _batch_size(ms, grid)
+    for start in range(lo, hi, size):
+        stop = min(start + size, hi)
+        x = np.tile(u0, (stop - start, 1))
+        add(x, 0, start)
+        for k, dlam in enumerate(sample_noise(ms, grid, seed,
+                                              range(start, stop))):
+            x = mild_step(x, dk, ms, dlam, grid.dx, k)
+            add(x, k + 1, start)
+    return sums
 
 
-def simulate_moments(ms: ModelSpec, grid: GridSpec, p: float, replicas: int,
+def _merge(parts: list):
+    """Add up the workers' sums of one order."""
+    if isinstance(parts[0], np.ndarray):
+        return sum(parts[1:], parts[0])
+    return (parts[0][0], sum(s1 for _, s1, _ in parts),
+            sum(s2 for _, _, s2 in parts))
+
+
+def simulate_moments(ms: ModelSpec, grid: GridSpec, p, replicas: int,
                      seed: int, aggregator: str = "auto",
                      blocks: int = MOM_BLOCKS, jobs: int = 1):
     """Simulate `replicas` independent paths and estimate E|X(t,x)|^p.
 
-    Returns (MomentSeries, MomentSurface).  aggregator "auto" resolves to
-    median-of-means for p > 1.5 and the plain mean otherwise.
+    Returns (MomentSeries, MomentSurface).  `p` may also be a sequence of
+    orders: one pass over the replicas then serves all of them, and the
+    result is a list of (MomentSeries, MomentSurface), one per order.
+    aggregator "auto" resolves to median-of-means for p > 1.5 and the
+    plain mean otherwise; "mom" and "mean" force one of them.  `jobs`
+    splits the replicas into that many contiguous ranges, one per worker
+    process.
     """
+    if aggregator not in AGGREGATORS:
+        raise DomainError(f"unknown aggregator {aggregator!r}; expected one "
+                          f"of {', '.join(AGGREGATORS)}")
     if replicas < 2:
         raise DomainError("need at least 2 replicas")
-    if aggregator == "auto":
-        aggregator = "mom" if p > 1.5 else "mean"
+    ps = [float(v) for v in np.atleast_1d(p)]
+    aggs = [aggregator if aggregator != "auto" else
+            ("mom" if q > 1.5 else "mean") for q in ps]
+    moms = [a == "mom" for a in aggs]
     blocks = min(blocks, replicas)
-    ids = list(range(replicas))
-    if jobs > 1:
-        chunks = [ids[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_accumulate_worker,
-                                  [(ms, grid, p, seed, ch, blocks) for ch in chunks]))
-        shift = parts[0][0]
-        s1, s2, bsum, bcount = (sum(pt[i] for pt in parts) for i in range(1, 5))
+    cuts = [replicas * i // jobs for i in range(jobs + 1)]
+    tasks = [(ms, grid, ps, moms, seed, lo, hi, blocks)
+             for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
+    if len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            parts = list(pool.map(_accumulate_worker, tasks))
+        sums = [_merge(list(per_p)) for per_p in zip(*parts)]
     else:
-        shift, s1, s2, bsum, bcount = _accumulate_block(ms, grid, p, seed, ids,
-                                                        blocks)
+        sums = _accumulate(*tasks[0])
 
     r = replicas
-    dev = s1 / r
-    mean = shift + dev
-    var = np.maximum(s2 / r - dev * dev, 0.0) * r / max(r - 1, 1)
-    se_mean = np.sqrt(var / r)
-    if aggregator == "mom":
-        est, se = _median_of_means(bsum / bcount[:, None, None])
-    else:
-        est, se = mean, se_mean
-
-    sup_idx = np.argmax(est, axis=1)
-    inf_idx = np.argmin(est, axis=1)
-    rows = np.arange(est.shape[0])
-    admissible = p < 1.0 + ms.kp.alpha / ms.kp.d
-    series = MomentSeries(times=grid.times,
-                          sup_mean=est[rows, sup_idx], sup_se=se[rows, sup_idx],
-                          inf_mean=est[rows, inf_idx], inf_se=se[rows, inf_idx],
-                          p=p, replicas=r, aggregator=aggregator,
-                          admissible=admissible)
-    surface = MomentSurface(times=grid.times, x=grid.x, mean=est, se=se,
-                            p=p, replicas=r)
-    return series, surface
+    bcount = np.bincount(np.arange(r) % blocks, minlength=blocks)
+    out = []
+    for q, agg, acc in zip(ps, aggs, sums):
+        if agg == "mom":
+            est, se = _median_of_means(acc / bcount[:, None, None])
+        else:
+            shift, s1, s2 = acc
+            dev = s1 / r
+            est = shift + dev
+            var = np.maximum(s2 / r - dev * dev, 0.0) * r / max(r - 1, 1)
+            se = np.sqrt(var / r)
+        sup_idx = np.argmax(est, axis=1)
+        inf_idx = np.argmin(est, axis=1)
+        rows = np.arange(est.shape[0])
+        series = MomentSeries(times=grid.times,
+                              sup_mean=est[rows, sup_idx],
+                              sup_se=se[rows, sup_idx],
+                              inf_mean=est[rows, inf_idx],
+                              inf_se=se[rows, inf_idx],
+                              p=q, replicas=r, aggregator=agg,
+                              admissible=q < 1.0 + ms.kp.alpha / ms.kp.d)
+        surface = MomentSurface(times=grid.times, x=grid.x, mean=est, se=se,
+                                p=q, replicas=r)
+        out.append((series, surface))
+    return out if np.ndim(p) else out[0]
 
 
 def _accumulate_worker(args):
-    return _accumulate_block(*args)
+    return _accumulate(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -155,16 +155,26 @@ class NoiseGrid:
 class IncrementField:
     """Per-cell noise increments over one replica of the grid.
 
-    jump_sum[k, j]  : sum of sampled jump sizes in cell (k, j)
+    cells, sums     : the cells (flat indices into (n_t, n_x), ascending)
+                      that hold at least one jump, and the sum of their jump
+                      sizes, added in draw order
     compensator     : dt dx int z lambda(dz), the same in every cell
     gaussian[k, j]  : rho * sqrt(dt dx) * N(0, 1), 0.0 when rho = 0
     """
 
     grid: NoiseGrid
-    jump_sum: np.ndarray
+    cells: np.ndarray
+    sums: np.ndarray
     compensator: float
     gaussian: np.ndarray | float
     rho: float = 0.0
+
+    @property
+    def jump_sum(self) -> np.ndarray:
+        """Dense (n_t, n_x) sum of jump sizes per cell, 0.0 where none."""
+        out = np.zeros((self.grid.n_t, self.grid.n_x))
+        out.reshape(-1)[self.cells] = self.sums
+        return out
 
     def combined(self, b: float = 0.0) -> np.ndarray:
         """Compensated jumps plus drift and Gaussian part: the cell measure
@@ -184,8 +194,9 @@ def sample_increments(spec: LevyMeasureSpec, grid: NoiseGrid,
     placed in a uniform cell: given the total, the points of a Poisson
     process are i.i.d. uniform (Kingman, Poisson Processes, 1993, sec. 2.4),
     so the per-cell counts are independent Poisson(dt dx lambda(R)), and the
-    cost is O(jumps) instead of O(cells).  Jump positions inside a cell are
-    not tracked.  The whole field is a pure function of (spec, grid, rho).
+    cost is O(jumps) instead of O(cells).  The jumps are kept as (cell,
+    summed size) pairs; jump positions inside a cell are not tracked.  The
+    whole field is a pure function of (spec, grid, rho).
     """
     if rho < 0.0:
         raise DomainError("rho must be >= 0")
@@ -196,12 +207,14 @@ def sample_increments(spec: LevyMeasureSpec, grid: NoiseGrid,
     total = int(rng.poisson(spec.total_mass() * cell * n_cells))
     cell_of_jump = np.sort(rng.integers(0, n_cells, total))
     sizes = spec.sample_sizes(rng, total)
-    jump_sum = np.bincount(cell_of_jump, weights=sizes,
-                           minlength=n_cells).reshape(shape)
+    first = np.ones(total, dtype=bool)
+    first[1:] = cell_of_jump[1:] != cell_of_jump[:-1]
+    # bincount adds each cell's sizes in draw order, as a dense bincount does
+    sums = np.bincount(np.cumsum(first) - 1, weights=sizes)
     if rho > 0.0:
         gauss = rho * math.sqrt(cell) * rng.standard_normal(shape)
     else:
         gauss = 0.0
-    return IncrementField(grid=grid, jump_sum=jump_sum,
+    return IncrementField(grid=grid, cells=cell_of_jump[first], sums=sums,
                           compensator=cell * spec.first_moment(),
                           gaussian=gauss, rho=rho)

@@ -141,20 +141,63 @@ def heat_flow(ms: ModelSpec, grid: GridSpec, dk: DiscreteKernel) -> np.ndarray:
     return np.vstack([u0, np.fft.irfft(np.fft.rfft(u0) * powers, n=grid.n_x)])
 
 
-def sample_noise(ms: ModelSpec, grid: GridSpec, seed: int, replicas,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Combined cell noise of the listed replicas as one (n_t, R, n_x) array.
+class BatchNoise:
+    """Combined cell noise of R replicas, one (R, n_x) step at a time.
+
+    The jumps stay sparse: `vals` are the values of the jump cells at flat
+    indices `keys` into (n_t, R, n_x), kept sorted by step.  Iterating
+    yields, for k = 0..n_t-1, one reused (R, n_x) buffer holding step k: it
+    is filled with `base`, the value of a cell without jumps,
+    (0 - compensator) + b dt dx; the jump cells of step k are scattered
+    into it, and the dense Gaussian plane of step k is added when rho > 0,
+    so each row equals `IncrementField.combined(b)[k]` bit for bit.  The
+    next step overwrites the buffer.
+    """
+
+    def __init__(self, n_t: int, shape: tuple, base: float, keys: np.ndarray,
+                 vals: np.ndarray, gaussian: np.ndarray | None = None):
+        order = np.argsort(keys)
+        plane = shape[0] * shape[1]
+        self.shape = shape
+        self.base = base
+        self.pos = keys[order] % plane
+        self.vals = vals[order]
+        self.bounds = np.searchsorted(keys[order],
+                                      plane * np.arange(n_t + 1)).tolist()
+        self.gaussian = gaussian          # (n_t, R, n_x) or None
+
+    def __iter__(self):
+        buf = np.empty(self.shape)
+        flat = buf.reshape(-1)
+        for k in range(len(self.bounds) - 1):
+            lo, hi = self.bounds[k], self.bounds[k + 1]
+            buf.fill(self.base)
+            flat[self.pos[lo:hi]] = self.vals[lo:hi]
+            if self.gaussian is not None:
+                buf += self.gaussian[k]
+            yield buf
+
+
+def sample_noise(ms: ModelSpec, grid: GridSpec, seed: int,
+                 replicas) -> BatchNoise:
+    """Cell noise of the listed replicas, with their jumps kept sparse.
 
     Replica r draws from its own (seed, r) Philox stream, so its noise does
-    not depend on which replicas it is sampled with.  `out`, if given, is a
-    buffer with at least R columns; the result is its leading R columns.
+    not depend on which replicas it is sampled with.  Memory is O(jumps),
+    plus one dense (n_t, R, n_x) Gaussian plane when rho > 0.
     """
-    if out is None:
-        out = np.empty((grid.n_t, len(replicas), grid.n_x))
+    n_r, n_x = len(replicas), grid.n_x
+    drift = ms.b * grid.dt * grid.dx
+    keys, vals, gauss = [], [], []
     for i, r in enumerate(replicas):
         incr = sample_increments(ms.levy, grid.noise_grid(seed, r), ms.rho)
-        out[:, i, :] = incr.combined(b=ms.b)
-    return out[:, :len(replicas)]
+        step, col = np.divmod(incr.cells, n_x)
+        keys.append((step * n_r + i) * n_x + col)
+        vals.append(incr.sums - incr.compensator + drift)
+        gauss.append(incr.gaussian)
+    return BatchNoise(grid.n_t, (n_r, n_x), 0.0 - incr.compensator + drift,
+                      np.concatenate(keys), np.concatenate(vals),
+                      np.stack(gauss, axis=1) if ms.rho > 0.0 else None)
 
 
 def mild_step(fields: np.ndarray, dk: DiscreteKernel, ms: ModelSpec,
@@ -202,11 +245,10 @@ def run_trajectory(ms: ModelSpec, grid: GridSpec, seed: int, replica: int,
         warnings.warn("domain half-width below 4 T^(1/alpha); wrap-around "
                       "bias may be significant", stacklevel=2)
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
-    dlam = sample_noise(ms, grid, seed, [replica])[:, 0]
     fields = np.empty((grid.n_t + 1, grid.n_x))
     fields[0] = initial_field(ms, grid)
-    for k in range(grid.n_t):
-        fields[k + 1] = mild_step(fields[k], dk, ms, dlam[k], grid.dx, k,
+    for k, dlam in enumerate(sample_noise(ms, grid, seed, [replica])):
+        fields[k + 1] = mild_step(fields[k], dk, ms, dlam[0], grid.dx, k,
                                   guard=guard)
     return Trajectory(fields=fields, model=ms, grid=grid, seed=seed,
                       replica=replica)
@@ -276,7 +318,7 @@ def picard_solve(ms: ModelSpec, grid: GridSpec, seed: int, replicas: int,
     if beta <= 0.0:
         raise DomainError("beta must be positive")
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
-    dlam = sample_noise(ms, grid, seed, range(replicas))
+    noise = sample_noise(ms, grid, seed, range(replicas))
 
     def sweep(prev: np.ndarray) -> np.ndarray:
         """X^{n+1} from X^n: the mild recursion with sigma frozen at X^n,
@@ -284,8 +326,8 @@ def picard_solve(ms: ModelSpec, grid: GridSpec, seed: int, replicas: int,
         convolution of sigma(X^n)."""
         nxt = np.empty_like(prev)
         nxt[0] = prev[0]
-        for k in range(grid.n_t):
-            nxt[k + 1] = mild_step(nxt[k], dk, ms, dlam[k], grid.dx, k,
+        for k, dlam in enumerate(noise):
+            nxt[k + 1] = mild_step(nxt[k], dk, ms, dlam, grid.dx, k,
                                    sigma_at=prev[k], guard=guard)
         return nxt
 

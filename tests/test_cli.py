@@ -67,6 +67,14 @@ class TestConfig:
             ExperimentConfig.from_text("grid.nx = not_a_number\n")
         assert "grid.nx" in str(err.value)
 
+    def test_unknown_aggregator_names_key(self):
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig.from_text(SMALL_RUN + "run.aggregator = median\n")
+        assert err.value.key_path == "run.aggregator"
+        for name in ("auto", "mom", "mean"):
+            cfg = ExperimentConfig.from_text(f"run.aggregator = {name}\n")
+            assert cfg.get("run.aggregator") == name
+
     def test_semantic_violation_caught_at_parse(self):
         bad = SMALL_RUN + "model.rho = 0.5\n"     # d >= alpha would be fine...
         cfg_text = bad.replace("model.alpha = 1.5", "model.alpha = 0.8")
@@ -158,6 +166,33 @@ class TestCLI:
             assert f"admissible={flag}" in header
             assert header.index(f"admissible={flag}") == \
                 header.index("aggregator=mom") + 1
+
+    def test_moments_unknown_aggregator_exits_3(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN + "run.aggregator = median\n")
+        out = tmp_path / "out"
+        assert main(["moments", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_moments_one_pass_matches_single_p_runs(self, tmp_path):
+        # the config hash covers run.p, so it is the one token that differs
+        def without_hash(path):
+            lines = path.read_bytes().split(b"\n")
+            lines[0] = b" ".join(tok for tok in lines[0].split()
+                                 if not tok.startswith(b"config_hash="))
+            return lines
+
+        runs = {"both": "1.2, 2", "p1.2": "1.2", "p2": "2"}
+        for name, ps in runs.items():
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(SMALL_RUN.replace("run.p = 2", f"run.p = {ps}"))
+            assert main(["moments", "--config", str(cfg),
+                         "--out", str(tmp_path / name)]) == 0
+        for p in ("1.2", "2"):
+            both = without_hash(tmp_path / "both" / f"moments_p{p}.csv")
+            single = without_hash(tmp_path / f"p{p}" / f"moments_p{p}.csv")
+            assert len(both) == 2 + 51 + 1
+            assert both == single
 
     def test_simulate_and_growth_scan(self, tmp_path):
         cfg = tmp_path / "cfg"

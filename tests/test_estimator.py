@@ -215,11 +215,30 @@ class TestBatchedEngine:
 
     GRID = GridSpec(half_width=8.0, n_x=32, horizon=0.5, n_t=20)
 
+    def use_batches_of(self, monkeypatch, size):
+        per_replica = estimator._replica_bytes(model(), self.GRID)
+        monkeypatch.setattr(estimator, "BATCH_BYTES",
+                            size * per_replica + per_replica // 2)
+        assert estimator._batch_size(model(), self.GRID) == size
+
     @pytest.fixture
     def batches_of_three(self, monkeypatch):
-        plane = 8 * self.GRID.n_t * self.GRID.n_x
-        monkeypatch.setattr(estimator, "BATCH_BYTES", 3 * plane + plane // 2)
-        assert estimator._batch_size(self.GRID) == 3
+        self.use_batches_of(monkeypatch, 3)
+
+    def test_budget_counts_jumps_not_dense_noise(self):
+        # per replica, a step's rows and the expected jumps (640 on the
+        # reference grid), not the (n_t, n_x) noise plane
+        ms = model()
+        assert estimator._batch_size(ms, self.GRID) >= 7
+        grid = GridSpec()
+        per_replica = estimator._replica_bytes(ms, grid)
+        assert per_replica < 8 * grid.n_t * grid.n_x / 20
+        assert estimator._batch_size(ms, grid) >= 200
+        gauss = ModelSpec(kp=KP15, rho=0.3, levy=ATOMS,
+                          sigma=SigmaSpec(kind="linear", slope=1.0),
+                          u0=U0Spec(kind="constant", value=1.0))
+        assert estimator._replica_bytes(gauss, grid) == \
+            per_replica + 8 * grid.n_t * grid.n_x
 
     @pytest.mark.parametrize("p, aggregator", [(1.2, "mean"), (2.0, "mom")])
     def test_matches_per_replica_trajectories(self, batches_of_three, p,
@@ -242,22 +261,61 @@ class TestBatchedEngine:
         np.testing.assert_allclose(surface.se[1:], se[1:], rtol=1e-12, atol=0.0)
         assert series.aggregator == aggregator
 
-    def test_blowup_reports_step(self, batches_of_three):
-        # replicas 0, 1, 2 of seed 4 blow up at steps 12, 10 and 17 when
-        # stepped alone; the first batch holds all three
+    @pytest.mark.parametrize("blocks", [2, 3])
+    def test_mom_surface_independent_of_batches(self, monkeypatch, blocks):
+        # each block adds its replicas in replica order whatever the batches
+        ms = model(u0=U0Spec(kind="poly_decay", c0=1.0, decay_c=0.5))
+
+        def surface():
+            return quiet_simulate(ms, self.GRID, p=2.0, replicas=7, seed=11,
+                                  aggregator="mom", blocks=blocks)[1]
+        one = surface()
+        self.use_batches_of(monkeypatch, 3)
+        three = surface()
+        assert np.array_equal(one.mean, three.mean)
+        assert np.array_equal(one.se, three.se)
+
+    def test_orders_in_one_pass_match_single_runs(self):
+        ms = model(u0=U0Spec(kind="poly_decay", c0=1.0, decay_c=0.5))
+        both = quiet_simulate(ms, self.GRID, p=(1.2, 2.0), replicas=7,
+                              seed=11)
+        assert [s.p for s, _ in both] == [1.2, 2.0]
+        for p, (series, surface) in zip((1.2, 2.0), both):
+            ser1, surf1 = quiet_simulate(ms, self.GRID, p=p, replicas=7,
+                                         seed=11)
+            assert series.aggregator == ser1.aggregator
+            assert np.array_equal(surface.mean, surf1.mean)
+            assert np.array_equal(surface.se, surf1.se)
+
+    def test_unknown_aggregator_rejected(self):
+        with pytest.raises(DomainError, match="median"):
+            quiet_simulate(model(), self.GRID, p=2.0, replicas=7, seed=11,
+                           aggregator="median")
+
+    def test_blowup_reports_step(self, monkeypatch):
+        # the run stops in the first batch holding a replica that blows up,
+        # at the earliest such step in that batch; stepped alone, replicas
+        # 0..6 of seed 4 blow up at steps 10, 8, 12, 13, 16, never and 5,
+        # so batches of 3 stop at step 8 and one batch of 7 at step 5
         ms = model(slope=1e4)
         steps = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for r in range(3):
-                with pytest.raises(BlowupError) as info:
+            for r in range(7):
+                try:
                     run_trajectory(ms, self.GRID, 4, r)
-                steps.append(info.value.step)
-        assert min(steps) > 0
-        with pytest.raises(BlowupError) as info:
-            quiet_simulate(ms, self.GRID, p=2.0, replicas=7, seed=4)
-        assert info.value.step == min(steps)
-        assert info.value.value > 1e12
+                    steps.append(None)
+                except BlowupError as err:
+                    steps.append(err.step)
+        assert steps == [10, 8, 12, 13, 16, None, 5]
+        for size in (3, 7):
+            self.use_batches_of(monkeypatch, size)
+            batches = [steps[lo:lo + size] for lo in range(0, 7, size)]
+            first = next(b for b in batches if any(s is not None for s in b))
+            with pytest.raises(BlowupError) as info:
+                quiet_simulate(ms, self.GRID, p=2.0, replicas=7, seed=4)
+            assert info.value.step == min(s for s in first if s is not None)
+            assert info.value.value > 1e12
 
 
 class TestRenewalCheck:

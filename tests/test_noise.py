@@ -91,6 +91,29 @@ class TestSampling:
         assert not np.array_equal(sample_increments(ATOMS, g0).jump_sum,
                                   sample_increments(ATOMS, g1).jump_sum)
 
+    def test_sparse_jumps_match_dense_draws(self):
+        # the same Philox draws in the same order, summed per cell as a
+        # dense bincount sums them; at 2 jumps per cell most cells repeat
+        spec = LevyMeasureSpec(variant="atoms",
+                               atoms=((2.0, 0.5), (-0.3, 1.0), (0.7, 2.5)))
+        grid = NoiseGrid(dt=0.5, dx=1.0, n_t=30, n_x=20, seed=8,
+                         replica_index=2)
+        f = sample_increments(spec, grid, rho=0.3)
+        rng = grid.generator()
+        n_cells = grid.n_t * grid.n_x
+        total = rng.poisson(spec.total_mass() * grid.dt * grid.dx * n_cells)
+        cells = np.sort(rng.integers(0, n_cells, total))
+        sizes = spec.sample_sizes(rng, total)
+        dense = np.bincount(cells, weights=sizes, minlength=n_cells)
+        gauss = 0.3 * math.sqrt(grid.dt * grid.dx) * rng.standard_normal(
+            (grid.n_t, grid.n_x))
+        assert np.all(np.diff(f.cells) > 0)
+        assert len(f.cells) < total
+        assert np.array_equal(f.cells, np.unique(cells))
+        assert np.array_equal(f.sums, dense[f.cells])
+        assert np.array_equal(f.jump_sum, dense.reshape(grid.n_t, grid.n_x))
+        assert np.array_equal(f.gaussian, gauss)
+
     def test_compensated_mean_and_variance(self):
         grid = NoiseGrid(dt=0.01, dx=0.1, n_t=1000, n_x=1000, seed=1)
         f = sample_increments(ATOMS, grid)

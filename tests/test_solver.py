@@ -24,6 +24,11 @@ def model(slope=1.0, u0=None, kp=KP15):
                      u0=u0 or U0Spec(kind="constant", value=1.0))
 
 
+def dense_noise(noise):
+    """The (n_t, R, n_x) array of every step a BatchNoise yields."""
+    return np.stack([step.copy() for step in noise])
+
+
 def quiet_run(*args, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -157,18 +162,22 @@ class TestSimulationCore:
                        u0=U0Spec(kind="constant", value=1.0))
         assert ms.b != 0.0
         replicas = [4, 0, 9]
-        buf = np.full((self.GRID.n_t, 5, self.GRID.n_x), np.nan)
-        dlam = sample_noise(ms, self.GRID, 21, replicas, out=buf)
+        noise = sample_noise(ms, self.GRID, 21, replicas)
+        steps = list(noise)
+        assert len(steps) == self.GRID.n_t
+        assert all(step is steps[0] for step in steps)   # one reused buffer
+        dlam = dense_noise(noise)
         assert dlam.shape == (self.GRID.n_t, 3, self.GRID.n_x)
         for i, r in enumerate(replicas):
             incr = sample_increments(levy, self.GRID.noise_grid(21, r), rho=0.3)
+            assert len(incr.cells) > 0
             assert np.array_equal(dlam[:, i], incr.combined(b=ms.b))
 
     def test_picard_blowup_reports_first_step_and_cell(self):
         ms = model()
         grid, guard = self.GRID, 3.0
         dk = build_discrete_kernel(KP15, grid, grid.dt)
-        dlam = sample_noise(ms, grid, 5, range(4))
+        dlam = dense_noise(sample_noise(ms, grid, 5, range(4)))
         # the first sweep by hand: X^1 = Q(X^1 + sigma(X^0) dLambda / dx)
         x0 = heat_flow(ms, grid, dk)
         x = np.tile(x0[0], (4, 1))
