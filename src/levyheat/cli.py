@@ -1,10 +1,11 @@
 """Configuration-driven command line entry point.
 
 Subcommands: verify-lemmas, bounds, simulate, moments, growth-scan, renewal,
-specfun.  Exit codes: 0 success, 1 assertion/certificate failure, 2 usage
-error (argparse), 3 validation error.  Every artifact embeds the config
-hash and the configured-constants echo; numeric columns print with 17
-significant digits so replays are byte-identical.
+specfun.  Exit codes: 0 success, 1 assertion/certificate failure or a
+numerical failure (blow-up, unconverged quadrature, no root; one `error:`
+line), 2 usage error (argparse), 3 validation error.  Every artifact embeds
+the config hash and the configured-constants echo; numeric columns print
+with 17 significant digits so replays are byte-identical.
 """
 
 import argparse
@@ -22,7 +23,7 @@ from .analytics import (RenewalProblem, compute_bounds, renewal_solve,
                         renewal_weight)
 from .certify import verify_lemmas
 from .config import ExperimentConfig
-from .errors import ValidationError
+from .errors import BlowupError, NoRootError, QuadratureError, ValidationError
 from .estimator import (MomentSeries, calibrate_renewal, growth_index_scan,
                         lyapunov_fit, renewal_check, simulate_moments)
 from .solver import dump_trajectory, run_trajectory, trajectory_csv
@@ -249,6 +250,13 @@ def _weight_from_config(cfg: ExperimentConfig):
     return wt.t, wt.w
 
 
+def _read_csv(path) -> np.ndarray:
+    """Numeric rows of a CSV after its `#` lines and column-name line."""
+    with open(path) as fh:
+        rows = [line for line in fh if not line.startswith("#")]
+    return np.loadtxt(rows[1:], delimiter=",", ndmin=2)
+
+
 def _parse_weight_arg(spec_txt: str, cfg: ExperimentConfig | None, horizon, dt):
     """Returns (t_grid, values, callable_or_None); analytic weights keep
     their callable so the solver's refinement pass stays exact."""
@@ -264,7 +272,7 @@ def _parse_weight_arg(spec_txt: str, cfg: ExperimentConfig | None, horizon, dt):
         return t, w, None
     path = Path(spec_txt)
     if path.exists():
-        data = np.loadtxt(path, delimiter=",", comments="#", skiprows=1)
+        data = _read_csv(path)
         return data[:, 0], data[:, 1], None
     raise ValidationError("renewal.weight", f"cannot interpret {spec_txt!r}")
 
@@ -278,7 +286,7 @@ def cmd_renewal(args) -> int:
     outdir = _outdir(cfg, args.out)
 
     if args.series:
-        data = np.loadtxt(args.series, delimiter=",", comments="#", skiprows=1)
+        data = _read_csv(args.series)
         series = MomentSeries(times=data[:, 0], sup_mean=data[:, 1],
                               sup_se=data[:, 2], inf_mean=data[:, 3],
                               inf_se=data[:, 4], p=float("nan"), replicas=0)
@@ -426,6 +434,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except (BlowupError, QuadratureError, NoRootError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -94,6 +94,17 @@ SCHEMA = {
 }
 
 
+def _parse(key: str, text: str):
+    """The value of `key` parsed from `text`; errors name the key."""
+    if key not in SCHEMA:
+        raise ValidationError(key, "unknown configuration key")
+    parser, _ = SCHEMA[key]
+    try:
+        return parser(text)
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(key, f"cannot parse {text!r}: {exc}") from exc
+
+
 @dataclass
 class ExperimentConfig:
     """Validated configuration; builds the model/grid/constants objects."""
@@ -111,13 +122,7 @@ class ExperimentConfig:
                 raise ValidationError(f"line {ln}", f"expected key = value, got {raw!r}")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in SCHEMA:
-                raise ValidationError(key, "unknown configuration key")
-            parser, _ = SCHEMA[key]
-            try:
-                values[key] = parser(val)
-            except (ValueError, TypeError) as exc:
-                raise ValidationError(key, f"cannot parse {val!r}: {exc}") from exc
+            values[key] = _parse(key, val)
         cfg = cls(values=values)
         cfg.build_model()       # fail fast on semantic violations
         cfg.build_grid()
@@ -137,8 +142,7 @@ class ExperimentConfig:
     def set(self, key: str, value) -> None:
         if key not in SCHEMA:
             raise ValidationError(key, "unknown configuration key")
-        parser, _ = SCHEMA[key]
-        self.values[key] = parser(value) if isinstance(value, str) else value
+        self.values[key] = _parse(key, value) if isinstance(value, str) else value
 
     # -- construction -------------------------------------------------------
 

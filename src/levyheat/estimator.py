@@ -179,7 +179,9 @@ def simulate_moments(ms: ModelSpec, grid: GridSpec, p, replicas: int,
     aggregator "auto" resolves to median-of-means for p > 1.5 and the
     plain mean otherwise; "mom" and "mean" force one of them.  `jobs`
     splits the replicas into that many contiguous ranges, one per worker
-    process.
+    process.  The workers' sums are added after they finish, so results
+    differ in the last bits between job counts; for a fixed `jobs` they are
+    reproducible bit for bit.
     """
     if aggregator not in AGGREGATORS:
         raise DomainError(f"unknown aggregator {aggregator!r}; expected one "

@@ -18,7 +18,7 @@ import numpy as np
 from .analytics import ModelSpec
 from .errors import BlowupError, DomainError, ValidationError
 from .kernel import get_profile, tail_coefficient
-from .noise import NoiseGrid, sample_increments
+from .noise import sample_jumps
 
 BLOWUP_GUARD = 1e12
 
@@ -60,9 +60,11 @@ class GridSpec:
         """Heavy-tail containment heuristic L >= 4 T^(1/alpha)."""
         return self.half_width >= 4.0 * self.horizon ** (1.0 / alpha)
 
-    def noise_grid(self, seed: int, replica: int) -> NoiseGrid:
-        return NoiseGrid(dt=self.dt, dx=self.dx, n_t=self.n_t, n_x=self.n_x,
-                         seed=seed, replica_index=replica)
+    def noise_grid(self, seed: int, replica: int) -> np.random.Generator:
+        """The noise stream of one replica: Philox keyed by (seed, replica)."""
+        key = np.array([seed & 0xFFFFFFFFFFFFFFFF,
+                        replica & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass
@@ -149,9 +151,8 @@ class BatchNoise:
     yields, for k = 0..n_t-1, one reused (R, n_x) buffer holding step k: it
     is filled with `base`, the value of a cell without jumps,
     (0 - compensator) + b dt dx; the jump cells of step k are scattered
-    into it, and the dense Gaussian plane of step k is added when rho > 0,
-    so each row equals `IncrementField.combined(b)[k]` bit for bit.  The
-    next step overwrites the buffer.
+    into it, and the dense Gaussian plane of step k is added when rho > 0.
+    The next step overwrites the buffer.
     """
 
     def __init__(self, n_t: int, shape: tuple, base: float, keys: np.ndarray,
@@ -180,24 +181,31 @@ class BatchNoise:
 
 def sample_noise(ms: ModelSpec, grid: GridSpec, seed: int,
                  replicas) -> BatchNoise:
-    """Cell noise of the listed replicas, with their jumps kept sparse.
+    """Cell noise Lambda(cell) of the listed replicas, jumps kept sparse.
 
     Replica r draws from its own (seed, r) Philox stream, so its noise does
-    not depend on which replicas it is sampled with.  Memory is O(jumps),
-    plus one dense (n_t, R, n_x) Gaussian plane when rho > 0.
+    not depend on which replicas it is sampled with: its jumps
+    (`noise.sample_jumps`), each jump cell worth (sum - dt dx int z
+    lambda(dz)) + b dt dx, then its Gaussian plane rho sqrt(dt dx) N(0, 1)
+    when rho > 0.  Memory is O(jumps), plus the dense Gaussian planes.
     """
     n_r, n_x = len(replicas), grid.n_x
+    cell = grid.dt * grid.dx
+    compensator = cell * ms.levy.first_moment()
     drift = ms.b * grid.dt * grid.dx
     keys, vals, gauss = [], [], []
     for i, r in enumerate(replicas):
-        incr = sample_increments(ms.levy, grid.noise_grid(seed, r), ms.rho)
-        step, col = np.divmod(incr.cells, n_x)
+        rng = grid.noise_grid(seed, r)
+        cells, sums = sample_jumps(ms.levy, rng, cell, grid.n_t * n_x)
+        step, col = np.divmod(cells, n_x)
         keys.append((step * n_r + i) * n_x + col)
-        vals.append(incr.sums - incr.compensator + drift)
-        gauss.append(incr.gaussian)
-    return BatchNoise(grid.n_t, (n_r, n_x), 0.0 - incr.compensator + drift,
+        vals.append(sums - compensator + drift)
+        if ms.rho > 0.0:
+            gauss.append(ms.rho * math.sqrt(cell)
+                         * rng.standard_normal((grid.n_t, n_x)))
+    return BatchNoise(grid.n_t, (n_r, n_x), 0.0 - compensator + drift,
                       np.concatenate(keys), np.concatenate(vals),
-                      np.stack(gauss, axis=1) if ms.rho > 0.0 else None)
+                      np.stack(gauss, axis=1) if gauss else None)
 
 
 def mild_step(fields: np.ndarray, dk: DiscreteKernel, ms: ModelSpec,

@@ -75,6 +75,13 @@ class TestConfig:
             cfg = ExperimentConfig.from_text(f"run.aggregator = {name}\n")
             assert cfg.get("run.aggregator") == name
 
+    def test_set_names_key(self):
+        cfg = ExperimentConfig.from_text(SMALL_RUN)
+        with pytest.raises(ValidationError) as err:
+            cfg.set("run.aggregator", "median")
+        assert err.value.key_path == "run.aggregator"
+        assert "run.aggregator" in str(err.value)
+
     def test_semantic_violation_caught_at_parse(self):
         bad = SMALL_RUN + "model.rho = 0.5\n"     # d >= alpha would be fine...
         cfg_text = bad.replace("model.alpha = 1.5", "model.alpha = 0.8")
@@ -142,6 +149,34 @@ class TestCLI:
                      "--c4", "1.0", "--weight", "exp:2,1",
                      "--out", str(tmp_path)])
         assert code == 1
+
+    def test_bad_flag_value_names_key(self, tmp_path, capsys):
+        assert main(["moments", "--levy", "a:1", "--out", str(tmp_path)]) == 3
+        assert "levy.atoms" in capsys.readouterr().err
+
+    def test_numerical_failure_exits_1_without_traceback(self, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN)
+        assert main(["moments", "--config", str(cfg), "--sigma", "1e9",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "blow-up at step" in err
+        assert "Traceback" not in err
+
+    def test_renewal_check_reads_moments_csv(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN.replace("run.p = 2", "run.p = 1.2"))
+        assert main(["moments", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        series = tmp_path / "moments_p1.2.csv"
+        code = main(["renewal", "--series", str(series), "--weight", "model",
+                     "--config", str(cfg), "--out", str(tmp_path)])
+        assert code in (0, 1)
+        t_in = np.loadtxt(series, delimiter=",", skiprows=2)[:, 0]
+        t_out = np.loadtxt(tmp_path / "renewal_check.csv", delimiter=",",
+                           skiprows=2)[:, 0]
+        assert np.array_equal(t_in, t_out)
 
     def test_moments_csv_format(self, tmp_path):
         cfg = tmp_path / "cfg"

@@ -5,12 +5,25 @@ import pytest
 from scipy import stats
 
 from levyheat.errors import DomainError, ValidationError
-from levyheat.noise import (LevyMeasureSpec, NoiseGrid,
-                            drift_b, sample_increments)
+from levyheat.noise import LevyMeasureSpec, drift_b, sample_jumps
+from levyheat.solver import GridSpec
 
 ATOMS = LevyMeasureSpec(variant="atoms", atoms=((1.0, 1.0), (-1.0, 1.0)))
 TPOW = LevyMeasureSpec(variant="truncated_power", gamma_exp=0.5,
                        delta_in=0.1, outer_cut=1.0, amplitude=1.0)
+
+
+def stream(seed, replica=0):
+    """The Philox noise stream of replica `replica` under `seed`."""
+    return GridSpec().noise_grid(seed, replica)
+
+
+def jump_sum(spec, dt, dx, n_t, n_x, seed, replica=0):
+    """Dense (n_t, n_x) per-cell jump sums of one replica, 0.0 where none."""
+    cells, sums = sample_jumps(spec, stream(seed, replica), dt * dx, n_t * n_x)
+    out = np.zeros(n_t * n_x)
+    out[cells] = sums
+    return out.reshape(n_t, n_x)
 
 
 class TestMoments:
@@ -73,69 +86,59 @@ class TestValidation:
 
 class TestSampling:
     def test_poisson_cell_mean(self):
-        grid = NoiseGrid(dt=0.01, dx=0.1, n_t=10, n_x=10, seed=0)
         # rate per cell = dt dx lambda(R) = 0.002
-        assert ATOMS.total_mass() * grid.dt * grid.dx == pytest.approx(0.002)
+        assert ATOMS.total_mass() * 0.01 * 0.1 == pytest.approx(0.002)
 
     def test_determinism_bit_identical(self):
-        grid = NoiseGrid(dt=0.01, dx=0.1, n_t=50, n_x=200, seed=42,
-                         replica_index=3)
-        f1 = sample_increments(ATOMS, grid)
-        f2 = sample_increments(ATOMS, grid)
-        assert np.array_equal(f1.jump_sum, f2.jump_sum)
+        c1, s1 = sample_jumps(ATOMS, stream(42, 3), 0.01 * 0.1, 50 * 200)
+        c2, s2 = sample_jumps(ATOMS, stream(42, 3), 0.01 * 0.1, 50 * 200)
+        assert np.array_equal(c1, c2) and np.array_equal(s1, s2)
 
     def test_replicas_differ(self):
-        g0 = NoiseGrid(dt=0.05, dx=0.25, n_t=50, n_x=200, seed=42)
-        g1 = NoiseGrid(dt=0.05, dx=0.25, n_t=50, n_x=200, seed=42,
-                       replica_index=1)
-        assert not np.array_equal(sample_increments(ATOMS, g0).jump_sum,
-                                  sample_increments(ATOMS, g1).jump_sum)
+        assert not np.array_equal(jump_sum(ATOMS, 0.05, 0.25, 50, 200, 42),
+                                  jump_sum(ATOMS, 0.05, 0.25, 50, 200, 42, 1))
 
     def test_sparse_jumps_match_dense_draws(self):
         # the same Philox draws in the same order, summed per cell as a
         # dense bincount sums them; at 2 jumps per cell most cells repeat
         spec = LevyMeasureSpec(variant="atoms",
                                atoms=((2.0, 0.5), (-0.3, 1.0), (0.7, 2.5)))
-        grid = NoiseGrid(dt=0.5, dx=1.0, n_t=30, n_x=20, seed=8,
-                         replica_index=2)
-        f = sample_increments(spec, grid, rho=0.3)
-        rng = grid.generator()
-        n_cells = grid.n_t * grid.n_x
-        total = rng.poisson(spec.total_mass() * grid.dt * grid.dx * n_cells)
-        cells = np.sort(rng.integers(0, n_cells, total))
-        sizes = spec.sample_sizes(rng, total)
-        dense = np.bincount(cells, weights=sizes, minlength=n_cells)
-        gauss = 0.3 * math.sqrt(grid.dt * grid.dx) * rng.standard_normal(
-            (grid.n_t, grid.n_x))
-        assert np.all(np.diff(f.cells) > 0)
-        assert len(f.cells) < total
-        assert np.array_equal(f.cells, np.unique(cells))
-        assert np.array_equal(f.sums, dense[f.cells])
-        assert np.array_equal(f.jump_sum, dense.reshape(grid.n_t, grid.n_x))
-        assert np.array_equal(f.gaussian, gauss)
+        n_cells = 30 * 20
+        rng = stream(8, 2)
+        cells, sums = sample_jumps(spec, rng, 0.5 * 1.0, n_cells)
+        ref = stream(8, 2)
+        total = ref.poisson(spec.total_mass() * 0.5 * 1.0 * n_cells)
+        drawn = np.sort(ref.integers(0, n_cells, total))
+        sizes = spec.sample_sizes(ref, total)
+        dense = np.bincount(drawn, weights=sizes, minlength=n_cells)
+        assert np.all(np.diff(cells) > 0)
+        assert len(cells) < total
+        assert np.array_equal(cells, np.unique(drawn))
+        assert np.array_equal(sums, dense[cells])
+        # the stream is left where the hand-drawn one is: the Gaussian
+        # part of sample_noise continues from here
+        assert np.array_equal(rng.standard_normal(8), ref.standard_normal(8))
 
     def test_compensated_mean_and_variance(self):
-        grid = NoiseGrid(dt=0.01, dx=0.1, n_t=1000, n_x=1000, seed=1)
-        f = sample_increments(ATOMS, grid)
-        c = f.combined(b=0.0)
-        var_cell = grid.dt * grid.dx * ATOMS.moment(2.0)
+        # symmetric atoms: the compensator and drift are zero
+        c = jump_sum(ATOMS, 0.01, 0.1, 1000, 1000, 1)
+        var_cell = 0.01 * 0.1 * ATOMS.moment(2.0)
         se_mean = math.sqrt(var_cell / c.size)
         assert abs(c.mean()) < 4.0 * se_mean
         # SE of a sample variance of n cells ~ var * sqrt(2/n + kurtosis term);
         # jump noise is very leptokurtic, so allow its exact fourth moment
-        m4 = grid.dt * grid.dx * ATOMS.moment(4.0)
+        m4 = 0.01 * 0.1 * ATOMS.moment(4.0)
         se_var = math.sqrt((m4 - var_cell ** 2 * (c.size - 3) / (c.size - 1))
                            / c.size)
         assert abs(c.var() - var_cell) < 3.0 * se_var
 
     def test_count_distribution_chisquare(self):
-        # a single unit atom makes jump_sum the per-cell jump count; at
+        # a single unit atom makes the jump sum the per-cell jump count; at
         # lam = 0.5 one cell in eleven holds 2 or more jumps, so a sampler
         # that caps the count per cell or clusters jumps fails
         spec = LevyMeasureSpec(variant="atoms", atoms=((1.0, 1.0),))
-        grid = NoiseGrid(dt=0.5, dx=1.0, n_t=200, n_x=500, seed=9)
-        counts = sample_increments(spec, grid).jump_sum.ravel()
-        lam = spec.total_mass() * grid.dt * grid.dx
+        counts = jump_sum(spec, 0.5, 1.0, 200, 500, 9).ravel()
+        lam = spec.total_mass() * 0.5 * 1.0
         assert lam == 0.5
         kmax = 4
         obs = np.array([(counts == k).sum() for k in range(kmax)]
@@ -147,28 +150,12 @@ class TestSampling:
         assert pval > 0.001
 
     def test_truncated_power_sizes_in_support(self):
-        grid = NoiseGrid(dt=0.5, dx=0.5, n_t=100, n_x=100, seed=5)
-        rng = grid.generator()
-        sizes = TPOW.sample_sizes(rng, 10_000)
+        sizes = TPOW.sample_sizes(stream(5), 10_000)
         assert np.all(np.abs(sizes) >= TPOW.delta_in - 1e-15)
         assert np.all(np.abs(sizes) <= TPOW.outer_cut + 1e-15)
         # symmetric signs
         frac = (sizes > 0).mean()
         assert abs(frac - 0.5) < 4.0 * math.sqrt(0.25 / sizes.size)
-
-    def test_gaussian_part_scaled_by_rho(self):
-        grid = NoiseGrid(dt=0.04, dx=0.25, n_t=200, n_x=200, seed=3)
-        f = sample_increments(ATOMS, grid, rho=0.7)
-        cell = grid.dt * grid.dx
-        g = np.asarray(f.gaussian)
-        assert g.std() == pytest.approx(0.7 * math.sqrt(cell), rel=0.02)
-        f0 = sample_increments(ATOMS, grid, rho=0.0)
-        assert np.all(np.asarray(f0.gaussian) == 0.0)
-
-    def test_negative_rho_rejected(self):
-        grid = NoiseGrid(dt=0.04, dx=0.25, n_t=2, n_x=2, seed=3)
-        with pytest.raises(DomainError):
-            sample_increments(ATOMS, grid, rho=-1.0)
 
 
 class TestCompensatedIntegralFloor:
@@ -181,16 +168,14 @@ class TestCompensatedIntegralFloor:
         for scale in (0.5, 5.0, 50.0):
             spec = LevyMeasureSpec(variant="atoms",
                                    atoms=((1.0, scale), (-1.0, scale)))
-            grid = NoiseGrid(dt=0.1, dx=0.1, n_t=10, n_x=10, seed=11)
-            nu_total = spec.total_mass() * grid.dt * grid.dx * 100
+            nu_total = spec.total_mass() * 0.1 * 0.1 * 100
             samples = []
             for r in range(400):
-                g = NoiseGrid(dt=0.1, dx=0.1, n_t=10, n_x=10, seed=11,
-                              replica_index=r)
-                f = sample_increments(spec, g)
-                samples.append(float(np.abs(f.combined().sum()) ** p))
+                # symmetric atoms: the compensated field is the jump sum
+                f = jump_sum(spec, 0.1, 0.1, 10, 10, 11, r)
+                samples.append(float(np.abs(f.sum()) ** p))
             lhs = float(np.mean(samples))
-            rhs = (spec.moment(p) * grid.dt * grid.dx * 100
+            rhs = (spec.moment(p) * 0.1 * 0.1 * 100
                    / max(1.0, nu_total) ** (1.0 - p / 2.0))
             ratios.append(lhs / rhs)
         assert min(ratios) > 0.01

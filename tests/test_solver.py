@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from levyheat.analytics import ModelSpec, SigmaSpec, U0Spec, compute_bounds
 from levyheat.errors import BlowupError, DomainError, ValidationError
 from levyheat.kernel import KernelParams, q_density
-from levyheat.noise import LevyMeasureSpec, sample_increments
+from levyheat.noise import LevyMeasureSpec, sample_jumps
 from levyheat.solver import (GridSpec, build_discrete_kernel, dump_trajectory,
                              heat_flow, heat_step, initial_field, mild_step,
                              picard_solve, run_trajectory, sample_noise,
@@ -46,6 +47,14 @@ class TestGridSpec:
     def test_power_of_two_required(self):
         with pytest.raises(ValidationError):
             GridSpec(half_width=8.0, n_x=100, horizon=1.0, n_t=10)
+
+    @pytest.mark.parametrize("bad", [dict(half_width=0.0), dict(half_width=-1.0),
+                                     dict(horizon=0.0), dict(horizon=-1.0),
+                                     dict(n_t=0)])
+    def test_degenerate_extent_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            GridSpec(**{**dict(half_width=8.0, n_x=16, horizon=1.0, n_t=10),
+                        **bad})
 
     def test_containment_heuristic(self):
         assert GridSpec(half_width=32.0, n_x=64, horizon=5.0,
@@ -161,17 +170,44 @@ class TestSimulationCore:
                        sigma=SigmaSpec(kind="linear", slope=1.0),
                        u0=U0Spec(kind="constant", value=1.0))
         assert ms.b != 0.0
-        replicas = [4, 0, 9]
-        noise = sample_noise(ms, self.GRID, 21, replicas)
+        grid, replicas = self.GRID, [4, 0, 9]
+        noise = sample_noise(ms, grid, 21, replicas)
         steps = list(noise)
-        assert len(steps) == self.GRID.n_t
+        assert len(steps) == grid.n_t
         assert all(step is steps[0] for step in steps)   # one reused buffer
         dlam = dense_noise(noise)
-        assert dlam.shape == (self.GRID.n_t, 3, self.GRID.n_x)
+        assert dlam.shape == (grid.n_t, 3, grid.n_x)
+        cell = grid.dt * grid.dx
         for i, r in enumerate(replicas):
-            incr = sample_increments(levy, self.GRID.noise_grid(21, r), rho=0.3)
-            assert len(incr.cells) > 0
-            assert np.array_equal(dlam[:, i], incr.combined(b=ms.b))
+            # the replica's stream redrawn by hand: jumps, then Gaussian plane
+            rng = grid.noise_grid(21, r)
+            cells, sums = sample_jumps(levy, rng, cell, grid.n_t * grid.n_x)
+            assert len(cells) > 0
+            jumps = np.bincount(cells, weights=sums,
+                                minlength=grid.n_t * grid.n_x)
+            gauss = 0.3 * math.sqrt(cell) * rng.standard_normal(
+                (grid.n_t, grid.n_x))
+            ref = ((jumps.reshape(grid.n_t, grid.n_x)
+                    - cell * levy.first_moment())
+                   + ms.b * grid.dt * grid.dx) + gauss
+            assert np.array_equal(dlam[:, i], ref)
+
+    def test_gaussian_part_scaled_by_rho(self):
+        grid = GridSpec(half_width=32.0, n_x=256, horizon=8.0, n_t=200)
+        cell = grid.dt * grid.dx
+        ms = ModelSpec(kp=KP15, rho=0.7, levy=ATOMS,
+                       sigma=SigmaSpec(kind="linear", slope=1.0),
+                       u0=U0Spec(kind="constant", value=1.0))
+        g = sample_noise(ms, grid, 3, [0]).gaussian
+        assert g.shape == (grid.n_t, 1, grid.n_x)
+        assert g.std() == pytest.approx(0.7 * math.sqrt(cell), rel=0.02)
+        assert sample_noise(model(), grid, 3, [0]).gaussian is None
+
+    def test_negative_rho_rejected(self):
+        with pytest.raises(DomainError):
+            ModelSpec(kp=KP15, rho=-1.0, levy=ATOMS,
+                      sigma=SigmaSpec(kind="linear", slope=1.0),
+                      u0=U0Spec(kind="constant", value=1.0))
 
     def test_picard_blowup_reports_first_step_and_cell(self):
         ms = model()
@@ -216,6 +252,12 @@ class TestMildStep:
         with pytest.raises(BlowupError):
             mild_step(f, self.dk, model(slope=1.0), np.full(128, 1e15),
                       self.grid.dx, 0)
+
+    def test_blowup_error_pickles(self):
+        # a --jobs worker sends it back to the parent process
+        err = pickle.loads(pickle.dumps(BlowupError(step=3, cell=7, value=2e12)))
+        assert (err.step, err.cell, err.value) == (3, 7, 2e12)
+        assert str(err) == str(BlowupError(3, 7, 2e12))
 
 
 class TestTrajectory:
