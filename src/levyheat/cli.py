@@ -250,11 +250,19 @@ def _weight_from_config(cfg: ExperimentConfig):
     return wt.t, wt.w
 
 
-def _read_csv(path) -> np.ndarray:
-    """Numeric rows of a CSV after its `#` lines and column-name line."""
+def _read_csv(path, key: str, columns: int, rows: int) -> np.ndarray:
+    """Numeric rows of a CSV after its `#` lines and column-name line; at
+    least `rows` rows of at least `columns` columns, or a ValidationError
+    naming `key`."""
     with open(path) as fh:
-        rows = [line for line in fh if not line.startswith("#")]
-    return np.loadtxt(rows[1:], delimiter=",", ndmin=2)
+        lines = [line for line in fh if not line.startswith("#")][1:]
+    data = (np.loadtxt(lines, delimiter=",", ndmin=2) if lines
+            else np.empty((0, 0)))
+    if data.shape[0] < rows or data.shape[1] < columns:
+        raise ValidationError(
+            key, f"{path} needs at least {rows} data rows of {columns} "
+                 f"columns, found {data.shape[0]} of {data.shape[1]}")
+    return data
 
 
 def _parse_weight_arg(spec_txt: str, cfg: ExperimentConfig | None, horizon, dt):
@@ -272,7 +280,7 @@ def _parse_weight_arg(spec_txt: str, cfg: ExperimentConfig | None, horizon, dt):
         return t, w, None
     path = Path(spec_txt)
     if path.exists():
-        data = _read_csv(path)
+        data = _read_csv(path, "renewal.weight", 2, 1)
         return data[:, 0], data[:, 1], None
     raise ValidationError("renewal.weight", f"cannot interpret {spec_txt!r}")
 
@@ -286,7 +294,7 @@ def cmd_renewal(args) -> int:
     outdir = _outdir(cfg, args.out)
 
     if args.series:
-        data = _read_csv(args.series)
+        data = _read_csv(args.series, "renewal.series", 5, 2)
         series = MomentSeries(times=data[:, 0], sup_mean=data[:, 1],
                               sup_se=data[:, 2], inf_mean=data[:, 3],
                               inf_se=data[:, 4], p=float("nan"), replicas=0)
@@ -327,10 +335,8 @@ def cmd_renewal(args) -> int:
         _csv_header(fh, cfg, extra=f" c3={c3:.17g} c4={c4:.17g} "
                                    f"beta1={'none' if sol.beta1 is None else _fmt(sol.beta1)}")
         fh.write("t,f,discounted_f\n")
-        for k in range(len(sol.t)):
-            fh.write(",".join(_fmt(v) for v in (
-                sol.t[k], sol.f[k],
-                math.exp(-beta1 * sol.t[k]) * sol.f[k])) + "\n")
+        fh.writelines(f"{a:.17g},{b:.17g},{math.exp(-beta1 * a) * b:.17g}\n"
+                      for a, b in zip(sol.t.tolist(), sol.f.tolist()))
     print(f"wrote {path}; beta1={sol.beta1} limit={sol.limit_lhs}")
     return EXIT_OK
 

@@ -425,12 +425,31 @@ def minform_level_integral(kp: KernelParams, t: float, p: float, eps: float) -> 
     return flat + power
 
 
+# h_moment's time panels: 0, then t_max * 10^-k for k = 60, ..., 0
+HMOMENT_TIME_CUTS = (0.0,) + tuple(10.0 ** -k for k in range(60, -1, -1))
+
+
 def h_moment(kp: KernelParams, eps: float, p: float):
     """Level-set moment of the min-form kernel: (closed_form, quadrature).
 
     closed_form = c_{d,alpha}^(p) eps^(-(1+alpha/d-p)); the quadrature route
     integrates h^p 1{h > eps} numerically over space and time.  On the
     min-form kernel the two agree exactly (unit envelope constants).
+
+    The quadrature is vectorised Gauss-Legendre (d = 1).  The level set is
+    empty from t_max = eps^(-alpha) on; time runs over (0, t_max] on 24-node
+    panels with cuts t_max * HMOMENT_TIME_CUTS, geometric towards t = 0.  At
+    time t, h is the constant t^(-1/alpha) on [0, r_in], r_in = t^(1/alpha),
+    which gives r_in t^(-p/alpha); on [r_in, r_out], r_out =
+    (t/eps)^(1/(1+alpha)), h = t / y^(1+alpha) is integrated after the
+    substitution y = r_in (r_out/r_in)^s, s in [0, 1] on 24 nodes, for all
+    time nodes at once.  Near t = 0 the time integrand behaves like
+    t^((1-p)/alpha), so [0, 1e-60 t_max] holds a share of about
+    1e-60^((1+alpha-p)/alpha) of the integral: the route agrees with the
+    closed form to rounding for p <= 1 (the certificate grid) and to 3e-13
+    while (1+alpha-p)/alpha >= 0.2, and loses digits as p -> 1 + alpha
+    (6e-5 at alpha = 1.5, p = 2.4).  Below alpha = 0.05 the space
+    integrand varies too fast for 24 nodes (2e-7 at alpha = 0.02, p = 0).
     """
     d, a = kp.d, kp.alpha
     if eps <= 0.0:
@@ -438,21 +457,16 @@ def h_moment(kp: KernelParams, eps: float, p: float):
     closed = hmoment_constant(d, a, p) * eps ** (-(1.0 + a / d - p))
     if d != 1:
         return closed, None
-    t_max = eps ** (-a)
-
-    def inner(t):
-        r_in = t ** (1.0 / a)
-        r_out = (t / eps) ** (1.0 / (1.0 + a))
-
-        def integrand(y):
-            h = min(t ** (-1.0 / a), t / y ** (1.0 + a)) if y > 0 else t ** (-1.0 / a)
-            return h ** p if h > eps else 0.0
-
-        return 2.0 * _quad_checked(integrand, 0.0, r_out,
-                                   points=[min(r_in, r_out)])
-
-    quad_val = _quad_checked(inner, 0.0, t_max, points=[t_max * 0.5])
-    return closed, quad_val
+    t, w_t = _gauss_panels(eps ** (-a) * np.asarray(HMOMENT_TIME_CUTS), 24)
+    s, w_s = _gauss_panels([0.0, 1.0], 24)
+    # logarithms throughout: t^(1/alpha) underflows at small alpha
+    log_t = np.log(t)
+    log_r_in = log_t / a
+    span = (log_t - math.log(eps)) / (1.0 + a) - log_r_in
+    log_y = log_r_in[:, None] + span[:, None] * s
+    power = np.exp(p * log_t[:, None] + (1.0 - p * (1.0 + a)) * log_y) @ w_s
+    flat = np.exp((1.0 - p) / a * log_t)
+    return closed, float(2.0 * (flat + power * span) @ w_t)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from levyheat.analytics import (BoundsReport, ConstantsConfig, ModelSpec,
                                 compute_bounds, contraction_constant,
                                 lower_bound_exponential, renewal_solve,
                                 renewal_weight, subexp_rate, upper_bounds)
+from levyheat import analytics
 from levyheat.errors import DomainError, NoRootError
 from levyheat.kernel import KernelParams
 from levyheat.noise import LevyMeasureSpec
@@ -250,6 +251,65 @@ class TestRenewalSolve:
         with pytest.raises(DomainError):
             RenewalProblem(c3=1.0, c4=1.0, horizon=1.0, dt=0.3,
                            weight=lambda t: t)
+
+
+def volterra_loop(wv, c3, c4, dt):
+    """Reference trapezoid solution of f = c3 + c4 (w * f), one step at a
+    time in O(n^2), written apart from the package's FFT solve so the two
+    can be compared."""
+    n = len(wv) - 1
+    f = np.empty(n + 1)
+    f[0] = c3
+    denom = 1.0 - c4 * dt * 0.5 * wv[0]
+    for i in range(1, n + 1):
+        conv = 0.5 * wv[i] * f[0] + float(np.dot(wv[i - 1:0:-1], f[1:i]))
+        f[i] = (c3 + c4 * dt * conv) / denom
+    return f
+
+
+def _model_weight_table():
+    # the renewal_check path: a tabulated weight, refined by interpolation
+    wt = renewal_weight(KP15, ATOMS, 1.2, 1.0, 0.5)
+    return np.interp(np.arange(4001) * 1e-3, wt.t, wt.w)
+
+
+RENEWAL_CASES = {
+    "linear-oracle": (1.0, 1.0, 10.0, 1e-2, lambda t: np.exp(-t)),
+    "exponential-oracle": (1.0, 1.0, 10.0, 1e-2, lambda t: 2.0 * np.exp(-t)),
+    "c4-zero": (3.0, 0.0, 2.0, 1e-3, lambda t: np.exp(-t)),
+    "oscillating": (1.0, 3.0, 10.0, 1e-2,
+                    lambda t: np.exp(-t) * np.cos(5.0 * t) ** 2),
+    "power-law": (1.0, 1.0, 20.0, 1e-2, lambda t: (1.0 + t) ** -1.5),
+    "slow-decay": (1.0, 5.0, 5.0, 2e-3, lambda t: np.exp(-0.1 * t)),
+    "fast-growth": (1.0, 20.0, 3.0, 2e-3, lambda t: np.exp(-t)),
+    "tabulated": (1.0, 0.5, 4.0, 1e-3, None),
+}
+
+
+class TestRenewalFastSolve:
+    @pytest.mark.parametrize("case", sorted(RENEWAL_CASES))
+    def test_matches_loop(self, case):
+        c3, c4, horizon, dt, weight = RENEWAL_CASES[case]
+        rp = RenewalProblem(c3=c3, c4=c4, horizon=horizon, dt=dt,
+                            weight=weight or _model_weight_table())
+        sol = renewal_solve(rp)
+        gamma = sol.beta1 if sol.beta1 is not None else 0.0
+        refs = []
+        for refine in (1, 2):
+            wv = rp.weight_values(rp.grid(refine))
+            ref = volterra_loop(wv, c3, c4, dt / refine)
+            fast = analytics._volterra_trapezoid(wv, c3, c4, dt / refine,
+                                                 gamma)
+            assert np.max(np.abs(fast - ref) / ref) <= 1e-12
+            refs.append(ref)
+        richardson = (4.0 * refs[1][::2] - refs[0]) / 3.0
+        assert np.max(np.abs(sol.f - richardson) / richardson) <= 1e-12
+
+    def test_step_too_large(self):
+        rp = RenewalProblem(c3=1.0, c4=5.0, horizon=1.0, dt=0.5,
+                            weight=lambda t: np.exp(-t))
+        with pytest.raises(DomainError, match="step too large"):
+            renewal_solve(rp)
 
 
 class TestEmpiricalMomentInequalities:

@@ -121,27 +121,34 @@ def scale_closed_form(module, name):
     return scale
 
 
+# lemma id -> (check, closed-form scaler, relative offset far above the
+# check's tolerance)
 IDENTITY_CERTIFICATES = {
     "beta-identity": (check_beta_identity,
-                      scale_closed_form(certify, "beta_fn")),
+                      scale_closed_form(certify, "beta_fn"), 1e-5),
     # the unit mass rests on the normalising constant kappa
     "g-unit-mass": (lambda: check_g_mass(CK15),
-                    scale_closed_form(K, "kappa_const")),
+                    scale_closed_form(K, "kappa_const"), 1e-5),
     "g-power-integral": (lambda: check_g_p_integral(CK15),
-                         scale_closed_form(K, "g_p_integral")),
+                         scale_closed_form(K, "g_p_integral"), 1e-5),
+    # tolerance 1e-4; the quadrature route does not use the constant
+    "minform-levelset-moment": (check_h_moment,
+                                scale_closed_form(K, "hmoment_constant"),
+                                1e-3),
 }
 
 
 @pytest.mark.parametrize("lemma_id", sorted(IDENTITY_CERTIFICATES))
 def test_identity_certificate_can_fail(monkeypatch, lemma_id):
-    check, scale = IDENTITY_CERTIFICATES[lemma_id]
+    check, scale, offset = IDENTITY_CERTIFICATES[lemma_id]
     good = check()
     assert good.lemma_id == lemma_id and good.passed
-    # a closed form 1e-5 off: the relative error is 1e-5, far above tolerance
-    scale(monkeypatch, 1.0 + 1e-5)
+    # a closed form `offset` off: the relative error is offset / (1 + offset)
+    scale(monkeypatch, 1.0 + offset)
     bad = check()
     assert bad.status == "fail"
-    assert bad.worst_slack == pytest.approx(bad.tolerance / 1e-5, rel=1e-3)
+    assert bad.worst_slack == pytest.approx(
+        bad.tolerance * (1.0 + offset) / offset, rel=1e-3)
 
 
 def test_q_mass_evaluates_once_per_alpha(monkeypatch):

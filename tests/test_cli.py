@@ -178,6 +178,21 @@ class TestCLI:
                            skiprows=2)[:, 0]
         assert np.array_equal(t_in, t_out)
 
+    @pytest.mark.parametrize("flag, text, key", [
+        ("--series", "t,sup_mean,sup_se,inf_mean,inf_se\n", "renewal.series"),
+        ("--series", "t,inf_mean\n0,1\n0.1,1.5\n0.2,2\n", "renewal.series"),
+        ("--weight", "t\n0\n0.5\n1\n", "renewal.weight"),
+    ], ids=["header-only-series", "two-column-series", "one-column-weight"])
+    def test_short_renewal_csv_exits_3(self, tmp_path, capsys, flag, text,
+                                       key):
+        path = tmp_path / "input.csv"
+        path.write_text("# levyheat test input\n" + text)
+        assert main(["renewal", flag, str(path), "--c3", "1", "--c4", "1",
+                     "--T", "1", "--dt", "0.1", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
     def test_moments_csv_format(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text(SMALL_RUN + f"run.outdir = {tmp_path}\n")

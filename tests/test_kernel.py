@@ -253,6 +253,12 @@ class TestHMoment:
         closed, quadv = h_moment(kp, eps, p)
         assert quadv == pytest.approx(closed, rel=1e-4)
 
+    @pytest.mark.parametrize("alpha, p", [(1.0, 1.5), (1.5, 2.0), (1.9, 2.5)])
+    def test_quadrature_resolves_singular_time_integrand(self, alpha, p):
+        # p > 1: the time integrand grows like t^((1-p)/alpha) at t = 0
+        closed, quadv = h_moment(KernelParams(d=1, alpha=alpha), 1.0, p)
+        assert quadv == pytest.approx(closed, rel=1e-12)
+
 
 class TestGPIntegral:
     def test_unit_mass_at_p1(self):
