@@ -112,16 +112,17 @@ def check_power_law_transform() -> LemmaRecord:
                       1e-8, "d=1, a=1, mu=0, z=1")
 
 
-def check_g_fourier_equality(z_grid=(0.25, 0.5, 1.0, 2.0, 4.0)) -> LemmaRecord:
+def check_g_fourier_equality() -> LemmaRecord:
     """For d=1, alpha=1, p=1 the transform of g and its lower bound are e^(-|z|)."""
     ck = K.ComparisonKernel(K.KernelParams(d=1, alpha=1.0))
+    z_grid = (0.25, 0.5, 1.0, 2.0, 4.0)
     errs = []
     for z in z_grid:
         ref = math.exp(-abs(z))
         errs.append(abs(K.g_fourier(ck, 1.0, 1.0, z) - ref) / ref)
         errs.append(abs(K.g_fourier_lower(ck, 1.0, 1.0, z) - ref) / ref)
     return _eq_record("g-fourier-cauchy-equality", errs, 1e-8,
-                      f"t=1, z in {tuple(z_grid)}")
+                      f"t=1, z in {z_grid}")
 
 
 def check_g_tensor_split(ck: K.ComparisonKernel, t_grid=DEFAULT_T_GRID,
@@ -161,16 +162,18 @@ def check_g_time_monotone(ck: K.ComparisonKernel, t_grid=DEFAULT_T_GRID,
 
 
 def check_space_conv(ck: K.ComparisonKernel, p: float, t_grid=(0.5, 1.0, 2.0),
-                     s_fracs=(0.2, 0.4, 0.8), x_grid=None) -> LemmaRecord:
+                     x_grid=None) -> LemmaRecord:
     """Space-convolution lower bound at every grid point:
 
         (g(t-s,.)^p * g(s,.)^p)(x)
             >= gamma_{d,alpha}^(p) (t-s)^(d/alpha) / (s^((p-1)d/alpha) t^(d/alpha))
                g(t-s, x)^p,
 
-    with the left side by quadrature and slack = LHS / RHS.
+    with the left side by quadrature at s/t in (0.2, 0.4, 0.8) and
+    slack = LHS / RHS.
     """
     d, a = ck.d, ck.alpha
+    s_fracs = (0.2, 0.4, 0.8)
     if not (d / (d + a) < p < 1.0 + a / d):
         raise DomainError("requires p in (d/(d+alpha), 1+alpha/d)")
     x_grid = x_grid if x_grid is not None else default_x_grid(9, 10.0)
@@ -186,7 +189,7 @@ def check_space_conv(ck: K.ComparisonKernel, p: float, t_grid=(0.5, 1.0, 2.0),
                        * ck.g(t - s, x) ** p)
                 slacks.append(lhs / rhs)
     return _ineq_record("g-space-convolution", slacks,
-                        f"p={p}, t in {tuple(t_grid)}, s/t in {tuple(s_fracs)}")
+                        f"p={p}, t in {tuple(t_grid)}, s/t in {s_fracs}")
 
 
 def _timespace_record(lemma_id, ck, p, lhs, const, kernel, t_grid,
@@ -219,21 +222,21 @@ def check_timespace_conv_ratio(ck: K.ComparisonKernel, p: float,
         lambda t, x: ck.g(t, x) ** (p + 1.0) / ck.g(t, 0.0), t_grid, x_grid)
 
 
-def check_g_p_integral(ck: K.ComparisonKernel, p_grid=(1.4, 2.0),
-                       t_grid=(0.5, 2.0)) -> LemmaRecord:
+def check_g_p_integral(ck: K.ComparisonKernel) -> LemmaRecord:
     """Quadrature of int g(t,y)^p dy against the Gamma-ratio closed form."""
+    p_grid, t_grid = (1.4, 2.0), (0.5, 2.0)
     errs = []
     for p in p_grid:
         for t in t_grid:
             closed = K.g_p_integral(ck, t, p)
             errs.append(abs(ck.g_p_numeric(t, p) - closed) / closed)
     return _eq_record("g-power-integral", errs, 1e-6,
-                      f"p in {tuple(p_grid)}, t in {tuple(t_grid)}")
+                      f"p in {p_grid}, t in {t_grid}")
 
 
-def check_h_moment(alphas=(1.0, 1.5), p_grid=(0.0, 0.5, 1.0),
-                   eps_grid=(0.25, 1.0, 4.0)) -> LemmaRecord:
+def check_h_moment(alphas=(1.0, 1.5)) -> LemmaRecord:
     """Level-set moments of the min-form kernel: quadrature vs closed form."""
+    p_grid, eps_grid = (0.0, 0.5, 1.0), (0.25, 1.0, 4.0)
     errs = []
     for a in alphas:
         kp = K.KernelParams(d=1, alpha=a)
@@ -242,8 +245,8 @@ def check_h_moment(alphas=(1.0, 1.5), p_grid=(0.0, 0.5, 1.0),
                 closed, quad_val = K.h_moment(kp, eps, p)
                 errs.append(abs(quad_val - closed) / closed)
     return _eq_record("minform-levelset-moment", errs, 1e-4,
-                      f"alpha in {tuple(alphas)}, p in {tuple(p_grid)}, "
-                      f"eps in {tuple(eps_grid)}")
+                      f"alpha in {tuple(alphas)}, p in {p_grid}, "
+                      f"eps in {eps_grid}")
 
 
 def check_sandwich(kp: K.KernelParams, t_grid=(0.5, 1.0, 2.0),
@@ -275,10 +278,11 @@ def check_sandwich(kp: K.KernelParams, t_grid=(0.5, 1.0, 2.0),
         detail=c)
 
 
-def check_tail_ratio(kp: K.KernelParams, radii=(50.0, 100.0, 200.0)) -> LemmaRecord:
+def check_tail_ratio(kp: K.KernelParams) -> LemmaRecord:
     """q_t(x) |x|^(d+alpha) / t approaches the tail constant as |x| grows."""
     if kp.d != 1:
         raise DomainError("tail-ratio check implemented for d = 1 only")
+    radii = (50.0, 100.0, 200.0)
     cref = K.tail_coefficient(kp.alpha, 1)
     ratios = [K.q_density(kp, 1.0, r) * r ** (1.0 + kp.alpha) for r in radii]
     err_last = abs(ratios[-1] / cref - 1.0)
@@ -289,7 +293,7 @@ def check_tail_ratio(kp: K.KernelParams, radii=(50.0, 100.0, 200.0)) -> LemmaRec
         lemma_id="kernel-tail-constant",
         status="pass" if ok else "fail",
         worst_slack=0.02 / err_last if err_last > 0 else math.inf,
-        tolerance=0.02, grid=f"|x| in {tuple(radii)}, t=1",
+        tolerance=0.02, grid=f"|x| in {radii}, t=1",
         detail={"ratios": ratios, "limit_constant": cref})
 
 

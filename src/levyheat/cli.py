@@ -298,7 +298,8 @@ def cmd_renewal(args) -> int:
         series = MomentSeries(times=data[:, 0], sup_mean=data[:, 1],
                               sup_se=data[:, 2], inf_mean=data[:, 3],
                               inf_se=data[:, 4], p=float("nan"), replicas=0)
-        c3, c4 = args.c3, args.c4
+        c3 = args.c3 if args.c3 is not None else (cfg.get("renewal.c3") if cfg else None)
+        c4 = args.c4 if args.c4 is not None else (cfg.get("renewal.c4") if cfg else None)
         if c3 is None or c4 is None:
             c3_est, c4_est = calibrate_renewal(series, wt_t, wt_w)
             c3 = c3 if c3 is not None else c3_est

@@ -38,15 +38,13 @@ LIMIT = 400
 # a quadrature fails when its error estimate exceeds this share of
 # max(|value|, 1)
 QUAD_ERR_REL = 1e-7
-# the unit-time profile: exp(-xi^alpha) is truncated where xi^alpha >= EXPONENT_CUT,
-# the spline covers [0, SPLINE_HI], the TAIL_TERMS-term power-tail series
-# takes over beyond TAIL_START
+# the unit-time profile: exp(-xi^alpha) is truncated where xi^alpha >= EXPONENT_CUT;
+# TAIL_START is the one boundary between the Fourier inversion (spline
+# nodes, q_mass_numeric's quadrature) and the TAIL_TERMS-term power-tail
+# series beyond it
 EXPONENT_CUT = 45.0
-SPLINE_HI = 48.0
 TAIL_START = 45.0
 TAIL_TERMS = 6
-# q_mass_numeric: quadrature on [0, MASS_RADIUS], tail series beyond
-MASS_RADIUS = 1000.0
 
 # ---------------------------------------------------------------------------
 # parameters
@@ -151,9 +149,10 @@ class StableProfile:
         return out
 
     def _build_spline(self):
+        # the last node is the first one at or past TAIL_START
         nodes = np.concatenate([
             np.arange(0.0, 4.0, 0.02),
-            np.arange(4.0, SPLINE_HI + 0.08, 0.08),
+            np.arange(4.0, TAIL_START + 0.08, 0.08),
         ])
         vals = np.array([self.direct(r) for r in nodes])
         self._spline = CubicSpline(nodes, vals)
@@ -211,8 +210,9 @@ def q_density(kp: KernelParams, t: float, x) -> float:
 
 
 def q_mass_numeric(kp: KernelParams, t: float) -> float:
-    """Numeric total mass of q_t (d = 1): quadrature on [0, MASS_RADIUS] plus
-    the analytic power tail beyond.
+    """Numeric total mass of q_t (d = 1): quadrature of the pointwise
+    inversion on [0, TAIL_START] plus the power-tail series beyond, the same
+    split as the profile the solver evaluates.
 
     By self-similarity the mass equals the unit-time mass, so the integral is
     done on the profile directly and t does not enter.
@@ -221,13 +221,13 @@ def q_mass_numeric(kp: KernelParams, t: float) -> float:
         raise DomainError("numeric mass check implemented for d = 1 only")
     a = kp.alpha
     if a == 1.0:
-        core = 2.0 * math.atan(MASS_RADIUS) / math.pi
+        core = 2.0 * math.atan(TAIL_START) / math.pi
     else:
-        core = 2.0 * _quad_checked(get_profile(a).direct, 0.0, MASS_RADIUS,
-                                   points=[1.0, 10.0, 100.0])
+        core = 2.0 * _quad_checked(get_profile(a).direct, 0.0, TAIL_START,
+                                   points=[1.0, 10.0])
     tail = 0.0
     for k in range(1, TAIL_TERMS + 1):
-        tail += 2.0 * tail_coefficient(a, k) * MASS_RADIUS ** (-k * a) / (k * a)
+        tail += 2.0 * tail_coefficient(a, k) * TAIL_START ** (-k * a) / (k * a)
     return core + tail
 
 

@@ -1,12 +1,13 @@
 """Mild-solution stepper on a 1-d periodic grid, plus a Picard fixed-point mode.
 
-The scheme is a semigroup Euler step: advance the field through the exact
-one-step heat semigroup (cell-averaged, image-wrapped kernel applied by
-circular convolution), and inject the cell-lumped noise through the same
-one-step kernel with sigma evaluated at the left time point (the
-predictable choice).  The torus substitution keeps kernel mass exactly 1,
-so conservation is testable; wrap-around bias is reported through the
-image-mass diagnostic on the discrete kernel.
+The scheme is a semigroup Euler step: advance the field through the
+one-step heat semigroup (midpoint values q_dt(m dx) dx of the kernel plus
+its periodic images, renormalised and applied by circular convolution), and
+inject the cell-lumped noise through the same one-step kernel with sigma
+evaluated at the left time point (the predictable choice).  The torus
+substitution keeps kernel mass exactly 1, so conservation is testable;
+wrap-around bias is reported through the image-mass diagnostic on the
+discrete kernel.
 """
 
 import math
@@ -14,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import zeta
 
 from .analytics import ModelSpec
 from .errors import BlowupError, DomainError, ValidationError
@@ -69,10 +71,9 @@ class GridSpec:
 
 @dataclass
 class DiscreteKernel:
-    """Cell-averaged, image-wrapped one-step kernel; weights sum to 1 exactly."""
+    """Midpoint-valued, image-wrapped one-step kernel; weights sum to 1 exactly."""
 
     weights: np.ndarray
-    dt: float
     image_mass: float            # wrap-around diagnostic: mass from |y| > L
     base_weights: np.ndarray = field(default=None, repr=False)   # pre-wrap masses
     spectrum: np.ndarray = field(default=None, repr=False)
@@ -85,9 +86,15 @@ class DiscreteKernel:
 def build_discrete_kernel(kp, grid: GridSpec, dt: float) -> DiscreteKernel:
     """Midpoint cell masses q_dt(m dx) dx plus wrapped periodic images.
 
-    Images live at distance >= L and are summed through the first power-tail
-    term until the next image contributes below 1e-12 of unit mass; the
-    result is then normalized to unit sum (exactly).
+    The images at y + 2Lk, k != 0, are taken through the first power-tail
+    term dt c1 |y + 2Lk|^(-1-alpha) dx; summed over every k >= 1 on both
+    sides that is, exactly,
+
+        dt c1 dx (2L)^(-1-alpha) [zeta(1+alpha, 1 + y/2L) + zeta(1+alpha, 1 - y/2L)]
+
+    with zeta the Hurwitz zeta function (both second arguments >= 1/2 for
+    |y| <= L).  Negative weights are clipped to 0 and the result is
+    normalized to unit sum (exactly).
     """
     if dt <= 0.0:
         raise DomainError("dt must be positive")
@@ -101,23 +108,14 @@ def build_discrete_kernel(kp, grid: GridSpec, dt: float) -> DiscreteKernel:
     scale = dt ** (-1.0 / alpha)
     base = scale * get_profile(alpha)(np.abs(y) * scale) * dx
 
-    c1 = tail_coefficient(alpha, 1)
-    image = np.zeros_like(y)
-    k = 1
-    while True:
-        contrib = dt * c1 * (np.abs(y + 2 * L * k) ** (-1.0 - alpha)
-                             + np.abs(y - 2 * L * k) ** (-1.0 - alpha)) * dx
-        image += contrib
-        if contrib.max() < 1e-12:
-            break
-        k += 1
-        if k > 10_000_000:
-            raise DomainError("image summation failed to converge")
+    u = y / (2.0 * L)
+    image = (dt * tail_coefficient(alpha, 1) * dx * (2.0 * L) ** (-1.0 - alpha)
+             * (zeta(1.0 + alpha, 1.0 + u) + zeta(1.0 + alpha, 1.0 - u)))
     weights = base + image
     weights = np.maximum(weights, 0.0)
     total = weights.sum()
     weights /= total
-    return DiscreteKernel(weights=weights, dt=dt,
+    return DiscreteKernel(weights=weights,
                           image_mass=float(image.sum() / total),
                           base_weights=base)
 
@@ -284,11 +282,6 @@ class PicardReport:
     replicas: int
     contraction_ok: bool
     failures: list
-
-    @property
-    def ratios(self) -> np.ndarray:
-        """d_{n+1} / d_n (may underflow to 0; use log_d for the exact figure)."""
-        return np.exp(np.diff(self.log_d))
 
 
 def _weighted_log_norm(diff: np.ndarray, times: np.ndarray, x: np.ndarray,

@@ -58,7 +58,7 @@ def test_individual_checks():
     assert check_beta_identity().passed
     assert check_power_law_transform().passed
     assert check_g_fourier_equality().passed
-    assert check_h_moment(alphas=(1.0,), p_grid=(0.0,), eps_grid=(1.0,)).passed
+    assert check_h_moment(alphas=(1.0,)).passed
     assert check_tail_ratio(KernelParams(d=1, alpha=1.5)).passed
 
 
@@ -149,6 +149,16 @@ def test_identity_certificate_can_fail(monkeypatch, lemma_id):
     assert bad.status == "fail"
     assert bad.worst_slack == pytest.approx(
         bad.tolerance * (1.0 + offset) / offset, rel=1e-3)
+
+
+def test_q_mass_certificate_can_fail(monkeypatch):
+    assert check_q_mass((1.5,)).passed
+    # a pointwise inversion 1e-5 high puts the mass 1e-5 off, ten times the
+    # 1e-6 tolerance
+    orig = K.StableProfile.direct
+    monkeypatch.setattr(K.StableProfile, "direct",
+                        lambda self, r: (1.0 + 1e-5) * orig(self, r))
+    assert check_q_mass((1.5,)).status == "fail"
 
 
 def test_q_mass_evaluates_once_per_alpha(monkeypatch):

@@ -178,6 +178,32 @@ class TestCLI:
                            skiprows=2)[:, 0]
         assert np.array_equal(t_in, t_out)
 
+    @pytest.mark.parametrize("cfg_lines, flags, expect", [
+        ("renewal.c3 = 0.5\nrenewal.c4 = 0.25\n", [], (0.5, 0.25)),
+        ("renewal.c3 = 0.5\nrenewal.c4 = 0.25\n", ["--c4", "0.75"],
+         (0.5, 0.75)),
+        ("renewal.c3 = 0.5\n", [], (0.5, None)),
+    ], ids=["config-both", "flag-over-config", "config-c3-only"])
+    def test_renewal_check_reads_constants_from_config(self, tmp_path,
+                                                       cfg_lines, flags,
+                                                       expect):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN + cfg_lines)
+        series = tmp_path / "series.csv"
+        rows = [f"{0.1 * k},{math.exp(0.2 * k)},0.01,{math.exp(0.1 * k)},0.01"
+                for k in range(21)]
+        series.write_text("t,sup_mean,sup_se,inf_mean,inf_se\n"
+                          + "\n".join(rows) + "\n")
+        assert main(["renewal", "--series", str(series), "--config", str(cfg),
+                     "--weight", "exp:1,1", "--out", str(tmp_path)]
+                    + flags) in (0, 1)
+        got = json.loads((tmp_path / "renewal_check.json").read_text())
+        assert got["c3"] == expect[0]
+        if expect[1] is not None:
+            assert got["c4"] == expect[1]
+        header = (tmp_path / "renewal_check.csv").read_text().splitlines()[0]
+        assert f"c3={got['c3']:.17g} c4={got['c4']:.17g}" in header
+
     @pytest.mark.parametrize("flag, text, key", [
         ("--series", "t,sup_mean,sup_se,inf_mean,inf_se\n", "renewal.series"),
         ("--series", "t,inf_mean\n0,1\n0.1,1.5\n0.2,2\n", "renewal.series"),

@@ -329,7 +329,7 @@ class TestConvolution:
             assert cc.lambda_p > 0 and cc.theta_p > 0 and cc.c_hmom > 0
 
     def test_space_conv_certificate(self):
-        rec = check_space_conv(CK15, 1.2, t_grid=(1.0,), s_fracs=(0.4,),
+        rec = check_space_conv(CK15, 1.2, t_grid=(1.0,),
                                x_grid=np.linspace(-5, 5, 11))
         assert rec.passed
         assert rec.worst_slack >= 1.0

@@ -7,7 +7,7 @@ import pytest
 
 from levyheat.analytics import ModelSpec, SigmaSpec, U0Spec, compute_bounds
 from levyheat.errors import BlowupError, DomainError, ValidationError
-from levyheat.kernel import KernelParams, q_density
+from levyheat.kernel import KernelParams, q_density, tail_coefficient
 from levyheat.noise import LevyMeasureSpec, sample_jumps
 from levyheat.solver import (GridSpec, build_discrete_kernel, dump_trajectory,
                              heat_flow, heat_step, initial_field, mild_step,
@@ -108,6 +108,30 @@ class TestDiscreteKernel:
         dk = build_discrete_kernel(KP15, g, g.dt)
         ref = min(1.0, q_density(KP15, g.dt, 0.0) * g.dx)
         assert 1.0 / 3.0 < dk.weights[0] / ref < 3.0
+
+    @pytest.mark.parametrize("alpha", [0.2, 1.0, 1.5, 1.9])
+    def test_zeta_images_match_brute_force(self, alpha):
+        # reference: first-term tail images summed over k <= K, plus the
+        # midpoint-rule remainder int_{K+1/2}^inf (2Lk +- y)^(-1-alpha) dk;
+        # its own error, about (1+alpha)/24 K^(-2-alpha) of (2L)^(-1-alpha),
+        # is 2e-9 relative at alpha = 0.2 with K = 1000, so K = 10000
+        g = GridSpec(half_width=8.0, n_x=64, horizon=4.0, n_t=4)
+        kp = KernelParams(d=1, alpha=alpha)
+        dk = build_discrete_kernel(kp, g, 1.0)
+        off = np.arange(64.0)
+        off[off > 32] -= 64
+        y = off * g.dx
+        two_l, big_k = 2.0 * g.half_width, 10_000
+        k = np.arange(1, big_k + 1)[:, None]
+        part = ((two_l * k + y) ** (-1.0 - alpha)
+                + (two_l * k - y) ** (-1.0 - alpha)).sum(axis=0)
+        rest = ((two_l * (big_k + 0.5) + y) ** -alpha
+                + (two_l * (big_k + 0.5) - y) ** -alpha) / (two_l * alpha)
+        image = tail_coefficient(alpha, 1) * g.dx * (part + rest)
+        total = (dk.base_weights + image).sum()
+        assert dk.image_mass == pytest.approx(image.sum() / total, rel=1e-9)
+        np.testing.assert_allclose(dk.weights, (dk.base_weights + image) / total,
+                                   rtol=1e-9, atol=0.0)
 
     def test_image_mass_reported(self):
         g = GridSpec(half_width=8.0, n_x=64, horizon=4.0, n_t=4)
