@@ -271,7 +271,9 @@ class PicardReport:
     log_d[n] = log of d_n = max_{k,j} e^(-beta t_k) (1+|x_j|)^c
                (mean_replicas |X^{n+1} - X^n|^p)^(1/p),
     kept in log space because certified beta0 values make e^(-beta t)
-    underflow long before the norms become uninformative.
+    underflow long before the norms become uninformative.  `resolved` counts
+    the leading d_n at least FLOAT_FLOOR times (mean_replicas |X^n|^p)^(1/p)
+    at their arg-max cell; the ratio test judges only those.
     """
 
     beta: float
@@ -282,25 +284,15 @@ class PicardReport:
     replicas: int
     contraction_ok: bool
     failures: list
+    resolved: int
 
 
-def _weighted_log_norm(diff: np.ndarray, times: np.ndarray, x: np.ndarray,
-                       beta: float, c: float, p: float):
-    """log max_{k,j} e^(-beta t) (1+|x|)^c (mean_r |diff|^p)^(1/p), plus the
-    relative SE of the moment estimate at the arg-max."""
-    moment = np.mean(np.abs(diff) ** p, axis=1)          # (n_t+1, n_x)
-    r = diff.shape[1]
-    if r > 1:
-        se = np.std(np.abs(diff) ** p, axis=1, ddof=1) / math.sqrt(r)
-    else:
-        se = np.zeros_like(moment)
-    with np.errstate(divide="ignore"):
-        logs = (-beta * times[:, None] + c * np.log1p(np.abs(x))[None, :]
-                + np.log(moment) / p)
-    k, j = np.unravel_index(int(np.argmax(logs)), logs.shape)
-    log_d = float(logs[k, j])
-    rel = float(se[k, j] / moment[k, j] / p) if moment[k, j] > 0 else 0.0
-    return log_d, rel
+# Smallest decrement, relative to the iterate it corrects, that the ratio
+# test judges (about 4,500 float64 epsilons).  A change of summation order
+# moves a decrement by up to about 7e-16 of that iterate, so one at the
+# floor keeps three digits (log_d moves by <= 7e-4), while rounding
+# residue near 1e-16 moves by O(1) in log.
+FLOAT_FLOOR = 1e-12
 
 
 def picard_solve(ms: ModelSpec, grid: GridSpec, seed: int, replicas: int,
@@ -311,44 +303,55 @@ def picard_solve(ms: ModelSpec, grid: GridSpec, seed: int, replicas: int,
 
     X^0 is the deterministic heat flow of u0; X^{n+1} = X^0 + S(sigma(X^n))
     with S the one-step-kernel stochastic convolution, shared noise across
-    iterates.  Reports d_n for n = 0..n_iter-1 and checks
-    d_{n+1} <= target_ratio * d_n + statistical slack.
+    iterates.  Step k of X^{n+1} needs only step k of X^n, so one time
+    sweep advances X^1..X^n_iter together as one (n_iter, replicas, n_x)
+    `mild_step` with sigma frozen at [X^0, X^1, ..., X^(n_iter-1)], and
+    reduces each decrement's weighted norm as it goes: memory is
+    O(n_iter replicas n_x) plus the sparse noise and the (n_t + 1, n_x) heat
+    flow.  A blow-up reports the first step at which any iterate passes the
+    guard, with the cell and value of the largest |X| over every iterate and
+    replica at that step.  Reports d_n for n = 0..n_iter-1 and checks
+    d_{n+1} <= target_ratio * d_n + statistical slack over the first
+    `resolved` decrements.
     """
     if n_iter < 2:
         raise DomainError("need at least two iterates to measure contraction")
     if beta <= 0.0:
         raise DomainError("beta must be positive")
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
-    noise = sample_noise(ms, grid, seed, range(replicas))
+    flow = heat_flow(ms, grid, dk)
+    weight = c * np.log1p(np.abs(grid.x))
+    state = np.empty((n_iter, replicas, grid.n_x))     # X^1..X^n_iter at step k
+    state[:] = flow[0]
+    below = state.copy()                               # X^0..X^(n_iter-1)
+    log_d = np.full(n_iter, -np.inf)
+    rel_se = np.zeros(n_iter)
+    log_rel = np.full(n_iter, -np.inf)   # log of d_n / |X^n| at the arg-max cell
+    times, rows = grid.times, np.arange(n_iter)
+    for k, dlam in enumerate(sample_noise(ms, grid, seed, range(replicas))):
+        state = mild_step(state, dk, ms, dlam, grid.dx, k, sigma_at=below,
+                          guard=guard)
+        below[0] = flow[k + 1]
+        below[1:] = state[:-1]
+        powers = np.abs(state - below) ** p
+        moment = np.mean(powers, axis=1)                # (n_iter, n_x)
+        with np.errstate(divide="ignore"):
+            logs = -beta * times[k + 1] + weight + np.log(moment) / p
+            cols = np.argmax(logs, axis=1)
+            for n in np.flatnonzero(logs[rows, cols] > log_d):
+                j = cols[n]
+                log_d[n] = logs[n, j]
+                se = (np.std(powers[n], axis=0, ddof=1)[j] / math.sqrt(replicas)
+                      if replicas > 1 else 0.0)
+                rel_se[n] = se / moment[n, j] / p
+                level = np.mean(np.abs(below[n, :, j]) ** p)
+                log_rel[n] = (np.log(moment[n, j]) - np.log(level)) / p
 
-    def sweep(prev: np.ndarray) -> np.ndarray:
-        """X^{n+1} from X^n: the mild recursion with sigma frozen at X^n,
-        which by linearity of the step equals X^0 plus the stochastic
-        convolution of sigma(X^n)."""
-        nxt = np.empty_like(prev)
-        nxt[0] = prev[0]
-        for k, dlam in enumerate(noise):
-            nxt[k + 1] = mild_step(nxt[k], dk, ms, dlam, grid.dx, k,
-                                   sigma_at=prev[k], guard=guard)
-        return nxt
-
-    current = np.broadcast_to(heat_flow(ms, grid, dk)[:, None, :],
-                              (grid.n_t + 1, replicas, grid.n_x)).copy()
-    log_d = []
-    rel_se = []
-    for _ in range(n_iter):
-        nxt = sweep(current)
-        ld, rs = _weighted_log_norm(nxt - current, grid.times, grid.x, beta, c, p)
-        log_d.append(ld)
-        rel_se.append(rs)
-        current = nxt
-
-    log_d = np.array(log_d)
-    rel_se = np.array(rel_se)
+    resolved = 0
+    while resolved < n_iter and log_rel[resolved] >= math.log(FLOAT_FLOOR):
+        resolved += 1
     failures = []
-    for n in range(len(log_d) - 1):
-        if not (np.isfinite(log_d[n]) and np.isfinite(log_d[n + 1])):
-            continue        # an exactly-zero decrement satisfies any ratio
+    for n in range(resolved - 1):
         slack = 2.0 * (rel_se[n] + rel_se[n + 1])
         if log_d[n + 1] - log_d[n] > math.log(target_ratio + slack):
             failures.append({"n": n, "log_ratio": float(log_d[n + 1] - log_d[n]),
@@ -356,7 +359,7 @@ def picard_solve(ms: ModelSpec, grid: GridSpec, seed: int, replicas: int,
                              "beta": beta})
     return PicardReport(beta=beta, c=c, p=p, log_d=log_d, rel_se=rel_se,
                         replicas=replicas, contraction_ok=not failures,
-                        failures=failures)
+                        failures=failures, resolved=resolved)
 
 
 # ---------------------------------------------------------------------------
