@@ -13,11 +13,12 @@ downstream consumers cannot mistake the output for sharp constants.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateMeasureError, DomainError, NoRootError
+from .errors import (DegenerateMeasureError, DomainError, NoRootError,
+                     ValidationError)
 from .kernel import (ConvConstants, I_formula, KernelParams, conv_constants,
                      hmoment_constant, levelset_volume_minform,
                      minform_level_integral)
@@ -29,12 +30,14 @@ from .noise import LevyMeasureSpec, drift_b
 
 @dataclass(frozen=True)
 class SigmaSpec:
-    """Multiplicative coefficient descriptor with Lipschitz data.
+    """Multiplicative coefficient descriptor with its Lipschitz data.
 
     lip  is the global Lipschitz constant L_sigma;
     lip0 is inf_{w != 0} |sigma(w)| / |w|, the non-degeneracy constant.
-    Both are derived for the linear/affine kinds and must be supplied for
-    tabulated coefficients.
+    Both are derived from the coefficient.  A table is interpolated
+    linearly between strictly increasing `table_x` and held flat beyond
+    them, so its lip is the steepest segment and its lip0 is 0 (sigma
+    stays bounded while |w| grows).
     """
 
     kind: str = "linear"          # "linear" | "affine" | "table"
@@ -42,26 +45,28 @@ class SigmaSpec:
     intercept: float = 0.0
     table_x: tuple = ()
     table_y: tuple = ()
-    lip: float | None = None
-    lip0: float | None = None
+    lip: float = field(init=False)
+    lip0: float = field(init=False)
 
     def __post_init__(self):
         if self.kind == "linear":
-            object.__setattr__(self, "lip", abs(self.slope))
-            object.__setattr__(self, "lip0", abs(self.slope))
+            lip = lip0 = abs(self.slope)
         elif self.kind == "affine":
-            object.__setattr__(self, "lip", abs(self.slope))
+            lip = abs(self.slope)
             lip0 = abs(self.slope) if self.intercept == 0.0 else 0.0
-            object.__setattr__(self, "lip0", lip0)
         elif self.kind == "table":
-            if self.lip is None or self.lip0 is None:
-                raise DomainError("table sigma requires explicit lip and lip0")
             if len(self.table_x) != len(self.table_y) or len(self.table_x) < 2:
                 raise DomainError("table sigma needs matching x/y samples")
+            dx = np.diff(self.table_x)
+            if not np.all(dx > 0.0):
+                raise ValidationError("sigma.table_x",
+                                      "samples must be strictly increasing")
+            lip = float(np.max(np.abs(np.diff(self.table_y) / dx)))
+            lip0 = 0.0
         else:
             raise DomainError(f"unknown sigma kind {self.kind!r}")
-        if self.lip < self.lip0:
-            raise DomainError("L_sigma must dominate L_sigma,0")
+        object.__setattr__(self, "lip", lip)
+        object.__setattr__(self, "lip0", lip0)
 
     def __call__(self, x):
         if self.kind == "linear":
@@ -118,8 +123,8 @@ class ConstantsConfig:
     c2_g: float = 1.0
 
     def assumptions(self) -> list:
-        return [f"{name}={getattr(self, name):g} (configured, not derived)"
-                for name in ("k1", "k2", "k3", "k4", "k5", "c1_g", "c2_g")]
+        return [f"{f.name}={getattr(self, f.name):g} (configured, not derived)"
+                for f in fields(self)]
 
 
 @dataclass(frozen=True)
@@ -188,27 +193,27 @@ BETA_BRACKET = (1e-6, 1e12)
 
 
 def beta0(ms: ModelSpec, c: float, p: float,
-          constants: ConstantsConfig | None = None,
-          bracket=BETA_BRACKET, rtol: float = 1e-10) -> float:
+          constants: ConstantsConfig | None = None) -> float:
     """Smallest beta with L_sigma * contraction_constant(beta) <= 1/2.
 
-    Bisection on the monotone majorant; raises NoRootError if the threshold
-    is not reached at the bracket ceiling (mis-configured jump measure).
+    Geometric bisection on the monotone majorant over BETA_BRACKET to a
+    relative width of 1e-10; raises NoRootError if the threshold is not
+    reached at the bracket ceiling (mis-configured jump measure).
     """
     lip = ms.sigma.lip
-    if lip is None or lip <= 0.0:
+    if lip <= 0.0:
         raise DomainError("beta0 requires L_sigma > 0")
 
     def excess(beta):
         return lip * contraction_constant(ms, beta, c, p, constants) - 0.5
 
-    lo, hi = bracket
+    lo, hi = BETA_BRACKET
     if excess(hi) > 0.0:
         raise NoRootError(
             f"contraction constant stays above 1/(2 L_sigma) up to beta = {hi:g}")
     if excess(lo) <= 0.0:
         return lo
-    while hi - lo > rtol * hi:
+    while hi - lo > 1e-10 * hi:
         mid = math.sqrt(lo * hi)
         if excess(mid) > 0.0:
             lo = mid
@@ -233,25 +238,12 @@ class BoundsReport:
     growth_lower_exp: float | None = None
     subexp_rate: float | None = None
     eta_star: float | None = None
-    constants: ConvConstants | None = None
+    conv_constants: ConvConstants | None = None
     assumptions: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        out = {
-            "p": self.p, "c": self.c, "beta0": self.beta0,
-            "lyap_upper": self.lyap_upper, "growth_upper": self.growth_upper,
-            "growth_lower_exp": self.growth_lower_exp,
-            "subexp_rate": self.subexp_rate, "eta_star": self.eta_star,
-            "assumptions": list(self.assumptions),
-        }
-        if self.constants is not None:
-            out["conv_constants"] = asdict(self.constants)
-        return out
 
 
 def upper_bounds(ms: ModelSpec, c: float, p: float,
-                 constants: ConstantsConfig | None = None,
-                 beta0_value: float | None = None) -> BoundsReport:
+                 constants: ConstantsConfig | None = None) -> BoundsReport:
     """Lyapunov upper bound p*beta0 and growth-index upper bound beta0/c.
 
     The growth bound needs sigma(0) = 0 and polynomial decay with exponent
@@ -259,7 +251,7 @@ def upper_bounds(ms: ModelSpec, c: float, p: float,
     holds, and requesting it with decay_c = 0 is an error.
     """
     cfg = constants or ConstantsConfig()
-    b0 = beta0_value if beta0_value is not None else beta0(ms, c, p, cfg)
+    b0 = beta0(ms, c, p, cfg)
     rep = BoundsReport(p=p, c=c, beta0=b0, lyap_upper=p * b0,
                        assumptions=cfg.assumptions())
     if c > 0.0:
@@ -289,7 +281,7 @@ def lower_bound_exponential(ms: ModelSpec, p: float,
         raise DomainError("exponential lower bound requires alpha > d = 1")
     if ms.b != 0.0:
         raise DomainError("exponential lower bound requires drift b = 0")
-    if not (ms.sigma.lip0 and ms.sigma.lip0 > 0.0):
+    if not ms.sigma.lip0 > 0.0:
         raise DomainError("exponential lower bound requires L_sigma,0 > 0")
     if not (2.0 <= p < 1.0 + alpha / d):
         raise DomainError(f"p must lie in [2, 1 + alpha/d), got {p}")
@@ -320,7 +312,7 @@ def subexp_rate(kp: KernelParams, p: float, ms: ModelSpec | None = None,
     eta_star = None
     if ms is not None:
         cfg = constants or ConstantsConfig()
-        if not (ms.sigma.lip0 and ms.sigma.lip0 > 0.0):
+        if not ms.sigma.lip0 > 0.0:
             raise DomainError("eta_star requires L_sigma,0 > 0")
         cc = conv_constants(d, alpha, p)
         c_star = cfg.k5 * ms.levy.moment(p) * ms.sigma.lip0 ** p
@@ -338,9 +330,8 @@ def compute_bounds(ms: ModelSpec, c: float, p: float,
     rep = upper_bounds(ms, c, p, cfg)
     d, alpha = ms.kp.d, ms.kp.alpha
     if d / (d + alpha) < p:
-        rep.constants = conv_constants(d, alpha, p)
-    if (alpha > d == 1 and ms.b == 0.0 and ms.sigma.lip0
-            and ms.sigma.lip0 > 0.0):
+        rep.conv_constants = conv_constants(d, alpha, p)
+    if alpha > d == 1 and ms.b == 0.0 and ms.sigma.lip0 > 0.0:
         if 2.0 <= p < 1.0 + alpha / d:
             rep.growth_lower_exp = lower_bound_exponential(ms, p, cfg)
         if 1.0 < p < 2.0:
@@ -368,8 +359,7 @@ class WeightTable:
 
 
 def renewal_weight(kp: KernelParams, levy: LevyMeasureSpec, p: float,
-                   eps: float, delta: float,
-                   t_grid: np.ndarray | None = None) -> WeightTable:
+                   eps: float, delta: float) -> WeightTable:
     """Renewal weight: jump-moment prefactor times the kernel level-set moment.
 
         w(t) = int_{|z|>delta} |z|^p lambda
@@ -378,7 +368,9 @@ def renewal_weight(kp: KernelParams, levy: LevyMeasureSpec, p: float,
 
     computed on the exactly integrable min-form kernel h (the same envelope
     substitution the comparison estimates rest on); V_eps is the space-time
-    level-set volume of h.  Returns the table plus the exact integral.
+    level-set volume of h.  Returns the table, on 2001 equispaced times
+    over [0, 1.05 eps^(-alpha/d)] (w vanishes from eps^(-alpha/d) on), plus
+    the exact integral.
     """
     d, alpha = kp.d, kp.alpha
     if not (1.0 < p < 1.0 + alpha / d):
@@ -392,10 +384,7 @@ def renewal_weight(kp: KernelParams, levy: LevyMeasureSpec, p: float,
     volume = levelset_volume_minform(d, alpha, eps)
     prefactor = (levy.moment_above(p, delta)
                  / max(1.0, mass * volume) ** (1.0 - p / 2.0))
-    if t_grid is None:
-        t_max = eps ** (-alpha / d)
-        t_grid = np.linspace(0.0, 1.05 * t_max, 2001)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.linspace(0.0, 1.05 * eps ** (-alpha / d), 2001)
     w = np.array([0.0 if t <= 0.0
                   else prefactor * minform_level_integral(kp, t, p, eps)
                   for t in t_grid])

@@ -52,23 +52,21 @@ class VerificationReport:
         }
 
 
-def _ineq_record(lemma_id, slacks, grid_desc, detail=None) -> LemmaRecord:
+def _ineq_record(lemma_id, slacks, grid_desc) -> LemmaRecord:
     worst = float(min(slacks))
     # equality cases of the bounds land at slack 1 up to rounding
     passed = worst >= 1.0 - 1e-9
     return LemmaRecord(lemma_id=lemma_id,
                        status="pass" if passed else "fail",
-                       worst_slack=worst, tolerance=1.0, grid=grid_desc,
-                       detail=detail or {})
+                       worst_slack=worst, tolerance=1.0, grid=grid_desc)
 
 
-def _eq_record(lemma_id, rel_errors, tol, grid_desc, detail=None) -> LemmaRecord:
+def _eq_record(lemma_id, rel_errors, tol, grid_desc) -> LemmaRecord:
     worst_err = float(max(rel_errors))
     slack = tol / worst_err if worst_err > 0 else math.inf
     return LemmaRecord(lemma_id=lemma_id,
                        status="pass" if worst_err <= tol else "fail",
-                       worst_slack=slack, tolerance=tol, grid=grid_desc,
-                       detail=detail or {})
+                       worst_slack=slack, tolerance=tol, grid=grid_desc)
 
 
 DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)

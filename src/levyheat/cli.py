@@ -12,8 +12,10 @@ import argparse
 import json
 import math
 import os
+import struct
 import sys
 import warnings
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,7 @@ from .config import ExperimentConfig
 from .errors import BlowupError, NoRootError, QuadratureError, ValidationError
 from .estimator import (MomentSeries, calibrate_renewal, growth_index_scan,
                         lyapunov_fit, renewal_check, simulate_moments)
-from .solver import dump_trajectory, run_trajectory, trajectory_csv
+from .solver import Trajectory, run_trajectory
 from . import specfun
 
 EXIT_OK = 0
@@ -53,18 +55,49 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _constants_tag(cfg: ExperimentConfig | None) -> str:
+def _write_csv(path: Path, cfg: ExperimentConfig | None, extra: str,
+               columns: str, rows) -> None:
+    """A CSV artifact: one `#` line with the package version, the config
+    hash, the configured constants and `extra`, the `columns` line, then
+    one line per row of numbers."""
     if cfg is None:
-        return "defaults"
-    c = cfg.build_constants()
-    return ",".join(f"{k}:{getattr(c, k):g}"
-                    for k in ("k1", "k2", "k3", "k4", "k5", "c1_g", "c2_g"))
+        tag, constants = "none", "defaults"
+    else:
+        c = cfg.build_constants()
+        tag = cfg.config_hash()
+        constants = ",".join(f"{f.name}:{getattr(c, f.name):g}"
+                             for f in fields(c))
+    with open(path, "w") as fh:
+        fh.write(f"# levyheat={__version__} config_hash={tag} "
+                 f"constants={constants}{extra}\n{columns}\n")
+        fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
 
 
-def _csv_header(fh, cfg: ExperimentConfig | None, extra: str = "") -> None:
-    tag = cfg.config_hash() if cfg else "none"
-    fh.write(f"# levyheat={__version__} config_hash={tag} "
-             f"constants={_constants_tag(cfg)}{extra}\n")
+# magic, n_t, n_x, dt, dx, seed, replica, config hash
+_TRAJ_HEADER = struct.Struct("<4sQQddqQQ")
+_TRAJ_MAGIC = b"LVHT"
+
+
+def dump_trajectory(traj: Trajectory, path: Path, config_hash: str) -> None:
+    """Binary dump: the _TRAJ_HEADER fields, the config hash as the 64-bit
+    integer its hex digits spell, then the field row-major as
+    little-endian float64."""
+    g = traj.grid
+    with open(path, "wb") as fh:
+        fh.write(_TRAJ_HEADER.pack(_TRAJ_MAGIC, g.n_t, g.n_x, g.dt, g.dx,
+                                   traj.seed, traj.replica,
+                                   int(config_hash, 16)))
+        fh.write(np.ascontiguousarray(traj.fields, dtype="<f8").tobytes())
+
+
+def trajectory_csv(traj: Trajectory, path: Path) -> None:
+    """CSV dump (t, x, X) for small grids."""
+    g = traj.grid
+    with open(path, "w") as fh:
+        fh.write("t,x,X\n")
+        for k, t in enumerate(g.times):
+            for j, xj in enumerate(g.x):
+                fh.write(f"{t:.17g},{xj:.17g},{traj.fields[k, j]:.17g}\n")
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -138,7 +171,7 @@ def cmd_bounds(args) -> int:
     reports = []
     for p in cfg.get("run.p"):
         rep = compute_bounds(ms, c, p, constants)
-        reports.append(rep.to_dict())
+        reports.append(asdict(rep))
     payload = {"levyheat": __version__, "config_hash": cfg.config_hash(),
                "assumptions": constants.assumptions(), "reports": reports}
     outdir = _outdir(cfg, args.out)
@@ -152,6 +185,7 @@ def cmd_simulate(args) -> int:
     ms = cfg.build_model()
     grid = cfg.build_grid()
     seed = cfg.get("run.seed")
+    tag = cfg.config_hash()
     outdir = _outdir(cfg, args.out)
     paths = []
     with warnings.catch_warnings():
@@ -163,10 +197,10 @@ def cmd_simulate(args) -> int:
                 trajectory_csv(traj, path)
             else:
                 path = outdir / f"trajectory_r{r:04d}.bin"
-                dump_trajectory(traj, path)
+                dump_trajectory(traj, path, tag)
             paths.append(str(path))
     _write_json(outdir / "simulate.json",
-                {"levyheat": __version__, "config_hash": cfg.config_hash(),
+                {"levyheat": __version__, "config_hash": tag,
                  "assumptions": cfg.build_constants().assumptions(),
                  "files": paths, "seed": seed})
     print(f"wrote {len(paths)} trajectories to {outdir}")
@@ -188,15 +222,13 @@ def cmd_moments(args) -> int:
                                    jobs=cfg.get("run.jobs"))
     for p, (series, _) in zip(ps, results):
         path = outdir / f"moments_p{p:g}.csv"
-        with open(path, "w") as fh:
-            _csv_header(fh, cfg, extra=f" p={p:g} replicas={series.replicas}"
-                                       f" aggregator={series.aggregator}"
-                                       f" admissible={series.admissible}")
-            fh.write("t,sup_mean,sup_se,inf_mean,inf_se\n")
-            for k in range(len(series.times)):
-                fh.write(",".join(_fmt(v) for v in (
-                    series.times[k], series.sup_mean[k], series.sup_se[k],
-                    series.inf_mean[k], series.inf_se[k])) + "\n")
+        _write_csv(path, cfg,
+                   f" p={p:g} replicas={series.replicas}"
+                   f" aggregator={series.aggregator}"
+                   f" admissible={series.admissible}",
+                   "t,sup_mean,sup_se,inf_mean,inf_se",
+                   zip(series.times, series.sup_mean, series.sup_se,
+                       series.inf_mean, series.inf_se))
         fit = lyapunov_fit(series)
         print(f"p={p:g}: wrote {path}; fitted slopes upper={fit.upper.slope:.6g} "
               f"lower={fit.lower.slope:.6g}")
@@ -224,15 +256,10 @@ def cmd_growth_scan(args) -> int:
                                       jobs=cfg.get("run.jobs"))
     scan = growth_index_scan(surface, cfg.get("scan.eta"), r=r_exp)
     path = outdir / "growth_scan.csv"
-    with open(path, "w") as fh:
-        _csv_header(fh, cfg, extra=f" p={p:g} r={r_exp:g}")
-        fh.write("eta,t,value,empty_flag\n")
-        for i, eta in enumerate(scan.eta):
-            for k, t in enumerate(scan.times):
-                val = scan.values[i, k]
-                fh.write(f"{_fmt(eta)},{_fmt(t)},"
-                         f"{_fmt(val) if np.isfinite(val) else 'nan'},"
-                         f"{int(scan.empty[i, k])}\n")
+    _write_csv(path, cfg, f" p={p:g} r={r_exp:g}", "eta,t,value,empty_flag",
+               ((eta, t, scan.values[i, k], scan.empty[i, k])
+                for i, eta in enumerate(scan.eta)
+                for k, t in enumerate(scan.times)))
     bracket = {"eta_low": scan.eta_low, "eta_high": scan.eta_high}
     _write_json(outdir / "growth_scan.json",
                 {"levyheat": __version__, "config_hash": cfg.config_hash(),
@@ -306,13 +333,10 @@ def cmd_renewal(args) -> int:
             c4 = c4 if c4 is not None else c4_est
         chk = renewal_check(series, wt_t, wt_w, c3, c4)
         path = outdir / "renewal_check.csv"
-        with open(path, "w") as fh:
-            _csv_header(fh, cfg, extra=f" c3={c3:.17g} c4={c4:.17g}")
-            fh.write("t,inf_mean,f,margin,margin_se\n")
-            for k in range(len(chk.times)):
-                fh.write(",".join(_fmt(v) for v in (
-                    chk.times[k], series.inf_mean[k], chk.f[k],
-                    chk.margin[k], chk.margin_se[k])) + "\n")
+        _write_csv(path, cfg, f" c3={c3:.17g} c4={c4:.17g}",
+                   "t,inf_mean,f,margin,margin_se",
+                   zip(chk.times, series.inf_mean, chk.f, chk.margin,
+                       chk.margin_se))
         _write_json(outdir / "renewal_check.json",
                     {"levyheat": __version__,
                      "config_hash": cfg.config_hash() if cfg else "none",
@@ -332,12 +356,12 @@ def cmd_renewal(args) -> int:
     sol = renewal_solve(rp)
     beta1 = sol.beta1 if sol.beta1 is not None else 0.0
     path = outdir / "renewal.csv"
-    with open(path, "w") as fh:
-        _csv_header(fh, cfg, extra=f" c3={c3:.17g} c4={c4:.17g} "
-                                   f"beta1={'none' if sol.beta1 is None else _fmt(sol.beta1)}")
-        fh.write("t,f,discounted_f\n")
-        fh.writelines(f"{a:.17g},{b:.17g},{math.exp(-beta1 * a) * b:.17g}\n"
-                      for a, b in zip(sol.t.tolist(), sol.f.tolist()))
+    _write_csv(path, cfg,
+               f" c3={c3:.17g} c4={c4:.17g} "
+               f"beta1={'none' if sol.beta1 is None else _fmt(sol.beta1)}",
+               "t,f,discounted_f",
+               ((a, b, math.exp(-beta1 * a) * b)
+                for a, b in zip(sol.t.tolist(), sol.f.tolist())))
     print(f"wrote {path}; beta1={sol.beta1} limit={sol.limit_lhs}")
     return EXIT_OK
 

@@ -9,7 +9,7 @@ that build the same experiment hash alike and a changed default does not.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .analytics import ConstantsConfig, ModelSpec, SigmaSpec, U0Spec
@@ -55,8 +55,6 @@ SCHEMA = {
     "sigma.kind": (str, "linear"),
     "sigma.slope": (float, 1.0),
     "sigma.intercept": (float, 0.0),
-    "sigma.lip": (float, None),
-    "sigma.lip0": (float, None),
     "sigma.table_x": (_parse_float_list, ()),
     "sigma.table_y": (_parse_float_list, ()),
     "u0.kind": (str, "constant"),
@@ -84,13 +82,8 @@ SCHEMA = {
     "renewal.T": (float, 10.0),
     "renewal.dt": (float, 1e-3),
     "renewal.weight": (str, "model"),
-    "constants.k1": (float, 1.0),
-    "constants.k2": (float, 1.0),
-    "constants.k3": (float, 1.0),
-    "constants.k4": (float, 1.0),
-    "constants.k5": (float, 1.0),
-    "constants.c1_g": (float, 1.0),
-    "constants.c2_g": (float, 1.0),
+    **{f"constants.{f.name}": (float, f.default)
+       for f in fields(ConstantsConfig)},
 }
 
 
@@ -163,9 +156,7 @@ class ExperimentConfig:
                          slope=self.get("sigma.slope"),
                          intercept=self.get("sigma.intercept"),
                          table_x=self.get("sigma.table_x"),
-                         table_y=self.get("sigma.table_y"),
-                         lip=self.get("sigma.lip"),
-                         lip0=self.get("sigma.lip0"))
+                         table_y=self.get("sigma.table_y"))
 
     def build_u0(self) -> U0Spec:
         return U0Spec(kind=self.get("u0.kind"), value=self.get("u0.value"),
@@ -187,13 +178,8 @@ class ExperimentConfig:
                         horizon=self.get("grid.T"), n_t=self.get("grid.nt"))
 
     def build_constants(self) -> ConstantsConfig:
-        return ConstantsConfig(k1=self.get("constants.k1"),
-                               k2=self.get("constants.k2"),
-                               k3=self.get("constants.k3"),
-                               k4=self.get("constants.k4"),
-                               k5=self.get("constants.k5"),
-                               c1_g=self.get("constants.c1_g"),
-                               c2_g=self.get("constants.c2_g"))
+        return ConstantsConfig(**{f.name: self.get(f"constants.{f.name}")
+                                  for f in fields(ConstantsConfig)})
 
     # -- serialization -------------------------------------------------------
 

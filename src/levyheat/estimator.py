@@ -257,9 +257,9 @@ class SlopeFit:
         return self.ci_high < 0.0
 
 
-def fit_log_slope(t: np.ndarray, values: np.ndarray,
-                  confidence: float = 0.95) -> SlopeFit:
-    """Least-squares slope of log(values) against t, CI from the residuals."""
+def fit_log_slope(t: np.ndarray, values: np.ndarray) -> SlopeFit:
+    """Least-squares slope of log(values) against t, two-sided 95% CI from
+    the residuals."""
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(t) < 5:
@@ -274,7 +274,7 @@ def fit_log_slope(t: np.ndarray, values: np.ndarray,
     resid = y - (intercept + slope * t)
     dof = len(t) - 2
     se = math.sqrt(float(np.sum(resid ** 2)) / dof / sxx)
-    q = stdtrit(dof, 0.5 + confidence / 2.0)
+    q = stdtrit(dof, 0.975)
     return SlopeFit(slope=slope, intercept=intercept, se=se,
                     ci_low=slope - q * se, ci_high=slope + q * se, n=len(t))
 
@@ -286,15 +286,11 @@ class LyapunovFit:
     window: tuple
 
 
-def lyapunov_fit(series: MomentSeries, window: tuple | None = None) -> LyapunovFit:
-    """Fit exponential rates of the sup/inf moment series over a time window.
-
-    Default window: the second half of the horizon.
-    """
+def lyapunov_fit(series: MomentSeries) -> LyapunovFit:
+    """Fit exponential rates of the sup/inf moment series over the second
+    half of the horizon."""
     t = series.times
-    if window is None:
-        window = (t[-1] / 2.0, t[-1])
-    lo, hi = window
+    lo, hi = t[-1] / 2.0, t[-1]
     mask = (t >= lo) & (t <= hi)
     if mask.sum() < 5:
         raise DomainError("window holds fewer than 5 series points")
@@ -321,15 +317,16 @@ class GrowthScan:
     eta_high: float | None = None
 
 
-def growth_index_scan(surface: MomentSurface, eta_grid, r: float = 1.0,
-                      fit_window: tuple | None = None,
-                      t_floor: float = 0.0) -> GrowthScan:
-    """Sup of the moment estimate over cells |x| >= e^(eta t^r), per (eta, t).
+def growth_index_scan(surface: MomentSurface, eta_grid,
+                      r: float = 1.0) -> GrowthScan:
+    """Sup of the moment estimate over cells |x| >= e^(eta t^r), per (eta,
+    t > 0); t = 0 is flagged empty.
 
-    The late-time slope of (1/t^r) log sup is fitted per eta (default window:
-    last half); eta_low is the largest eta with a significantly positive
-    slope, eta_high the smallest with a significantly negative one.  Regions
-    that leave the torus are flagged empty and excluded from fits.
+    The late-time slope of (1/t^r) log sup is fitted per eta over the last
+    half of the horizon; eta_low is the largest eta with a significantly
+    positive slope, eta_high the smallest with a significantly negative
+    one.  Regions that leave the torus are flagged empty and excluded from
+    fits.
     """
     eta_grid = np.asarray(sorted(eta_grid), dtype=float)
     t = surface.times
@@ -338,7 +335,7 @@ def growth_index_scan(surface: MomentSurface, eta_grid, r: float = 1.0,
     empty = np.ones_like(values, dtype=bool)
     for i, eta in enumerate(eta_grid):
         for k, tk in enumerate(t):
-            if tk <= t_floor:
+            if tk <= 0.0:
                 continue
             radius = math.exp(eta * tk ** r)
             mask = absx >= radius
@@ -347,9 +344,7 @@ def growth_index_scan(surface: MomentSurface, eta_grid, r: float = 1.0,
             values[i, k] = surface.mean[k, mask].max()
             empty[i, k] = False
 
-    if fit_window is None:
-        fit_window = (t[-1] / 2.0, t[-1])
-    lo, hi = fit_window
+    lo, hi = t[-1] / 2.0, t[-1]
     slopes = []
     for i in range(len(eta_grid)):
         mask = (~empty[i]) & (t >= lo) & (t <= hi) & (t > 0)
@@ -387,13 +382,13 @@ class RenewalCheck:
     fitted_lower_slope: SlopeFit
     c3: float
     c4: float
-    t_floor: float = 0.0
+    t_floor: float
 
     @property
     def ordered(self) -> bool:
         """Margin nonnegative within 2 SE at times past the floor.
 
-        Early times are excluded by default: there the spatial minimum's
+        Early times are excluded: there the spatial minimum's
         selection bias (min over many near-tied cells) dwarfs its per-cell
         standard error, so a 2 SE band is not a meaningful test.
         """
@@ -403,20 +398,17 @@ class RenewalCheck:
 
 
 def renewal_check(series: MomentSeries, weight_t: np.ndarray,
-                  weight_w: np.ndarray, c3: float, c4: float,
-                  t_floor: float | None = None) -> RenewalCheck:
+                  weight_w: np.ndarray, c3: float, c4: float) -> RenewalCheck:
     """Compare the estimated inf-moment against the renewal comparison
     solution f = c3 + c4 (w * f) on the series' own time grid.  The margin
-    is reported everywhere; the pass verdict applies from t_floor on
-    (default: 10% of the horizon)."""
+    is reported everywhere; the pass verdict applies from 10% of the
+    horizon on."""
     t = series.times
     if np.any(series.inf_mean <= 0.0):
         raise DomainError("renewal check needs positive inf-moment estimates")
     dt = float(t[1] - t[0])
     if not np.allclose(np.diff(t), dt):
         raise DomainError("series time grid must be uniform")
-    if t_floor is None:
-        t_floor = 0.1 * float(t[-1])
     wv = np.interp(t, weight_t, weight_w)
     rp = RenewalProblem(c3=c3, c4=c4, horizon=float(t[-1]), dt=dt, weight=wv)
     sol = renewal_solve(rp)
@@ -425,20 +417,20 @@ def renewal_check(series: MomentSeries, weight_t: np.ndarray,
     return RenewalCheck(times=t, f=sol.f, margin=margin,
                         margin_se=series.inf_se, beta1=sol.beta1,
                         fitted_lower_slope=fitted, c3=c3, c4=c4,
-                        t_floor=t_floor)
+                        t_floor=0.1 * float(t[-1]))
 
 
 def calibrate_renewal(series: MomentSeries, weight_t: np.ndarray,
-                      weight_w: np.ndarray, quantile: float = 0.25,
-                      safety: float = 0.8):
+                      weight_w: np.ndarray):
     """Heuristic (c3, c4) from the observed series.  NOT the proof constants.
 
     c3 is the first positive-time inf-moment.  c4 comes from the earliest
     statistically resolved renewal increment,
         c4 ~ (I(t*) - c3) / (w * I)(t*),
     at the first t* where the increment clears 5 standard errors, capped so
-    the comparison solution saturates below the lower quantile of the
-    series, and shrunk by `safety`.  Report alongside any conclusion drawn.
+    the comparison solution saturates below the lower quartile of the
+    series, and shrunk by a factor 0.8.  Report alongside any conclusion
+    drawn.
     """
     t = series.times
     inf = series.inf_mean
@@ -455,6 +447,6 @@ def calibrate_renewal(series: MomentSeries, weight_t: np.ndarray,
     conv = float(np.trapezoid(wv[k::-1] * inf[:k + 1], dx=dt))
     c4_inc = max(0.0, float(inf[k]) - c3) / conv if conv > 0.0 else 0.0
 
-    level = float(np.quantile(inf[1:], quantile))
+    level = float(np.quantile(inf[1:], 0.25))
     c4_cap = max(0.0, 1.0 - c3 / level) / total if level > c3 else 0.0
-    return c3, safety * min(c4_inc, c4_cap)
+    return c3, 0.8 * min(c4_inc, c4_cap)

@@ -427,6 +427,8 @@ def minform_level_integral(kp: KernelParams, t: float, p: float, eps: float) -> 
 
 # h_moment's time panels: 0, then t_max * 10^-k for k = 60, ..., 0
 HMOMENT_TIME_CUTS = (0.0,) + tuple(10.0 ** -k for k in range(60, -1, -1))
+# smallest alpha h_moment's quadrature route accepts
+HMOMENT_ALPHA_FLOOR = 0.02
 
 
 def h_moment(kp: KernelParams, eps: float, p: float):
@@ -448,8 +450,11 @@ def h_moment(kp: KernelParams, eps: float, p: float):
     1e-60^((1+alpha-p)/alpha) of the integral: the route agrees with the
     closed form to rounding for p <= 1 (the certificate grid) and to 3e-13
     while (1+alpha-p)/alpha >= 0.2, and loses digits as p -> 1 + alpha
-    (6e-5 at alpha = 1.5, p = 2.4).  Below alpha = 0.05 the space
-    integrand varies too fast for 24 nodes (2e-7 at alpha = 0.02, p = 0).
+    (6e-5 at alpha = 1.5, p = 2.4).  At small alpha the space integrand
+    varies too fast for 24 nodes: the worst relative error over p in
+    {0, 0.5, 1}, eps in {0.25, 1, 4} is 3.6e-12 at alpha = 0.05, 1.9e-7 at
+    0.02, 4.0e-5 at 0.01 and 1.6e-3 at 0.005, so the route refuses alpha
+    below HMOMENT_ALPHA_FLOOR = 0.02 with a DomainError.
     """
     d, a = kp.d, kp.alpha
     if eps <= 0.0:
@@ -457,6 +462,9 @@ def h_moment(kp: KernelParams, eps: float, p: float):
     closed = hmoment_constant(d, a, p) * eps ** (-(1.0 + a / d - p))
     if d != 1:
         return closed, None
+    if a < HMOMENT_ALPHA_FLOOR:
+        raise DomainError(f"the level-set moment quadrature needs alpha >= "
+                          f"{HMOMENT_ALPHA_FLOOR}, got {a}")
     t, w_t = _gauss_panels(eps ** (-a) * np.asarray(HMOMENT_TIME_CUTS), 24)
     s, w_s = _gauss_panels([0.0, 1.0], 24)
     # logarithms throughout: t^(1/alpha) underflows at small alpha
@@ -578,8 +586,9 @@ def g_fourier_lower(ck: ComparisonKernel, t: float, p: float, z) -> float:
 # --- numeric convolutions (d = 1) ------------------------------------------
 
 
-def _conv_nodes(ck: ComparisonKernel, u: float, s: float, x: float, n: int = 32):
-    """Panel layout for the two-peak convolution integrand on the line.
+def _conv_nodes(ck: ComparisonKernel, u: float, s: float, x: float):
+    """32-node Gauss-Legendre panels for the two-peak convolution integrand
+    on the line.
 
     Peaks sit at y = 0 (width s^(1/alpha)) and y = x (width (t-s)^(1/alpha));
     panels grade geometrically away from each peak, plus far-field panels out
@@ -596,8 +605,7 @@ def _conv_nodes(ck: ComparisonKernel, u: float, s: float, x: float, n: int = 32)
                 c = center + sgn * m * w
                 if -big < c < big:
                     cuts.add(c)
-    panels = sorted(cuts)
-    return _gauss_panels(panels, n)
+    return _gauss_panels(sorted(cuts), 32)
 
 
 def space_conv_gp(ck: ComparisonKernel, p: float, t: float, s: float, x: float) -> float:
@@ -612,11 +620,12 @@ def space_conv_gp(ck: ComparisonKernel, p: float, t: float, s: float, x: float) 
     return float(np.sum(w * vals))
 
 
-def _graded_time_nodes(t: float, n: int = 16):
-    """Time panels graded into both endpoints (integrable power singularities)."""
+def _graded_time_nodes(t: float):
+    """16-node time panels graded into both endpoints (integrable power
+    singularities)."""
     fracs = [1e-9, 1e-7, 1e-5, 1e-3, 0.01, 0.06, 0.25, 0.5]
     cuts = [t * f for f in fracs] + [t * (1.0 - f) for f in reversed(fracs[:-1])]
-    return _gauss_panels(sorted(set(cuts)), n)
+    return _gauss_panels(sorted(set(cuts)), 16)
 
 
 def timespace_conv_gp(ck: ComparisonKernel, p: float, t: float, x: float) -> float:

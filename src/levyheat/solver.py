@@ -208,8 +208,7 @@ def sample_noise(ms: ModelSpec, grid: GridSpec, seed: int,
 
 def mild_step(fields: np.ndarray, dk: DiscreteKernel, ms: ModelSpec,
               dlam: np.ndarray, dx: float, step: int,
-              sigma_at: np.ndarray | None = None,
-              guard: float = BLOWUP_GUARD) -> np.ndarray:
+              sigma_at: np.ndarray | None = None) -> np.ndarray:
     """Mild-solution step `step` -> `step + 1`:
 
         X_{k+1} = Q_dt X_k + Q_dt( sigma(Y_k) dLambda_k ) / dx ,
@@ -217,12 +216,13 @@ def mild_step(fields: np.ndarray, dk: DiscreteKernel, ms: ModelSpec,
     with sigma evaluated at the left point, Y = X unless `sigma_at` gives
     another field (the previous Picard iterate).  dlam is the combined cell
     noise measure (compensated jumps + drift + Gaussian).  Raises
-    BlowupError with `step` and the largest cell past the guard threshold.
+    BlowupError with `step` and the largest cell once some |X| passes
+    BLOWUP_GUARD.
     """
     sig = ms.sigma(fields if sigma_at is None else sigma_at)
     out = heat_step(fields + sig * dlam / dx, dk)
     amax = np.abs(out).max()
-    if not np.isfinite(amax) or amax > guard:
+    if not np.isfinite(amax) or amax > BLOWUP_GUARD:
         idx = np.unravel_index(int(np.nanargmax(np.abs(out))), out.shape)
         raise BlowupError(step=step, cell=int(idx[-1]), value=float(amax))
     return out
@@ -233,7 +233,6 @@ class Trajectory:
     """One replica of the simulated field X(t_k, x_j)."""
 
     fields: np.ndarray           # (n_t + 1, n_x)
-    model: ModelSpec
     grid: GridSpec
     seed: int
     replica: int
@@ -243,8 +242,8 @@ class Trajectory:
             raise ValidationError("trajectory", "non-finite field values")
 
 
-def run_trajectory(ms: ModelSpec, grid: GridSpec, seed: int, replica: int,
-                   guard: float = BLOWUP_GUARD) -> Trajectory:
+def run_trajectory(ms: ModelSpec, grid: GridSpec, seed: int,
+                   replica: int) -> Trajectory:
     """Advance one noise replica over the whole grid; deterministic in
     (model, grid, seed, replica)."""
     if not grid.containment_ok(ms.kp.alpha):
@@ -254,10 +253,8 @@ def run_trajectory(ms: ModelSpec, grid: GridSpec, seed: int, replica: int,
     fields = np.empty((grid.n_t + 1, grid.n_x))
     fields[0] = initial_field(ms, grid)
     for k, dlam in enumerate(sample_noise(ms, grid, seed, [replica])):
-        fields[k + 1] = mild_step(fields[k], dk, ms, dlam[0], grid.dx, k,
-                                  guard=guard)
-    return Trajectory(fields=fields, model=ms, grid=grid, seed=seed,
-                      replica=replica)
+        fields[k + 1] = mild_step(fields[k], dk, ms, dlam[0], grid.dx, k)
+    return Trajectory(fields=fields, grid=grid, seed=seed, replica=replica)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +294,7 @@ FLOAT_FLOOR = 1e-12
 
 def picard_solve(ms: ModelSpec, grid: GridSpec, seed: int, replicas: int,
                  n_iter: int, beta: float, c: float, p: float,
-                 target_ratio: float = 0.5,
-                 guard: float = BLOWUP_GUARD) -> PicardReport:
+                 target_ratio: float = 0.5) -> PicardReport:
     """Discrete Picard iteration mirroring the existence argument.
 
     X^0 is the deterministic heat flow of u0; X^{n+1} = X^0 + S(sigma(X^n))
@@ -329,8 +325,7 @@ def picard_solve(ms: ModelSpec, grid: GridSpec, seed: int, replicas: int,
     log_rel = np.full(n_iter, -np.inf)   # log of d_n / |X^n| at the arg-max cell
     times, rows = grid.times, np.arange(n_iter)
     for k, dlam in enumerate(sample_noise(ms, grid, seed, range(replicas))):
-        state = mild_step(state, dk, ms, dlam, grid.dx, k, sigma_at=below,
-                          guard=guard)
+        state = mild_step(state, dk, ms, dlam, grid.dx, k, sigma_at=below)
         below[0] = flow[k + 1]
         below[1:] = state[:-1]
         powers = np.abs(state - below) ** p
@@ -361,40 +356,3 @@ def picard_solve(ms: ModelSpec, grid: GridSpec, seed: int, replicas: int,
                         replicas=replicas, contraction_ok=not failures,
                         failures=failures, resolved=resolved)
 
-
-# ---------------------------------------------------------------------------
-# trajectory dumps
-
-import struct
-
-_TRAJ_HEADER = struct.Struct("<4sQQddQQQ")
-_TRAJ_MAGIC = b"LVHT"
-
-
-def dump_trajectory(traj: Trajectory, path) -> None:
-    """Binary dump: header {n_t, n_x, dt, dx, seed, replica, model_hash},
-    then the field row-major as little-endian float64."""
-    g = traj.grid
-    mh = model_hash(traj.model, g)
-    with open(path, "wb") as fh:
-        fh.write(_TRAJ_HEADER.pack(_TRAJ_MAGIC, g.n_t, g.n_x, g.dt, g.dx,
-                                   traj.seed, traj.replica, mh))
-        fh.write(np.ascontiguousarray(traj.fields, dtype="<f8").tobytes())
-
-
-def trajectory_csv(traj: Trajectory, path) -> None:
-    """CSV dump (t, x, X) for small grids."""
-    g = traj.grid
-    with open(path, "w") as fh:
-        fh.write("t,x,X\n")
-        for k, t in enumerate(g.times):
-            for j, xj in enumerate(g.x):
-                fh.write(f"{t:.17g},{xj:.17g},{traj.fields[k, j]:.17g}\n")
-
-
-def model_hash(ms: ModelSpec, grid: GridSpec) -> int:
-    """Stable 64-bit hash of the model + grid description."""
-    import hashlib
-    text = repr((ms.kp.d, ms.kp.alpha, ms.rho, ms.levy, ms.sigma, ms.u0,
-                 grid.half_width, grid.n_x, grid.horizon, grid.n_t))
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "little")

@@ -56,9 +56,10 @@ def _validate_ml(a: float, b: float) -> None:
         raise DomainError(f"Mittag-Leffler parameter b must be > 0, got {b}")
 
 
-def ml_series(a: float, b: float, z: float, max_terms: int = ML_SERIES_MAX_TERMS,
-              rtol: float = 1e-16) -> float:
-    """Partial sums of sum_n z^n / Gamma(a n + b), in log space.
+def ml_series(a: float, b: float, z: float,
+              max_terms: int = ML_SERIES_MAX_TERMS) -> float:
+    """Partial sums of sum_n z^n / Gamma(a n + b), in log space, until the
+    terms decay below 1e-16 of the sum.
 
     Converges for every finite z; `max_terms` caps the work and an
     OverflowSignal is raised if terms stop fitting in doubles.  This is the
@@ -82,7 +83,7 @@ def ml_series(a: float, b: float, z: float, max_terms: int = ML_SERIES_MAX_TERMS
         total += term
         peak = max(peak, log_term)
         # stop once terms are decaying and negligible relative to the sum
-        if n > 1 and log_term < peak and abs(term) <= rtol * max(abs(total), 1e-300):
+        if n > 1 and log_term < peak and abs(term) <= 1e-16 * max(abs(total), 1e-300):
             return total
     raise DomainError(
         f"Mittag-Leffler series did not converge within {max_terms} terms "

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from levyheat.analytics import (BoundsReport, ConstantsConfig, ModelSpec,
                                 lower_bound_exponential, renewal_solve,
                                 renewal_weight, subexp_rate, upper_bounds)
 from levyheat import analytics
-from levyheat.errors import DomainError, NoRootError
+from levyheat.errors import DomainError, NoRootError, ValidationError
 from levyheat.kernel import KernelParams
 from levyheat.noise import LevyMeasureSpec
 
@@ -70,9 +71,10 @@ class TestBeta0:
         quads = LevyMeasureSpec(variant="atoms", atoms=((1.0, 4.0), (-1.0, 4.0)))
         assert beta0(model(levy=quads), 0.0, 1.0) == pytest.approx(64.0, rel=1e-9)
 
-    def test_no_root_error(self):
+    def test_no_root_error(self, monkeypatch):
+        monkeypatch.setattr(analytics, "BETA_BRACKET", (1e-6, 8.0))
         with pytest.raises(NoRootError):
-            beta0(model(), 0.0, 1.0, bracket=(1e-6, 8.0))
+            beta0(model(), 0.0, 1.0)
 
 
 class TestUpperBounds:
@@ -171,6 +173,41 @@ class TestSubexp:
             subexp_rate(KP15, 2.3)
 
 
+def slope2_table():
+    return SigmaSpec(kind="table", table_x=(-1.0, 0.0, 1.0),
+                     table_y=(-2.0, 0.0, 2.0))
+
+
+class TestTableSigma:
+    def test_lipschitz_data_derived(self):
+        # steepest segment; held flat beyond the samples, so |sigma(w)|/|w|
+        # tends to 0
+        table = slope2_table()
+        assert (table.lip, table.lip0) == (2.0, 0.0)
+        steep = SigmaSpec(kind="table", table_x=(0.0, 1.0, 1.5),
+                          table_y=(0.0, 1.0, -1.0))
+        assert steep.lip == 4.0
+        with pytest.raises(TypeError):
+            SigmaSpec(kind="table", table_x=(0.0, 1.0), table_y=(0.0, 1.0),
+                      lip=0.5)
+
+    def test_bounds_match_linear_model(self):
+        table = ModelSpec(kp=KP15, levy=ATOMS, sigma=slope2_table(),
+                          u0=U0Spec())
+        rep = compute_bounds(table, 0.0, 2.0)
+        assert rep.beta0 == pytest.approx(beta0(model(KP15, slope=2.0), 0.0, 2.0),
+                                          rel=1e-9)
+        assert rep.growth_lower_exp is None
+        with pytest.raises(DomainError):
+            lower_bound_exponential(table, 2.0)
+
+    @pytest.mark.parametrize("xs", [(1.0, 0.0, -1.0), (-1.0, 0.0, 0.0)])
+    def test_non_increasing_x_rejected(self, xs):
+        with pytest.raises(ValidationError) as err:
+            SigmaSpec(kind="table", table_x=xs, table_y=(-2.0, 0.0, 2.0))
+        assert err.value.key_path == "sigma.table_x"
+
+
 class TestComputeBounds:
     def test_full_report_fields(self):
         ms = model(KP15, u0=U0Spec(kind="poly_decay", decay_c=0.5))
@@ -179,8 +216,8 @@ class TestComputeBounds:
         assert rep.lyap_upper == pytest.approx(2.0 * rep.beta0)
         assert rep.growth_lower_exp is not None and rep.growth_lower_exp > 0
         assert rep.subexp_rate == 1.0
-        assert rep.constants is not None
-        d = rep.to_dict()
+        assert rep.conv_constants is not None
+        d = asdict(rep)
         assert "assumptions" in d and "conv_constants" in d
 
     def test_subexp_branch(self):

@@ -5,6 +5,7 @@ import pytest
 
 from levyheat import certify
 from levyheat import kernel as K
+from levyheat.errors import DomainError
 from levyheat.certify import (DEFAULT_T_GRID, LemmaRecord, check_beta_identity,
                               check_g_fourier_equality, check_g_mass,
                               check_g_p_integral, check_g_tensor_split,
@@ -60,6 +61,14 @@ def test_individual_checks():
     assert check_g_fourier_equality().passed
     assert check_h_moment(alphas=(1.0,)).passed
     assert check_tail_ratio(KernelParams(d=1, alpha=1.5)).passed
+
+
+def test_h_moment_refuses_alpha_below_floor():
+    # 24 nodes in s under-resolve the space integrand below alpha = 0.02
+    # (1.6e-3 worst error at alpha = 0.005): refused, not failed
+    with pytest.raises(DomainError):
+        check_h_moment((0.005,))
+    assert check_h_moment((0.02,)).passed
 
 
 def test_record_pass_property():

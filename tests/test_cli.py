@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,17 @@ run.replicas = 6
 run.seed = 77
 scan.eta = 0.2, 0.5
 """
+
+TABLE_SIGMA = """
+sigma.kind = table
+sigma.table_x = -1, 0, 1
+sigma.table_y = -2, 0, 2
+"""
+
+
+def read_trajectory_header(path):
+    """magic, n_t, n_x, dt, dx, seed, replica, config hash"""
+    return struct.unpack_from("<4sQQddqQQ", path.read_bytes())
 
 
 class TestConfig:
@@ -281,6 +293,43 @@ class TestCLI:
                      "--replicas", "4", "--out", str(tmp_path / "scan")]) == 0
         lines = (tmp_path / "scan" / "growth_scan.csv").read_text().splitlines()
         assert lines[1] == "eta,t,value,empty_flag"
+
+    def test_trajectory_header_carries_config_hash(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN)
+        assert main(["simulate", "--config", str(cfg), "--replicas", "1",
+                     "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "simulate.json").read_text())
+        header = read_trajectory_header(tmp_path / "trajectory_r0000.bin")
+        assert header[:4] == (b"LVHT", 50, 64, 0.02)
+        assert header[5:] == (77, 0, int(payload["config_hash"], 16))
+
+    def test_simulate_negative_seed(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN)
+        assert main(["simulate", "--config", str(cfg), "--replicas", "1",
+                     "--seed", "-1", "--out", str(tmp_path)]) == 0
+        assert read_trajectory_header(tmp_path / "trajectory_r0000.bin")[5] == -1
+
+    def test_table_sigma_bounds_derive_lipschitz_data(self, tmp_path):
+        # slope-2 table: beta0 of the linear slope-2 model; sigma is held
+        # flat beyond the table, so L_sigma,0 = 0 and no exponential bound
+        cfg = tmp_path / "cfg"
+        cfg.write_text(TABLE_SIGMA)
+        assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "bounds.json").read_text())["reports"][0]
+        assert report["beta0"] == pytest.approx(314998283.5, rel=1e-9)
+        assert report["growth_lower_exp"] is None
+
+    @pytest.mark.parametrize("line, key", [
+        ("sigma.lip = 0.5", "sigma.lip"),
+        ("sigma.table_x = 1, 0, -1", "sigma.table_x")])
+    def test_table_sigma_rejects(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(TABLE_SIGMA + line + "\n")
+        assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "bounds.json").exists()
 
     def test_verify_lemmas_fast(self, tmp_path):
         out = tmp_path / "lemmas.json"

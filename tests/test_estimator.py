@@ -148,8 +148,8 @@ class TestGrowthScan:
         mean = np.exp(t)[:, None] * np.exp(-0.5 * (np.abs(x)[None, :] - 3.0) ** 2)
         surf = MomentSurface(times=t, x=x, mean=mean, se=0.01 * mean, p=1.0,
                              replicas=10)
-        scan = growth_index_scan(surf, eta_grid=[0.0], r=1.0, t_floor=-1.0)
-        assert np.allclose(scan.values[0], mean.max(axis=1))
+        scan = growth_index_scan(surf, eta_grid=[0.0], r=1.0)
+        assert np.allclose(scan.values[0, 1:], mean.max(axis=1)[1:])
 
     def test_monotone_in_eta(self):
         scan = growth_index_scan(synthetic_surface(),

@@ -11,10 +11,10 @@ from levyheat.errors import BlowupError, DomainError, ValidationError
 from levyheat.kernel import KernelParams, q_density, tail_coefficient
 from levyheat.noise import LevyMeasureSpec, sample_jumps
 from levyheat import solver
-from levyheat.solver import (GridSpec, build_discrete_kernel, dump_trajectory,
-                             heat_flow, heat_step, initial_field, mild_step,
-                             picard_solve, run_trajectory, sample_noise,
-                             trajectory_csv)
+from levyheat.cli import dump_trajectory, trajectory_csv
+from levyheat.solver import (GridSpec, build_discrete_kernel, heat_flow,
+                             heat_step, initial_field, mild_step,
+                             picard_solve, run_trajectory, sample_noise)
 
 KP15 = KernelParams(d=1, alpha=1.5)
 KP1 = KernelParams(d=1, alpha=1.0)
@@ -235,9 +235,10 @@ class TestSimulationCore:
                       sigma=SigmaSpec(kind="linear", slope=1.0),
                       u0=U0Spec(kind="constant", value=1.0))
 
-    def test_picard_blowup_reports_first_step_and_cell(self):
+    def test_picard_blowup_reports_first_step_and_cell(self, monkeypatch):
         ms = model()
         grid, guard = self.GRID, 3.0
+        monkeypatch.setattr(solver, "BLOWUP_GUARD", guard)
         dk = build_discrete_kernel(KP15, grid, grid.dt)
         dlam = dense_noise(sample_noise(ms, grid, 5, range(4)))
         # the one sweep by hand, X^1 and X^2 stepped together:
@@ -255,7 +256,7 @@ class TestSimulationCore:
         assert cell != 0
         with pytest.raises(BlowupError) as info:
             picard_solve(ms, grid, seed=5, replicas=4, n_iter=2, beta=1.0,
-                         c=0.0, p=2.0, guard=guard)
+                         c=0.0, p=2.0)
         assert (info.value.step, info.value.cell) == (k, cell)
         assert info.value.value == pytest.approx(both.max(), rel=1e-12)
 
@@ -348,7 +349,7 @@ class TestTrajectory:
     def test_dumps(self, tmp_path):
         g = GridSpec(half_width=8.0, n_x=16, horizon=0.5, n_t=5)
         traj = quiet_run(model(), g, seed=1, replica=0)
-        dump_trajectory(traj, tmp_path / "t.bin")
+        dump_trajectory(traj, tmp_path / "t.bin", "0123456789abcdef")
         trajectory_csv(traj, tmp_path / "t.csv")
         lines = (tmp_path / "t.csv").read_text().splitlines()
         assert lines[0] == "t,x,X"
