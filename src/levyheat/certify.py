@@ -125,37 +125,35 @@ def check_g_fourier_equality() -> LemmaRecord:
 
 def check_g_tensor_split(ck: K.ComparisonKernel, t_grid=DEFAULT_T_GRID,
                          x_grid=None) -> LemmaRecord:
-    """g(t, x-y) >= kappa^-1 t^(d/alpha) g(t, sqrt2 x) g(t, sqrt2 y) on grids."""
-    x_grid = x_grid if x_grid is not None else default_x_grid()
+    """g(t, x-y) >= kappa^-1 t^(d/alpha) g(t, sqrt2 x) g(t, sqrt2 y) on grids;
+    the slacks run over t, x, y and the sign of y, in that order."""
+    x = np.asarray(x_grid if x_grid is not None else default_x_grid(), dtype=float)
     d, a = ck.d, ck.alpha
+    kappa = ck.kappa
+    # x - sy * y over (x, y, sy)
+    diff = x[:, None, None] - np.array([1.0, -1.0]) * x[None, :, None]
     slacks = []
-    rt2 = math.sqrt(2.0)
     for t in t_grid:
-        for x in x_grid:
-            for y in x_grid:
-                for sy in (1.0, -1.0):
-                    lhs = ck.g(t, x - sy * y)
-                    rhs = (t ** (d / a) / ck.kappa
-                           * ck.g(t, rt2 * x) * ck.g(t, rt2 * y))
-                    slacks.append(lhs / rhs)
-    return _ineq_record("g-tensor-split", slacks,
-                        f"t in {tuple(t_grid)}, |x|,|y| <= {max(x_grid):g}")
+        g_rt2 = ck.g_radial(t, math.sqrt(2.0) * x)
+        rhs = t ** (d / a) / kappa * g_rt2[:, None, None] * g_rt2[None, :, None]
+        slacks.append((ck.g_radial(t, diff) / rhs).ravel())
+    return _ineq_record("g-tensor-split", np.concatenate(slacks),
+                        f"t in {tuple(t_grid)}, |x|,|y| <= {x.max():g}")
 
 
 def check_g_time_monotone(ck: K.ComparisonKernel, t_grid=DEFAULT_T_GRID,
                           x_grid=None) -> LemmaRecord:
-    """s^(d/alpha) g(s,x) >= t^(d/alpha)/2^(1+d/alpha) g(t,x) for t/2 <= s <= t."""
-    x_grid = x_grid if x_grid is not None else default_x_grid()
+    """s^(d/alpha) g(s,x) >= t^(d/alpha)/2^(1+d/alpha) g(t,x) for t/2 <= s <= t;
+    the slacks run over t, s/t and x, in that order."""
+    x = np.asarray(x_grid if x_grid is not None else default_x_grid(), dtype=float)
     d, a = ck.d, ck.alpha
     slacks = []
     for t in t_grid:
+        rhs = t ** (d / a) / 2.0 ** (1.0 + d / a) * ck.g_radial(t, x)
         for frac in (0.5, 0.6, 0.75, 0.9, 1.0):
             s = frac * t
-            for x in x_grid:
-                lhs = s ** (d / a) * ck.g(s, x)
-                rhs = t ** (d / a) / 2.0 ** (1.0 + d / a) * ck.g(t, x)
-                slacks.append(lhs / rhs)
-    return _ineq_record("g-time-comparison", slacks,
+            slacks.append(s ** (d / a) * ck.g_radial(s, x) / rhs)
+    return _ineq_record("g-time-comparison", np.concatenate(slacks),
                         f"t in {tuple(t_grid)}, s/t in [0.5, 1]")
 
 

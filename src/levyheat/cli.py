@@ -59,7 +59,7 @@ def _write_csv(path: Path, cfg: ExperimentConfig | None, extra: str,
                columns: str, rows) -> None:
     """A CSV artifact: one `#` line with the package version, the config
     hash, the configured constants and `extra`, the `columns` line, then
-    one line per row of numbers."""
+    one line per row of numbers, each formatted as `_fmt` formats it."""
     if cfg is None:
         tag, constants = "none", "defaults"
     else:
@@ -70,7 +70,8 @@ def _write_csv(path: Path, cfg: ExperimentConfig | None, extra: str,
     with open(path, "w") as fh:
         fh.write(f"# levyheat={__version__} config_hash={tag} "
                  f"constants={constants}{extra}\n{columns}\n")
-        fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        row_fmt = ",".join(["%.17g"] * len(columns.split(","))) + "\n"
+        fh.writelines(row_fmt % tuple(row) for row in rows)
 
 
 # magic, n_t, n_x, dt, dx, seed, replica, config hash
@@ -90,14 +91,13 @@ def dump_trajectory(traj: Trajectory, path: Path, config_hash: str) -> None:
         fh.write(np.ascontiguousarray(traj.fields, dtype="<f8").tobytes())
 
 
-def trajectory_csv(traj: Trajectory, path: Path) -> None:
-    """CSV dump (t, x, X) for small grids."""
+def trajectory_csv(traj: Trajectory, path: Path,
+                   cfg: ExperimentConfig | None) -> None:
+    """CSV dump (t, x, X) for small grids, through `_write_csv`."""
     g = traj.grid
-    with open(path, "w") as fh:
-        fh.write("t,x,X\n")
-        for k, t in enumerate(g.times):
-            for j, xj in enumerate(g.x):
-                fh.write(f"{t:.17g},{xj:.17g},{traj.fields[k, j]:.17g}\n")
+    _write_csv(path, cfg, f" seed={traj.seed} replica={traj.replica}", "t,x,X",
+               ((t, xj, traj.fields[k, j]) for k, t in enumerate(g.times)
+                for j, xj in enumerate(g.x)))
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -194,11 +194,11 @@ def cmd_simulate(args) -> int:
             traj = run_trajectory(ms, grid, seed, r)
             if args.csv:
                 path = outdir / f"trajectory_r{r:04d}.csv"
-                trajectory_csv(traj, path)
+                trajectory_csv(traj, path, cfg)
             else:
                 path = outdir / f"trajectory_r{r:04d}.bin"
                 dump_trajectory(traj, path, tag)
-            paths.append(str(path))
+            paths.append(path.name)
     _write_json(outdir / "simulate.json",
                 {"levyheat": __version__, "config_hash": tag,
                  "assumptions": cfg.build_constants().assumptions(),
@@ -319,14 +319,15 @@ def cmd_renewal(args) -> int:
     weight_txt = args.weight or (cfg.get("renewal.weight") if cfg else "exp:1,1")
     wt_t, wt_w, wt_func = _parse_weight_arg(weight_txt, cfg, horizon, dt)
     outdir = _outdir(cfg, args.out)
+    # a flag wins over the config; None when neither gives a value
+    c3 = args.c3 if args.c3 is not None else (cfg.get("renewal.c3") if cfg else None)
+    c4 = args.c4 if args.c4 is not None else (cfg.get("renewal.c4") if cfg else None)
 
     if args.series:
         data = _read_csv(args.series, "renewal.series", 5, 2)
         series = MomentSeries(times=data[:, 0], sup_mean=data[:, 1],
                               sup_se=data[:, 2], inf_mean=data[:, 3],
                               inf_se=data[:, 4], p=float("nan"), replicas=0)
-        c3 = args.c3 if args.c3 is not None else (cfg.get("renewal.c3") if cfg else None)
-        c4 = args.c4 if args.c4 is not None else (cfg.get("renewal.c4") if cfg else None)
         if c3 is None or c4 is None:
             c3_est, c4_est = calibrate_renewal(series, wt_t, wt_w)
             c3 = c3 if c3 is not None else c3_est
@@ -346,10 +347,8 @@ def cmd_renewal(args) -> int:
         print(f"wrote {path}; ordered={chk.ordered}")
         return EXIT_OK if chk.ordered else EXIT_ASSERTION
 
-    c3 = args.c3 if args.c3 is not None else (cfg.get("renewal.c3") if cfg else 1.0)
-    c4 = args.c4 if args.c4 is not None else (cfg.get("renewal.c4") if cfg else 1.0)
-    if c3 is None or c4 is None:
-        raise ValidationError("renewal.c3", "solve mode needs c3 and c4")
+    c3 = 1.0 if c3 is None else c3
+    c4 = 1.0 if c4 is None else c4
     weight = wt_func if wt_func is not None \
         else (lambda t: np.interp(t, wt_t, wt_w))
     rp = RenewalProblem(c3=c3, c4=c4, horizon=horizon, dt=dt, weight=weight)

@@ -16,7 +16,10 @@ The comparison kernel
 
     g(t, x) = kappa_{d,alpha} * t / (t^(2/alpha) + |x|^2)^((d+alpha)/2)
 
-is two-sided comparable to q_t and exactly equals it when alpha = 1.
+is two-sided comparable to q_t and exactly equals it when alpha = 1.  Its
+numeric convolutions (d = 1) are whole-array Gauss-Legendre quadratures:
+every time s of a vector gets the same 33 space panels, so a time-space
+convolution is one array evaluation per 16-node time panel.
 """
 
 import functools
@@ -191,6 +194,8 @@ def get_profile(alpha: float) -> StableProfile:
 
 
 def _norm(x) -> float:
+    if isinstance(x, (int, float)):
+        return abs(float(x))
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     return float(np.sqrt(np.sum(arr * arr)))
 
@@ -260,22 +265,32 @@ class ComparisonKernel:
         d, a = self.d, self.alpha
         return self.kappa * t / (t ** (2.0 / a) + r * r) ** ((d + a) / 2.0)
 
-    def g_radial(self, t: float, r):
-        """Vectorized in the radius r >= 0."""
+    def g_radial(self, t, r):
+        """Vectorized in the radius r (and in t).  The outer power is
+        np.float_power, the C library's pow as in `g`, so on a scalar t the
+        values equal `g` to the last bit (np.power's SIMD loops can round
+        differently)."""
         r = np.asarray(r, dtype=float)
         d, a = self.d, self.alpha
-        return self.kappa * t / (t ** (2.0 / a) + r * r) ** ((d + a) / 2.0)
+        return self.kappa * t / np.float_power(t ** (2.0 / a) + r * r,
+                                               (d + a) / 2.0)
 
     def g_p_numeric(self, t: float, p: float = 1.0) -> float:
         """Quadrature of int_R g(t,y)^p dy (d = 1); g_p_integral is its
-        closed form and p = 1 gives the unit mass."""
+        closed form and p = 1 gives the unit mass.  The integrand is `g`'s
+        arithmetic with kappa and the exponents taken once per call."""
         if self.d != 1:
             raise DomainError("numeric g integral implemented for d = 1 only")
-        width = t ** (1.0 / self.alpha)
+        a = self.alpha
+        kt, t2a, e = self.kappa * t, t ** (2.0 / a), (1.0 + a) / 2.0
+
+        def g_p(r):
+            return (kt / (t2a + r * r) ** e) ** p
+
+        width = t ** (1.0 / a)
         mid = 10.0 * width
-        core = _quad_checked(lambda r: self.g(t, r) ** p, 0.0, mid,
-                             points=[width])
-        far = _quad_checked(lambda r: self.g(t, r) ** p, mid, np.inf)
+        core = _quad_checked(g_p, 0.0, mid, points=[width])
+        far = _quad_checked(g_p, mid, np.inf)
         return 2.0 * (core + far)
 
 
@@ -585,63 +600,85 @@ def g_fourier_lower(ck: ComparisonKernel, t: float, p: float, z) -> float:
 
 # --- numeric convolutions (d = 1) ------------------------------------------
 
+# cut offsets around a peak, in units of its width: 0, +-0.5, ..., +-48
+_CONV_STEPS = np.array([sgn * m for m in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 48.0)
+                        for sgn in (-1.0, 1.0)])
 
-def _conv_nodes(ck: ComparisonKernel, u: float, s: float, x: float):
-    """32-node Gauss-Legendre panels for the two-peak convolution integrand
-    on the line.
 
-    Peaks sit at y = 0 (width s^(1/alpha)) and y = x (width (t-s)^(1/alpha));
-    panels grade geometrically away from each peak, plus far-field panels out
-    to 300x the largest scale (power tails make the remainder negligible).
+def _conv_nodes(ck: ComparisonKernel, u, s, x: float):
+    """32-node Gauss-Legendre nodes and weights for the two-peak
+    convolution integrand on the line, for each (u, s) pair (they
+    broadcast; scalars give one row): arrays of shape (..., 33 * 32).
+
+    Peaks sit at y = 0 (width s^(1/alpha)) and y = x (width u^(1/alpha));
+    the cuts are each peak plus _CONV_STEPS times its width and +-big,
+    big = 300x the largest scale (power tails make the remainder
+    negligible), sorted per pair.  A cut outside (-big, big) is clipped
+    onto the end it passes, so clipped and repeated cuts give zero-width
+    panels, whose nodes carry weight exactly 0.
     """
     a = ck.alpha
-    w0 = s ** (1.0 / a)
-    w1 = u ** (1.0 / a)
-    big = 300.0 * max(abs(x), w0, w1, 1.0)
-    cuts = {-big, big}
-    for center, w in ((0.0, w0), (float(x), w1)):
-        for m in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 48.0):
-            for sgn in (-1.0, 1.0):
-                c = center + sgn * m * w
-                if -big < c < big:
-                    cuts.add(c)
-    return _gauss_panels(sorted(cuts), 32)
+    # float_power: the widths, and so the cuts, as Python's ** gives them
+    w0, w1 = np.broadcast_arrays(
+        np.float_power(np.asarray(s, dtype=float)[..., None], 1.0 / a),
+        np.float_power(np.asarray(u, dtype=float)[..., None], 1.0 / a))
+    big = 300.0 * np.maximum(np.maximum(w0, w1), max(abs(x), 1.0))
+    peaks = np.concatenate([_CONV_STEPS * w0, x + _CONV_STEPS * w1], axis=-1)
+    cuts = np.sort(np.concatenate([-big, np.clip(peaks, -big, big), big],
+                                  axis=-1), axis=-1)
+    # _gauss_panels' rule, row by row
+    base_x, base_w = _legendre_rule(32)
+    lo, hi = cuts[..., :-1, None], cuts[..., 1:, None]
+    shape = cuts.shape[:-1] + (-1,)
+    return ((0.5 * (hi - lo) * base_x + 0.5 * (hi + lo)).reshape(shape),
+            (0.5 * (hi - lo) * base_w).reshape(shape))
+
+
+def _space_conv(ck: ComparisonKernel, q: float, t: float, s, x: float):
+    """(g(t-s, .)^q * g(s, .)^q)(x) over R for every time of the 1-D array
+    s, d = 1.  With u = t - s the integrand is
+
+        (kappa^2 u s)^q ((u^(2/alpha) + (x-y)^2) (s^(2/alpha) + y^2))^(-q(1+alpha)/2),
+
+    one power per node.
+    """
+    if ck.d != 1:
+        raise DomainError("numeric convolutions implemented for d = 1 only")
+    a = ck.alpha
+    u = t - s
+    y, w = _conv_nodes(ck, u, s, x)
+    u2, s2 = (u ** (2.0 / a))[:, None], (s ** (2.0 / a))[:, None]
+    vals = (((x - y) ** 2 + u2) * (y * y + s2)) ** (-q * (1.0 + a) / 2.0)
+    return (ck.kappa ** 2 * u * s) ** q * np.sum(w * vals, axis=-1)
 
 
 def space_conv_gp(ck: ComparisonKernel, p: float, t: float, s: float, x: float) -> float:
-    """Numeric (g(t-s, .)^p * g(s, .)^p)(x) over R, d = 1."""
-    if ck.d != 1:
-        raise DomainError("numeric convolutions implemented for d = 1 only")
+    """Numeric (g(t-s, .)^p * g(s, .)^p)(x) over R, d = 1: `_space_conv`
+    at one s."""
     if not (0.0 < s < t):
         raise DomainError("requires 0 < s < t")
-    u = t - s
-    y, w = _conv_nodes(ck, u, s, x)
-    vals = ck.g_radial(u, np.abs(x - y)) ** p * ck.g_radial(s, np.abs(y)) ** p
-    return float(np.sum(w * vals))
+    return float(_space_conv(ck, p, t, np.array([float(s)]), x)[0])
 
 
 def _graded_time_nodes(t: float):
     """16-node time panels graded into both endpoints (integrable power
-    singularities)."""
+    singularities): nodes and weights of shape (panels, 16)."""
     fracs = [1e-9, 1e-7, 1e-5, 1e-3, 0.01, 0.06, 0.25, 0.5]
     cuts = [t * f for f in fracs] + [t * (1.0 - f) for f in reversed(fracs[:-1])]
-    return _gauss_panels(sorted(set(cuts)), 16)
+    s, w = _gauss_panels(sorted(set(cuts)), 16)
+    return s.reshape(-1, 16), w.reshape(-1, 16)
 
 
 def timespace_conv_gp(ck: ComparisonKernel, p: float, t: float, x: float) -> float:
-    """Numeric (g^p star g^p)(t, x), d = 1."""
-    s_nodes, s_w = _graded_time_nodes(t)
-    total = sum(ws * space_conv_gp(ck, p, t, s, x)
-                for s, ws in zip(s_nodes, s_w))
-    return float(total)
+    """Numeric (g^p star g^p)(t, x), d = 1, one time panel at a time."""
+    return float(sum(ws @ _space_conv(ck, p, t, s, x)
+                     for s, ws in zip(*_graded_time_nodes(t))))
 
 
 def timespace_conv_gratio(ck: ComparisonKernel, p: float, t: float, x: float) -> float:
     """Numeric (g^(p) star g^(p))(t, x) for the ratio kernel
     g^(p)(u, .) = g(u, .)^(p+1) / g(u, 0), d = 1: the space convolution of
     g^(p+1) divided by the two centre values."""
-    s_nodes, s_w = _graded_time_nodes(t)
-    total = sum(ws * space_conv_gp(ck, p + 1.0, t, s, x)
-                / (ck.g(t - s, 0.0) * ck.g(s, 0.0))
-                for s, ws in zip(s_nodes, s_w))
-    return float(total)
+    return float(sum(ws @ (_space_conv(ck, p + 1.0, t, s, x)
+                           / (ck.g_radial(t - s, 0.0) * ck.g_radial(s, 0.0)))
+                     for s, ws in zip(*_graded_time_nodes(t))))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -9,6 +10,7 @@ from levyheat.errors import DomainError
 from levyheat.certify import (DEFAULT_T_GRID, LemmaRecord, check_beta_identity,
                               check_g_fourier_equality, check_g_mass,
                               check_g_p_integral, check_g_tensor_split,
+                              check_g_time_monotone,
                               check_h_moment, check_power_law_transform,
                               check_q_mass,
                               check_space_conv, check_tail_ratio,
@@ -83,6 +85,75 @@ def test_equality_case_passes():
     rec = check_g_tensor_split(CK15, DEFAULT_T_GRID, default_x_grid())
     assert rec.worst_slack == pytest.approx(1.0, abs=1e-12)
     assert rec.passed
+
+
+def loop_tensor_split_slacks(ck, t_grid, x_grid):
+    """Reference: the scalar loop the array grid replaced."""
+    d, a = ck.d, ck.alpha
+    slacks = []
+    for t in t_grid:
+        for x in x_grid:
+            for y in x_grid:
+                for sy in (1.0, -1.0):
+                    lhs = ck.g(t, x - sy * y)
+                    rhs = (t ** (d / a) / ck.kappa
+                           * ck.g(t, math.sqrt(2.0) * x)
+                           * ck.g(t, math.sqrt(2.0) * y))
+                    slacks.append(lhs / rhs)
+    return slacks
+
+
+def loop_time_monotone_slacks(ck, t_grid, x_grid):
+    """Reference: the scalar loop the array grid replaced."""
+    d, a = ck.d, ck.alpha
+    slacks = []
+    for t in t_grid:
+        for frac in (0.5, 0.6, 0.75, 0.9, 1.0):
+            s = frac * t
+            for x in x_grid:
+                lhs = s ** (d / a) * ck.g(s, x)
+                rhs = t ** (d / a) / 2.0 ** (1.0 + d / a) * ck.g(t, x)
+                slacks.append(lhs / rhs)
+    return slacks
+
+
+@pytest.mark.parametrize("check, loop", [
+    (check_g_tensor_split, loop_tensor_split_slacks),
+    (check_g_time_monotone, loop_time_monotone_slacks),
+], ids=["g-tensor-split", "g-time-comparison"])
+@pytest.mark.parametrize("alpha", [0.7, 1.5])
+def test_array_grid_slacks_equal_scalar_loop(monkeypatch, check, loop, alpha):
+    ck = ComparisonKernel(KernelParams(d=1, alpha=alpha))
+    seen = []
+    orig = certify._ineq_record
+    monkeypatch.setattr(certify, "_ineq_record",
+                        lambda lemma_id, slacks, grid:
+                        seen.append(list(slacks)) or orig(lemma_id, slacks, grid))
+    x_grid = default_x_grid()
+    check(ck, DEFAULT_T_GRID, x_grid)
+    assert seen == [loop(ck, DEFAULT_T_GRID, x_grid)]
+
+
+def test_work_budget(monkeypatch):
+    # the certificate quadratures run as arrays: a full suite makes few
+    # scalar g calls and few panel builds (11,875 and 2,841 when each time
+    # node had its own space convolution), so a fall-back to per-node
+    # Python fails here
+    calls = {"g": 0, "panels": 0}
+    g, panels = K.ComparisonKernel.g, K._gauss_panels
+
+    def counting_g(self, t, x):
+        calls["g"] += 1
+        return g(self, t, x)
+
+    def counting_panels(cuts, n):
+        calls["panels"] += 1
+        return panels(cuts, n)
+    monkeypatch.setattr(K.ComparisonKernel, "g", counting_g)
+    monkeypatch.setattr(K, "_gauss_panels", counting_panels)
+    assert verify_lemmas(d=1, alpha=1.5, p=1.2).all_pass
+    assert calls["g"] <= 1000
+    assert calls["panels"] <= 200
 
 
 def inflate_gamma(monkeypatch, factor):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from levyheat import cli
 from levyheat.cli import main
 from levyheat.config import ExperimentConfig
 from levyheat.errors import ValidationError
@@ -216,6 +217,42 @@ class TestCLI:
         header = (tmp_path / "renewal_check.csv").read_text().splitlines()[0]
         assert f"c3={got['c3']:.17g} c4={got['c4']:.17g}" in header
 
+    def test_renewal_solve_defaults_constants_missing_from_config(
+            self, tmp_path):
+        # a config that sets neither renewal.c3 nor renewal.c4 leaves both
+        # at 1.0, as the flags-only call does
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN)
+        args = ["renewal", "--weight", "exp:2,1", "--T", "1", "--dt", "0.01"]
+        assert main(args + ["--config", str(cfg),
+                            "--out", str(tmp_path / "cfg_run")]) == 0
+        assert main(args + ["--out", str(tmp_path / "flags_run")]) == 0
+        with_cfg = (tmp_path / "cfg_run" / "renewal.csv").read_text()
+        flags = (tmp_path / "flags_run" / "renewal.csv").read_text()
+        assert " c3=1 c4=1 " in with_cfg.splitlines()[0]
+        assert with_cfg.splitlines()[1:] == flags.splitlines()[1:]
+
+    def test_renewal_check_calibrates_constants_missing_from_config(
+            self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN)
+        series = tmp_path / "series.csv"
+        rows = [f"{0.1 * k},{math.exp(0.2 * k)},0.01,{math.exp(0.1 * k)},0.01"
+                for k in range(21)]
+        series.write_text("t,sup_mean,sup_se,inf_mean,inf_se\n"
+                          + "\n".join(rows) + "\n")
+        assert main(["renewal", "--series", str(series), "--config", str(cfg),
+                     "--weight", "exp:1,1", "--out", str(tmp_path)]) in (0, 1)
+        got = json.loads((tmp_path / "renewal_check.json").read_text())
+        data = np.loadtxt(series, delimiter=",", skiprows=1)
+        t = np.arange(int(round(10.0 / 1e-3)) + 1) * 1e-3
+        c3, c4 = cli.calibrate_renewal(
+            cli.MomentSeries(times=data[:, 0], sup_mean=data[:, 1],
+                             sup_se=data[:, 2], inf_mean=data[:, 3],
+                             inf_se=data[:, 4], p=float("nan"), replicas=0),
+            t, np.exp(-t))
+        assert (got["c3"], got["c4"]) == (c3, c4) != (1.0, 1.0)
+
     @pytest.mark.parametrize("flag, text, key", [
         ("--series", "t,sup_mean,sup_se,inf_mean,inf_se\n", "renewal.series"),
         ("--series", "t,inf_mean\n0,1\n0.1,1.5\n0.2,2\n", "renewal.series"),
@@ -304,6 +341,33 @@ class TestCLI:
         assert header[:4] == (b"LVHT", 50, 64, 0.02)
         assert header[5:] == (77, 0, int(payload["config_hash"], 16))
 
+    @pytest.mark.parametrize("fmt", [[], ["--csv"]], ids=["bin", "csv"])
+    def test_simulate_manifest_independent_of_outdir(self, tmp_path, fmt):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN)
+        for out in ("a", "deeper/b"):
+            assert main(["simulate", "--config", str(cfg), "--replicas", "2",
+                         "--out", str(tmp_path / out)] + fmt) == 0
+        manifest = (tmp_path / "a" / "simulate.json").read_bytes()
+        assert manifest == (tmp_path / "deeper" / "b" / "simulate.json").read_bytes()
+        files = json.loads(manifest)["files"]
+        assert files == [f"trajectory_r000{r}.{'csv' if fmt else 'bin'}"
+                         for r in range(2)]
+        assert all((tmp_path / "a" / name).exists() for name in files)
+
+    def test_trajectory_csv_carries_config_hash(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN)
+        assert main(["simulate", "--config", str(cfg), "--replicas", "1",
+                     "--csv", "--out", str(tmp_path)]) == 0
+        tag = json.loads((tmp_path / "simulate.json").read_text())["config_hash"]
+        lines = (tmp_path / "trajectory_r0000.csv").read_text().splitlines()
+        assert lines[0].startswith("# levyheat=")
+        assert f" config_hash={tag} " in lines[0]
+        assert lines[0].endswith(" seed=77 replica=0")
+        assert lines[1] == "t,x,X"
+        assert len(lines) == 2 + 51 * 64
+
     def test_simulate_negative_seed(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text(SMALL_RUN)
@@ -380,3 +444,16 @@ class TestCLI:
         b1 = (out1 / "moments_p2.csv").read_bytes()
         b2 = (out2 / "moments_p2.csv").read_bytes()
         assert b1 == b2
+
+
+EDGE_VALUES = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, 0, 7, -3,
+               2 ** 60 + 1, np.float64(0.1), np.float64(-2.5e-300)]
+
+
+def test_csv_rows_format_as_fmt(tmp_path):
+    # each row is one %-format; the bytes are those of _fmt per value
+    rows = [EDGE_VALUES[i:i + 3] for i in range(0, len(EDGE_VALUES), 3)]
+    cli._write_csv(tmp_path / "edge.csv", None, "", "a,b,c", rows)
+    lines = (tmp_path / "edge.csv").read_text().splitlines()
+    assert lines[2:] == [",".join(f"{float(v):.17g}" for v in row)
+                         for row in rows]

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from levyheat.certify import check_sandwich, check_space_conv
 from levyheat.errors import DomainError, QuadratureError
 from levyheat.kernel import (ComparisonKernel, KernelParams, I_formula,
-                             _conv_nodes, _gauss_panels, _quad_checked,
+                             _conv_nodes, _gauss_panels, _graded_time_nodes,
+                             _quad_checked, _space_conv,
                              conv_constants, fourier_power_transform,
                              g_fourier, g_fourier_lower, g_p_integral,
                              get_profile, h_moment, hmoment_constant,
@@ -313,6 +314,78 @@ class TestFourier:
     def test_zero_frequency_is_mass(self):
         assert g_fourier(CK15, 2.0, 1.4, 0.0) == pytest.approx(
             g_p_integral(CK15, 2.0, 1.4), rel=1e-13)
+
+
+def loop_conv_nodes(ck, u, s, x):
+    """Reference: the per-s panel builder the array quadrature replaced
+    (a Python set of cuts, sorted, one _gauss_panels call per s)."""
+    a = ck.alpha
+    w0 = s ** (1.0 / a)
+    w1 = u ** (1.0 / a)
+    big = 300.0 * max(abs(x), w0, w1, 1.0)
+    cuts = {-big, big}
+    for center, w in ((0.0, w0), (float(x), w1)):
+        for m in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 48.0):
+            for sgn in (-1.0, 1.0):
+                c = center + sgn * m * w
+                if -big < c < big:
+                    cuts.add(c)
+    return _gauss_panels(sorted(cuts), 32)
+
+
+def loop_space_conv(ck, q, t, s, x):
+    """Reference: the per-s space convolution, g evaluated as before (two
+    powers per factor)."""
+    u = t - s
+    y, w = loop_conv_nodes(ck, u, s, x)
+    a, kappa = ck.alpha, ck.kappa
+
+    def g(tt, r):
+        return kappa * tt / (tt ** (2.0 / a) + r * r) ** ((1.0 + a) / 2.0)
+    return float(np.sum(w * g(u, np.abs(x - y)) ** q * g(s, np.abs(y)) ** q))
+
+
+class TestArrayConvolution:
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 3.0, 5.0])
+    def test_matches_per_node_loop(self, t, x):
+        # the per-s loop at every time node, summed in Python as the time-space
+        # convolutions were: g^q at q = 1.2 and 2.2, and the ratio kernel at
+        # p = 1.2, whose space convolution is the q = 2.2 one
+        s, ws = (a.ravel() for a in _graded_time_nodes(t))
+        for q in (1.2, 2.2):
+            per_s = np.array([loop_space_conv(CK15, q, t, si, x) for si in s])
+            got = _space_conv(CK15, q, t, s, x)
+            assert np.max(np.abs(got / per_s - 1.0)) <= 1e-13
+            ref = sum(w * v for w, v in zip(ws, per_s))
+            assert abs(timespace_conv_gp(CK15, q, t, x) / ref - 1.0) <= 1e-13
+        ref = sum(w * v / (CK15.g(t - si, 0.0) * CK15.g(si, 0.0))
+                  for w, v, si in zip(ws, per_s, s))
+        assert abs(timespace_conv_gratio(CK15, 1.2, t, x) / ref - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("u, s, x", [(0.5, 0.5, 0.0), (0.6, 0.4, 2.0),
+                                         (1e-9, 1.0, 3.0), (0.3, 0.7, 1e4)])
+    def test_zero_width_panels_add_exactly_zero(self, u, s, x):
+        y, w = _conv_nodes(CK15, u, s, x)
+        y, w = y.reshape(33, 32), w.reshape(33, 32)
+        empty = np.all(w == 0.0, axis=1)
+        # every panel of nonzero width is the per-s builder's, bit for bit
+        y_ref, w_ref = loop_conv_nodes(CK15, u, s, x)
+        assert empty.sum() == 33 - y_ref.size // 32 >= 2
+        assert np.array_equal(y[~empty].ravel(), y_ref)
+        assert np.array_equal(w[~empty].ravel(), w_ref)
+        # and the others add exactly 0: finite nodes, zero weights
+        vals = (CK15.g_radial(u, np.abs(x - y)) * CK15.g_radial(s, np.abs(y))) ** 1.2
+        assert np.all(np.isfinite(vals))
+        assert np.all(w[empty] * vals[empty] == 0.0)
+
+    def test_rows_are_independent(self):
+        # a time's value does not depend on the other times of the vector
+        s = _graded_time_nodes(1.0)[0][3]
+        whole = _space_conv(CK15, 1.2, 1.0, s, 2.0)
+        alone = np.array([_space_conv(CK15, 1.2, 1.0, s[i:i + 1], 2.0)[0]
+                          for i in range(s.size)])
+        assert np.array_equal(whole, alone)
 
 
 class TestConvolution:

@@ -350,10 +350,14 @@ class TestTrajectory:
         g = GridSpec(half_width=8.0, n_x=16, horizon=0.5, n_t=5)
         traj = quiet_run(model(), g, seed=1, replica=0)
         dump_trajectory(traj, tmp_path / "t.bin", "0123456789abcdef")
-        trajectory_csv(traj, tmp_path / "t.csv")
+        trajectory_csv(traj, tmp_path / "t.csv", None)
         lines = (tmp_path / "t.csv").read_text().splitlines()
-        assert lines[0] == "t,x,X"
-        assert len(lines) == 1 + 6 * 16
+        assert lines[0].startswith("# levyheat=")
+        assert lines[0].endswith(" seed=1 replica=0")
+        assert lines[1] == "t,x,X"
+        assert len(lines) == 2 + 6 * 16
+        rows = np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=2)
+        assert np.array_equal(rows[:, 2], traj.fields.ravel())
 
 
 def sequential_picard(ms, grid, seed, replicas, n_iter, beta, c, p,
