@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analytics import (RenewalProblem, compute_bounds, renewal_solve,
-                        renewal_weight)
+                        renewal_weight, subexp_rate)
 from .certify import verify_lemmas
 from .config import ExperimentConfig
 from .errors import BlowupError, NoRootError, QuadratureError, ValidationError
@@ -49,9 +49,16 @@ def _outdir(cfg: ExperimentConfig | None, override: str | None) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, cfg: ExperimentConfig | None,
+                payload: dict) -> None:
+    """A JSON artifact: `payload` with the package version, the config hash
+    and the assumptions echo, as `_write_csv` stamps its `#` line."""
+    stamp = {"levyheat": __version__,
+             "config_hash": cfg.config_hash() if cfg else "none",
+             "assumptions": (cfg or ExperimentConfig()).build_constants()
+             .assumptions()}
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump({**stamp, **payload}, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
@@ -100,21 +107,25 @@ def trajectory_csv(traj: Trajectory, path: Path,
                 for j, xj in enumerate(g.x)))
 
 
-def _load_config(args) -> ExperimentConfig:
+# flag -> the config key it overrides; the text is parsed as a config line
+_MODEL_FLAGS = {
+    "--alpha": "model.alpha", "--d": "model.d", "--grid-L": "grid.L",
+    "--nx": "grid.nx", "--T": "grid.T", "--nt": "grid.nt",
+    "--sigma": "sigma.slope", "--levy": "levy.atoms", "--seed": "run.seed",
+    "--replicas": "run.replicas",
+}
+
+
+def _load_config(args):
+    """(config, model, grid): the config file, if any, with each given flag
+    applied as the config line `key = text`."""
     cfg = (ExperimentConfig.from_file(args.config) if args.config
            else ExperimentConfig())
-    for key, attr in (("model.alpha", "alpha"), ("model.d", "d"),
-                      ("grid.L", "grid_L"), ("grid.nx", "nx"),
-                      ("grid.T", "T"), ("grid.nt", "nt"),
-                      ("run.seed", "seed"), ("run.replicas", "replicas"),
-                      ("run.jobs", "jobs"), ("sigma.slope", "sigma"),
-                      ("levy.atoms", "levy")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            cfg.set(key, val)
-    cfg.build_model()
-    cfg.build_grid()
-    return cfg
+    for key in (*_MODEL_FLAGS.values(), "run.jobs"):
+        text = getattr(args, key, None)
+        if text is not None:
+            cfg.set(key, text)
+    return cfg, cfg.build_model(), cfg.build_grid()
 
 
 def _add_common(sub):
@@ -123,23 +134,22 @@ def _add_common(sub):
 
 
 def _add_jobs_flag(sub):
-    sub.add_argument("--jobs", type=int, default=None,
+    sub.add_argument("--jobs", dest="run.jobs",
                      help="worker pool size over replicas (run.jobs)")
 
 
 def _add_model_flags(sub):
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--d", type=int, default=None)
-    sub.add_argument("--grid-L", dest="grid_L", type=float, default=None)
-    sub.add_argument("--nx", type=int, default=None)
-    sub.add_argument("--T", type=float, default=None)
-    sub.add_argument("--nt", type=int, default=None)
-    sub.add_argument("--sigma", type=float, default=None,
-                     help="linear coefficient slope")
-    sub.add_argument("--levy", type=str, default=None,
-                     help="atom list 'z:mass,z:mass'")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--replicas", type=int, default=None)
+    for flag, key in _MODEL_FLAGS.items():
+        sub.add_argument(flag, dest=key, help=f"overrides {key}")
+
+
+def _simulate_moments(cfg: ExperimentConfig, model, grid, p):
+    """`simulate_moments` with the run.* settings of `cfg`."""
+    return simulate_moments(model, grid, p, replicas=cfg.get("run.replicas"),
+                            seed=cfg.get("run.seed"),
+                            aggregator=cfg.get("run.aggregator"),
+                            blocks=cfg.get("run.blocks"),
+                            jobs=cfg.get("run.jobs"))
 
 
 # ---------------------------------------------------------------------------
@@ -164,32 +174,25 @@ def cmd_verify_lemmas(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    cfg = _load_config(args)
-    ms = cfg.build_model()
+    cfg, ms, _ = _load_config(args)
     constants = cfg.build_constants()
-    c = cfg.get("bounds.c")
-    reports = []
-    for p in cfg.get("run.p"):
-        rep = compute_bounds(ms, c, p, constants)
-        reports.append(asdict(rep))
-    payload = {"levyheat": __version__, "config_hash": cfg.config_hash(),
-               "assumptions": constants.assumptions(), "reports": reports}
-    outdir = _outdir(cfg, args.out)
-    _write_json(outdir / "bounds.json", payload)
-    print(json.dumps(payload, sort_keys=True, indent=1))
+    reports = [asdict(compute_bounds(ms, cfg.get("bounds.c"), p, constants))
+               for p in cfg.get("run.p")]
+    path = _outdir(cfg, args.out) / "bounds.json"
+    _write_json(path, cfg, {"reports": reports})
+    sys.stdout.write(path.read_text())
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    ms = cfg.build_model()
-    grid = cfg.build_grid()
+    cfg, ms, grid = _load_config(args)
     seed = cfg.get("run.seed")
     tag = cfg.config_hash()
     outdir = _outdir(cfg, args.out)
     paths = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    # "always": record every warning, repeats and those a filter would raise
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         for r in range(cfg.get("run.replicas")):
             traj = run_trajectory(ms, grid, seed, r)
             if args.csv:
@@ -199,27 +202,18 @@ def cmd_simulate(args) -> int:
                 path = outdir / f"trajectory_r{r:04d}.bin"
                 dump_trajectory(traj, path, tag)
             paths.append(path.name)
-    _write_json(outdir / "simulate.json",
-                {"levyheat": __version__, "config_hash": tag,
-                 "assumptions": cfg.build_constants().assumptions(),
-                 "files": paths, "seed": seed})
+    _write_json(outdir / "simulate.json", cfg,
+                {"files": paths, "seed": seed,
+                 "warnings": sorted({str(w.message) for w in caught})})
     print(f"wrote {len(paths)} trajectories to {outdir}")
     return EXIT_OK
 
 
 def cmd_moments(args) -> int:
-    cfg = _load_config(args)
-    ms = cfg.build_model()
-    grid = cfg.build_grid()
+    cfg, ms, grid = _load_config(args)
     outdir = _outdir(cfg, args.out)
     ps = cfg.get("run.p")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        results = simulate_moments(ms, grid, ps, cfg.get("run.replicas"),
-                                   cfg.get("run.seed"),
-                                   aggregator=cfg.get("run.aggregator"),
-                                   blocks=cfg.get("run.blocks"),
-                                   jobs=cfg.get("run.jobs"))
+    results = _simulate_moments(cfg, ms, grid, ps)
     for p, (series, _) in zip(ps, results):
         path = outdir / f"moments_p{p:g}.csv"
         _write_csv(path, cfg,
@@ -236,24 +230,12 @@ def cmd_moments(args) -> int:
 
 
 def cmd_growth_scan(args) -> int:
-    cfg = _load_config(args)
-    ms = cfg.build_model()
-    grid = cfg.build_grid()
+    cfg, ms, grid = _load_config(args)
     outdir = _outdir(cfg, args.out)
     p = cfg.get("run.p")[0]
     r_txt = cfg.get("scan.r")
-    if r_txt == "subexp":
-        from .analytics import subexp_rate
-        r_exp, _ = subexp_rate(ms.kp, p)
-    else:
-        r_exp = float(r_txt)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, surface = simulate_moments(ms, grid, p, cfg.get("run.replicas"),
-                                      cfg.get("run.seed"),
-                                      aggregator=cfg.get("run.aggregator"),
-                                      blocks=cfg.get("run.blocks"),
-                                      jobs=cfg.get("run.jobs"))
+    r_exp = subexp_rate(ms.kp, p)[0] if r_txt == "subexp" else float(r_txt)
+    _, surface = _simulate_moments(cfg, ms, grid, p)
     scan = growth_index_scan(surface, cfg.get("scan.eta"), r=r_exp)
     path = outdir / "growth_scan.csv"
     _write_csv(path, cfg, f" p={p:g} r={r_exp:g}", "eta,t,value,empty_flag",
@@ -261,20 +243,10 @@ def cmd_growth_scan(args) -> int:
                 for i, eta in enumerate(scan.eta)
                 for k, t in enumerate(scan.times)))
     bracket = {"eta_low": scan.eta_low, "eta_high": scan.eta_high}
-    _write_json(outdir / "growth_scan.json",
-                {"levyheat": __version__, "config_hash": cfg.config_hash(),
-                 "assumptions": cfg.build_constants().assumptions(),
-                 "p": p, "r": r_exp, **bracket})
+    _write_json(outdir / "growth_scan.json", cfg,
+                {"p": p, "r": r_exp, **bracket})
     print(f"wrote {path}; bracket: {bracket}")
     return EXIT_OK
-
-
-def _weight_from_config(cfg: ExperimentConfig):
-    ms = cfg.build_model()
-    p = cfg.get("run.p")[0]
-    wt = renewal_weight(ms.kp, ms.levy, p, cfg.get("renewal.eps"),
-                        cfg.get("renewal.delta"))
-    return wt.t, wt.w
 
 
 def _read_csv(path, key: str, columns: int, rows: int) -> np.ndarray:
@@ -303,8 +275,10 @@ def _parse_weight_arg(spec_txt: str, cfg: ExperimentConfig | None, horizon, dt):
     if spec_txt == "model":
         if cfg is None:
             raise ValidationError("renewal.weight", "model weight needs --config")
-        t, w = _weight_from_config(cfg)
-        return t, w, None
+        ms = cfg.build_model()
+        wt = renewal_weight(ms.kp, ms.levy, cfg.get("run.p")[0],
+                            cfg.get("renewal.eps"), cfg.get("renewal.delta"))
+        return wt.t, wt.w, None
     path = Path(spec_txt)
     if path.exists():
         data = _read_csv(path, "renewal.weight", 2, 1)
@@ -324,7 +298,9 @@ def cmd_renewal(args) -> int:
     c4 = args.c4 if args.c4 is not None else (cfg.get("renewal.c4") if cfg else None)
 
     if args.series:
-        data = _read_csv(args.series, "renewal.series", 5, 2)
+        # lyapunov_fit needs 5 points in the second half of the times; on
+        # a uniform grid that takes 9 rows
+        data = _read_csv(args.series, "renewal.series", 5, 9)
         series = MomentSeries(times=data[:, 0], sup_mean=data[:, 1],
                               sup_se=data[:, 2], inf_mean=data[:, 3],
                               inf_se=data[:, 4], p=float("nan"), replicas=0)
@@ -338,10 +314,8 @@ def cmd_renewal(args) -> int:
                    "t,inf_mean,f,margin,margin_se",
                    zip(chk.times, series.inf_mean, chk.f, chk.margin,
                        chk.margin_se))
-        _write_json(outdir / "renewal_check.json",
-                    {"levyheat": __version__,
-                     "config_hash": cfg.config_hash() if cfg else "none",
-                     "c3": c3, "c4": c4, "beta1": chk.beta1,
+        _write_json(outdir / "renewal_check.json", cfg,
+                    {"c3": c3, "c4": c4, "beta1": chk.beta1,
                      "ordered": chk.ordered, "t_floor": chk.t_floor,
                      "fitted_lower_slope": chk.fitted_lower_slope.slope})
         print(f"wrote {path}; ordered={chk.ordered}")
@@ -365,28 +339,19 @@ def cmd_renewal(args) -> int:
     return EXIT_OK
 
 
+# --fn -> the values it prints, one line each
+_SPECFUN = {
+    "gamma": lambda a: [specfun.gamma_fn(x) for x in a.x],
+    "beta": lambda a: [specfun.beta_fn(a.a, a.b)],
+    "ml": lambda a: [specfun.mittag_leffler(a.a, a.b, z) for z in a.z],
+    "ml-asymptotic": lambda a: [specfun.ml_asymptotic(a.a, a.b, z)
+                                for z in a.z],
+    "bessel-k": lambda a: [specfun.bessel_k(a.nu, x) for x in a.x],
+}
+
+
 def cmd_specfun(args) -> int:
-    if args.action != "eval":
-        raise ValidationError("specfun", f"unknown action {args.action!r}")
-    fn = args.fn
-    outputs = []
-    if fn == "gamma":
-        for x in args.x:
-            outputs.append(specfun.gamma_fn(x))
-    elif fn == "beta":
-        outputs.append(specfun.beta_fn(args.a, args.b))
-    elif fn == "ml":
-        for z in args.z:
-            outputs.append(specfun.mittag_leffler(args.a, args.b, z))
-    elif fn == "ml-asymptotic":
-        for z in args.z:
-            outputs.append(specfun.ml_asymptotic(args.a, args.b, z))
-    elif fn == "bessel-k":
-        for x in args.x:
-            outputs.append(specfun.bessel_k(args.nu, x))
-    else:
-        raise ValidationError("specfun.fn", f"unknown function {fn!r}")
-    for v in outputs:
+    for v in _SPECFUN[args.fn](args):
         print(_fmt(v))
     return EXIT_OK
 
@@ -445,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("specfun", help="special function evaluation")
     s.add_argument("action", choices=["eval"])
-    s.add_argument("--fn", required=True,
-                   choices=["gamma", "beta", "ml", "ml-asymptotic", "bessel-k"])
+    s.add_argument("--fn", required=True, choices=list(_SPECFUN))
     s.add_argument("--a", type=float, default=1.0)
     s.add_argument("--b", type=float, default=1.0)
     s.add_argument("--nu", type=float, default=0.0)

@@ -41,6 +41,22 @@ def _parse_aggregator(s):
     return s
 
 
+def _parse_int_at_least(low):
+    def parse(s):
+        v = int(s)
+        if v < low:
+            raise ValueError(f"must be at least {low}")
+        return v
+    return parse
+
+
+def _parse_radius_exponent(s):
+    """`subexp` or a number, kept as text so the config hash sees the text."""
+    if s != "subexp":
+        float(s)
+    return s
+
+
 # key -> (parser, default); defaults of None mean "absent unless set"
 SCHEMA = {
     "model.d": (int, 1),
@@ -68,13 +84,13 @@ SCHEMA = {
     "run.p": (_parse_float_list, (2.0,)),
     "run.replicas": (int, 100),
     "run.seed": (int, 12345),
-    "run.blocks": (int, 16),
+    "run.blocks": (_parse_int_at_least(2), 16),   # SE uses ddof=1
     "run.aggregator": (_parse_aggregator, "auto"),
-    "run.jobs": (int, 1),
+    "run.jobs": (_parse_int_at_least(1), 1),
     "run.outdir": (str, "."),
     "bounds.c": (float, 0.0),
     "scan.eta": (_parse_float_list, (0.1, 0.2, 0.4, 0.8)),
-    "scan.r": (str, "1.0"),
+    "scan.r": (_parse_radius_exponent, "1.0"),
     "renewal.eps": (float, 1.0),
     "renewal.delta": (float, 0.5),
     "renewal.c3": (float, None),

@@ -8,7 +8,7 @@ import pytest
 
 from levyheat import cli
 from levyheat.cli import main
-from levyheat.config import ExperimentConfig
+from levyheat.config import SCHEMA, ExperimentConfig
 from levyheat.errors import ValidationError
 
 WORKED_BOUNDS = """
@@ -95,6 +95,13 @@ class TestConfig:
         assert err.value.key_path == "run.aggregator"
         assert "run.aggregator" in str(err.value)
 
+    def test_scan_r_keeps_its_text(self):
+        assert ExperimentConfig.from_text("scan.r = 1.0").config_hash() \
+            == ExperimentConfig().config_hash()
+        for text in ("subexp", "0.5", "1e-1"):
+            cfg = ExperimentConfig.from_text(f"scan.r = {text}")
+            assert cfg.get("scan.r") == text
+
     def test_semantic_violation_caught_at_parse(self):
         bad = SMALL_RUN + "model.rho = 0.5\n"     # d >= alpha would be fine...
         cfg_text = bad.replace("model.alpha = 1.5", "model.alpha = 0.8")
@@ -166,6 +173,30 @@ class TestCLI:
     def test_bad_flag_value_names_key(self, tmp_path, capsys):
         assert main(["moments", "--levy", "a:1", "--out", str(tmp_path)]) == 3
         assert "levy.atoms" in capsys.readouterr().err
+
+    def test_model_flags_override_schema_keys(self):
+        assert set(cli._MODEL_FLAGS.values()) <= set(SCHEMA)
+
+    @pytest.mark.parametrize("command, flags, lines, key", [
+        ("moments", ["--alpha", "abc"], "", "model.alpha"),
+        ("moments", ["--jobs", "0"], "", "run.jobs"),
+        ("moments", ["--jobs", "-1"], "", "run.jobs"),
+        ("moments", [], "run.blocks = 0\n", "run.blocks"),
+        ("moments", [], "run.blocks = 1\n", "run.blocks"),
+        ("growth-scan", [], "scan.r = fast\n", "scan.r"),
+    ], ids=["alpha-abc", "jobs-0", "jobs-negative", "blocks-0", "blocks-1",
+            "scan-r-fast"])
+    def test_bad_run_value_exits_3_naming_key(self, tmp_path, capsys,
+                                              command, flags, lines, key):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN + lines)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]
+                    + flags) == 3
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_numerical_failure_exits_1_without_traceback(self, tmp_path,
                                                           capsys):
@@ -257,7 +288,14 @@ class TestCLI:
         ("--series", "t,sup_mean,sup_se,inf_mean,inf_se\n", "renewal.series"),
         ("--series", "t,inf_mean\n0,1\n0.1,1.5\n0.2,2\n", "renewal.series"),
         ("--weight", "t\n0\n0.5\n1\n", "renewal.weight"),
-    ], ids=["header-only-series", "two-column-series", "one-column-weight"])
+        ("--series", "t,sup_mean,sup_se,inf_mean,inf_se\n"
+         + "".join(f"{0.1 * k},2,0.01,1,0.01\n" for k in range(2)),
+         "renewal.series"),
+        ("--series", "t,sup_mean,sup_se,inf_mean,inf_se\n"
+         + "".join(f"{0.1 * k},2,0.01,1,0.01\n" for k in range(8)),
+         "renewal.series"),
+    ], ids=["header-only-series", "two-column-series", "one-column-weight",
+            "two-row-series", "eight-row-series"])
     def test_short_renewal_csv_exits_3(self, tmp_path, capsys, flag, text,
                                        key):
         path = tmp_path / "input.csv"
@@ -267,6 +305,20 @@ class TestCLI:
         err = capsys.readouterr().err
         assert key in err
         assert "Traceback" not in err
+
+    def test_renewal_check_json_is_stamped(self, tmp_path):
+        series = tmp_path / "series.csv"
+        rows = [f"{0.1 * k},{math.exp(0.2 * k)},0.01,{math.exp(0.1 * k)},0.01"
+                for k in range(9)]
+        series.write_text("t,sup_mean,sup_se,inf_mean,inf_se\n"
+                          + "\n".join(rows) + "\n")
+        assert main(["renewal", "--series", str(series), "--c3", "1",
+                     "--c4", "1", "--weight", "exp:1,1",
+                     "--out", str(tmp_path)]) in (0, 1)
+        got = json.loads((tmp_path / "renewal_check.json").read_text())
+        assert got["config_hash"] == "none"
+        assert got["assumptions"] == \
+            ExperimentConfig().build_constants().assumptions()
 
     def test_moments_csv_format(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -354,6 +406,19 @@ class TestCLI:
         assert files == [f"trajectory_r000{r}.{'csv' if fmt else 'bin'}"
                          for r in range(2)]
         assert all((tmp_path / "a" / name).exists() for name in files)
+
+    @pytest.mark.parametrize("flags, expect", [
+        ([], []),
+        (["--grid-L", "1"], ["domain half-width below 4 T^(1/alpha); "
+                             "wrap-around bias may be significant"]),
+    ], ids=["contained", "wrap-around"])
+    def test_simulate_json_records_warnings(self, tmp_path, flags, expect):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN)
+        assert main(["simulate", "--config", str(cfg), "--replicas", "2",
+                     "--out", str(tmp_path)] + flags) == 0
+        payload = json.loads((tmp_path / "simulate.json").read_text())
+        assert payload["warnings"] == expect
 
     def test_trajectory_csv_carries_config_hash(self, tmp_path):
         cfg = tmp_path / "cfg"
