@@ -156,7 +156,8 @@ class ModelSpec:
 
 
 def contraction_constant(ms: ModelSpec, beta: float, c: float, p: float,
-                         constants: ConstantsConfig | None = None) -> float:
+                         constants: ConstantsConfig = ConstantsConfig()
+                         ) -> float:
     """Computable majorant of the weighted-norm contraction factor.
 
     Assembled term by term from the fixed-point estimate:
@@ -165,7 +166,6 @@ def contraction_constant(ms: ModelSpec, beta: float, c: float, p: float,
         + [p >= 2]  k4 (int z^2 lambda)^(1/2) I(beta,c,2)^(1/2).
     Strictly decreasing in beta, -> 0 as beta -> infinity.
     """
-    cfg = constants or ConstantsConfig()
     d, alpha = ms.kp.d, ms.kp.alpha
     if not (1.0 <= p < 1.0 + alpha / d):
         raise DomainError(f"p must lie in [1, 1 + alpha/d), got {p}")
@@ -175,17 +175,20 @@ def contraction_constant(ms: ModelSpec, beta: float, c: float, p: float,
         raise DomainError("the Gaussian part requires p >= 2; set rho = 0")
     total = 0.0
     if ms.rho > 0.0:
-        total += ms.rho * cfg.k1 * math.sqrt(I_formula(ms.kp, beta, c, 2.0))
+        total += (ms.rho * constants.k1
+                  * math.sqrt(I_formula(ms.kp, beta, c, 2.0)))
     b = ms.b
     if b != 0.0:
-        total += abs(b) * cfg.k2 * I_formula(ms.kp, beta, c, 1.0)
+        total += abs(b) * constants.k2 * I_formula(ms.kp, beta, c, 1.0)
     sig_p = ms.levy.moment(p)
     if sig_p == 0.0:
         raise DegenerateMeasureError("jump measure has no p-th moment mass")
-    total += sig_p ** (1.0 / p) * cfg.k3 * I_formula(ms.kp, beta, c, p) ** (1.0 / p)
+    total += (sig_p ** (1.0 / p) * constants.k3
+              * I_formula(ms.kp, beta, c, p) ** (1.0 / p))
     if p >= 2.0:
         sig_2 = ms.levy.moment(2.0)
-        total += cfg.k4 * math.sqrt(sig_2) * math.sqrt(I_formula(ms.kp, beta, c, 2.0))
+        total += (constants.k4 * math.sqrt(sig_2)
+                  * math.sqrt(I_formula(ms.kp, beta, c, 2.0)))
     return total
 
 
@@ -193,7 +196,7 @@ BETA_BRACKET = (1e-6, 1e12)
 
 
 def beta0(ms: ModelSpec, c: float, p: float,
-          constants: ConstantsConfig | None = None) -> float:
+          constants: ConstantsConfig = ConstantsConfig()) -> float:
     """Smallest beta with L_sigma * contraction_constant(beta) <= 1/2.
 
     Geometric bisection on the monotone majorant over BETA_BRACKET to a
@@ -243,17 +246,16 @@ class BoundsReport:
 
 
 def upper_bounds(ms: ModelSpec, c: float, p: float,
-                 constants: ConstantsConfig | None = None) -> BoundsReport:
+                 constants: ConstantsConfig = ConstantsConfig()) -> BoundsReport:
     """Lyapunov upper bound p*beta0 and growth-index upper bound beta0/c.
 
     The growth bound needs sigma(0) = 0 and polynomial decay with exponent
     c in (0, alpha); it is omitted (None) when only the Lyapunov hypothesis
     holds, and requesting it with decay_c = 0 is an error.
     """
-    cfg = constants or ConstantsConfig()
-    b0 = beta0(ms, c, p, cfg)
+    b0 = beta0(ms, c, p, constants)
     rep = BoundsReport(p=p, c=c, beta0=b0, lyap_upper=p * b0,
-                       assumptions=cfg.assumptions())
+                       assumptions=constants.assumptions())
     if c > 0.0:
         if ms.sigma.at_zero != 0.0:
             raise DomainError("growth-index upper bound requires sigma(0) = 0")
@@ -268,14 +270,14 @@ def upper_bounds(ms: ModelSpec, c: float, p: float,
 
 
 def lower_bound_exponential(ms: ModelSpec, p: float,
-                            constants: ConstantsConfig | None = None) -> float:
+                            constants: ConstantsConfig = ConstantsConfig()
+                            ) -> float:
     """Exponential growth-index lower bound, valid for alpha > d = 1, b = 0,
     L_sigma,0 > 0 and p in [2, 1 + alpha/d):
 
         (c** Lambda^(p))^(1/(1-(p-1)d/alpha)) / (p (d + alpha)),
         c** = k5 sigma_lambda^(p) L_{sigma,0}^p c1_g^p / 4.
     """
-    cfg = constants or ConstantsConfig()
     d, alpha = ms.kp.d, ms.kp.alpha
     if not (alpha > d == 1):
         raise DomainError("exponential lower bound requires alpha > d = 1")
@@ -286,14 +288,14 @@ def lower_bound_exponential(ms: ModelSpec, p: float,
     if not (2.0 <= p < 1.0 + alpha / d):
         raise DomainError(f"p must lie in [2, 1 + alpha/d), got {p}")
     cc = conv_constants(d, alpha, p)
-    c_star = cfg.k5 * ms.levy.moment(p) * ms.sigma.lip0 ** p
-    c_dstar = c_star * cfg.c1_g ** p / 4.0
+    c_star = constants.k5 * ms.levy.moment(p) * ms.sigma.lip0 ** p
+    c_dstar = c_star * constants.c1_g ** p / 4.0
     expo = 1.0 / (1.0 - (p - 1.0) * d / alpha)
     return (c_dstar * cc.lambda_p) ** expo / (p * (d + alpha))
 
 
 def subexp_rate(kp: KernelParams, p: float, ms: ModelSpec | None = None,
-                constants: ConstantsConfig | None = None):
+                constants: ConstantsConfig = ConstantsConfig()):
     """Subexponential growth radius exponent and threshold.
 
     r_star = p (1 - d/alpha) / (2 (1 - (p-1) d/alpha)) for p in (1, 2);
@@ -311,31 +313,29 @@ def subexp_rate(kp: KernelParams, p: float, ms: ModelSpec | None = None,
     r_star = p * (1.0 - d / alpha) / (2.0 * a_ml)
     eta_star = None
     if ms is not None:
-        cfg = constants or ConstantsConfig()
         if not ms.sigma.lip0 > 0.0:
             raise DomainError("eta_star requires L_sigma,0 > 0")
         cc = conv_constants(d, alpha, p)
-        c_star = cfg.k5 * ms.levy.moment(p) * ms.sigma.lip0 ** p
-        c_dstar = c_star * cfg.c1_g ** (p + 1.0) / (4.0 * cfg.c2_g)
+        c_star = constants.k5 * ms.levy.moment(p) * ms.sigma.lip0 ** p
+        c_dstar = c_star * constants.c1_g ** (p + 1.0) / (4.0 * constants.c2_g)
         eta_star = ((c_dstar * cc.theta_p) ** (1.0 / a_ml)
                     / ((p + 1.0) * (d + alpha)))
     return r_star, eta_star
 
 
 def compute_bounds(ms: ModelSpec, c: float, p: float,
-                   constants: ConstantsConfig | None = None) -> BoundsReport:
+                   constants: ConstantsConfig = ConstantsConfig()) -> BoundsReport:
     """Full BoundsReport: beta0 and upper bounds always; lower-bound figures
     whenever their hypotheses hold (omitted as None otherwise)."""
-    cfg = constants or ConstantsConfig()
-    rep = upper_bounds(ms, c, p, cfg)
+    rep = upper_bounds(ms, c, p, constants)
     d, alpha = ms.kp.d, ms.kp.alpha
     if d / (d + alpha) < p:
         rep.conv_constants = conv_constants(d, alpha, p)
     if alpha > d == 1 and ms.b == 0.0 and ms.sigma.lip0 > 0.0:
         if 2.0 <= p < 1.0 + alpha / d:
-            rep.growth_lower_exp = lower_bound_exponential(ms, p, cfg)
+            rep.growth_lower_exp = lower_bound_exponential(ms, p, constants)
         if 1.0 < p < 2.0:
-            rep.subexp_rate, rep.eta_star = subexp_rate(ms.kp, p, ms, cfg)
+            rep.subexp_rate, rep.eta_star = subexp_rate(ms.kp, p, ms, constants)
         elif p == 2.0:
             rep.subexp_rate = 1.0   # the subexponential radius becomes linear
     return rep

@@ -11,7 +11,6 @@ with 17 significant digits so replays are byte-identical.
 import argparse
 import json
 import math
-import os
 import struct
 import sys
 import warnings
@@ -24,7 +23,7 @@ from . import __version__
 from .analytics import (RenewalProblem, compute_bounds, renewal_solve,
                         renewal_weight, subexp_rate)
 from .certify import verify_lemmas
-from .config import ExperimentConfig
+from .config import SCHEMA, ExperimentConfig
 from .errors import BlowupError, NoRootError, QuadratureError, ValidationError
 from .estimator import (MomentSeries, calibrate_renewal, growth_index_scan,
                         lyapunov_fit, renewal_check, simulate_moments)
@@ -41,41 +40,32 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _outdir(cfg: ExperimentConfig | None, override: str | None) -> Path:
-    path = (override or os.environ.get("LEVYHEAT_OUTDIR")
-            or (cfg.get("run.outdir") if cfg else "."))
-    out = Path(path)
+def _outdir(cfg: ExperimentConfig, override: str | None) -> Path:
+    """`--out` if given, else `run.outdir`; created if missing."""
+    out = Path(override or cfg.get("run.outdir"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _write_json(path: Path, cfg: ExperimentConfig | None,
-                payload: dict) -> None:
+def _write_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
     """A JSON artifact: `payload` with the package version, the config hash
     and the assumptions echo, as `_write_csv` stamps its `#` line."""
-    stamp = {"levyheat": __version__,
-             "config_hash": cfg.config_hash() if cfg else "none",
-             "assumptions": (cfg or ExperimentConfig()).build_constants()
-             .assumptions()}
+    stamp = {"levyheat": __version__, "config_hash": cfg.config_hash(),
+             "assumptions": cfg.build_constants().assumptions()}
     with open(path, "w") as fh:
         json.dump({**stamp, **payload}, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
-def _write_csv(path: Path, cfg: ExperimentConfig | None, extra: str,
-               columns: str, rows) -> None:
+def _write_csv(path: Path, cfg: ExperimentConfig, extra: str, columns: str,
+               rows) -> None:
     """A CSV artifact: one `#` line with the package version, the config
     hash, the configured constants and `extra`, the `columns` line, then
     one line per row of numbers, each formatted as `_fmt` formats it."""
-    if cfg is None:
-        tag, constants = "none", "defaults"
-    else:
-        c = cfg.build_constants()
-        tag = cfg.config_hash()
-        constants = ",".join(f"{f.name}:{getattr(c, f.name):g}"
-                             for f in fields(c))
+    c = cfg.build_constants()
+    constants = ",".join(f"{f.name}:{getattr(c, f.name):g}" for f in fields(c))
     with open(path, "w") as fh:
-        fh.write(f"# levyheat={__version__} config_hash={tag} "
+        fh.write(f"# levyheat={__version__} config_hash={cfg.config_hash()} "
                  f"constants={constants}{extra}\n{columns}\n")
         row_fmt = ",".join(["%.17g"] * len(columns.split(","))) + "\n"
         fh.writelines(row_fmt % tuple(row) for row in rows)
@@ -99,7 +89,7 @@ def dump_trajectory(traj: Trajectory, path: Path, config_hash: str) -> None:
 
 
 def trajectory_csv(traj: Trajectory, path: Path,
-                   cfg: ExperimentConfig | None) -> None:
+                   cfg: ExperimentConfig) -> None:
     """CSV dump (t, x, X) for small grids, through `_write_csv`."""
     g = traj.grid
     _write_csv(path, cfg, f" seed={traj.seed} replica={traj.replica}", "t,x,X",
@@ -114,17 +104,27 @@ _MODEL_FLAGS = {
     "--sigma": "sigma.slope", "--levy": "levy.atoms", "--seed": "run.seed",
     "--replicas": "run.replicas",
 }
+_JOBS_FLAG = {"--jobs": "run.jobs"}
+_RENEWAL_FLAGS = {
+    "--c3": "renewal.c3", "--c4": "renewal.c4", "--T": "renewal.T",
+    "--dt": "renewal.dt", "--weight": "renewal.weight",
+}
 
 
-def _load_config(args):
-    """(config, model, grid): the config file, if any, with each given flag
+def _config(args) -> ExperimentConfig:
+    """The config file, if any, else the defaults, with each given flag
     applied as the config line `key = text`."""
     cfg = (ExperimentConfig.from_file(args.config) if args.config
            else ExperimentConfig())
-    for key in (*_MODEL_FLAGS.values(), "run.jobs"):
-        text = getattr(args, key, None)
-        if text is not None:
+    for key, text in vars(args).items():
+        if key in SCHEMA and text is not None:
             cfg.set(key, text)
+    return cfg
+
+
+def _load_config(args):
+    """(config, model, grid) of `_config(args)`."""
+    cfg = _config(args)
     return cfg, cfg.build_model(), cfg.build_grid()
 
 
@@ -133,13 +133,8 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="output directory override")
 
 
-def _add_jobs_flag(sub):
-    sub.add_argument("--jobs", dest="run.jobs",
-                     help="worker pool size over replicas (run.jobs)")
-
-
-def _add_model_flags(sub):
-    for flag, key in _MODEL_FLAGS.items():
+def _add_flags(sub, table):
+    for flag, key in table.items():
         sub.add_argument(flag, dest=key, help=f"overrides {key}")
 
 
@@ -264,38 +259,41 @@ def _read_csv(path, key: str, columns: int, rows: int) -> np.ndarray:
     return data
 
 
-def _parse_weight_arg(spec_txt: str, cfg: ExperimentConfig | None, horizon, dt):
-    """Returns (t_grid, values, callable_or_None); analytic weights keep
-    their callable so the solver's refinement pass stays exact."""
+def _parse_weight_arg(cfg: ExperimentConfig):
+    """(t_grid, values, callable) of `renewal.weight`; analytic weights keep
+    their closed form so the solver's refinement pass stays exact, the
+    others interpolate their table."""
+    spec_txt = cfg.get("renewal.weight")
     if spec_txt.startswith("exp:"):
         amp, rate = (float(v) for v in spec_txt[4:].split(","))
-        t = np.arange(int(round(horizon / dt)) + 1) * dt
+        dt = cfg.get("renewal.dt")
+        t = np.arange(int(round(cfg.get("renewal.T") / dt)) + 1) * dt
         func = lambda u: amp * np.exp(-rate * np.asarray(u))   # noqa: E731
         return t, func(t), func
     if spec_txt == "model":
-        if cfg is None:
-            raise ValidationError("renewal.weight", "model weight needs --config")
         ms = cfg.build_model()
         wt = renewal_weight(ms.kp, ms.levy, cfg.get("run.p")[0],
                             cfg.get("renewal.eps"), cfg.get("renewal.delta"))
-        return wt.t, wt.w, None
-    path = Path(spec_txt)
-    if path.exists():
-        data = _read_csv(path, "renewal.weight", 2, 1)
-        return data[:, 0], data[:, 1], None
-    raise ValidationError("renewal.weight", f"cannot interpret {spec_txt!r}")
+        t, w = wt.t, wt.w
+    elif Path(spec_txt).exists():
+        data = _read_csv(spec_txt, "renewal.weight", 2, 1)
+        t, w = data[:, 0], data[:, 1]
+    else:
+        raise ValidationError("renewal.weight",
+                              f"cannot interpret {spec_txt!r}")
+    return t, w, lambda u: np.interp(u, t, w)
 
 
 def cmd_renewal(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config) if args.config else None
-    horizon = args.T if args.T is not None else (cfg.get("renewal.T") if cfg else 10.0)
-    dt = args.dt if args.dt is not None else (cfg.get("renewal.dt") if cfg else 1e-3)
-    weight_txt = args.weight or (cfg.get("renewal.weight") if cfg else "exp:1,1")
-    wt_t, wt_w, wt_func = _parse_weight_arg(weight_txt, cfg, horizon, dt)
+    cfg = _config(args)
+    if args.config is None and "renewal.weight" not in cfg.values:
+        # a flag-only run solves with exp:1,1, not the default model weight,
+        # and records it in the hash
+        cfg.set("renewal.weight", "exp:1,1")
+    wt_t, wt_w, weight = _parse_weight_arg(cfg)
     outdir = _outdir(cfg, args.out)
-    # a flag wins over the config; None when neither gives a value
-    c3 = args.c3 if args.c3 is not None else (cfg.get("renewal.c3") if cfg else None)
-    c4 = args.c4 if args.c4 is not None else (cfg.get("renewal.c4") if cfg else None)
+    # None when neither a flag nor the config sets it
+    c3, c4 = cfg.get("renewal.c3"), cfg.get("renewal.c4")
 
     if args.series:
         # lyapunov_fit needs 5 points in the second half of the times; on
@@ -323,9 +321,8 @@ def cmd_renewal(args) -> int:
 
     c3 = 1.0 if c3 is None else c3
     c4 = 1.0 if c4 is None else c4
-    weight = wt_func if wt_func is not None \
-        else (lambda t: np.interp(t, wt_t, wt_w))
-    rp = RenewalProblem(c3=c3, c4=c4, horizon=horizon, dt=dt, weight=weight)
+    rp = RenewalProblem(c3=c3, c4=c4, horizon=cfg.get("renewal.T"),
+                        dt=cfg.get("renewal.dt"), weight=weight)
     sol = renewal_solve(rp)
     beta1 = sol.beta1 if sol.beta1 is not None else 0.0
     path = outdir / "renewal.csv"
@@ -375,35 +372,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("bounds", help="compute the analytic bounds report")
     _add_common(s)
-    _add_model_flags(s)
+    _add_flags(s, _MODEL_FLAGS)
     s.set_defaults(func=cmd_bounds)
 
     s = sub.add_parser("simulate", help="simulate and dump trajectories")
     _add_common(s)
-    _add_model_flags(s)
+    _add_flags(s, _MODEL_FLAGS)
     s.add_argument("--csv", action="store_true", help="CSV dumps (small grids)")
     s.set_defaults(func=cmd_simulate)
 
     s = sub.add_parser("moments", help="Monte Carlo moment series")
     _add_common(s)
-    _add_jobs_flag(s)
-    _add_model_flags(s)
+    _add_flags(s, {**_JOBS_FLAG, **_MODEL_FLAGS})
     s.set_defaults(func=cmd_moments)
 
     s = sub.add_parser("growth-scan", help="restricted sup-moment scan")
     _add_common(s)
-    _add_jobs_flag(s)
-    _add_model_flags(s)
+    _add_flags(s, {**_JOBS_FLAG, **_MODEL_FLAGS})
     s.set_defaults(func=cmd_growth_scan)
 
     s = sub.add_parser("renewal", help="renewal solve / ordering check")
     _add_common(s)
-    s.add_argument("--c3", type=float, default=None)
-    s.add_argument("--c4", type=float, default=None)
-    s.add_argument("--T", type=float, default=None)
-    s.add_argument("--dt", type=float, default=None)
-    s.add_argument("--weight", default=None,
-                   help="'exp:A,B' | 'model' | CSV path")
+    _add_flags(s, _RENEWAL_FLAGS)
     s.add_argument("--series", default=None,
                    help="moments CSV; switches to ordering-check mode")
     s.set_defaults(func=cmd_renewal)

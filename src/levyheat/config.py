@@ -50,6 +50,13 @@ def _parse_int_at_least(low):
     return parse
 
 
+def _parse_positive(s):
+    v = float(s)
+    if not 0.0 < v < float("inf"):
+        raise ValueError("must be positive and finite")
+    return v
+
+
 def _parse_radius_exponent(s):
     """`subexp` or a number, kept as text so the config hash sees the text."""
     if s != "subexp":
@@ -95,8 +102,8 @@ SCHEMA = {
     "renewal.delta": (float, 0.5),
     "renewal.c3": (float, None),
     "renewal.c4": (float, None),
-    "renewal.T": (float, 10.0),
-    "renewal.dt": (float, 1e-3),
+    "renewal.T": (_parse_positive, 10.0),
+    "renewal.dt": (_parse_positive, 1e-3),
     "renewal.weight": (str, "model"),
     **{f"constants.{f.name}": (float, f.default)
        for f in fields(ConstantsConfig)},
@@ -148,10 +155,9 @@ class ExperimentConfig:
         _, default = SCHEMA[key]
         return self.values.get(key, default)
 
-    def set(self, key: str, value) -> None:
-        if key not in SCHEMA:
-            raise ValidationError(key, "unknown configuration key")
-        self.values[key] = _parse(key, value) if isinstance(value, str) else value
+    def set(self, key: str, text: str) -> None:
+        """Apply the config line `key = text`."""
+        self.values[key] = _parse(key, text)
 
     # -- construction -------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import struct
@@ -95,6 +96,12 @@ class TestConfig:
         assert err.value.key_path == "run.aggregator"
         assert "run.aggregator" in str(err.value)
 
+    def test_set_parses_every_value(self):
+        cfg = ExperimentConfig()
+        with pytest.raises(ValidationError) as err:
+            cfg.set("run.blocks", 1)
+        assert err.value.key_path == "run.blocks"
+
     def test_scan_r_keeps_its_text(self):
         assert ExperimentConfig.from_text("scan.r = 1.0").config_hash() \
             == ExperimentConfig().config_hash()
@@ -184,8 +191,10 @@ class TestCLI:
         ("moments", [], "run.blocks = 0\n", "run.blocks"),
         ("moments", [], "run.blocks = 1\n", "run.blocks"),
         ("growth-scan", [], "scan.r = fast\n", "scan.r"),
+        ("renewal", ["--dt", "0"], "", "renewal.dt"),
+        ("renewal", ["--T", "abc"], "", "renewal.T"),
     ], ids=["alpha-abc", "jobs-0", "jobs-negative", "blocks-0", "blocks-1",
-            "scan-r-fast"])
+            "scan-r-fast", "renewal-dt-0", "renewal-T-abc"])
     def test_bad_run_value_exits_3_naming_key(self, tmp_path, capsys,
                                               command, flags, lines, key):
         cfg = tmp_path / "cfg"
@@ -316,9 +325,51 @@ class TestCLI:
                      "--c4", "1", "--weight", "exp:1,1",
                      "--out", str(tmp_path)]) in (0, 1)
         got = json.loads((tmp_path / "renewal_check.json").read_text())
-        assert got["config_hash"] == "none"
+        assert got["config_hash"] == ExperimentConfig.from_text(
+            "renewal.c3 = 1\nrenewal.c4 = 1\nrenewal.weight = exp:1,1"
+        ).config_hash()
         assert got["assumptions"] == \
             ExperimentConfig().build_constants().assumptions()
+
+    def test_every_dotted_dest_is_a_schema_key(self):
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for sub in subparsers.choices.values()
+                 for a in sub._actions if "." in a.dest}
+        assert {"renewal.T", "renewal.dt", "renewal.weight"} <= dests
+        assert dests <= set(SCHEMA)
+
+    def test_renewal_hash_covers_flags(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN)
+        headers = []
+        for T in ("1", "2"):
+            out = tmp_path / T
+            assert main(["renewal", "--config", str(cfg), "--weight",
+                         "exp:1,1", "--T", T, "--dt", "0.01",
+                         "--out", str(out)]) == 0
+            headers.append((out / "renewal.csv").read_text().split()[2])
+        assert headers[0].startswith("config_hash=")
+        assert headers[0] != headers[1]
+
+    def test_renewal_flag_only_run_records_its_weight(self, tmp_path):
+        assert main(["renewal", "--T", "1", "--dt", "0.01",
+                     "--out", str(tmp_path)]) == 0
+        header = (tmp_path / "renewal.csv").read_text().split()[2]
+        cfg = ExperimentConfig.from_text(
+            "renewal.T = 1\nrenewal.dt = 0.01\nrenewal.weight = exp:1,1")
+        assert header == f"config_hash={cfg.config_hash()}"
+
+    def test_renewal_model_weight_without_config(self, tmp_path):
+        assert main(["renewal", "--weight", "model", "--T", "1", "--dt",
+                     "0.01", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "renewal.csv").exists()
+
+    def test_renewal_bad_flag_without_config_exits_3(self, tmp_path, capsys):
+        assert main(["renewal", "--dt", "0", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "renewal.dt" in err
+        assert "Traceback" not in err
 
     def test_moments_csv_format(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -518,7 +569,8 @@ EDGE_VALUES = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, 0, 7, -3,
 def test_csv_rows_format_as_fmt(tmp_path):
     # each row is one %-format; the bytes are those of _fmt per value
     rows = [EDGE_VALUES[i:i + 3] for i in range(0, len(EDGE_VALUES), 3)]
-    cli._write_csv(tmp_path / "edge.csv", None, "", "a,b,c", rows)
+    cli._write_csv(tmp_path / "edge.csv", ExperimentConfig(), "", "a,b,c",
+                   rows)
     lines = (tmp_path / "edge.csv").read_text().splitlines()
     assert lines[2:] == [",".join(f"{float(v):.17g}" for v in row)
                          for row in rows]

@@ -12,6 +12,7 @@ from levyheat.kernel import KernelParams, q_density, tail_coefficient
 from levyheat.noise import LevyMeasureSpec, sample_jumps
 from levyheat import solver
 from levyheat.cli import dump_trajectory, trajectory_csv
+from levyheat.config import ExperimentConfig
 from levyheat.solver import (GridSpec, build_discrete_kernel, heat_flow,
                              heat_step, initial_field, mild_step,
                              picard_solve, run_trajectory, sample_noise)
@@ -350,7 +351,7 @@ class TestTrajectory:
         g = GridSpec(half_width=8.0, n_x=16, horizon=0.5, n_t=5)
         traj = quiet_run(model(), g, seed=1, replica=0)
         dump_trajectory(traj, tmp_path / "t.bin", "0123456789abcdef")
-        trajectory_csv(traj, tmp_path / "t.csv", None)
+        trajectory_csv(traj, tmp_path / "t.csv", ExperimentConfig())
         lines = (tmp_path / "t.csv").read_text().splitlines()
         assert lines[0].startswith("# levyheat=")
         assert lines[0].endswith(" seed=1 replica=0")
