@@ -3,7 +3,9 @@
 Covers the weighted-norm contraction constant and the threshold beta0 it
 defines, the Lyapunov / growth-index upper bounds p*beta0 and beta0/c, the
 exponential and subexponential lower-bound figures, the renewal weight
-w_p^(eps), and a discrete Volterra renewal-equation solver.
+w_p^(eps), and a discrete Volterra renewal-equation solver: one Toeplitz
+renewal solve per Richardson grid, each tilted by its own growth root, with
+beta1 the base grid's trapezoid root and overflow raised as BlowupError.
 
 The proofs behind the lower bounds involve constants that are not written
 in closed form (martingale maximal inequalities and the compensated-Poisson
@@ -16,9 +18,10 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .errors import (DegenerateMeasureError, DomainError, NoRootError,
-                     ValidationError)
+from .errors import (BlowupError, DegenerateMeasureError, DomainError,
+                     NoRootError, ValidationError)
 from .kernel import (ConvConstants, I_formula, KernelParams, conv_constants,
                      hmoment_constant, levelset_volume_minform,
                      minform_level_integral)
@@ -402,9 +405,8 @@ def renewal_weight(kp: KernelParams, levy: LevyMeasureSpec, p: float,
 class RenewalProblem:
     """f = c3 + c4 (w * f) on a uniform grid [0, T] with step dt.
 
-    `weight` must be callable (evaluated at both the base and the refined
-    grid) or an array tabulated on the base grid (then refined by linear
-    interpolation for the Richardson pass).
+    `weight` is a callable, evaluated on the base grid and on the dt/2 grid
+    of the Richardson pass.
     """
 
     c3: float
@@ -427,10 +429,7 @@ class RenewalProblem:
         return np.arange(n + 1) * (self.dt / refine)
 
     def weight_values(self, t: np.ndarray) -> np.ndarray:
-        if callable(self.weight):
-            return np.asarray(self.weight(t), dtype=float)
-        base = self.grid(1)
-        return np.interp(t, base, np.asarray(self.weight, dtype=float))
+        return np.asarray(self.weight(t), dtype=float)
 
 
 @dataclass
@@ -463,33 +462,49 @@ def _series_inverse(a: np.ndarray) -> np.ndarray:
     return b
 
 
-def _volterra_trapezoid(wv: np.ndarray, c3: float, c4: float, dt: float,
-                        gamma: float) -> np.ndarray:
-    """Trapezoid solution f_0 = c3, and for i >= 1
-        denom f_i - c4 dt sum_{j=1}^{i-1} w_{i-j} f_j = c3 + c4 dt w_i f_0 / 2,
-    denom = 1 - c4 dt w_0 / 2 > 0 (renewal_solve checks it): a
-    lower-triangular Toeplitz system, solved as the series quotient
-    rhs(z) / a(z) with a = (denom, -c4 dt w_1, ...).
+def _renewal_series(v: np.ndarray, b: np.ndarray):
+    """(c, s) for c_k = b_k + sum_{m=1}^{k} v_m c_{k-m}, k < len(b), with
+    v = (v_1, v_2, ...).  s is the per-step log growth, the root of
+    sum_m v_m e^(-s m) = 1 over the v_m used (None when their sum is <= 1).
 
-    Both sides are tilted by e^(-gamma k dt) first (the tilt passes through
-    the convolution), which keeps the solved series bounded when gamma is
-    the growth rate; FFT rounding is relative to the largest term.
+    The Toeplitz system is solved in O(n log n) by a Newton-doubling inverse
+    of 1 - v(z) and one FFT product (Hairer, Lubich & Schlichte, 1985), for
+    c_k e^(-s k): FFT rounding is relative to the largest term, and the
+    tilted series stays bounded.  BlowupError names the first k whose
+    untilted c_k would pass 1e300, which leaves Richardson's 4 f2 - f1 finite.
     """
-    n = len(wv) - 1
-    exponent = gamma * dt * np.arange(1, n + 1)
-    tilt = np.exp(-exponent)
-    wt = wv[1:] * tilt
-    a = np.concatenate(([1.0 - c4 * dt * 0.5 * wv[0]], -c4 * dt * wt[:-1]))
-    rhs = c3 * tilt + c4 * dt * 0.5 * c3 * wt
-    f = np.empty(n + 1)
-    f[0] = c3
-    f[1:] = _fft_product(_series_inverse(a), rhs, n) * np.exp(exponent)
-    return f
+    n = len(b)
+    v = np.asarray(v[:n - 1], dtype=float)
+    lags = np.arange(1, n)
+    s = None
+    if v.sum() > 1.0:
+        def excess(x):
+            return float(np.dot(v, np.exp(-x * lags))) - 1.0
+
+        hi = 1.0
+        while excess(hi) > 0.0:
+            hi *= 2.0
+            if hi > 1e12:
+                raise NoRootError("growth root bracket exceeded ceiling")
+        s = brentq(excess, 0.0, hi, xtol=1e-300)
+    tilt = np.exp(-(s or 0.0) * np.arange(n))
+    a = np.concatenate(([1.0], -v * tilt[1:]))
+    c = _fft_product(_series_inverse(a), b * tilt, n)
+    over = np.nonzero(~(np.abs(c) <= 1e300 * tilt))[0]
+    if len(over):
+        raise BlowupError(step=int(over[0]), cell=0, value=math.inf)
+    return c / tilt, s
 
 
-def _laplace_grid(t: np.ndarray, w: np.ndarray, beta: float,
-                  moment: int = 0) -> float:
-    return float(np.trapezoid(t ** moment * np.exp(-beta * t) * w, t))
+def _volterra_trapezoid(wv: np.ndarray, c3: float, c4: float, dt: float):
+    """(f, beta) of the trapezoid rule on t_i = i dt: f_0 = c3 and
+        denom f_i = c3 (1 + c4 dt w_i / 2) + c4 dt sum_{j=1}^{i-1} w_{i-j} f_j,
+    denom = 1 - c4 dt w_0 / 2 > 0 (renewal_solve checks it), solved as the
+    renewal series of f_1, f_2, ...; beta = s / dt is its growth rate."""
+    denom = 1.0 - c4 * dt * 0.5 * wv[0]
+    v = c4 * dt * wv[1:] / denom
+    c, s = _renewal_series(v, c3 / denom + 0.5 * c3 * v)
+    return np.concatenate(([c3], c)), None if s is None else s / dt
 
 
 def renewal_solve(rp: RenewalProblem) -> RenewalSolution:
@@ -497,52 +512,26 @@ def renewal_solve(rp: RenewalProblem) -> RenewalSolution:
     Richardson extrapolation level against the dt/2 grid (the plain rule
     alone leaves O(dt^2) residue above the 1e-6 target on growing solutions).
 
-    beta1 solves c4 int e^(-beta1 t) w dt = 1 when c4 int w > 1 (bisection);
-    the solution's renewal limit e^(-beta1 t) f(t) is reported against its
-    closed expression.
-
-    Each grid's trapezoid system is lower-triangular Toeplitz and is solved
-    in O(n log n): a Newton-doubling inverse of the kernel series and one
-    FFT product with the right-hand side (Hairer, Lubich & Schlichte, 1985,
-    fast Volterra convolution solvers).  FFT products carry rounding
-    relative to their largest term, which would swamp the early values of a
-    solution growing like e^(beta1 t); the system is therefore solved for
-    e^(-beta1 t) f, which stays bounded, and unscaled afterwards
-    (untilted when there is no beta1).
+    Each grid is one _renewal_series solve tilted by its own growth root.
+    beta1 is the base grid's trapezoid root, which tends to the root of
+    c4 int e^(-beta1 t) w dt = 1 as dt -> 0; the renewal limit
+    e^(-beta1 t) f(t) is reported against its closed expression.  A
+    solution that would overflow raises BlowupError instead.
     """
     t1 = rp.grid(1)
     wv = rp.weight_values(t1)
     # the base grid's denominator is the smaller of the two
     if 1.0 - rp.c4 * rp.dt * 0.5 * wv[0] <= 0.0:
         raise DomainError("step too large: c4 dt w(0) / 2 >= 1")
-
-    beta1 = None
+    f1, beta1 = _volterra_trapezoid(wv, rp.c3, rp.c4, rp.dt)
+    f2, _ = _volterra_trapezoid(rp.weight_values(rp.grid(2)), rp.c3, rp.c4,
+                                rp.dt / 2.0)
+    f = (4.0 * f2[::2] - f1) / 3.0
     limit_lhs = limit_rhs = None
-    if rp.c4 * _laplace_grid(t1, wv, 0.0) > 1.0:
-        lo, hi = 0.0, 1.0
-        while rp.c4 * _laplace_grid(t1, wv, hi) > 1.0:
-            hi *= 2.0
-            if hi > 1e12:
-                raise NoRootError("beta1 bisection exceeded ceiling")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if rp.c4 * _laplace_grid(t1, wv, mid) > 1.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-14 * max(hi, 1.0):
-                break
-        beta1 = 0.5 * (lo + hi)
-
-    gamma = beta1 if beta1 is not None else 0.0
-    f1 = _volterra_trapezoid(wv, rp.c3, rp.c4, rp.dt, gamma)
-    t2 = rp.grid(2)
-    f2 = _volterra_trapezoid(rp.weight_values(t2), rp.c3, rp.c4, rp.dt / 2.0,
-                             gamma)[::2]
-    f = (4.0 * f2 - f1) / 3.0
     if beta1 is not None:
         limit_lhs = float(math.exp(-beta1 * rp.horizon) * f[-1])
-        denom = beta1 * rp.c4 * _laplace_grid(t1, wv, beta1, moment=1)
+        denom = beta1 * rp.c4 * float(
+            np.trapezoid(t1 * np.exp(-beta1 * t1) * wv, t1))
         limit_rhs = rp.c3 / denom if denom > 0 else None
     return RenewalSolution(t=t1, f=f, beta1=beta1,
                            limit_lhs=limit_lhs, limit_rhs=limit_rhs)

@@ -64,6 +64,14 @@ def _parse_radius_exponent(s):
     return s
 
 
+def _parse_weight(s):
+    """`model`, a CSV path or `exp:<amp>,<rate>`, kept as text so the config
+    hash sees the text."""
+    if s.startswith("exp:") and len([float(v) for v in s[4:].split(",")]) != 2:
+        raise ValueError("expected exp:<amp>,<rate>")
+    return s
+
+
 # key -> (parser, default); defaults of None mean "absent unless set"
 SCHEMA = {
     "model.d": (int, 1),
@@ -104,7 +112,7 @@ SCHEMA = {
     "renewal.c4": (float, None),
     "renewal.T": (_parse_positive, 10.0),
     "renewal.dt": (_parse_positive, 1e-3),
-    "renewal.weight": (str, "model"),
+    "renewal.weight": (_parse_weight, "model"),
     **{f"constants.{f.name}": (float, f.default)
        for f in fields(ConstantsConfig)},
 }

@@ -409,8 +409,8 @@ def renewal_check(series: MomentSeries, weight_t: np.ndarray,
     dt = float(t[1] - t[0])
     if not np.allclose(np.diff(t), dt):
         raise DomainError("series time grid must be uniform")
-    wv = np.interp(t, weight_t, weight_w)
-    rp = RenewalProblem(c3=c3, c4=c4, horizon=float(t[-1]), dt=dt, weight=wv)
+    rp = RenewalProblem(c3=c3, c4=c4, horizon=float(t[-1]), dt=dt,
+                        weight=lambda u: np.interp(u, weight_t, weight_w))
     sol = renewal_solve(rp)
     margin = series.inf_mean - sol.f
     fitted = lyapunov_fit(series).lower

@@ -13,6 +13,7 @@ from levyheat import analytics
 from levyheat.errors import DomainError, NoRootError, ValidationError
 from levyheat.kernel import KernelParams
 from levyheat.noise import LevyMeasureSpec
+from levyheat.solver import GridSpec, build_discrete_kernel
 
 KP1 = KernelParams(d=1, alpha=1.0)
 KP15 = KernelParams(d=1, alpha=1.5)
@@ -305,9 +306,11 @@ def volterra_loop(wv, c3, c4, dt):
 
 
 def _model_weight_table():
-    # the renewal_check path: a tabulated weight, refined by interpolation
+    # the renewal_check path: a tabulated weight, read by interpolation
     wt = renewal_weight(KP15, ATOMS, 1.2, 1.0, 0.5)
-    return np.interp(np.arange(4001) * 1e-3, wt.t, wt.w)
+    t = np.arange(4001) * 1e-3
+    table = np.interp(t, wt.t, wt.w)
+    return lambda u: np.interp(u, t, table)
 
 
 RENEWAL_CASES = {
@@ -330,13 +333,11 @@ class TestRenewalFastSolve:
         rp = RenewalProblem(c3=c3, c4=c4, horizon=horizon, dt=dt,
                             weight=weight or _model_weight_table())
         sol = renewal_solve(rp)
-        gamma = sol.beta1 if sol.beta1 is not None else 0.0
         refs = []
         for refine in (1, 2):
             wv = rp.weight_values(rp.grid(refine))
             ref = volterra_loop(wv, c3, c4, dt / refine)
-            fast = analytics._volterra_trapezoid(wv, c3, c4, dt / refine,
-                                                 gamma)
+            fast, _ = analytics._volterra_trapezoid(wv, c3, c4, dt / refine)
             assert np.max(np.abs(fast - ref) / ref) <= 1e-12
             refs.append(ref)
         richardson = (4.0 * refs[1][::2] - refs[0]) / 3.0
@@ -347,6 +348,54 @@ class TestRenewalFastSolve:
                             weight=lambda t: np.exp(-t))
         with pytest.raises(DomainError, match="step too large"):
             renewal_solve(rp)
+
+
+def renewal_loop(v, b):
+    """Reference solution of c_k = b_k + sum_{m=1}^{k} v_m c_{k-m}, one term
+    at a time in O(n^2)."""
+    c = np.empty(len(b))
+    for k in range(len(b)):
+        c[k] = b[k] + float(np.dot(v[:k], c[k - 1::-1])) if k else b[0]
+    return c
+
+
+class TestRenewalSeries:
+    @pytest.mark.parametrize("grows", [True, False], ids=["root", "no-root"])
+    def test_matches_loop(self, grows):
+        rng = np.random.default_rng(7)
+        v = rng.uniform(0.0, 0.05, 300)
+        b = rng.uniform(0.5, 2.0, 300)
+        if not grows:
+            v /= 2.0 * v.sum()
+        c, s = analytics._renewal_series(v, b)
+        ref = renewal_loop(v, b)
+        assert np.max(np.abs(c - ref) / ref) <= 1e-12
+        if grows:
+            lags = np.arange(1, len(b))
+            assert np.dot(v[:-1], np.exp(-s * lags)) == pytest.approx(
+                1.0, rel=1e-12)
+        else:
+            assert s is None
+
+    def test_second_moment_scheme(self):
+        # E[X_k^2] for sigma(x) = x, u0 = 1 on the reference grid solves the
+        # renewal equation with v_m = a mean_j |w^_j|^(2m), a = m2 dt / dx,
+        # b = 1; the reference is the covariance recursion in Fourier space
+        grid = GridSpec()
+        dk = build_discrete_kernel(KP15, grid, grid.dt)
+        w2 = np.abs(np.fft.fft(dk.weights)) ** 2
+        a = ATOMS.moment(2.0) * grid.dt / grid.dx
+        powers = np.arange(1, grid.n_t + 1)[:, None]
+        v = a * np.mean(w2 ** powers, axis=1)
+        c, s = analytics._renewal_series(v, np.ones(grid.n_t + 1))
+        cov_hat = np.fft.fft(np.ones(grid.n_x))
+        ref = []
+        for _ in range(grid.n_t + 1):
+            ref.append(np.mean(cov_hat).real)
+            cov_hat = w2 * (cov_hat + a * ref[-1])
+        assert np.max(np.abs(c - ref) / ref) <= 1e-12
+        assert c[-1] == pytest.approx(23659.47, rel=1e-6)
+        assert s / grid.dt == pytest.approx(1.8495, abs=1e-4)
 
 
 class TestEmpiricalMomentInequalities:

@@ -193,8 +193,13 @@ class TestCLI:
         ("growth-scan", [], "scan.r = fast\n", "scan.r"),
         ("renewal", ["--dt", "0"], "", "renewal.dt"),
         ("renewal", ["--T", "abc"], "", "renewal.T"),
+        ("renewal", ["--weight", "exp:1"], "", "renewal.weight"),
+        ("renewal", ["--weight", "exp:a,b"], "", "renewal.weight"),
+        ("renewal", ["--weight", "exp:1,2,3"], "", "renewal.weight"),
     ], ids=["alpha-abc", "jobs-0", "jobs-negative", "blocks-0", "blocks-1",
-            "scan-r-fast", "renewal-dt-0", "renewal-T-abc"])
+            "scan-r-fast", "renewal-dt-0", "renewal-T-abc",
+            "renewal-weight-exp-1", "renewal-weight-exp-a-b",
+            "renewal-weight-exp-1-2-3"])
     def test_bad_run_value_exits_3_naming_key(self, tmp_path, capsys,
                                               command, flags, lines, key):
         cfg = tmp_path / "cfg"
@@ -364,6 +369,17 @@ class TestCLI:
         assert main(["renewal", "--weight", "model", "--T", "1", "--dt",
                      "0.01", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "renewal.csv").exists()
+
+    def test_renewal_overflow_exits_1(self, tmp_path, capsys):
+        # the default model weight, c3 = c4 = 1, T = 10, dt = 1e-3 grows
+        # past the double range
+        cfg = tmp_path / "cfg"
+        cfg.write_text("model.alpha = 1.5\n")
+        out = tmp_path / "out"
+        assert main(["renewal", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (out / "renewal.csv").exists()
 
     def test_renewal_bad_flag_without_config_exits_3(self, tmp_path, capsys):
         assert main(["renewal", "--dt", "0", "--out", str(tmp_path)]) == 3
