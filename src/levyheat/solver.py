@@ -125,12 +125,16 @@ def initial_field(ms: ModelSpec, grid: GridSpec) -> np.ndarray:
     return ms.u0(grid.x)
 
 
-def heat_step(fields: np.ndarray, dk: DiscreteKernel) -> np.ndarray:
+def heat_step(fields: np.ndarray, dk: DiscreteKernel,
+              out: np.ndarray | None = None) -> np.ndarray:
     """One deterministic semigroup step: circular convolution with the
-    discrete kernel (spectral implementation).  Mean-preserving since the
-    weights sum to one; nonnegative weights preserve nonnegativity."""
+    discrete kernel (spectral implementation), written into `out` when it
+    is given (it may be `fields` itself) and returned.  Mean-preserving
+    since the weights sum to one; nonnegative weights preserve
+    nonnegativity."""
     spec = np.fft.rfft(fields, axis=-1)
-    return np.fft.irfft(spec * dk.spectrum, n=fields.shape[-1], axis=-1)
+    spec *= dk.spectrum
+    return np.fft.irfft(spec, n=fields.shape[-1], axis=-1, out=out)
 
 
 def heat_flow(ms: ModelSpec, grid: GridSpec, dk: DiscreteKernel) -> np.ndarray:
@@ -141,16 +145,30 @@ def heat_flow(ms: ModelSpec, grid: GridSpec, dk: DiscreteKernel) -> np.ndarray:
     return np.vstack([u0, np.fft.irfft(np.fft.rfft(u0) * powers, n=grid.n_x)])
 
 
+@dataclass
+class NoiseStep:
+    """Cell noise of one (R, n_x) step: the jump cells at flat positions
+    `pos`, with their combined dLambda `vals`, and the dense dLambda `plane`
+    of every cell, or None when every cell without a jump is exactly 0."""
+
+    shape: tuple
+    pos: np.ndarray
+    vals: np.ndarray
+    plane: np.ndarray | None = None
+
+
 class BatchNoise:
     """Combined cell noise of R replicas, one (R, n_x) step at a time.
 
     The jumps stay sparse: `vals` are the values of the jump cells at flat
     indices `keys` into (n_t, R, n_x), kept sorted by step.  Iterating
-    yields, for k = 0..n_t-1, one reused (R, n_x) buffer holding step k: it
-    is filled with `base`, the value of a cell without jumps,
-    (0 - compensator) + b dt dx; the jump cells of step k are scattered
-    into it, and the dense Gaussian plane of step k is added when rho > 0.
-    The next step overwrites the buffer.
+    yields, for k = 0..n_t-1, one reused NoiseStep holding step k: the
+    positions of its jump cells in the (R, n_x) plane and their values.  A
+    cell without jumps is worth `base` = (0 - compensator) + b dt dx, plus
+    the Gaussian plane of step k when rho > 0; when either is nonzero, the
+    step also carries that dense plane (in one reused buffer) and each jump
+    cell's value includes its Gaussian term.  The next step overwrites the
+    NoiseStep.
     """
 
     def __init__(self, n_t: int, shape: tuple, base: float, keys: np.ndarray,
@@ -166,15 +184,17 @@ class BatchNoise:
         self.gaussian = gaussian          # (n_t, R, n_x) or None
 
     def __iter__(self):
-        buf = np.empty(self.shape)
-        flat = buf.reshape(-1)
+        step = NoiseStep(self.shape, self.pos[:0], self.vals[:0])
+        if self.base != 0.0 or self.gaussian is not None:
+            step.plane = np.full(self.shape, self.base)
         for k in range(len(self.bounds) - 1):
             lo, hi = self.bounds[k], self.bounds[k + 1]
-            buf.fill(self.base)
-            flat[self.pos[lo:hi]] = self.vals[lo:hi]
+            step.pos, step.vals = self.pos[lo:hi], self.vals[lo:hi]
             if self.gaussian is not None:
-                buf += self.gaussian[k]
-            yield buf
+                gauss = self.gaussian[k]
+                np.add(gauss, self.base, out=step.plane)
+                step.vals = step.vals + gauss.reshape(-1)[step.pos]
+            yield step
 
 
 def sample_noise(ms: ModelSpec, grid: GridSpec, seed: int,
@@ -185,7 +205,8 @@ def sample_noise(ms: ModelSpec, grid: GridSpec, seed: int,
     not depend on which replicas it is sampled with: its jumps
     (`noise.sample_jumps`), each jump cell worth (sum - dt dx int z
     lambda(dz)) + b dt dx, then its Gaussian plane rho sqrt(dt dx) N(0, 1)
-    when rho > 0.  Memory is O(jumps), plus the dense Gaussian planes.
+    when rho > 0.  Memory is O(jumps), plus the dense Gaussian planes; a
+    step is dense only when rho > 0 or a cell without jumps is nonzero.
     """
     n_r, n_x = len(replicas), grid.n_x
     cell = grid.dt * grid.dx
@@ -207,24 +228,41 @@ def sample_noise(ms: ModelSpec, grid: GridSpec, seed: int,
 
 
 def mild_step(fields: np.ndarray, dk: DiscreteKernel, ms: ModelSpec,
-              dlam: np.ndarray, dx: float, step: int,
+              dlam: NoiseStep, dx: float, step: int, *, out: np.ndarray,
               sigma_at: np.ndarray | None = None) -> np.ndarray:
     """Mild-solution step `step` -> `step + 1`:
 
         X_{k+1} = Q_dt X_k + Q_dt( sigma(Y_k) dLambda_k ) / dx ,
 
     with sigma evaluated at the left point, Y = X unless `sigma_at` gives
-    another field (the previous Picard iterate).  dlam is the combined cell
-    noise measure (compensated jumps + drift + Gaussian).  Raises
-    BlowupError with `step` and the largest cell once some |X| passes
-    BLOWUP_GUARD.
+    another field of the same shape (the previous Picard iterate).  `dlam`
+    is the combined cell noise measure (compensated jumps + drift +
+    Gaussian) of the (R, n_x) cells; `fields` holds one or more copies of
+    that plane along its leading axes.  sigma(Y) dLambda / dx is added at
+    the jump cells only; a dense plane is added to every cell first, the
+    jump cells then written from their pre-step values, so each cell sees
+    the same arithmetic as the dense formula.  The result goes to `out`
+    (`fields` itself steps in place) through `heat_step` and is returned.
+    Raises BlowupError with `step`, the cell and the value of the largest
+    |X| once it passes BLOWUP_GUARD, or of the first non-finite X.
     """
-    sig = ms.sigma(fields if sigma_at is None else sigma_at)
-    out = heat_step(fields + sig * dlam / dx, dk)
-    amax = np.abs(out).max()
-    if not np.isfinite(amax) or amax > BLOWUP_GUARD:
-        idx = np.unravel_index(int(np.nanargmax(np.abs(out))), out.shape)
-        raise BlowupError(step=step, cell=int(idx[-1]), value=float(amax))
+    cells = math.prod(dlam.shape)
+    x = fields.reshape(-1, cells)
+    y = x if sigma_at is None else sigma_at.reshape(-1, cells)
+    jumps = x[:, dlam.pos]
+    jumps += ms.sigma(y[:, dlam.pos]) * dlam.vals / dx
+    step_cells = out.reshape(-1, cells)
+    if dlam.plane is not None:
+        np.add(x, ms.sigma(y) * dlam.plane.reshape(-1) / dx, out=step_cells)
+    elif out is not fields:
+        np.copyto(step_cells, x)
+    step_cells[:, dlam.pos] = jumps
+    out = heat_step(out, dk, out=out)
+    if not max(out.max(), -out.min()) <= BLOWUP_GUARD:
+        bad = ~np.isfinite(out)
+        i = int(np.argmax(bad) if bad.any() else np.argmax(np.abs(out)))
+        raise BlowupError(step=step, cell=i % out.shape[-1],
+                          value=float(abs(out.flat[i])))
     return out
 
 
@@ -253,7 +291,7 @@ def run_trajectory(ms: ModelSpec, grid: GridSpec, seed: int,
     fields = np.empty((grid.n_t + 1, grid.n_x))
     fields[0] = initial_field(ms, grid)
     for k, dlam in enumerate(sample_noise(ms, grid, seed, [replica])):
-        fields[k + 1] = mild_step(fields[k], dk, ms, dlam[0], grid.dx, k)
+        mild_step(fields[k], dk, ms, dlam, grid.dx, k, out=fields[k + 1])
     return Trajectory(fields=fields, grid=grid, seed=seed, replica=replica)
 
 
@@ -314,21 +352,27 @@ def picard_solve(ms: ModelSpec, grid: GridSpec, seed: int, replicas: int,
         raise DomainError("need at least two iterates to measure contraction")
     if beta <= 0.0:
         raise DomainError("beta must be positive")
+    if replicas < 1:
+        raise DomainError("need at least one replica")
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
     flow = heat_flow(ms, grid, dk)
     weight = c * np.log1p(np.abs(grid.x))
     state = np.empty((n_iter, replicas, grid.n_x))     # X^1..X^n_iter at step k
     state[:] = flow[0]
     below = state.copy()                               # X^0..X^(n_iter-1)
+    powers = np.empty_like(state)                      # |X^(n+1) - X^n|^p
     log_d = np.full(n_iter, -np.inf)
     rel_se = np.zeros(n_iter)
     log_rel = np.full(n_iter, -np.inf)   # log of d_n / |X^n| at the arg-max cell
     times, rows = grid.times, np.arange(n_iter)
     for k, dlam in enumerate(sample_noise(ms, grid, seed, range(replicas))):
-        state = mild_step(state, dk, ms, dlam, grid.dx, k, sigma_at=below)
+        state = mild_step(state, dk, ms, dlam, grid.dx, k, sigma_at=below,
+                          out=state)
         below[0] = flow[k + 1]
         below[1:] = state[:-1]
-        powers = np.abs(state - below) ** p
+        np.subtract(state, below, out=powers)
+        np.abs(powers, out=powers)
+        powers **= p
         moment = np.mean(powers, axis=1)                # (n_iter, n_x)
         with np.errstate(divide="ignore"):
             logs = -beta * times[k + 1] + weight + np.log(moment) / p

@@ -13,8 +13,8 @@ from levyheat.noise import LevyMeasureSpec, sample_jumps
 from levyheat import solver
 from levyheat.cli import dump_trajectory, trajectory_csv
 from levyheat.config import ExperimentConfig
-from levyheat.solver import (GridSpec, build_discrete_kernel, heat_flow,
-                             heat_step, initial_field, mild_step,
+from levyheat.solver import (GridSpec, NoiseStep, build_discrete_kernel,
+                             heat_flow, heat_step, initial_field, mild_step,
                              picard_solve, run_trajectory, sample_noise)
 
 KP15 = KernelParams(d=1, alpha=1.5)
@@ -28,9 +28,23 @@ def model(slope=1.0, u0=None, kp=KP15):
                      u0=u0 or U0Spec(kind="constant", value=1.0))
 
 
+def dense_step(step):
+    """The (R, n_x) array of one NoiseStep: its dense plane, or zeros, with
+    the jump cells' values written in."""
+    plane = np.zeros(step.shape) if step.plane is None else step.plane.copy()
+    plane.reshape(-1)[step.pos] = step.vals
+    return plane
+
+
+def dense(plane):
+    """A NoiseStep whose every cell's dLambda is in the dense `plane`."""
+    return NoiseStep(plane.shape, np.empty(0, dtype=np.intp), np.empty(0),
+                     plane)
+
+
 def dense_noise(noise):
     """The (n_t, R, n_x) array of every step a BatchNoise yields."""
-    return np.stack([step.copy() for step in noise])
+    return np.stack([dense_step(step) for step in noise])
 
 
 def quiet_run(*args, **kw):
@@ -269,21 +283,69 @@ class TestMildStep:
 
     def test_zero_noise_reduces_to_heat(self):
         f = np.exp(-0.5 * (self.grid.x / 3.0) ** 2)
-        out = mild_step(f, self.dk, model(slope=7.3), np.zeros(128),
-                        self.grid.dx, 0)
+        out = mild_step(f, self.dk, model(slope=7.3), dense(np.zeros(128)),
+                        self.grid.dx, 0, out=np.empty(128))
         assert np.array_equal(out, heat_step(f, self.dk))
 
     def test_sigma_zero_decouples_noise(self):
         f = np.exp(-0.5 * (self.grid.x / 3.0) ** 2)
         noise = np.random.default_rng(0).normal(size=128)
-        out = mild_step(f, self.dk, model(slope=0.0), noise, self.grid.dx, 0)
+        out = mild_step(f, self.dk, model(slope=0.0), dense(noise),
+                        self.grid.dx, 0, out=np.empty(128))
         assert np.allclose(out, heat_step(f, self.dk))
 
     def test_blowup_guard(self):
         f = np.full(128, 1.0)
         with pytest.raises(BlowupError):
-            mild_step(f, self.dk, model(slope=1.0), np.full(128, 1e15),
-                      self.grid.dx, 0)
+            mild_step(f, self.dk, model(slope=1.0), dense(np.full(128, 1e15)),
+                      self.grid.dx, 0, out=f)
+
+    def test_blowup_on_a_non_finite_row(self):
+        # 1 + 1e308 / dx overflows in every cell: the row turns NaN
+        with pytest.raises(BlowupError) as info, np.errstate(all="ignore"):
+            mild_step(np.ones(128), self.dk, model(),
+                      dense(np.full(128, 1e308)), self.grid.dx, 0,
+                      out=np.empty(128))
+        assert (info.value.step, info.value.cell) == (0, 0)
+        assert math.isnan(info.value.value)
+
+    def test_trajectory_overflow_raises_blowup(self):
+        # sigma(1) dLambda / dx = 4e308 at the first jump cell
+        with pytest.raises(BlowupError) as info:
+            quiet_run(model(slope=1e308), self.grid, seed=5, replica=0)
+        assert not math.isfinite(info.value.value)
+
+    @pytest.mark.parametrize("case", ["symmetric", "asymmetric", "sigma_at",
+                                      "affine"])
+    def test_injection_matches_dense_formula(self, case):
+        # each step bit for bit against heat_step(X + sigma(Y) dLambda / dx)
+        levy, rho, sigma = ATOMS, 0.0, SigmaSpec(kind="linear", slope=1.0)
+        if case == "asymmetric":
+            levy = LevyMeasureSpec(variant="atoms",
+                                   atoms=((2.0, 0.5), (-0.5, 1.0)))
+            rho = 0.3
+        elif case == "affine":
+            sigma = SigmaSpec(kind="affine", slope=0.5, intercept=2.0)
+        ms = ModelSpec(kp=KP15, rho=rho, levy=levy, sigma=sigma,
+                       u0=U0Spec(kind="constant", value=1.0))
+        rng = np.random.default_rng(7)
+        shape = (2, 3, 128) if case == "sigma_at" else (3, 128)
+        jumps = 0
+        for k, step in enumerate(sample_noise(ms, self.grid, 9, range(3))):
+            assert (step.plane is None) == (case != "asymmetric")
+            jumps += len(step.pos)
+            fields = rng.standard_normal(shape)
+            below = rng.standard_normal(shape) if case == "sigma_at" else None
+            y = fields if below is None else below
+            dense = heat_step(fields + ms.sigma(y) * dense_step(step)
+                              / self.grid.dx, self.dk)
+            out = mild_step(fields, self.dk, ms, step, self.grid.dx, k,
+                            sigma_at=below, out=np.empty(shape))
+            assert np.array_equal(out, dense)
+            mild_step(fields, self.dk, ms, step, self.grid.dx, k,
+                      sigma_at=below, out=fields)
+            assert np.array_equal(fields, dense)
+        assert jumps > 0
 
     def test_blowup_error_pickles(self):
         # a --jobs worker sends it back to the parent process
@@ -303,7 +365,8 @@ class TestTrajectory:
                        u0=U0Spec(kind="constant", value=0.0))
         jump = np.zeros(grid.n_x)
         jump[40] = 1.0
-        out = mild_step(initial_field(ms, grid), dk, ms, jump, grid.dx, 0)
+        out = mild_step(initial_field(ms, grid), dk, ms, dense(jump), grid.dx,
+                        0, out=np.empty(grid.n_x))
         expect = np.roll(dk.weights, 40) / grid.dx
         assert np.abs(out - expect).max() < 1e-14
 
@@ -375,8 +438,8 @@ def sequential_picard(ms, grid, seed, replicas, n_iter, beta, c, p,
         nxt = np.empty_like(current)
         nxt[0] = current[0]
         for k, dlam in enumerate(noise):
-            nxt[k + 1] = mild_step(nxt[k], dk, ms, dlam, grid.dx, k,
-                                   sigma_at=current[k])
+            mild_step(nxt[k], dk, ms, dlam, grid.dx, k, sigma_at=current[k],
+                      out=nxt[k + 1])
         diff = nxt - current
         moment = np.mean(np.abs(diff) ** p, axis=1)
         if replicas > 1:
@@ -453,9 +516,10 @@ class TestPicard:
         rep = self.reference_run()
         assert rep.resolved == 3 and rep.contraction_ok
 
-        def rolled(fields, dk):
-            return np.roll(heat_step(np.roll(fields, 37, axis=-1), dk), -37,
-                           axis=-1)
+        def rolled(fields, dk, out=None):
+            stepped = heat_step(np.roll(fields, 37, axis=-1), dk, out=out)
+            stepped[...] = np.roll(stepped, -37, axis=-1)
+            return stepped
 
         monkeypatch.setattr(solver, "heat_step", rolled)
         moved = np.abs(self.reference_run().log_d - rep.log_d)
@@ -509,6 +573,11 @@ class TestPicard:
         assert rep.contraction_ok
         ratios = np.diff(rep.log_d)
         assert np.all(ratios < math.log(0.5))
+
+    def test_needs_a_replica(self):
+        with pytest.raises(DomainError):
+            picard_solve(model(), self.SMALL, seed=0, replicas=0, n_iter=2,
+                         beta=1.0, c=0.0, p=2.0)
 
     def test_needs_two_iterates(self):
         with pytest.raises(DomainError):
