@@ -188,15 +188,22 @@ def cmd_simulate(args) -> int:
     # "always": record every warning, repeats and those a filter would raise
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for r in range(cfg.get("run.replicas")):
-            traj = run_trajectory(ms, grid, seed, r)
-            if args.csv:
-                path = outdir / f"trajectory_r{r:04d}.csv"
-                trajectory_csv(traj, path, cfg)
-            else:
-                path = outdir / f"trajectory_r{r:04d}.bin"
-                dump_trajectory(traj, path, tag)
-            paths.append(path.name)
+        try:
+            for r in range(cfg.get("run.replicas")):
+                traj = run_trajectory(ms, grid, seed, r)
+                if args.csv:
+                    path = outdir / f"trajectory_r{r:04d}.csv"
+                    trajectory_csv(traj, path, cfg)
+                else:
+                    path = outdir / f"trajectory_r{r:04d}.bin"
+                    dump_trajectory(traj, path, tag)
+                paths.append(path.name)
+        except BlowupError:
+            # no simulate.json records them: the warnings that explain the
+            # blow-up go to stderr ahead of its error line
+            for message in sorted({str(w.message) for w in caught}):
+                print(f"warning: {message}", file=sys.stderr)
+            raise
     _write_json(outdir / "simulate.json", cfg,
                 {"files": paths, "seed": seed,
                  "warnings": sorted({str(w.message) for w in caught})})
@@ -214,7 +221,8 @@ def cmd_moments(args) -> int:
         _write_csv(path, cfg,
                    f" p={p:g} replicas={series.replicas}"
                    f" aggregator={series.aggregator}"
-                   f" admissible={series.admissible}",
+                   f" admissible={series.admissible}"
+                   f" variance_finite={series.variance_finite}",
                    "t,sup_mean,sup_se,inf_mean,inf_se",
                    zip(series.times, series.sup_mean, series.sup_se,
                        series.inf_mean, series.inf_se))

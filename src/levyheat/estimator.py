@@ -5,8 +5,12 @@ stepped as one (batch, n_x) array.  A batch holds at most BATCH_BYTES: per
 replica, the rows a step keeps live, the sparse jump list, and the dense
 Gaussian plane when rho > 0 (at least one replica per batch).  Only the
 per-cell moment accumulators outlive a batch, so memory stays flat in the
-replica count; one pass accumulates every requested moment order.  With
-`jobs` > 1 each worker process takes one contiguous range of replicas.
+replica count; one pass accumulates every requested moment order.  The
+median of means is then reduced a slab of time rows at a time (at most
+_SLAB_BYTES of block means), so beyond the accumulators and the estimates
+a run holds one batch or one slab, never a full-size copy of the block
+sums.  With `jobs` > 1 each worker process takes one contiguous range of
+replicas, and their sums are added in place.
 
 Spatial extrema are taken over grid cells, which under-/over-shoots the
 continuum extrema; the heavy-tail aggregator is median-of-means (16 blocks)
@@ -39,24 +43,37 @@ _STEP_ROWS = 8
 # bytes per jump while a batch's noise is built: flat index and value per
 # replica and concatenated, the sort order
 _JUMP_BYTES = 40
+# block means that _median_of_means reduces at once: 32 time rows of
+# 16 blocks x 256 cells on the reference grid
+_SLAB_BYTES = 2 ** 20
 # asymptotic SE inflation of a median of near-normal block means
 _MEDIAN_SE = math.sqrt(math.pi / 2.0)
 
 
-def _median_of_means(bm: np.ndarray):
-    """Median of the block means `bm` (blocks on axis 0) and its standard
-    error from the block spread.
+def _median_of_means(acc: np.ndarray, bcount: np.ndarray):
+    """Median of the block means and its standard error from the block
+    spread, per (time, cell), from the per-block sums `acc`
+    (n_t + 1, blocks, n_x) of `bcount` replicas each.
 
-    The median is read off a sort along the block axis, which numpy runs
-    several times faster there than `np.median`'s partition: it is the same
-    middle value, or the mean of the same two (block means of |X|^p are
-    never NaN).
+    The rows are reduced a slab at a time (at most _SLAB_BYTES of block
+    means), so no full-size copy of `acc` is made; each row reduces the
+    same values in the same order as a whole-array reduction, so the bits
+    are the same.  The median is read off a sort along the block axis,
+    which numpy runs several times faster there than `np.median`'s
+    partition: it is the same middle value, or the mean of the same two
+    (block means of |X|^p are never NaN).
     """
-    n = len(bm)
-    se = _MEDIAN_SE * bm.std(axis=0, ddof=1) / math.sqrt(n)
-    s = np.sort(bm, axis=0)
-    median = s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2
-    return median, se
+    n = len(bcount)
+    est = np.empty((len(acc), acc.shape[2]))
+    se = np.empty_like(est)
+    rows = max(1, _SLAB_BYTES // (8 * acc[0].size))
+    for lo in range(0, len(acc), rows):
+        bm = np.moveaxis(acc[lo:lo + rows] / bcount[:, None], 1, 0)
+        se[lo:lo + rows] = _MEDIAN_SE * bm.std(axis=0, ddof=1) / math.sqrt(n)
+        s = np.sort(bm, axis=0)
+        est[lo:lo + rows] = s[n // 2] if n % 2 else \
+            (s[n // 2 - 1] + s[n // 2]) / 2
+    return est, se
 
 
 @dataclass
@@ -65,7 +82,9 @@ class MomentSeries:
 
     `admissible` is False when p >= 1 + alpha/d: the true moment is infinite
     there, estimates diverge upward with the replica count, and no
-    convergence claim attaches to the numbers.
+    convergence claim attaches to the numbers.  `variance_finite` is False
+    when 2p >= 1 + alpha/d: the moment is finite, but Var(|X|^p) is not, so
+    the standard errors estimate a quantity that diverges under refinement.
     """
 
     times: np.ndarray
@@ -77,6 +96,7 @@ class MomentSeries:
     replicas: int
     aggregator: str = "mean"
     admissible: bool = True
+    variance_finite: bool = True
 
     def __post_init__(self):
         if np.any(self.sup_mean < self.inf_mean):
@@ -140,7 +160,7 @@ def _accumulate(ms: ModelSpec, grid: GridSpec, ps, moms, seed: int,
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
     u0 = initial_field(ms, grid)
     n_t, nx = grid.n_t, grid.n_x
-    flow = np.abs(heat_flow(ms, grid, dk))
+    flow = None if all(moms) else np.abs(heat_flow(ms, grid, dk))
     sums = [np.zeros((n_t + 1, blocks, nx)) if mom
             else (flow ** p, np.zeros((n_t + 1, nx)), np.zeros((n_t + 1, nx)))
             for p, mom in zip(ps, moms)]
@@ -173,11 +193,18 @@ def _accumulate(ms: ModelSpec, grid: GridSpec, ps, moms, seed: int,
 
 
 def _merge(parts: list):
-    """Add up the workers' sums of one order."""
-    if isinstance(parts[0], np.ndarray):
-        return sum(parts[1:], parts[0])
-    return (parts[0][0], sum(s1 for _, s1, _ in parts),
-            sum(s2 for _, _, s2 in parts))
+    """Add up the workers' sums of one order, in worker order and in place
+    in the first worker's arrays."""
+    first, *rest = parts
+    if isinstance(first, np.ndarray):
+        for acc in rest:
+            first += acc
+        return first
+    shift, s1, s2 = first
+    for _, t1, t2 in rest:
+        s1 += t1
+        s2 += t2
+    return shift, s1, s2
 
 
 def simulate_moments(ms: ModelSpec, grid: GridSpec, p, replicas: int,
@@ -217,11 +244,11 @@ def simulate_moments(ms: ModelSpec, grid: GridSpec, p, replicas: int,
 
     r = replicas
     bcount = np.bincount(np.arange(r) % blocks, minlength=blocks)
+    finite_below = 1.0 + ms.kp.alpha / ms.kp.d    # E|X|^q < inf for q below
     out = []
     for q, agg, acc in zip(ps, aggs, sums):
         if agg == "mom":
-            block_means = np.moveaxis(acc / bcount[:, None], 1, 0)
-            est, se = _median_of_means(block_means)
+            est, se = _median_of_means(acc, bcount)
         else:
             shift, s1, s2 = acc
             dev = s1 / r
@@ -237,7 +264,8 @@ def simulate_moments(ms: ModelSpec, grid: GridSpec, p, replicas: int,
                               inf_mean=est[rows, inf_idx],
                               inf_se=se[rows, inf_idx],
                               p=q, replicas=r, aggregator=agg,
-                              admissible=q < 1.0 + ms.kp.alpha / ms.kp.d)
+                              admissible=q < finite_below,
+                              variance_finite=2.0 * q < finite_below)
         surface = MomentSurface(times=grid.times, x=grid.x, mean=est, se=se,
                                 p=q, replicas=r)
         out.append((series, surface))

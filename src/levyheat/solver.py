@@ -174,13 +174,13 @@ class BatchNoise:
     def __init__(self, n_t: int, shape: tuple, base: float, keys: np.ndarray,
                  vals: np.ndarray, gaussian: np.ndarray | None = None):
         order = np.argsort(keys)
+        keys = keys[order]
         plane = shape[0] * shape[1]
         self.shape = shape
         self.base = base
-        self.pos = keys[order] % plane
         self.vals = vals[order]
-        self.bounds = np.searchsorted(keys[order],
-                                      plane * np.arange(n_t + 1)).tolist()
+        self.bounds = np.searchsorted(keys, plane * np.arange(n_t + 1)).tolist()
+        self.pos = np.remainder(keys, plane, out=keys)
         self.gaussian = gaussian          # (n_t, R, n_x) or None
 
     def __iter__(self):

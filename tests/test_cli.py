@@ -411,6 +411,18 @@ class TestCLI:
             assert header.index(f"admissible={flag}") == \
                 header.index("aggregator=mom") + 1
 
+    def test_moments_header_flags_finite_variance(self, tmp_path):
+        # alpha = 1.5, d = 1: Var(|X|^p) is finite for p < 1.25 only
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN.replace("run.p = 2", "run.p = 1.2, 2"))
+        assert main(["moments", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        for name, flag in (("moments_p1.2.csv", "True"),
+                           ("moments_p2.csv", "False")):
+            header = (tmp_path / name).read_text().splitlines()[0].split()
+            assert header.index(f"variance_finite={flag}") == \
+                header.index("admissible=True") + 1
+
     def test_moments_unknown_aggregator_exits_3(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text(SMALL_RUN + "run.aggregator = median\n")
@@ -486,6 +498,18 @@ class TestCLI:
                      "--out", str(tmp_path)] + flags) == 0
         payload = json.loads((tmp_path / "simulate.json").read_text())
         assert payload["warnings"] == expect
+
+    def test_simulate_blowup_reports_its_warnings(self, tmp_path, capsys):
+        # sigma = 1e308 overflows the first injection; the run exits 1 with
+        # no simulate.json, so the warnings that explain it go to stderr
+        assert main(["simulate", "--sigma", "1e308", "--nx", "64", "--nt",
+                     "10", "--T", "0.5", "--grid-L", "8", "--replicas", "1",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert "warning: overflow encountered in divide" in err
+        assert err[-1].startswith("error: field blow-up")
+        assert len(err) == len(set(err))
+        assert not (tmp_path / "simulate.json").exists()
 
     def test_trajectory_csv_carries_config_hash(self, tmp_path):
         cfg = tmp_path / "cfg"

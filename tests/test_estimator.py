@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from levyheat.estimator import (MOM_BLOCKS, MomentSeries, MomentSurface,
                                 simulate_moments)
 from levyheat.kernel import KernelParams
 from levyheat.noise import LevyMeasureSpec
-from levyheat.solver import GridSpec, run_trajectory
+from levyheat.solver import GridSpec, build_discrete_kernel, run_trajectory
 
 KP15 = KernelParams(d=1, alpha=1.5)
 ATOMS = LevyMeasureSpec(variant="atoms", atoms=((1.0, 1.0), (-1.0, 1.0)))
@@ -201,6 +202,12 @@ class TestSimulateMoments:
                                    seed=0)
         assert not series.admissible
 
+    def test_infinite_variance_flagged(self):
+        # alpha = 1.5, d = 1: Var(|X|^p) is finite for p < 1.25 only
+        flags = [series.variance_finite for series, _ in quiet_simulate(
+            model(), self.GRID, p=(1.2, 1.25, 2.0), replicas=8, seed=0)]
+        assert flags == [True, False, False]
+
     def test_jobs_reduction_matches_serial(self):
         ser1, surf1 = quiet_simulate(model(), self.GRID, p=2.0, replicas=8,
                                      seed=5, jobs=1)
@@ -316,6 +323,61 @@ class TestBatchedEngine:
                 quiet_simulate(ms, self.GRID, p=2.0, replicas=7, seed=4)
             assert info.value.step == min(s for s in first if s is not None)
             assert info.value.value > 1e12
+
+
+class TestBlockReduction:
+    """The median of means reduced a slab at a time, and the workers' sums
+    added in place, against the whole-array expressions."""
+
+    @pytest.mark.parametrize("blocks", [2, 3, 5, 16])
+    @pytest.mark.parametrize("slab_rows", [1, 4, None])
+    def test_slabs_match_whole_array(self, monkeypatch, blocks, slab_rows):
+        # 23 time rows: not a multiple of 4 (None keeps the default height,
+        # which holds them all); heavy-tailed sums as under jump noise
+        rng = np.random.default_rng(blocks)
+        acc = rng.pareto(1.5, size=(23, blocks, 7)) * 10.0 ** rng.integers(
+            -3, 4, size=(23, 1, 7))
+        bcount = np.bincount(np.arange(4 * blocks + 1) % blocks)
+        if slab_rows is not None:
+            monkeypatch.setattr(estimator, "_SLAB_BYTES",
+                                8 * blocks * 7 * slab_rows)
+        est, se = estimator._median_of_means(acc, bcount)
+        means = np.moveaxis(acc / bcount[:, None], 1, 0)
+        assert np.array_equal(est, np.median(means, axis=0))
+        assert np.array_equal(se, math.sqrt(math.pi / 2.0)
+                              * means.std(axis=0, ddof=1) / math.sqrt(blocks))
+
+    @pytest.mark.parametrize("mom", [True, False], ids=["mom", "mean"])
+    def test_merge_adds_in_place_in_worker_order(self, mom):
+        rng = np.random.default_rng(7)
+        a, b, c = (rng.standard_normal((5, 3, 4)) for _ in range(3))
+        want = (a + b) + c
+        if mom:
+            merged = estimator._merge([a, b, c])
+            assert merged is a
+            assert np.array_equal(merged, want)
+        else:
+            shift = np.ones((5, 4))
+            parts = [(shift, x[:, 0], x[:, 1]) for x in (a, b, c)]
+            merged = estimator._merge(parts)
+            assert merged[0] is shift
+            assert np.array_equal(merged[1], want[:, 0])
+            assert np.array_equal(merged[2], want[:, 1])
+
+    def test_mom_memory_is_block_sums_plus_a_slab(self):
+        # 32 replicas on the reference grid: the (501, 16, 256) block sums
+        # are 16 MiB; a whole-array reduction adds three copies of them
+        # (the block means, the sort and the spread's temporary), ~3x
+        grid = GridSpec(half_width=32.0, n_x=256, horizon=5.0, n_t=500)
+        build_discrete_kernel(KP15, grid, grid.dt)   # profile cache built
+        tracemalloc.start()
+        try:
+            quiet_simulate(model(), grid, p=2.0, replicas=32, seed=3,
+                           aggregator="mom")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * (grid.n_t + 1) * MOM_BLOCKS * grid.n_x
 
 
 class TestRenewalCheck:
