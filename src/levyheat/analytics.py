@@ -5,7 +5,8 @@ defines, the Lyapunov / growth-index upper bounds p*beta0 and beta0/c, the
 exponential and subexponential lower-bound figures, the renewal weight
 w_p^(eps), and a discrete Volterra renewal-equation solver: one Toeplitz
 renewal solve per Richardson grid, each tilted by its own growth root, with
-beta1 the base grid's trapezoid root and overflow raised as BlowupError.
+beta1 and beta1_half the two grids' trapezoid roots and overflow raised as
+BlowupError.
 
 The proofs behind the lower bounds involve constants that are not written
 in closed form (martingale maximal inequalities and the compensated-Poisson
@@ -437,6 +438,7 @@ class RenewalSolution:
     t: np.ndarray
     f: np.ndarray
     beta1: float | None
+    beta1_half: float | None     # the dt/2 grid's trapezoid root
     limit_lhs: float | None      # e^(-beta1 T) f(T)
     limit_rhs: float | None      # c3 / (beta1 c4 int t e^(-beta1 t) w dt)
 
@@ -449,16 +451,25 @@ def _fft_product(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
 
 def _series_inverse(a: np.ndarray) -> np.ndarray:
     """First len(a) coefficients of 1/a(z), by Newton doubling
-    b <- b (2 - a b) mod z^m, which doubles the number of correct
-    coefficients per pass."""
+    b <- b + b (1 - a b) mod z^m, which doubles the number of correct
+    coefficients per pass.
+
+    Each pass runs at half length (the middle product; Hanrot, Quercia &
+    Zimmermann 2004).  With b the first h coefficients of 1/a, (a b)[:h] is
+    1, 0, ..., 0, so a[:m] b is taken cyclically at the power of two
+    size >= m, whose wrap-around lands only in that known lower half; only
+    e = -(a b)[h:m] is kept, and the correction b e (length < m) fits the
+    same size.  rfft(b) serves both products."""
     n = len(a)
     b = np.array([1.0 / a[0]])
-    m = 1
-    while m < n:
-        m = min(2 * m, n)
-        corr = -_fft_product(a[:m], b, m)
-        corr[0] += 2.0
-        b = _fft_product(b, corr, m)
+    while len(b) < n:
+        h = len(b)
+        m = min(2 * h, n)
+        size = 1 << (m - 1).bit_length()
+        fb = np.fft.rfft(b, size)
+        e = -np.fft.irfft(np.fft.rfft(a[:m], size) * fb, size)[h:m]
+        b = np.concatenate(
+            (b, np.fft.irfft(np.fft.rfft(e, size) * fb, size)[:m - h]))
     return b
 
 
@@ -514,7 +525,8 @@ def renewal_solve(rp: RenewalProblem) -> RenewalSolution:
 
     Each grid is one _renewal_series solve tilted by its own growth root.
     beta1 is the base grid's trapezoid root, which tends to the root of
-    c4 int e^(-beta1 t) w dt = 1 as dt -> 0; the renewal limit
+    c4 int e^(-beta1 t) w dt = 1 as dt -> 0, and beta1_half the dt/2
+    grid's, so a Richardson pair whose roots disagree shows; the renewal limit
     e^(-beta1 t) f(t) is reported against its closed expression.  A
     solution that would overflow raises BlowupError instead.
     """
@@ -524,8 +536,8 @@ def renewal_solve(rp: RenewalProblem) -> RenewalSolution:
     if 1.0 - rp.c4 * rp.dt * 0.5 * wv[0] <= 0.0:
         raise DomainError("step too large: c4 dt w(0) / 2 >= 1")
     f1, beta1 = _volterra_trapezoid(wv, rp.c3, rp.c4, rp.dt)
-    f2, _ = _volterra_trapezoid(rp.weight_values(rp.grid(2)), rp.c3, rp.c4,
-                                rp.dt / 2.0)
+    f2, beta1_half = _volterra_trapezoid(rp.weight_values(rp.grid(2)),
+                                         rp.c3, rp.c4, rp.dt / 2.0)
     f = (4.0 * f2[::2] - f1) / 3.0
     limit_lhs = limit_rhs = None
     if beta1 is not None:
@@ -533,5 +545,5 @@ def renewal_solve(rp: RenewalProblem) -> RenewalSolution:
         denom = beta1 * rp.c4 * float(
             np.trapezoid(t1 * np.exp(-beta1 * t1) * wv, t1))
         limit_rhs = rp.c3 / denom if denom > 0 else None
-    return RenewalSolution(t=t1, f=f, beta1=beta1,
+    return RenewalSolution(t=t1, f=f, beta1=beta1, beta1_half=beta1_half,
                            limit_lhs=limit_lhs, limit_rhs=limit_rhs)

@@ -97,9 +97,12 @@ def check_g_mass(ck: K.ComparisonKernel, t_grid=DEFAULT_T_GRID) -> LemmaRecord:
 def check_q_mass(alphas=(0.8, 1.2, 1.5)) -> LemmaRecord:
     """Numeric mass of q_t against 1; by self-similarity it does not depend
     on t, so one evaluation per alpha covers every time."""
-    errs = [abs(K.q_mass_numeric(K.KernelParams(d=1, alpha=a), 1.0) - 1.0)
-            for a in alphas]
-    return _eq_record("q-unit-mass", errs, 1e-6, f"alpha in {tuple(alphas)}")
+    mass = {str(a): K.q_mass_numeric(K.KernelParams(d=1, alpha=a), 1.0)
+            for a in alphas}
+    rec = _eq_record("q-unit-mass", [abs(m - 1.0) for m in mass.values()],
+                     1e-6, f"alpha in {tuple(alphas)}")
+    rec.detail = {"mass": mass}
+    return rec
 
 
 def check_power_law_transform() -> LemmaRecord:

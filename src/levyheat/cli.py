@@ -336,11 +336,14 @@ def cmd_renewal(args) -> int:
     path = outdir / "renewal.csv"
     _write_csv(path, cfg,
                f" c3={c3:.17g} c4={c4:.17g} "
-               f"beta1={'none' if sol.beta1 is None else _fmt(sol.beta1)}",
+               f"beta1={'none' if sol.beta1 is None else _fmt(sol.beta1)} "
+               f"beta1_half="
+               f"{'none' if sol.beta1_half is None else _fmt(sol.beta1_half)}",
                "t,f,discounted_f",
                ((a, b, math.exp(-beta1 * a) * b)
                 for a, b in zip(sol.t.tolist(), sol.f.tolist())))
-    print(f"wrote {path}; beta1={sol.beta1} limit={sol.limit_lhs}")
+    print(f"wrote {path}; beta1={sol.beta1} beta1_half={sol.beta1_half} "
+          f"limit={sol.limit_lhs}")
     return EXIT_OK
 
 

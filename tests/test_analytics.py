@@ -3,6 +3,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from levyheat.analytics import (BoundsReport, ConstantsConfig, ModelSpec,
                                 RenewalProblem, SigmaSpec, U0Spec, beta0,
@@ -265,7 +266,7 @@ class TestRenewalSolve:
                             weight=lambda t: np.exp(-t))
         sol = renewal_solve(rp)
         assert np.abs(sol.f - (1.0 + sol.t)).max() <= 1e-6
-        assert sol.beta1 is None
+        assert sol.beta1 is None and sol.beta1_half is None
 
     def test_exponential_oracle(self):
         rp = RenewalProblem(c3=1.0, c4=1.0, horizon=10.0, dt=1e-3,
@@ -273,6 +274,11 @@ class TestRenewalSolve:
         sol = renewal_solve(rp)
         assert np.abs(sol.f - (2.0 * np.exp(sol.t) - 1.0)).max() <= 1e-6
         assert sol.beta1 == pytest.approx(1.0, abs=1e-4)
+        # the two grids' roots, 1 + 6.6e-7 and 1 + 1.6e-7: the trapezoid
+        # root's error falls as dt^2
+        assert sol.beta1_half == pytest.approx(1.0 + 1.625e-7, abs=1e-9)
+        assert (sol.beta1 - 1.0) / (sol.beta1_half - 1.0) == pytest.approx(
+            4.0, rel=5e-2)
         assert sol.limit_lhs == pytest.approx(2.0, abs=2e-4)
         assert sol.limit_rhs == pytest.approx(2.0, abs=2e-4)
 
@@ -348,6 +354,57 @@ class TestRenewalFastSolve:
                             weight=lambda t: np.exp(-t))
         with pytest.raises(DomainError, match="step too large"):
             renewal_solve(rp)
+
+
+def _tilted_series(n):
+    # 1 - v(z) for the exp:2,1 trapezoid weights at dt = 1e-3, tilted by
+    # its own growth root as _renewal_series tilts it: sum_m v_m = 1, the
+    # worst-conditioned case the renewal solve inverts
+    dt = 1e-3
+    v = dt * 2.0 * np.exp(-dt * np.arange(1, n))
+    v /= 1.0 - dt
+    lags = np.arange(1, n)
+    excess = lambda s: float(np.dot(v, np.exp(-s * lags))) - 1.0
+    s = brentq(excess, 0.0, 1.0, xtol=1e-300) if excess(0.0) > 0.0 else 0.0
+    return np.concatenate(([1.0], -v * np.exp(-s * lags)))
+
+
+def inverse_by_convolve(a):
+    """Newton doubling b <- b (2 - a b) mod z^m with np.convolve products."""
+    b = np.array([1.0 / a[0]])
+    while len(b) < len(a):
+        m = min(2 * len(b), len(a))
+        corr = -np.convolve(a[:m], b)[:m]
+        corr[0] += 2.0
+        b = np.convolve(b, corr)[:m]
+    return b
+
+
+class TestSeriesInverse:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 1024, 1025, 10001,
+                                   20001])
+    def test_residual(self, n):
+        a = _tilted_series(n)
+        b = analytics._series_inverse(a)
+        residual = np.convolve(a, b)[:n]
+        residual[0] -= 1.0
+        assert len(b) == n and np.abs(residual).max() <= 1e-11
+
+    @pytest.mark.parametrize("n", [2, 7, 64, 100])
+    def test_matches_convolve(self, n):
+        a = _tilted_series(n)
+        assert np.abs(analytics._series_inverse(a)
+                      - inverse_by_convolve(a)).max() <= 1e-13
+
+    def test_fft_lengths(self, monkeypatch):
+        # every product runs at the power of two >= len(a), not at the
+        # length of the full product
+        sizes = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft",
+                            lambda x, n=None: sizes.append(n) or rfft(x, n))
+        analytics._series_inverse(_tilted_series(20001))
+        assert sizes and max(sizes) <= 32768
 
 
 def renewal_loop(v, b):

@@ -241,6 +241,31 @@ def test_q_mass_certificate_can_fail(monkeypatch):
     assert check_q_mass((1.5,)).status == "fail"
 
 
+def test_q_mass_inversion_count(monkeypatch):
+    # the graded rule takes 20 nodes on each of 3 or 4 panels per alpha
+    # (220 in all); an adaptive QUADPACK integral takes 525
+    calls = []
+    orig = K.StableProfile.direct
+    monkeypatch.setattr(K.StableProfile, "direct",
+                        lambda self, r: calls.append(r) or orig(self, r))
+    rec = check_q_mass((0.8, 1.2, 1.5))
+    assert rec.passed and len(calls) <= 240
+    assert set(rec.detail["mass"]) == {"0.8", "1.2", "1.5"}
+    assert all(abs(m - 1.0) <= 1e-6 for m in rec.detail["mass"].values())
+
+
+def test_q_mass_small_alpha():
+    # at alpha = 0.3 the profile's width is 0.0028: the panels below 1 must
+    # resolve it (20 nodes on 0-1-10-45 alone miss the mass by 1.0e-4).
+    # kernel-tail-constant fails there on a correct kernel: at |x| = 200 the
+    # second tail term, of relative size ~ |x|^(-alpha), is still 18%
+    report = verify_lemmas(alpha=0.3, fast=True)
+    failed = {r.lemma_id for r in report.records if not r.passed}
+    assert failed <= {"kernel-tail-constant"}
+    (mass,) = [r for r in report.records if r.lemma_id == "q-unit-mass"]
+    assert mass.detail["mass"]["0.3"] == pytest.approx(1.0, abs=1e-6)
+
+
 def test_q_mass_evaluates_once_per_alpha(monkeypatch):
     # the mass does not depend on t, so each alpha needs one quadrature
     seen = []

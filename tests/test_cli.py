@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -369,6 +370,18 @@ class TestCLI:
         assert main(["renewal", "--weight", "model", "--T", "1", "--dt",
                      "0.01", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "renewal.csv").exists()
+
+    @pytest.mark.parametrize("weight,roots", [
+        ("model", ("57.24700", "89.88333")),
+        ("exp:1,1", ("none", "none")),
+    ])
+    def test_renewal_header_has_both_roots(self, tmp_path, weight, roots):
+        # the base grid's and the dt/2 grid's growth roots, side by side
+        assert main(["renewal", "--weight", weight, "--T", "1", "--dt",
+                     "0.01", "--out", str(tmp_path)]) == 0
+        header = (tmp_path / "renewal.csv").read_text().splitlines()[0]
+        got = re.search(r" beta1=(\S+) beta1_half=(\S+)$", header).groups()
+        assert tuple(g[:len(r)] for g, r in zip(got, roots)) == roots
 
     def test_renewal_overflow_exits_1(self, tmp_path, capsys):
         # the default model weight, c3 = c4 = 1, T = 10, dt = 1e-3 grows

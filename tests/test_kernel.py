@@ -92,6 +92,18 @@ class TestQDensity:
             for t in (0.5, 2.0):
                 assert q_mass_numeric(kp, t) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("alpha", [0.2, 0.3, 0.5, 0.8, 0.995, 1.2, 1.5,
+                                       1.9, 1.99])
+    def test_mass_rule_matches_adaptive(self, alpha):
+        # the graded Gauss rule against the adaptive QUADPACK integral of the
+        # same inversion on [0, 45], plus the same power-tail series
+        direct = get_profile(alpha).direct
+        core = 2.0 * _quad_checked(direct, 0.0, 45.0, points=[1.0, 10.0])
+        tail = sum(2.0 * tail_coefficient(alpha, k) * 45.0 ** (-k * alpha)
+                   / (k * alpha) for k in range(1, 7))
+        mass = q_mass_numeric(KernelParams(d=1, alpha=alpha), 1.0)
+        assert mass == pytest.approx(core + tail, abs=1e-11)
+
     def test_semigroup_numeric(self):
         # q_s * q_t = q_{s+t} pointwise, d = 1
         prof = get_profile(1.5)
