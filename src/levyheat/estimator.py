@@ -26,8 +26,8 @@ from scipy.special import stdtrit
 
 from .analytics import ModelSpec, RenewalProblem, renewal_solve
 from .errors import DomainError
-from .solver import (GridSpec, build_discrete_kernel, heat_flow, initial_field,
-                     mild_step, sample_noise)
+from .solver import (GridSpec, build_discrete_kernel, heat_flow, mild_step,
+                     sample_noise)
 
 MOM_BLOCKS = 16
 AGGREGATORS = ("auto", "mom", "mean")
@@ -158,7 +158,7 @@ def _accumulate(ms: ModelSpec, grid: GridSpec, ps, moms, seed: int,
     reached, where every replica's |X|^p agrees to many digits.
     """
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
-    u0 = initial_field(ms, grid)
+    u0 = ms.u0(grid.x)
     n_t, nx = grid.n_t, grid.n_x
     flow = None if all(moms) else np.abs(heat_flow(ms, grid, dk))
     sums = [np.zeros((n_t + 1, blocks, nx)) if mom
@@ -187,7 +187,7 @@ def _accumulate(ms: ModelSpec, grid: GridSpec, ps, moms, seed: int,
         add(x, 0, start)
         for k, dlam in enumerate(sample_noise(ms, grid, seed,
                                               range(start, stop))):
-            x = mild_step(x, dk, ms, dlam, grid.dx, k, out=x)
+            mild_step(x, dk, ms, dlam, grid.dx, k)
             add(x, k + 1, start)
     return sums
 
@@ -237,7 +237,7 @@ def simulate_moments(ms: ModelSpec, grid: GridSpec, p, replicas: int,
              for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
     if len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            parts = list(pool.map(_accumulate_worker, tasks))
+            parts = list(pool.map(_accumulate, *zip(*tasks)))
         sums = [_merge(list(per_p)) for per_p in zip(*parts)]
     else:
         sums = _accumulate(*tasks[0])
@@ -270,10 +270,6 @@ def simulate_moments(ms: ModelSpec, grid: GridSpec, p, replicas: int,
                                 p=q, replicas=r)
         out.append((series, surface))
     return out if np.ndim(p) else out[0]
-
-
-def _accumulate_worker(args):
-    return _accumulate(*args)
 
 
 # ---------------------------------------------------------------------------

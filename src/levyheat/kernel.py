@@ -269,18 +269,13 @@ class ComparisonKernel:
     def kappa(self) -> float:
         return kappa_const(self.params.d, self.params.alpha)
 
-    def g(self, t: float, x) -> float:
-        if t <= 0.0:
+    def g(self, t, r):
+        """g(t, x) at the radius r = |x|, elementwise in r and t.  The
+        outer power is np.float_power, the C library's pow on every element
+        as Python's ** on floats; np.power's SIMD loops can round
+        differently, as they do for t^(2/alpha) when t is an array."""
+        if np.any(np.asarray(t) <= 0.0):
             raise DomainError(f"g requires t > 0, got {t}")
-        r = _norm(x)
-        d, a = self.d, self.alpha
-        return self.kappa * t / (t ** (2.0 / a) + r * r) ** ((d + a) / 2.0)
-
-    def g_radial(self, t, r):
-        """Vectorized in the radius r (and in t).  The outer power is
-        np.float_power, the C library's pow as in `g`, so on a scalar t the
-        values equal `g` to the last bit (np.power's SIMD loops can round
-        differently)."""
         r = np.asarray(r, dtype=float)
         d, a = self.d, self.alpha
         return self.kappa * t / np.float_power(t ** (2.0 / a) + r * r,
@@ -663,14 +658,6 @@ def _space_conv(ck: ComparisonKernel, q: float, t: float, s, x: float):
     return (ck.kappa ** 2 * u * s) ** q * np.sum(w * vals, axis=-1)
 
 
-def space_conv_gp(ck: ComparisonKernel, p: float, t: float, s: float, x: float) -> float:
-    """Numeric (g(t-s, .)^p * g(s, .)^p)(x) over R, d = 1: `_space_conv`
-    at one s."""
-    if not (0.0 < s < t):
-        raise DomainError("requires 0 < s < t")
-    return float(_space_conv(ck, p, t, np.array([float(s)]), x)[0])
-
-
 def _graded_time_nodes(t: float):
     """16-node time panels graded into both endpoints (integrable power
     singularities): nodes and weights of shape (panels, 16)."""
@@ -691,5 +678,5 @@ def timespace_conv_gratio(ck: ComparisonKernel, p: float, t: float, x: float) ->
     g^(p)(u, .) = g(u, .)^(p+1) / g(u, 0), d = 1: the space convolution of
     g^(p+1) divided by the two centre values."""
     return float(sum(ws @ (_space_conv(ck, p + 1.0, t, s, x)
-                           / (ck.g_radial(t - s, 0.0) * ck.g_radial(s, 0.0)))
+                           / (ck.g(t - s, 0.0) * ck.g(s, 0.0)))
                      for s, ws in zip(*_graded_time_nodes(t))))

@@ -120,11 +120,6 @@ def build_discrete_kernel(kp, grid: GridSpec, dt: float) -> DiscreteKernel:
                           base_weights=base)
 
 
-def initial_field(ms: ModelSpec, grid: GridSpec) -> np.ndarray:
-    """Sample u0 at the grid nodes."""
-    return ms.u0(grid.x)
-
-
 def heat_step(fields: np.ndarray, dk: DiscreteKernel,
               out: np.ndarray | None = None) -> np.ndarray:
     """One deterministic semigroup step: circular convolution with the
@@ -140,7 +135,7 @@ def heat_step(fields: np.ndarray, dk: DiscreteKernel,
 def heat_flow(ms: ModelSpec, grid: GridSpec, dk: DiscreteKernel) -> np.ndarray:
     """Noise-free flow of u0 at every time point, (n_t + 1, n_x): step k
     applies the k-th power of the kernel spectrum to u0 in one transform."""
-    u0 = initial_field(ms, grid)
+    u0 = ms.u0(grid.x)
     powers = dk.spectrum ** np.arange(1, grid.n_t + 1)[:, None]
     return np.vstack([u0, np.fft.irfft(np.fft.rfft(u0) * powers, n=grid.n_x)])
 
@@ -148,8 +143,9 @@ def heat_flow(ms: ModelSpec, grid: GridSpec, dk: DiscreteKernel) -> np.ndarray:
 @dataclass
 class NoiseStep:
     """Cell noise of one (R, n_x) step: the jump cells at flat positions
-    `pos`, with their combined dLambda `vals`, and the dense dLambda `plane`
-    of every cell, or None when every cell without a jump is exactly 0."""
+    `pos`, with their combined dLambda `vals` (jump part, compensator and
+    drift), and, when a cell without jumps is nonzero too, the dense
+    dLambda `plane` of every cell, its jump cells included; else None."""
 
     shape: tuple
     pos: np.ndarray
@@ -157,61 +153,26 @@ class NoiseStep:
     plane: np.ndarray | None = None
 
 
-class BatchNoise:
-    """Combined cell noise of R replicas, one (R, n_x) step at a time.
-
-    The jumps stay sparse: `vals` are the values of the jump cells at flat
-    indices `keys` into (n_t, R, n_x), kept sorted by step.  Iterating
-    yields, for k = 0..n_t-1, one reused NoiseStep holding step k: the
-    positions of its jump cells in the (R, n_x) plane and their values.  A
-    cell without jumps is worth `base` = (0 - compensator) + b dt dx, plus
-    the Gaussian plane of step k when rho > 0; when either is nonzero, the
-    step also carries that dense plane (in one reused buffer) and each jump
-    cell's value includes its Gaussian term.  The next step overwrites the
-    NoiseStep.
-    """
-
-    def __init__(self, n_t: int, shape: tuple, base: float, keys: np.ndarray,
-                 vals: np.ndarray, gaussian: np.ndarray | None = None):
-        order = np.argsort(keys)
-        keys = keys[order]
-        plane = shape[0] * shape[1]
-        self.shape = shape
-        self.base = base
-        self.vals = vals[order]
-        self.bounds = np.searchsorted(keys, plane * np.arange(n_t + 1)).tolist()
-        self.pos = np.remainder(keys, plane, out=keys)
-        self.gaussian = gaussian          # (n_t, R, n_x) or None
-
-    def __iter__(self):
-        step = NoiseStep(self.shape, self.pos[:0], self.vals[:0])
-        if self.base != 0.0 or self.gaussian is not None:
-            step.plane = np.full(self.shape, self.base)
-        for k in range(len(self.bounds) - 1):
-            lo, hi = self.bounds[k], self.bounds[k + 1]
-            step.pos, step.vals = self.pos[lo:hi], self.vals[lo:hi]
-            if self.gaussian is not None:
-                gauss = self.gaussian[k]
-                np.add(gauss, self.base, out=step.plane)
-                step.vals = step.vals + gauss.reshape(-1)[step.pos]
-            yield step
-
-
-def sample_noise(ms: ModelSpec, grid: GridSpec, seed: int,
-                 replicas) -> BatchNoise:
+def sample_noise(ms: ModelSpec, grid: GridSpec, seed: int, replicas):
     """Cell noise Lambda(cell) of the listed replicas, jumps kept sparse.
 
     Replica r draws from its own (seed, r) Philox stream, so its noise does
     not depend on which replicas it is sampled with: its jumps
     (`noise.sample_jumps`), each jump cell worth (sum - dt dx int z
     lambda(dz)) + b dt dx, then its Gaussian plane rho sqrt(dt dx) N(0, 1)
-    when rho > 0.  Memory is O(jumps), plus the dense Gaussian planes; a
-    step is dense only when rho > 0 or a cell without jumps is nonzero.
+    when rho > 0.  The draws are made here; the returned one-pass iterator
+    yields, for k = 0..n_t-1, one reused NoiseStep holding step k, which the
+    next step overwrites.  A cell without jumps is worth `base` =
+    (0 - compensator) + b dt dx, plus its Gaussian term when rho > 0; when
+    either is nonzero the step carries the dense plane (one reused buffer),
+    whose jump cells hold `vals` plus their Gaussian terms.  Memory is
+    O(jumps), plus the dense Gaussian planes.
     """
     n_r, n_x = len(replicas), grid.n_x
     cell = grid.dt * grid.dx
     compensator = cell * ms.levy.first_moment()
     drift = ms.b * grid.dt * grid.dx
+    base = 0.0 - compensator + drift
     keys, vals, gauss = [], [], []
     for i, r in enumerate(replicas):
         rng = grid.noise_grid(seed, r)
@@ -222,15 +183,36 @@ def sample_noise(ms: ModelSpec, grid: GridSpec, seed: int,
         if ms.rho > 0.0:
             gauss.append(ms.rho * math.sqrt(cell)
                          * rng.standard_normal((grid.n_t, n_x)))
-    return BatchNoise(grid.n_t, (n_r, n_x), 0.0 - compensator + drift,
-                      np.concatenate(keys), np.concatenate(vals),
-                      np.stack(gauss, axis=1) if gauss else None)
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    keys, vals = keys[order], np.concatenate(vals)[order]
+    bounds = np.searchsorted(keys, n_r * n_x * np.arange(grid.n_t + 1)).tolist()
+    pos = np.remainder(keys, n_r * n_x, out=keys)
+    gaussian = np.stack(gauss, axis=1).reshape(grid.n_t, -1) if gauss else None
+
+    def steps():
+        step = NoiseStep((n_r, n_x), pos[:0], vals[:0])
+        if base != 0.0 or gaussian is not None:
+            step.plane = np.full(step.shape, base)
+        flat = None if step.plane is None else step.plane.reshape(-1)
+        for k in range(grid.n_t):
+            lo, hi = bounds[k], bounds[k + 1]
+            step.pos, step.vals = pos[lo:hi], vals[lo:hi]
+            if gaussian is not None:
+                np.add(gaussian[k], base, out=flat)
+                flat[step.pos] = step.vals + gaussian[k, step.pos]
+            elif flat is not None:
+                flat.fill(base)
+                flat[step.pos] = step.vals
+            yield step
+
+    return steps()
 
 
 def mild_step(fields: np.ndarray, dk: DiscreteKernel, ms: ModelSpec,
-              dlam: NoiseStep, dx: float, step: int, *, out: np.ndarray,
+              dlam: NoiseStep, dx: float, step: int, *,
               sigma_at: np.ndarray | None = None) -> np.ndarray:
-    """Mild-solution step `step` -> `step + 1`:
+    """Mild-solution step `step` -> `step + 1`, in place in `fields`:
 
         X_{k+1} = Q_dt X_k + Q_dt( sigma(Y_k) dLambda_k ) / dx ,
 
@@ -238,32 +220,27 @@ def mild_step(fields: np.ndarray, dk: DiscreteKernel, ms: ModelSpec,
     another field of the same shape (the previous Picard iterate).  `dlam`
     is the combined cell noise measure (compensated jumps + drift +
     Gaussian) of the (R, n_x) cells; `fields` holds one or more copies of
-    that plane along its leading axes.  sigma(Y) dLambda / dx is added at
-    the jump cells only; a dense plane is added to every cell first, the
-    jump cells then written from their pre-step values, so each cell sees
-    the same arithmetic as the dense formula.  The result goes to `out`
-    (`fields` itself steps in place) through `heat_step` and is returned.
-    Raises BlowupError with `step`, the cell and the value of the largest
-    |X| once it passes BLOWUP_GUARD, or of the first non-finite X.
+    that plane along its leading axes.  sigma(Y) dLambda / dx is added to
+    every cell when the step has a dense plane, else at the jump cells
+    only; then `heat_step` writes the step back into `fields`, which is
+    returned.  Raises BlowupError with `step`, the cell and the value of
+    the largest |X| once it passes BLOWUP_GUARD, or of the first non-finite
+    X.
     """
     cells = math.prod(dlam.shape)
     x = fields.reshape(-1, cells)
     y = x if sigma_at is None else sigma_at.reshape(-1, cells)
-    jumps = x[:, dlam.pos]
-    jumps += ms.sigma(y[:, dlam.pos]) * dlam.vals / dx
-    step_cells = out.reshape(-1, cells)
-    if dlam.plane is not None:
-        np.add(x, ms.sigma(y) * dlam.plane.reshape(-1) / dx, out=step_cells)
-    elif out is not fields:
-        np.copyto(step_cells, x)
-    step_cells[:, dlam.pos] = jumps
-    out = heat_step(out, dk, out=out)
-    if not max(out.max(), -out.min()) <= BLOWUP_GUARD:
-        bad = ~np.isfinite(out)
-        i = int(np.argmax(bad) if bad.any() else np.argmax(np.abs(out)))
-        raise BlowupError(step=step, cell=i % out.shape[-1],
-                          value=float(abs(out.flat[i])))
-    return out
+    if dlam.plane is None:
+        x[:, dlam.pos] += ms.sigma(y[:, dlam.pos]) * dlam.vals / dx
+    else:
+        x += ms.sigma(y) * dlam.plane.reshape(-1) / dx
+    heat_step(fields, dk, out=fields)
+    if not max(fields.max(), -fields.min()) <= BLOWUP_GUARD:
+        bad = ~np.isfinite(fields)
+        i = int(np.argmax(bad) if bad.any() else np.argmax(np.abs(fields)))
+        raise BlowupError(step=step, cell=i % fields.shape[-1],
+                          value=float(abs(fields.flat[i])))
+    return fields
 
 
 @dataclass
@@ -288,10 +265,11 @@ def run_trajectory(ms: ModelSpec, grid: GridSpec, seed: int,
         warnings.warn("domain half-width below 4 T^(1/alpha); wrap-around "
                       "bias may be significant", stacklevel=2)
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
+    x = ms.u0(grid.x)
     fields = np.empty((grid.n_t + 1, grid.n_x))
-    fields[0] = initial_field(ms, grid)
+    fields[0] = x
     for k, dlam in enumerate(sample_noise(ms, grid, seed, [replica])):
-        mild_step(fields[k], dk, ms, dlam, grid.dx, k, out=fields[k + 1])
+        fields[k + 1] = mild_step(x, dk, ms, dlam, grid.dx, k)
     return Trajectory(fields=fields, grid=grid, seed=seed, replica=replica)
 
 
@@ -366,8 +344,7 @@ def picard_solve(ms: ModelSpec, grid: GridSpec, seed: int, replicas: int,
     log_rel = np.full(n_iter, -np.inf)   # log of d_n / |X^n| at the arg-max cell
     times, rows = grid.times, np.arange(n_iter)
     for k, dlam in enumerate(sample_noise(ms, grid, seed, range(replicas))):
-        state = mild_step(state, dk, ms, dlam, grid.dx, k, sigma_at=below,
-                          out=state)
+        mild_step(state, dk, ms, dlam, grid.dx, k, sigma_at=below)
         below[0] = flow[k + 1]
         below[1:] = state[:-1]
         np.subtract(state, below, out=powers)

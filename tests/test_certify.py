@@ -241,6 +241,25 @@ def test_q_mass_certificate_can_fail(monkeypatch):
     assert check_q_mass((1.5,)).status == "fail"
 
 
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.9])
+def test_tail_certificate_can_fail(monkeypatch, alpha):
+    kp = KernelParams(d=1, alpha=alpha)
+    good = check_tail_ratio(kp)
+    assert good.passed and good.tolerance == 1e-6
+    assert len(good.detail["q"]) == len(good.detail["tail_series"]) == 3
+    # a density 1e-5 high is ten times the tolerance off the series
+    orig = K.q_density
+    monkeypatch.setattr(K, "q_density",
+                        lambda *args: (1.0 + 1e-5) * orig(*args))
+    assert check_tail_ratio(kp).status == "fail"
+    monkeypatch.undo()
+    # so is a first tail coefficient 1e-4 off, the leading term of the series
+    coef = K.tail_coefficient
+    monkeypatch.setattr(K, "tail_coefficient",
+                        lambda a, k=1: (1.0 + 1e-4 * (k == 1)) * coef(a, k))
+    assert check_tail_ratio(kp).status == "fail"
+
+
 def test_q_mass_inversion_count(monkeypatch):
     # the graded rule takes 20 nodes on each of 3 or 4 panels per alpha
     # (220 in all); an adaptive QUADPACK integral takes 525
@@ -256,12 +275,11 @@ def test_q_mass_inversion_count(monkeypatch):
 
 def test_q_mass_small_alpha():
     # at alpha = 0.3 the profile's width is 0.0028: the panels below 1 must
-    # resolve it (20 nodes on 0-1-10-45 alone miss the mass by 1.0e-4).
-    # kernel-tail-constant fails there on a correct kernel: at |x| = 200 the
-    # second tail term, of relative size ~ |x|^(-alpha), is still 18%
+    # resolve it (20 nodes on 0-1-10-45 alone miss the mass by 1.0e-4);
+    # the tail series meets the inversion within 1.6e-7 from |x| = 50 on
     report = verify_lemmas(alpha=0.3, fast=True)
     failed = {r.lemma_id for r in report.records if not r.passed}
-    assert failed <= {"kernel-tail-constant"}
+    assert not failed and report.all_pass
     (mass,) = [r for r in report.records if r.lemma_id == "q-unit-mass"]
     assert mass.detail["mass"]["0.3"] == pytest.approx(1.0, abs=1e-6)
 

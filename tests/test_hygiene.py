@@ -1,0 +1,64 @@
+"""Static checks on the package source, with the standard library's `ast`:
+no module imports a name it does not use, and no module-level private
+name is left without a reference in its own module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "levyheat"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _read_names(tree) -> set:
+    """Every name the module reads, the roots of attribute chains included."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by an import statement and never read."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            bound |= {a.asname or a.name for a in node.names}
+    return sorted(bound - _read_names(tree))
+
+
+def unreferenced_privates(source: str) -> list:
+    """Module-level `_private` functions, classes and constants that
+    nothing in the module reads."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            defined.add(node.target.id)
+    private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
+    return sorted(private - _read_names(tree))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_referenced(path):
+    assert unreferenced_privates(path.read_text()) == []
+
+
+def test_checkers_catch_leftovers():
+    assert unused_imports("import math\nx = 1\n") == ["math"]
+    assert unused_imports("from .solver import heat_step as hs\nhs()\n") == []
+    assert unreferenced_privates("def _helper():\n    pass\n") == ["_helper"]
+    assert unreferenced_privates("_N = 2\ny = _N\n") == []

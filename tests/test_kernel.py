@@ -13,7 +13,7 @@ from levyheat.kernel import (ComparisonKernel, KernelParams, I_formula,
                              g_fourier, g_fourier_lower, g_p_integral,
                              get_profile, h_moment, hmoment_constant,
                              minform_kernel, nu_const, q_density,
-                             q_mass_numeric, space_conv_gp, tail_coefficient,
+                             q_mass_numeric, tail_coefficient,
                              timespace_conv_gp, timespace_conv_gratio,
                              weighted_kernel_integral)
 from levyheat.specfun import gamma_fn
@@ -387,7 +387,7 @@ class TestArrayConvolution:
         assert np.array_equal(y[~empty].ravel(), y_ref)
         assert np.array_equal(w[~empty].ravel(), w_ref)
         # and the others add exactly 0: finite nodes, zero weights
-        vals = (CK15.g_radial(u, np.abs(x - y)) * CK15.g_radial(s, np.abs(y))) ** 1.2
+        vals = (CK15.g(u, np.abs(x - y)) * CK15.g(s, np.abs(y))) ** 1.2
         assert np.all(np.isfinite(vals))
         assert np.all(w[empty] * vals[empty] == 0.0)
 
@@ -425,14 +425,15 @@ class TestConvolution:
         # integrand divided node by node
         p, t, s, x = 1.2, 1.0, 0.4, 2.0
         u = t - s
-        got = space_conv_gp(CK15, p + 1.0, t, s, x) / (CK15.g(u, 0.0) * CK15.g(s, 0.0))
+        got = (_space_conv(CK15, p + 1.0, t, np.array([s]), x)[0]
+               / (CK15.g(u, 0.0) * CK15.g(s, 0.0)))
         ref, _ = quad(lambda y: CK15.g(u, x - y) ** (p + 1.0) / CK15.g(u, 0.0)
                       * CK15.g(s, y) ** (p + 1.0) / CK15.g(s, 0.0),
                       -np.inf, np.inf, limit=300)
         assert got == pytest.approx(ref, rel=1e-9)
         y, w = _conv_nodes(CK15, u, s, x)
-        nodewise = np.sum(w * (CK15.g_radial(u, np.abs(x - y)) ** (p + 1.0)
-                               / CK15.g(u, 0.0) * CK15.g_radial(s, np.abs(y))
+        nodewise = np.sum(w * (CK15.g(u, np.abs(x - y)) ** (p + 1.0)
+                               / CK15.g(u, 0.0) * CK15.g(s, np.abs(y))
                                ** (p + 1.0) / CK15.g(s, 0.0)))
         assert got == pytest.approx(nodewise, rel=1e-14)
 
@@ -449,8 +450,8 @@ class TestConvolution:
     def test_space_conv_accuracy(self):
         ref, _ = quad(lambda y: CK15.g(0.6, 2.0 - y) ** 1.2 * CK15.g(0.4, y) ** 1.2,
                       -np.inf, np.inf, limit=300)
-        assert space_conv_gp(CK15, 1.2, 1.0, 0.4, 2.0) == pytest.approx(
-            ref, rel=1e-9)
+        assert _space_conv(CK15, 1.2, 1.0, np.array([0.4]), 2.0)[0] \
+            == pytest.approx(ref, rel=1e-9)
 
     def test_timespace_bounds(self):
         p = 1.2

@@ -14,8 +14,8 @@ from levyheat import solver
 from levyheat.cli import dump_trajectory, trajectory_csv
 from levyheat.config import ExperimentConfig
 from levyheat.solver import (GridSpec, NoiseStep, build_discrete_kernel,
-                             heat_flow, heat_step, initial_field, mild_step,
-                             picard_solve, run_trajectory, sample_noise)
+                             heat_flow, heat_step, mild_step, picard_solve,
+                             run_trajectory, sample_noise)
 
 KP15 = KernelParams(d=1, alpha=1.5)
 KP1 = KernelParams(d=1, alpha=1.0)
@@ -29,9 +29,11 @@ def model(slope=1.0, u0=None, kp=KP15):
 
 
 def dense_step(step):
-    """The (R, n_x) array of one NoiseStep: its dense plane, or zeros, with
-    the jump cells' values written in."""
-    plane = np.zeros(step.shape) if step.plane is None else step.plane.copy()
+    """The (R, n_x) array of one NoiseStep, copied out of the reused step:
+    its dense plane, or zeros with the jump cells' values written in."""
+    if step.plane is not None:
+        return step.plane.copy()
+    plane = np.zeros(step.shape)
     plane.reshape(-1)[step.pos] = step.vals
     return plane
 
@@ -43,7 +45,7 @@ def dense(plane):
 
 
 def dense_noise(noise):
-    """The (n_t, R, n_x) array of every step a BatchNoise yields."""
+    """The (n_t, R, n_x) array of every step `sample_noise` yields."""
     return np.stack([dense_step(step) for step in noise])
 
 
@@ -83,20 +85,20 @@ class TestGridSpec:
 class TestInitialField:
     def test_constant(self):
         g = GridSpec(half_width=8.0, n_x=16, horizon=1.0, n_t=4)
-        u = initial_field(model(), g)
+        u = model().u0(g.x)
         assert np.all(u == 1.0)
 
     def test_poly_decay_value(self):
         g = GridSpec(half_width=8.0, n_x=16, horizon=1.0, n_t=4)
         ms = model(u0=U0Spec(kind="poly_decay", c0=1.0, decay_c=0.5))
-        u = initial_field(ms, g)
+        u = ms.u0(g.x)
         j = int(np.where(g.x == 3.0)[0][0])
         assert u[j] == pytest.approx((1.0 + 3.0) ** -0.5, rel=1e-14)
 
     def test_even_on_torus(self):
         g = GridSpec(half_width=8.0, n_x=32, horizon=1.0, n_t=4)
         ms = model(u0=U0Spec(kind="poly_decay", c0=2.0, decay_c=0.3))
-        u = initial_field(ms, g)
+        u = ms.u0(g.x)
         n = g.n_x
         for j in range(1, n):
             assert u[j] == pytest.approx(u[(n - j) % n], rel=1e-14)
@@ -198,7 +200,7 @@ class TestSimulationCore:
         ms = model(u0=U0Spec(kind="poly_decay", c0=1.0, decay_c=0.5))
         dk = build_discrete_kernel(KP15, self.GRID, self.GRID.dt)
         flow = heat_flow(ms, self.GRID, dk)
-        x = initial_field(ms, self.GRID)
+        x = ms.u0(self.GRID.x)
         assert np.array_equal(flow[0], x)
         for k in range(1, self.GRID.n_t + 1):
             x = heat_step(x, dk)
@@ -206,32 +208,43 @@ class TestSimulationCore:
 
     def test_noise_matches_per_replica_increments(self):
         # asymmetric atoms, so the drift and compensator terms are nonzero
+        # and every step carries a dense plane, with and without a
+        # Gaussian part
         levy = LevyMeasureSpec(variant="atoms", atoms=((2.0, 0.5), (-0.5, 1.0)))
-        ms = ModelSpec(kp=KP15, rho=0.3, levy=levy,
-                       sigma=SigmaSpec(kind="linear", slope=1.0),
-                       u0=U0Spec(kind="constant", value=1.0))
-        assert ms.b != 0.0
-        grid, replicas = self.GRID, [4, 0, 9]
-        noise = sample_noise(ms, grid, 21, replicas)
-        steps = list(noise)
-        assert len(steps) == grid.n_t
-        assert all(step is steps[0] for step in steps)   # one reused buffer
-        dlam = dense_noise(noise)
-        assert dlam.shape == (grid.n_t, 3, grid.n_x)
-        cell = grid.dt * grid.dx
-        for i, r in enumerate(replicas):
-            # the replica's stream redrawn by hand: jumps, then Gaussian plane
-            rng = grid.noise_grid(21, r)
-            cells, sums = sample_jumps(levy, rng, cell, grid.n_t * grid.n_x)
-            assert len(cells) > 0
-            jumps = np.bincount(cells, weights=sums,
-                                minlength=grid.n_t * grid.n_x)
-            gauss = 0.3 * math.sqrt(cell) * rng.standard_normal(
-                (grid.n_t, grid.n_x))
-            ref = ((jumps.reshape(grid.n_t, grid.n_x)
-                    - cell * levy.first_moment())
-                   + ms.b * grid.dt * grid.dx) + gauss
-            assert np.array_equal(dlam[:, i], ref)
+        for rho in (0.3, 0.0):
+            ms = ModelSpec(kp=KP15, rho=rho, levy=levy,
+                           sigma=SigmaSpec(kind="linear", slope=1.0),
+                           u0=U0Spec(kind="constant", value=1.0))
+            assert ms.b != 0.0
+            grid, replicas = self.GRID, [4, 0, 9]
+            noise = sample_noise(ms, grid, 21, replicas)
+            steps, planes = [], []
+            for step in noise:
+                assert step.plane is not None
+                steps.append(step)
+                planes.append(dense_step(step))
+            assert len(steps) == grid.n_t
+            assert all(step is steps[0] for step in steps)   # one reused buffer
+            assert next(noise, None) is None                  # one pass
+            dlam = np.stack(planes)
+            assert dlam.shape == (grid.n_t, 3, grid.n_x)
+            cell = grid.dt * grid.dx
+            for i, r in enumerate(replicas):
+                # the replica's stream redrawn by hand: jumps, then the
+                # Gaussian plane
+                rng = grid.noise_grid(21, r)
+                cells, sums = sample_jumps(levy, rng, cell,
+                                           grid.n_t * grid.n_x)
+                assert len(cells) > 0
+                jumps = np.bincount(cells, weights=sums,
+                                    minlength=grid.n_t * grid.n_x)
+                ref = ((jumps.reshape(grid.n_t, grid.n_x)
+                        - cell * levy.first_moment())
+                       + ms.b * grid.dt * grid.dx)
+                if rho > 0.0:
+                    ref += rho * math.sqrt(cell) * rng.standard_normal(
+                        (grid.n_t, grid.n_x))
+                assert np.array_equal(dlam[:, i], ref)
 
     def test_gaussian_part_scaled_by_rho(self):
         grid = GridSpec(half_width=32.0, n_x=256, horizon=8.0, n_t=200)
@@ -239,10 +252,18 @@ class TestSimulationCore:
         ms = ModelSpec(kp=KP15, rho=0.7, levy=ATOMS,
                        sigma=SigmaSpec(kind="linear", slope=1.0),
                        u0=U0Spec(kind="constant", value=1.0))
-        g = sample_noise(ms, grid, 3, [0]).gaussian
-        assert g.shape == (grid.n_t, 1, grid.n_x)
-        assert g.std() == pytest.approx(0.7 * math.sqrt(cell), rel=0.02)
-        assert sample_noise(model(), grid, 3, [0]).gaussian is None
+        # the symmetric atoms leave no compensator or drift, so a cell
+        # without jumps holds its Gaussian term alone
+        gauss = []
+        for step in sample_noise(ms, grid, 3, [0]):
+            free = np.ones(grid.n_x, dtype=bool)
+            free[step.pos] = False
+            gauss.append(step.plane[0, free])
+        gauss = np.concatenate(gauss)
+        assert grid.n_t * grid.n_x - gauss.size > 0
+        assert gauss.std() == pytest.approx(0.7 * math.sqrt(cell), rel=0.02)
+        assert all(step.plane is None
+                   for step in sample_noise(model(), grid, 3, [0]))
 
     def test_negative_rho_rejected(self):
         with pytest.raises(DomainError):
@@ -283,29 +304,28 @@ class TestMildStep:
 
     def test_zero_noise_reduces_to_heat(self):
         f = np.exp(-0.5 * (self.grid.x / 3.0) ** 2)
-        out = mild_step(f, self.dk, model(slope=7.3), dense(np.zeros(128)),
-                        self.grid.dx, 0, out=np.empty(128))
+        out = mild_step(f.copy(), self.dk, model(slope=7.3),
+                        dense(np.zeros(128)), self.grid.dx, 0)
         assert np.array_equal(out, heat_step(f, self.dk))
 
     def test_sigma_zero_decouples_noise(self):
         f = np.exp(-0.5 * (self.grid.x / 3.0) ** 2)
         noise = np.random.default_rng(0).normal(size=128)
-        out = mild_step(f, self.dk, model(slope=0.0), dense(noise),
-                        self.grid.dx, 0, out=np.empty(128))
+        out = mild_step(f.copy(), self.dk, model(slope=0.0), dense(noise),
+                        self.grid.dx, 0)
         assert np.allclose(out, heat_step(f, self.dk))
 
     def test_blowup_guard(self):
         f = np.full(128, 1.0)
         with pytest.raises(BlowupError):
             mild_step(f, self.dk, model(slope=1.0), dense(np.full(128, 1e15)),
-                      self.grid.dx, 0, out=f)
+                      self.grid.dx, 0)
 
     def test_blowup_on_a_non_finite_row(self):
         # 1 + 1e308 / dx overflows in every cell: the row turns NaN
         with pytest.raises(BlowupError) as info, np.errstate(all="ignore"):
             mild_step(np.ones(128), self.dk, model(),
-                      dense(np.full(128, 1e308)), self.grid.dx, 0,
-                      out=np.empty(128))
+                      dense(np.full(128, 1e308)), self.grid.dx, 0)
         assert (info.value.step, info.value.cell) == (0, 0)
         assert math.isnan(info.value.value)
 
@@ -340,10 +360,8 @@ class TestMildStep:
             dense = heat_step(fields + ms.sigma(y) * dense_step(step)
                               / self.grid.dx, self.dk)
             out = mild_step(fields, self.dk, ms, step, self.grid.dx, k,
-                            sigma_at=below, out=np.empty(shape))
-            assert np.array_equal(out, dense)
-            mild_step(fields, self.dk, ms, step, self.grid.dx, k,
-                      sigma_at=below, out=fields)
+                            sigma_at=below)
+            assert out is fields
             assert np.array_equal(fields, dense)
         assert jumps > 0
 
@@ -365,8 +383,7 @@ class TestTrajectory:
                        u0=U0Spec(kind="constant", value=0.0))
         jump = np.zeros(grid.n_x)
         jump[40] = 1.0
-        out = mild_step(initial_field(ms, grid), dk, ms, dense(jump), grid.dx,
-                        0, out=np.empty(grid.n_x))
+        out = mild_step(ms.u0(grid.x), dk, ms, dense(jump), grid.dx, 0)
         expect = np.roll(dk.weights, 40) / grid.dx
         assert np.abs(out - expect).max() < 1e-14
 
@@ -428,18 +445,20 @@ def sequential_picard(ms, grid, seed, replicas, n_iter, beta, c, p,
                       target_ratio=0.5):
     """Reference: one whole time sweep per iterate, every iterate kept at
     every step, each decrement reduced after its sweep -- the loop the
-    pipelined `picard_solve` replaced.  Returns (log_d, rel_se, failures)."""
+    pipelined `picard_solve` replaced; each sweep samples the shared noise
+    afresh.  Returns (log_d, rel_se, failures)."""
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
-    noise = sample_noise(ms, grid, seed, range(replicas))
     current = np.broadcast_to(heat_flow(ms, grid, dk)[:, None, :],
                               (grid.n_t + 1, replicas, grid.n_x)).copy()
     log_d, rel_se = [], []
     for _ in range(n_iter):
         nxt = np.empty_like(current)
         nxt[0] = current[0]
-        for k, dlam in enumerate(noise):
-            mild_step(nxt[k], dk, ms, dlam, grid.dx, k, sigma_at=current[k],
-                      out=nxt[k + 1])
+        for k, dlam in enumerate(sample_noise(ms, grid, seed,
+                                              range(replicas))):
+            nxt[k + 1] = nxt[k]
+            mild_step(nxt[k + 1], dk, ms, dlam, grid.dx, k,
+                      sigma_at=current[k])
         diff = nxt - current
         moment = np.mean(np.abs(diff) ** p, axis=1)
         if replicas > 1:
