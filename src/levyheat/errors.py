@@ -41,10 +41,6 @@ class BlowupError(RuntimeError):
         self.cell = cell
         self.value = value
 
-    def __reduce__(self):
-        # rebuild from the fields, so a worker process can send it back
-        return type(self), (self.step, self.cell, self.value)
-
 
 class ValidationError(ValueError):
     """Config validation failure; carries the first offending key path."""

@@ -9,8 +9,8 @@ replica count; one pass accumulates every requested moment order.  The
 median of means is then reduced a slab of time rows at a time (at most
 _SLAB_BYTES of block means), so beyond the accumulators and the estimates
 a run holds one batch or one slab, never a full-size copy of the block
-sums.  With `jobs` > 1 each worker process takes one contiguous range of
-replicas, and their sums are added in place.
+sums.  With `jobs` > 1 that many threads step the batches into the same
+sums, which still take their replicas in replica order.
 
 Spatial extrema are taken over grid cells, which under-/over-shoots the
 continuum extrema; the heavy-tail aggregator is median-of-means (16 blocks)
@@ -18,7 +18,8 @@ by default for p > 1.5, since a single mean is fragile under jump noise.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +38,7 @@ BATCH_BYTES = 16 * 2 ** 20
 # float64 (n_x,) rows one replica keeps live during a step, with room to
 # spare: its field, its rfft spectrum and the moment accumulation's scratch
 # row, plus a dense noise row and the injection's temporaries when the model
-# has a dense plane.  Kept at 8: the batch boundaries it sets fix the last
-# bits of the mean aggregator's sums.
+# has a dense plane
 _STEP_ROWS = 8
 # bytes per jump while a batch's noise is built: flat index and value per
 # replica and concatenated, the sort order
@@ -145,9 +145,9 @@ def _add_blocks(acc: np.ndarray, rows: np.ndarray, first: int) -> None:
 
 
 def _accumulate(ms: ModelSpec, grid: GridSpec, ps, moms, seed: int,
-                lo: int, hi: int, blocks: int) -> list:
-    """Step replicas lo..hi-1 in contiguous batches; one pass serves every
-    order in `ps`.
+                replicas: int, blocks: int, jobs: int) -> list:
+    """Step the replicas in contiguous chunks, one batch each; one pass
+    serves every order in `ps`.
 
     Per p, returns the per-block sums of |X|^p, shape
     (n_t + 1, blocks, n_x) so that each step adds into one contiguous
@@ -156,6 +156,12 @@ def _accumulate(ms: ModelSpec, grid: GridSpec, ps, moms, seed: int,
     the per-cell sums of |X|^p - c and of its square.  Shifting by c keeps
     the one-pass variance well conditioned in cells the noise has barely
     reached, where every replica's |X|^p agrees to many digits.
+
+    Each sum takes its replicas in replica order: a chunk adds its step-k
+    rows after the chunk before it, and the mean folds its rows into the
+    running sum by an axis-0 reduction, a left fold in numpy.  `jobs`
+    threads step at least `jobs` chunks, each at most a batch; the first
+    chunk that raises cancels those after it and gives the error.
     """
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
     u0 = ms.u0(grid.x)
@@ -164,47 +170,58 @@ def _accumulate(ms: ModelSpec, grid: GridSpec, ps, moms, seed: int,
     sums = [np.zeros((n_t + 1, blocks, nx)) if mom
             else (flow ** p, np.zeros((n_t + 1, nx)), np.zeros((n_t + 1, nx)))
             for p, mom in zip(ps, moms)]
-    size = _batch_size(ms, grid)
-    scratch = np.empty((min(size, hi - lo), nx))
+    size = min(_batch_size(ms, grid), -(-replicas // jobs))
+    chunks = [range(lo, min(lo + size, replicas))
+              for lo in range(0, replicas, size)]
+    # gates[i - 1]: a permit per step row chunk i - 1 added (all if it raised)
+    gates = [threading.Semaphore(0) for _ in chunks[1:]]
+    failed = [False] * len(chunks)
 
-    def add(x, k, first):
-        pw = scratch[:len(x)]
-        for p, acc in zip(ps, sums):
-            np.abs(x, out=pw)
-            pw **= p
-            if isinstance(acc, np.ndarray):
-                _add_blocks(acc[k], pw, first)
-            else:
-                shift, s1, s2 = acc
-                pw -= shift[k]
-                s1[k] += pw.sum(axis=0)
-                pw *= pw
-                s2[k] += pw.sum(axis=0)
+    def step_chunk(i):
+        rows = chunks[i]
+        # row 0 holds the running sum that the mean's rows fold into
+        scratch = np.empty((len(rows) + 1, nx))
 
-    for start in range(lo, hi, size):
-        stop = min(start + size, hi)
-        x = np.tile(u0, (stop - start, 1))
-        add(x, 0, start)
-        for k, dlam in enumerate(sample_noise(ms, grid, seed,
-                                              range(start, stop))):
-            mild_step(x, dk, ms, dlam, grid.dx, k)
-            add(x, k + 1, start)
+        def add(x, k):
+            pw = scratch[1:]
+            if i:
+                gates[i - 1].acquire()
+                if failed[i - 1]:
+                    raise CancelledError
+            for p, acc in zip(ps, sums):
+                np.abs(x, out=pw)
+                pw **= p
+                if isinstance(acc, np.ndarray):
+                    _add_blocks(acc[k], pw, rows.start)
+                else:
+                    shift, s1, s2 = acc
+                    pw -= shift[k]
+                    scratch[0] = s1[k]
+                    np.sum(scratch, axis=0, out=s1[k])
+                    pw *= pw
+                    scratch[0] = s2[k]
+                    np.sum(scratch, axis=0, out=s2[k])
+            if i < len(gates):
+                gates[i].release()
+
+        try:
+            x = np.tile(u0, (len(rows), 1))
+            add(x, 0)
+            for k, dlam in enumerate(sample_noise(ms, grid, seed, rows)):
+                mild_step(x, dk, ms, dlam, grid.dx, k)
+                add(x, k + 1)
+        except BaseException:
+            failed[i] = True
+            if i < len(gates):
+                gates[i].release(n_t + 1)
+            raise
+
+    if jobs == 1:
+        list(map(step_chunk, range(len(chunks))))
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            list(pool.map(step_chunk, range(len(chunks))))
     return sums
-
-
-def _merge(parts: list):
-    """Add up the workers' sums of one order, in worker order and in place
-    in the first worker's arrays."""
-    first, *rest = parts
-    if isinstance(first, np.ndarray):
-        for acc in rest:
-            first += acc
-        return first
-    shift, s1, s2 = first
-    for _, t1, t2 in rest:
-        s1 += t1
-        s2 += t2
-    return shift, s1, s2
 
 
 def simulate_moments(ms: ModelSpec, grid: GridSpec, p, replicas: int,
@@ -217,10 +234,8 @@ def simulate_moments(ms: ModelSpec, grid: GridSpec, p, replicas: int,
     result is a list of (MomentSeries, MomentSurface), one per order.
     aggregator "auto" resolves to median-of-means for p > 1.5 and the
     plain mean otherwise; "mom" and "mean" force one of them.  `jobs`
-    splits the replicas into that many contiguous ranges, one per worker
-    process.  The workers' sums are added after they finish, so results
-    differ in the last bits between job counts; for a fixed `jobs` they are
-    reproducible bit for bit.
+    threads step the replicas; the results do not depend on `jobs` or on
+    the batch size, bit for bit.
     """
     if aggregator not in AGGREGATORS:
         raise DomainError(f"unknown aggregator {aggregator!r}; expected one "
@@ -232,15 +247,7 @@ def simulate_moments(ms: ModelSpec, grid: GridSpec, p, replicas: int,
             ("mom" if q > 1.5 else "mean") for q in ps]
     moms = [a == "mom" for a in aggs]
     blocks = min(blocks, replicas)
-    cuts = [replicas * i // jobs for i in range(jobs + 1)]
-    tasks = [(ms, grid, ps, moms, seed, lo, hi, blocks)
-             for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
-    if len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            parts = list(pool.map(_accumulate, *zip(*tasks)))
-        sums = [_merge(list(per_p)) for per_p in zip(*parts)]
-    else:
-        sums = _accumulate(*tasks[0])
+    sums = _accumulate(ms, grid, ps, moms, seed, replicas, blocks, jobs)
 
     r = replicas
     bcount = np.bincount(np.arange(r) % blocks, minlength=blocks)

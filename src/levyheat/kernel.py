@@ -352,12 +352,13 @@ def _legendre_rule(n):
 
 
 def _gauss_panels(panels, n):
-    """Gauss-Legendre nodes/weights over consecutive panels."""
+    """Gauss-Legendre nodes/weights over consecutive panels, per row of cuts."""
     base_x, base_w = _legendre_rule(n)
     cuts = np.asarray(panels, dtype=float)
-    lo, hi = cuts[:-1, None], cuts[1:, None]
-    return ((0.5 * (hi - lo) * base_x + 0.5 * (hi + lo)).ravel(),
-            (0.5 * (hi - lo) * base_w).ravel())
+    lo, hi = cuts[..., :-1, None], cuts[..., 1:, None]
+    shape = cuts.shape[:-1] + (-1,)
+    return ((0.5 * (hi - lo) * base_x + 0.5 * (hi + lo)).reshape(shape),
+            (0.5 * (hi - lo) * base_w).reshape(shape))
 
 
 def weighted_kernel_integral(kp: KernelParams, beta: float, c: float, p: float) -> float:
@@ -632,12 +633,7 @@ def _conv_nodes(ck: ComparisonKernel, u, s, x: float):
     peaks = np.concatenate([_CONV_STEPS * w0, x + _CONV_STEPS * w1], axis=-1)
     cuts = np.sort(np.concatenate([-big, np.clip(peaks, -big, big), big],
                                   axis=-1), axis=-1)
-    # _gauss_panels' rule, row by row
-    base_x, base_w = _legendre_rule(32)
-    lo, hi = cuts[..., :-1, None], cuts[..., 1:, None]
-    shape = cuts.shape[:-1] + (-1,)
-    return ((0.5 * (hi - lo) * base_x + 0.5 * (hi + lo)).reshape(shape),
-            (0.5 * (hi - lo) * base_w).reshape(shape))
+    return _gauss_panels(cuts, 32)
 
 
 def _space_conv(ck: ComparisonKernel, q: float, t: float, s, x: float):

@@ -136,9 +136,10 @@ def test_array_grid_slacks_equal_scalar_loop(monkeypatch, check, loop, alpha):
 
 def test_work_budget(monkeypatch):
     # the certificate quadratures run as arrays: a full suite makes few
-    # scalar g calls and few panel builds (11,875 and 2,841 when each time
-    # node had its own space convolution), so a fall-back to per-node
-    # Python fails here
+    # scalar g calls and few panel builds (396 and 254, of which 203 build
+    # the space panels of a whole time panel at once; 11,875 and 2,841 when
+    # each time node had its own space convolution), so a fall-back to
+    # per-node Python fails here
     calls = {"g": 0, "panels": 0}
     g, panels = K.ComparisonKernel.g, K._gauss_panels
 
@@ -153,7 +154,7 @@ def test_work_budget(monkeypatch):
     monkeypatch.setattr(K, "_gauss_panels", counting_panels)
     assert verify_lemmas(d=1, alpha=1.5, p=1.2).all_pass
     assert calls["g"] <= 1000
-    assert calls["panels"] <= 200
+    assert calls["panels"] <= 300
 
 
 def inflate_gamma(monkeypatch, factor):

@@ -1,8 +1,11 @@
 import argparse
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -602,6 +605,45 @@ class TestCLI:
         assert main([command, "--config", str(cfg), "--jobs", "3",
                      "--out", str(tmp_path / "b")]) == 0
         assert seen == [2, 3]
+
+    def test_data_rows_independent_of_jobs(self, tmp_path):
+        # p = 1.2 takes the mean, p = 2 the median of means; the # lines
+        # differ, since run.jobs is part of the config hash
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN.replace("run.p = 2", "run.p = 1.2, 2"))
+        runs = {}
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / jobs
+            assert main(["moments", "--config", str(cfg), "--jobs", jobs,
+                         "--out", str(out)]) == 0
+            runs[jobs] = [(out / f"moments_p{p}.csv").read_bytes()
+                          .splitlines(keepends=True) for p in ("1.2", "2")]
+        for jobs in ("2", "3"):
+            for want, got in zip(runs["1"], runs[jobs]):
+                assert got != want
+                assert [line for line in got if not line.startswith(b"#")] \
+                    == [line for line in want if not line.startswith(b"#")]
+
+    def test_threaded_blowup_exits_with_one_error(self, tmp_path):
+        # seed 76: replicas 0-2 blow up first at step 1, replicas 3-5 at
+        # step 2, so the second chunk waits on the first when it raises.
+        # In a process of its own, so that a chunk left waiting would hang
+        # the run until the timeout fails the test
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN)
+        src = str(Path(cli.__file__).parents[1])
+        path = os.environ.get("PYTHONPATH")
+        done = subprocess.run(
+            [sys.executable, "-m", "levyheat.cli", "moments", "--config",
+             str(cfg), "--sigma", "1e9", "--seed", "76", "--jobs", "2",
+             "--out", str(tmp_path)], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": src + (
+                os.pathsep + path if path else "")})
+        assert done.returncode == 1
+        errors = [line for line in done.stderr.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "blow-up at step 1," in errors[0]
+        assert not list(tmp_path.glob("moments_*.csv"))
 
     def test_replay_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg"

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -208,13 +209,27 @@ class TestSimulateMoments:
             model(), self.GRID, p=(1.2, 1.25, 2.0), replicas=8, seed=0)]
         assert flags == [True, False, False]
 
-    def test_jobs_reduction_matches_serial(self):
-        ser1, surf1 = quiet_simulate(model(), self.GRID, p=2.0, replicas=8,
-                                     seed=5, jobs=1)
-        ser2, surf2 = quiet_simulate(model(), self.GRID, p=2.0, replicas=8,
-                                     seed=5, jobs=2)
-        assert np.allclose(surf1.mean, surf2.mean)
-        assert np.allclose(ser1.sup_mean, ser2.sup_mean)
+    def test_jobs_reduction_matches_serial(self, monkeypatch):
+        # one pass at p = 1.2 (mean) and 2.0 (median of means), 7 replicas
+        # in 3 blocks: one batch, then chunks of 4 and 3, of 3, 3 and 1,
+        # and of 1 each, on up to 7 threads switching every microsecond, so
+        # that an addition out of replica order shows
+        def run(jobs):
+            return quiet_simulate(model(), self.GRID, p=(1.2, 2.0),
+                                  replicas=7, seed=5, blocks=3, jobs=jobs)
+        with monkeypatch.context() as m:
+            m.setattr(estimator, "ThreadPoolExecutor", None)  # no thread
+            serial = run(1)
+        assert [series.aggregator for series, _ in serial] == ["mean", "mom"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for jobs in (2, 3, 7):
+                for (_, want), (_, got) in zip(serial, run(jobs)):
+                    assert np.array_equal(got.mean, want.mean)
+                    assert np.array_equal(got.se, want.se)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestBatchedEngine:
@@ -268,14 +283,18 @@ class TestBatchedEngine:
         np.testing.assert_allclose(surface.se[1:], se[1:], rtol=1e-12, atol=0.0)
         assert series.aggregator == aggregator
 
-    @pytest.mark.parametrize("blocks", [2, 3])
-    def test_mom_surface_independent_of_batches(self, monkeypatch, blocks):
-        # each block adds its replicas in replica order whatever the batches
+    @pytest.mark.parametrize("aggregator, blocks",
+                             [("mom", 2), ("mom", 3), ("mean", MOM_BLOCKS)],
+                             ids=["2", "3", "mean"])
+    def test_mom_surface_independent_of_batches(self, monkeypatch, aggregator,
+                                                blocks):
+        # each block, and the mean's sums, add their replicas in replica
+        # order whatever the batches
         ms = model(u0=U0Spec(kind="poly_decay", c0=1.0, decay_c=0.5))
 
         def surface():
             return quiet_simulate(ms, self.GRID, p=2.0, replicas=7, seed=11,
-                                  aggregator="mom", blocks=blocks)[1]
+                                  aggregator=aggregator, blocks=blocks)[1]
         one = surface()
         self.use_batches_of(monkeypatch, 3)
         three = surface()
@@ -300,10 +319,13 @@ class TestBatchedEngine:
                            aggregator="median")
 
     def test_blowup_reports_step(self, monkeypatch):
-        # the run stops in the first batch holding a replica that blows up,
-        # at the earliest such step in that batch; stepped alone, replicas
-        # 0..6 of seed 4 blow up at steps 10, 8, 12, 13, 16, never and 5,
-        # so batches of 3 stop at step 8 and one batch of 7 at step 5
+        # the run reports the first chunk in replica order holding a replica
+        # that blows up, at the earliest such step in that chunk; stepped
+        # alone, replicas 0..6 of seed 4 blow up at steps 10, 8, 12, 13,
+        # 16, never and 5.  With one job the chunks are the batches: of 3
+        # stop at step 8, one of 7 at step 5.  Two jobs cut 4 and 3, which
+        # stop at step 8; seven jobs cut chunks of 1, which stop at step 10
+        # (replicas 1 and 6 blow up first, but replica 0 comes first)
         ms = model(slope=1e4)
         steps = []
         with warnings.catch_warnings():
@@ -315,19 +337,20 @@ class TestBatchedEngine:
                 except BlowupError as err:
                     steps.append(err.step)
         assert steps == [10, 8, 12, 13, 16, None, 5]
-        for size in (3, 7):
+        for size, jobs, chunk in ((3, 1, 3), (7, 1, 7), (7, 2, 4), (7, 7, 1)):
             self.use_batches_of(monkeypatch, size)
-            batches = [steps[lo:lo + size] for lo in range(0, 7, size)]
-            first = next(b for b in batches if any(s is not None for s in b))
+            chunks = [steps[lo:lo + chunk] for lo in range(0, 7, chunk)]
+            first = next(c for c in chunks if any(s is not None for s in c))
             with pytest.raises(BlowupError) as info:
-                quiet_simulate(ms, self.GRID, p=2.0, replicas=7, seed=4)
+                quiet_simulate(ms, self.GRID, p=2.0, replicas=7, seed=4,
+                               jobs=jobs)
             assert info.value.step == min(s for s in first if s is not None)
             assert info.value.value > 1e12
 
 
 class TestBlockReduction:
-    """The median of means reduced a slab at a time, and the workers' sums
-    added in place, against the whole-array expressions."""
+    """The median of means reduced a slab at a time, against the
+    whole-array expressions."""
 
     @pytest.mark.parametrize("blocks", [2, 3, 5, 16])
     @pytest.mark.parametrize("slab_rows", [1, 4, None])
@@ -346,23 +369,6 @@ class TestBlockReduction:
         assert np.array_equal(est, np.median(means, axis=0))
         assert np.array_equal(se, math.sqrt(math.pi / 2.0)
                               * means.std(axis=0, ddof=1) / math.sqrt(blocks))
-
-    @pytest.mark.parametrize("mom", [True, False], ids=["mom", "mean"])
-    def test_merge_adds_in_place_in_worker_order(self, mom):
-        rng = np.random.default_rng(7)
-        a, b, c = (rng.standard_normal((5, 3, 4)) for _ in range(3))
-        want = (a + b) + c
-        if mom:
-            merged = estimator._merge([a, b, c])
-            assert merged is a
-            assert np.array_equal(merged, want)
-        else:
-            shift = np.ones((5, 4))
-            parts = [(shift, x[:, 0], x[:, 1]) for x in (a, b, c)]
-            merged = estimator._merge(parts)
-            assert merged[0] is shift
-            assert np.array_equal(merged[1], want[:, 0])
-            assert np.array_equal(merged[2], want[:, 1])
 
     def test_mom_memory_is_block_sums_plus_a_slab(self):
         # 32 replicas on the reference grid: the (501, 16, 256) block sums

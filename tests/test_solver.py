@@ -1,5 +1,4 @@
 import math
-import pickle
 import tracemalloc
 import warnings
 
@@ -364,12 +363,6 @@ class TestMildStep:
             assert out is fields
             assert np.array_equal(fields, dense)
         assert jumps > 0
-
-    def test_blowup_error_pickles(self):
-        # a --jobs worker sends it back to the parent process
-        err = pickle.loads(pickle.dumps(BlowupError(step=3, cell=7, value=2e12)))
-        assert (err.step, err.cell, err.value) == (3, 7, 2e12)
-        assert str(err) == str(BlowupError(3, 7, 2e12))
 
 
 class TestTrajectory:
