@@ -179,15 +179,13 @@ def check_space_conv(ck: K.ComparisonKernel, p: float, t_grid=(0.5, 1.0, 2.0),
     gam = K.gamma_conv_constant(d, a, p)
     slacks = []
     for t in t_grid:
-        s = [frac * t for frac in s_fracs]
+        s = np.array(s_fracs) * t
         for x in x_grid:
-            lhs = K._space_conv(ck, p, t, np.array(s), x)
-            # the right side one scalar s at a time: on an array t, g
-            # takes t^(2/alpha) through np.power, which can round differently
-            slacks += [v / (gam * (t - si) ** (d / a)
-                            / (si ** ((p - 1.0) * d / a) * t ** (d / a))
-                            * ck.g(t - si, x) ** p)
-                       for v, si in zip(lhs, s)]
+            # np.float_power rounds each element as the scalar ** does
+            rhs = (gam * np.float_power(t - s, d / a)
+                   / (np.float_power(s, (p - 1.0) * d / a) * t ** (d / a))
+                   * np.float_power(ck.g(t - s, x), p))
+            slacks += list(K._space_conv(ck, p, t, s, x) / rhs)
     return _ineq_record("g-space-convolution", slacks,
                         f"p={p}, t in {tuple(t_grid)}, s/t in {s_fracs}")
 

@@ -25,8 +25,8 @@ from .analytics import (RenewalProblem, compute_bounds, renewal_solve,
 from .certify import verify_lemmas
 from .config import SCHEMA, ExperimentConfig
 from .errors import BlowupError, NoRootError, QuadratureError, ValidationError
-from .estimator import (MomentSeries, calibrate_renewal, growth_index_scan,
-                        lyapunov_fit, renewal_check, simulate_moments)
+from .estimator import (MomentSeries, growth_index_scan, lyapunov_fit,
+                        renewal_check, simulate_moments)
 from .solver import Trajectory, run_trajectory
 from . import specfun
 
@@ -268,16 +268,12 @@ def _read_csv(path, key: str, columns: int, rows: int) -> np.ndarray:
 
 
 def _parse_weight_arg(cfg: ExperimentConfig):
-    """(t_grid, values, callable) of `renewal.weight`; analytic weights keep
-    their closed form so the solver's refinement pass stays exact, the
-    others interpolate their table."""
+    """The weight callable of `renewal.weight`; `exp:` keeps its closed form
+    so the solver's refinement pass stays exact, a table interpolates."""
     spec_txt = cfg.get("renewal.weight")
     if spec_txt.startswith("exp:"):
         amp, rate = (float(v) for v in spec_txt[4:].split(","))
-        dt = cfg.get("renewal.dt")
-        t = np.arange(int(round(cfg.get("renewal.T") / dt)) + 1) * dt
-        func = lambda u: amp * np.exp(-rate * np.asarray(u))   # noqa: E731
-        return t, func(t), func
+        return lambda u: amp * np.exp(-rate * np.asarray(u))
     if spec_txt == "model":
         ms = cfg.build_model()
         wt = renewal_weight(ms.kp, ms.levy, cfg.get("run.p")[0],
@@ -286,10 +282,15 @@ def _parse_weight_arg(cfg: ExperimentConfig):
     elif Path(spec_txt).exists():
         data = _read_csv(spec_txt, "renewal.weight", 2, 1)
         t, w = data[:, 0], data[:, 1]
+        if not (np.all(np.isfinite(data[:, :2])) and np.all(np.diff(t) > 0.0)
+                and np.all(w >= 0.0)):
+            raise ValidationError(
+                "renewal.weight", f"{spec_txt} needs finite, strictly "
+                                  "increasing times and finite values >= 0")
     else:
         raise ValidationError("renewal.weight",
                               f"cannot interpret {spec_txt!r}")
-    return t, w, lambda u: np.interp(u, t, w)
+    return lambda u: np.interp(u, t, w)
 
 
 def cmd_renewal(args) -> int:
@@ -298,23 +299,23 @@ def cmd_renewal(args) -> int:
         # a flag-only run solves with exp:1,1, not the default model weight,
         # and records it in the hash
         cfg.set("renewal.weight", "exp:1,1")
-    wt_t, wt_w, weight = _parse_weight_arg(cfg)
+    weight = _parse_weight_arg(cfg)
     outdir = _outdir(cfg, args.out)
     # None when neither a flag nor the config sets it
     c3, c4 = cfg.get("renewal.c3"), cfg.get("renewal.c4")
 
     if args.series:
+        for key, value in (("renewal.c3", c3), ("renewal.c4", c4)):
+            if value is None:
+                raise ValidationError(key, "--series needs both constants, "
+                                           "from a flag or the config")
         # lyapunov_fit needs 5 points in the second half of the times; on
         # a uniform grid that takes 9 rows
         data = _read_csv(args.series, "renewal.series", 5, 9)
         series = MomentSeries(times=data[:, 0], sup_mean=data[:, 1],
                               sup_se=data[:, 2], inf_mean=data[:, 3],
                               inf_se=data[:, 4], p=float("nan"), replicas=0)
-        if c3 is None or c4 is None:
-            c3_est, c4_est = calibrate_renewal(series, wt_t, wt_w)
-            c3 = c3 if c3 is not None else c3_est
-            c4 = c4 if c4 is not None else c4_est
-        chk = renewal_check(series, wt_t, wt_w, c3, c4)
+        chk = renewal_check(series, weight, c3, c4)
         path = outdir / "renewal_check.csv"
         _write_csv(path, cfg, f" c3={c3:.17g} c4={c4:.17g}",
                    "t,inf_mean,f,margin,margin_se",

@@ -9,6 +9,7 @@ that build the same experiment hash alike and a changed default does not.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 from . import __version__
@@ -65,10 +66,14 @@ def _parse_radius_exponent(s):
 
 
 def _parse_weight(s):
-    """`model`, a CSV path or `exp:<amp>,<rate>`, kept as text so the config
-    hash sees the text."""
-    if s.startswith("exp:") and len([float(v) for v in s[4:].split(",")]) != 2:
-        raise ValueError("expected exp:<amp>,<rate>")
+    """`model`, a CSV path or `exp:<amp>,<rate>` (amp finite and >= 0, rate
+    finite), kept as text so the config hash sees the text."""
+    if s.startswith("exp:"):
+        vals = [float(v) for v in s[4:].split(",")]
+        if len(vals) != 2:
+            raise ValueError("expected exp:<amp>,<rate>")
+        if not (0.0 <= vals[0] < math.inf and math.isfinite(vals[1])):
+            raise ValueError("amp must be finite and >= 0, rate finite")
     return s
 
 

@@ -441,20 +441,22 @@ class RenewalCheck:
                            >= -2.0 * self.margin_se[mask] - 1e-12))
 
 
-def renewal_check(series: MomentSeries, weight_t: np.ndarray,
-                  weight_w: np.ndarray, c3: float, c4: float) -> RenewalCheck:
+def renewal_check(series: MomentSeries, weight, c3: float,
+                  c4: float) -> RenewalCheck:
     """Compare the estimated inf-moment against the renewal comparison
-    solution f = c3 + c4 (w * f) on the series' own time grid.  The margin
-    is reported everywhere; the pass verdict applies from 10% of the
-    horizon on."""
+    solution f = c3 + c4 (w * f) on the series' own time grid; `weight` is
+    the callable w that `renewal_solve` evaluates.  The margin is reported
+    everywhere; the pass verdict applies from 10% of the horizon on."""
     t = series.times
     if np.any(series.inf_mean <= 0.0):
         raise DomainError("renewal check needs positive inf-moment estimates")
+    if t[0] != 0.0:
+        raise DomainError("series times must start at 0")
     dt = float(t[1] - t[0])
     if not np.allclose(np.diff(t), dt):
         raise DomainError("series time grid must be uniform")
     rp = RenewalProblem(c3=c3, c4=c4, horizon=float(t[-1]), dt=dt,
-                        weight=lambda u: np.interp(u, weight_t, weight_w))
+                        weight=weight)
     sol = renewal_solve(rp)
     margin = series.inf_mean - sol.f
     fitted = lyapunov_fit(series).lower
@@ -462,35 +464,3 @@ def renewal_check(series: MomentSeries, weight_t: np.ndarray,
                         margin_se=series.inf_se, beta1=sol.beta1,
                         fitted_lower_slope=fitted, c3=c3, c4=c4,
                         t_floor=0.1 * float(t[-1]))
-
-
-def calibrate_renewal(series: MomentSeries, weight_t: np.ndarray,
-                      weight_w: np.ndarray):
-    """Heuristic (c3, c4) from the observed series.  NOT the proof constants.
-
-    c3 is the first positive-time inf-moment.  c4 comes from the earliest
-    statistically resolved renewal increment,
-        c4 ~ (I(t*) - c3) / (w * I)(t*),
-    at the first t* where the increment clears 5 standard errors, capped so
-    the comparison solution saturates below the lower quartile of the
-    series, and shrunk by a factor 0.8.  Report alongside any conclusion
-    drawn.
-    """
-    t = series.times
-    inf = series.inf_mean
-    c3 = float(inf[1])
-    dt = float(t[1] - t[0])
-    wv = np.interp(t, weight_t, weight_w)
-    total = float(np.trapezoid(weight_w, weight_t))
-    if total <= 0.0:
-        raise DomainError("weight has no mass")
-
-    resolved = np.nonzero(inf - c3 >= 5.0 * series.inf_se)[0]
-    resolved = resolved[resolved >= 2]
-    k = int(resolved[0]) if len(resolved) else max(2, len(t) // 10)
-    conv = float(np.trapezoid(wv[k::-1] * inf[:k + 1], dx=dt))
-    c4_inc = max(0.0, float(inf[k]) - c3) / conv if conv > 0.0 else 0.0
-
-    level = float(np.quantile(inf[1:], 0.25))
-    c4_cap = max(0.0, 1.0 - c3 / level) / total if level > c3 else 0.0
-    return c3, 0.8 * min(c4_inc, c4_cap)

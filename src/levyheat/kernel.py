@@ -270,16 +270,16 @@ class ComparisonKernel:
         return kappa_const(self.params.d, self.params.alpha)
 
     def g(self, t, r):
-        """g(t, x) at the radius r = |x|, elementwise in r and t.  The
-        outer power is np.float_power, the C library's pow on every element
-        as Python's ** on floats; np.power's SIMD loops can round
-        differently, as they do for t^(2/alpha) when t is an array."""
+        """g(t, x) at the radius r = |x|, elementwise in r and t.  Both
+        powers are np.float_power, the C library's pow on every element as
+        Python's ** on floats; np.power's SIMD loops can round differently,
+        so g(t, r)[i] == g(t[i], r) holds bit for bit."""
         if np.any(np.asarray(t) <= 0.0):
             raise DomainError(f"g requires t > 0, got {t}")
         r = np.asarray(r, dtype=float)
         d, a = self.d, self.alpha
-        return self.kappa * t / np.float_power(t ** (2.0 / a) + r * r,
-                                               (d + a) / 2.0)
+        return self.kappa * t / np.float_power(
+            np.float_power(t, 2.0 / a) + r * r, (d + a) / 2.0)
 
     def g_p_numeric(self, t: float, p: float = 1.0) -> float:
         """Quadrature of int_R g(t,y)^p dy (d = 1); g_p_integral is its

@@ -188,6 +188,12 @@ class TestCLI:
     def test_model_flags_override_schema_keys(self):
         assert set(cli._MODEL_FLAGS.values()) <= set(SCHEMA)
 
+    def test_readme_configuration_names_every_schema_key(self):
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text()
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ")[0]
+        assert [key for key in SCHEMA if key not in section] == []
+
     @pytest.mark.parametrize("command, flags, lines, key", [
         ("moments", ["--alpha", "abc"], "", "model.alpha"),
         ("moments", ["--jobs", "0"], "", "run.jobs"),
@@ -200,10 +206,14 @@ class TestCLI:
         ("renewal", ["--weight", "exp:1"], "", "renewal.weight"),
         ("renewal", ["--weight", "exp:a,b"], "", "renewal.weight"),
         ("renewal", ["--weight", "exp:1,2,3"], "", "renewal.weight"),
+        ("renewal", ["--weight", "exp:-1,1"], "", "renewal.weight"),
+        ("renewal", ["--weight", "exp:inf,1"], "", "renewal.weight"),
+        ("renewal", ["--weight", "exp:1,nan"], "", "renewal.weight"),
     ], ids=["alpha-abc", "jobs-0", "jobs-negative", "blocks-0", "blocks-1",
             "scan-r-fast", "renewal-dt-0", "renewal-T-abc",
             "renewal-weight-exp-1", "renewal-weight-exp-a-b",
-            "renewal-weight-exp-1-2-3"])
+            "renewal-weight-exp-1-2-3", "renewal-weight-exp-negative-amp",
+            "renewal-weight-exp-infinite-amp", "renewal-weight-exp-nan-rate"])
     def test_bad_run_value_exits_3_naming_key(self, tmp_path, capsys,
                                               command, flags, lines, key):
         cfg = tmp_path / "cfg"
@@ -233,7 +243,8 @@ class TestCLI:
                      "--out", str(tmp_path)]) == 0
         series = tmp_path / "moments_p1.2.csv"
         code = main(["renewal", "--series", str(series), "--weight", "model",
-                     "--config", str(cfg), "--out", str(tmp_path)])
+                     "--c3", "0.5", "--c4", "0.3", "--config", str(cfg),
+                     "--out", str(tmp_path)])
         assert code in (0, 1)
         t_in = np.loadtxt(series, delimiter=",", skiprows=2)[:, 0]
         t_out = np.loadtxt(tmp_path / "renewal_check.csv", delimiter=",",
@@ -244,9 +255,11 @@ class TestCLI:
         ("renewal.c3 = 0.5\nrenewal.c4 = 0.25\n", [], (0.5, 0.25)),
         ("renewal.c3 = 0.5\nrenewal.c4 = 0.25\n", ["--c4", "0.75"],
          (0.5, 0.75)),
-        ("renewal.c3 = 0.5\n", [], (0.5, None)),
-    ], ids=["config-both", "flag-over-config", "config-c3-only"])
-    def test_renewal_check_reads_constants_from_config(self, tmp_path,
+        ("renewal.c3 = 0.5\n", [], "renewal.c4"),
+        ("renewal.c4 = 0.25\n", [], "renewal.c3"),
+    ], ids=["config-both", "flag-over-config", "config-c3-only",
+            "config-c4-only"])
+    def test_renewal_check_reads_constants_from_config(self, tmp_path, capsys,
                                                        cfg_lines, flags,
                                                        expect):
         cfg = tmp_path / "cfg"
@@ -256,15 +269,51 @@ class TestCLI:
                 for k in range(21)]
         series.write_text("t,sup_mean,sup_se,inf_mean,inf_se\n"
                           + "\n".join(rows) + "\n")
-        assert main(["renewal", "--series", str(series), "--config", str(cfg),
-                     "--weight", "exp:1,1", "--out", str(tmp_path)]
-                    + flags) in (0, 1)
+        code = main(["renewal", "--series", str(series), "--config", str(cfg),
+                     "--weight", "exp:1,1", "--out", str(tmp_path)] + flags)
+        if isinstance(expect, str):
+            # a constant set neither by a flag nor the config is an error
+            assert code == 3
+            assert expect in capsys.readouterr().err
+            assert not list(tmp_path.glob("renewal_check.*"))
+            return
+        assert code in (0, 1)
         got = json.loads((tmp_path / "renewal_check.json").read_text())
-        assert got["c3"] == expect[0]
-        if expect[1] is not None:
-            assert got["c4"] == expect[1]
+        assert (got["c3"], got["c4"]) == expect
         header = (tmp_path / "renewal_check.csv").read_text().splitlines()[0]
         assert f"c3={got['c3']:.17g} c4={got['c4']:.17g}" in header
+
+    def test_renewal_check_exp_weight_ignores_solve_grid(self, tmp_path):
+        # the check runs on the series' grid; renewal.T and renewal.dt only
+        # reach the `#` line, through the config hash
+        series = tmp_path / "series.csv"
+        rows = [f"{0.1 * k},{2.0 * math.exp(0.1 * k)},0.01,"
+                f"{math.exp(0.1 * k)},0.01" for k in range(51)]
+        series.write_text("t,sup_mean,sup_se,inf_mean,inf_se\n"
+                          + "\n".join(rows) + "\n")
+        outputs = []
+        for T, dt in (("10", "0.001"), ("1", "0.001"), ("10", "0.03")):
+            out = tmp_path / f"T{T}-dt{dt}"
+            assert main(["renewal", "--series", str(series), "--c3", "1",
+                         "--c4", "0.05", "--weight", "exp:1,1", "--T", T,
+                         "--dt", dt, "--out", str(out)]) == 0
+            got = json.loads((out / "renewal_check.json").read_text())
+            del got["config_hash"]
+            outputs.append(((out / "renewal_check.csv").read_text()
+                            .splitlines()[1:], got))
+        assert outputs[1] == outputs[0] == outputs[2]
+
+    def test_renewal_series_must_start_at_zero(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("t,sup_mean,sup_se,inf_mean,inf_se\n" + "".join(
+            f"{0.1 * k},2,0.01,1,0.01\n" for k in range(5, 51)))
+        assert main(["renewal", "--series", str(series), "--c3", "1",
+                     "--c4", "1", "--weight", "exp:1,1",
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "series times must start at 0" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("renewal_check.*"))
 
     def test_renewal_solve_defaults_constants_missing_from_config(
             self, tmp_path):
@@ -281,27 +330,6 @@ class TestCLI:
         assert " c3=1 c4=1 " in with_cfg.splitlines()[0]
         assert with_cfg.splitlines()[1:] == flags.splitlines()[1:]
 
-    def test_renewal_check_calibrates_constants_missing_from_config(
-            self, tmp_path):
-        cfg = tmp_path / "cfg"
-        cfg.write_text(SMALL_RUN)
-        series = tmp_path / "series.csv"
-        rows = [f"{0.1 * k},{math.exp(0.2 * k)},0.01,{math.exp(0.1 * k)},0.01"
-                for k in range(21)]
-        series.write_text("t,sup_mean,sup_se,inf_mean,inf_se\n"
-                          + "\n".join(rows) + "\n")
-        assert main(["renewal", "--series", str(series), "--config", str(cfg),
-                     "--weight", "exp:1,1", "--out", str(tmp_path)]) in (0, 1)
-        got = json.loads((tmp_path / "renewal_check.json").read_text())
-        data = np.loadtxt(series, delimiter=",", skiprows=1)
-        t = np.arange(int(round(10.0 / 1e-3)) + 1) * 1e-3
-        c3, c4 = cli.calibrate_renewal(
-            cli.MomentSeries(times=data[:, 0], sup_mean=data[:, 1],
-                             sup_se=data[:, 2], inf_mean=data[:, 3],
-                             inf_se=data[:, 4], p=float("nan"), replicas=0),
-            t, np.exp(-t))
-        assert (got["c3"], got["c4"]) == (c3, c4) != (1.0, 1.0)
-
     @pytest.mark.parametrize("flag, text, key", [
         ("--series", "t,sup_mean,sup_se,inf_mean,inf_se\n", "renewal.series"),
         ("--series", "t,inf_mean\n0,1\n0.1,1.5\n0.2,2\n", "renewal.series"),
@@ -312,8 +340,13 @@ class TestCLI:
         ("--series", "t,sup_mean,sup_se,inf_mean,inf_se\n"
          + "".join(f"{0.1 * k},2,0.01,1,0.01\n" for k in range(8)),
          "renewal.series"),
+        ("--weight", "t,w\n0,1\n0.5,-0.1\n1,0.5\n", "renewal.weight"),
+        ("--weight", "t,w\n0,1\n1,0.5\n0.5,0.8\n", "renewal.weight"),
+        ("--weight", "t,w\n0,1\n0.5,0.8\n0.5,0.7\n", "renewal.weight"),
+        ("--weight", "t,w\n0,1\n0.5,nan\n1,0.5\n", "renewal.weight"),
     ], ids=["header-only-series", "two-column-series", "one-column-weight",
-            "two-row-series", "eight-row-series"])
+            "two-row-series", "eight-row-series", "negative-weight",
+            "unsorted-weight", "repeated-time-weight", "nan-weight"])
     def test_short_renewal_csv_exits_3(self, tmp_path, capsys, flag, text,
                                        key):
         path = tmp_path / "input.csv"

@@ -10,9 +10,8 @@ from levyheat import estimator
 from levyheat.analytics import ModelSpec, SigmaSpec, U0Spec, renewal_weight
 from levyheat.errors import BlowupError, DomainError
 from levyheat.estimator import (MOM_BLOCKS, MomentSeries, MomentSurface,
-                                calibrate_renewal, fit_log_slope,
-                                growth_index_scan, lyapunov_fit, renewal_check,
-                                simulate_moments)
+                                fit_log_slope, growth_index_scan, lyapunov_fit,
+                                renewal_check, simulate_moments)
 from levyheat.kernel import KernelParams
 from levyheat.noise import LevyMeasureSpec
 from levyheat.solver import GridSpec, build_discrete_kernel, run_trajectory
@@ -398,8 +397,7 @@ class TestRenewalCheck:
     def test_c4_zero_reduces_to_floor(self):
         t = np.linspace(0.0, 5.0, 51)
         series = self.make_series(1.0 + t)
-        wt = np.exp(-t)
-        chk = renewal_check(series, t, wt, c3=1.0, c4=0.0)
+        chk = renewal_check(series, lambda u: np.exp(-u), c3=1.0, c4=0.0)
         assert np.allclose(chk.f, 1.0)
         assert chk.ordered
 
@@ -408,21 +406,23 @@ class TestRenewalCheck:
         t = np.linspace(0.0, 5.0, 501)
         f_exact = 2.0 * np.exp(t) - 1.0
         series = self.make_series(f_exact)
-        chk = renewal_check(series, t, 2.0 * np.exp(-t), c3=1.0, c4=1.0)
+        chk = renewal_check(series, lambda u: 2.0 * np.exp(-u), c3=1.0,
+                            c4=1.0)
         assert np.abs(chk.margin).max() < 1e-4 * f_exact.max()
         assert chk.ordered
 
     def test_violated_ordering_detected(self):
-        t = np.linspace(0.0, 5.0, 51)
         series = self.make_series(np.full(51, 1.0))
-        chk = renewal_check(series, t, 2.0 * np.exp(-t), c3=1.0, c4=1.0)
+        chk = renewal_check(series, lambda u: 2.0 * np.exp(-u), c3=1.0,
+                            c4=1.0)
         assert not chk.ordered
 
     def test_monte_carlo_ordering(self):
         grid = GridSpec(half_width=32.0, n_x=256, horizon=5.0, n_t=500)
         series, _ = quiet_simulate(model(), grid, p=1.2, replicas=200, seed=42)
         wt = renewal_weight(KP15, ATOMS, 1.2, 1.0, 0.5)
-        c3, c4 = calibrate_renewal(series, wt.t, wt.w)
-        assert c3 > 0.0 and c4 >= 0.0
-        chk = renewal_check(series, wt.t, wt.w, c3, c4)
-        assert chk.ordered
+        weight = lambda u: np.interp(u, wt.t, wt.w)   # noqa: E731
+        assert renewal_check(series, weight, c3=0.5, c4=0.1).ordered
+        # a floor above every inf-moment estimate cannot be dominated
+        assert series.inf_mean.max() < 2.0
+        assert not renewal_check(series, weight, c3=2.0, c4=0.1).ordered

@@ -144,6 +144,11 @@ class TestComparisonKernel:
         for t in (0.25, 1.0, 4.0):
             assert CK15.g_p_numeric(t) == pytest.approx(1.0, abs=1e-8)
 
+    def test_array_time_matches_scalar_time_bitwise(self):
+        t = np.random.default_rng(5).uniform(0.0, 10.0, 4000)
+        for r in (0.0, 1.5):
+            assert np.array_equal(CK15.g(t, r), [CK15.g(ti, r) for ti in t])
+
 
 class TestMinform:
     def test_flat_branch(self):
