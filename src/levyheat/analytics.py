@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (BlowupError, DegenerateMeasureError, DomainError,
                      NoRootError, ValidationError)
@@ -473,6 +472,20 @@ def _series_inverse(a: np.ndarray) -> np.ndarray:
     return b
 
 
+def _growth_root(v: np.ndarray) -> float:
+    """Root s of sum_m v_m e^(-s m) = 1 (m >= 1), v >= 0, sum v > 1: Newton
+    steps on the convex, decreasing log of the sum climb to it from s = 0
+    without overshooting, until a step no longer increases s."""
+    lags = np.arange(1, len(v) + 1)
+    s, new = -1.0, 0.0
+    while new > s:
+        s = new
+        terms = v * np.exp(-s * lags)
+        total = terms.sum()
+        new = s + math.log(total) * total / float(np.dot(lags, terms))
+    return s
+
+
 def _renewal_series(v: np.ndarray, b: np.ndarray):
     """(c, s) for c_k = b_k + sum_{m=1}^{k} v_m c_{k-m}, k < len(b), with
     v = (v_1, v_2, ...).  s is the per-step log growth, the root of
@@ -486,18 +499,7 @@ def _renewal_series(v: np.ndarray, b: np.ndarray):
     """
     n = len(b)
     v = np.asarray(v[:n - 1], dtype=float)
-    lags = np.arange(1, n)
-    s = None
-    if v.sum() > 1.0:
-        def excess(x):
-            return float(np.dot(v, np.exp(-x * lags))) - 1.0
-
-        hi = 1.0
-        while excess(hi) > 0.0:
-            hi *= 2.0
-            if hi > 1e12:
-                raise NoRootError("growth root bracket exceeded ceiling")
-        s = brentq(excess, 0.0, hi, xtol=1e-300)
+    s = _growth_root(v) if v.sum() > 1.0 else None
     tilt = np.exp(-(s or 0.0) * np.arange(n))
     a = np.concatenate(([1.0], -v * tilt[1:]))
     c = _fft_product(_series_inverse(a), b * tilt, n)

@@ -43,12 +43,15 @@ class VerificationReport:
         return all(r.passed for r in self.records)
 
     def to_dict(self) -> dict:
+        """Standard JSON: an exact identity's slack (tol / 0) becomes None."""
         return {
             "d": self.d,
             "alpha": self.alpha,
             "p": self.p,
             "all_pass": self.all_pass,
-            "records": [asdict(r) for r in self.records],
+            "records": [{**asdict(r), "worst_slack": r.worst_slack
+                         if math.isfinite(r.worst_slack) else None}
+                        for r in self.records],
         }
 
 
@@ -249,7 +252,8 @@ def check_h_moment(alphas=(1.0, 1.5)) -> LemmaRecord:
 
 def check_sandwich(kp: K.KernelParams, t_grid=(0.5, 1.0, 2.0),
                    x_grid=None) -> LemmaRecord:
-    """Empirical envelope ratios q/minform and q/g: finite and positive.
+    """Empirical envelope ratios q/minform and q/g: finite and positive, and
+    q_t(0)/g(t, 0) = Gamma(1 + 1/alpha)/(pi kappa) to a relative 1e-12.
 
     The extrema over the grid are empirical envelope constants, not proven
     bounds; the slack is the smaller of the two minima.
@@ -265,15 +269,19 @@ def check_sandwich(kp: K.KernelParams, t_grid=(0.5, 1.0, 2.0),
             q = K.q_density(kp, t, x)
             ratios_m.append(q / K.minform_kernel(kp, t, x))
             ratios_g.append(q / ck.g(t, x))
+    centre = gamma_fn(1.0 + 1.0 / kp.alpha) / (math.pi * ck.kappa)
+    centre_err = max(abs(K.q_density(kp, t, 0.0) / ck.g(t, 0.0) / centre
+                         - 1.0) for t in t_grid)
     c = {"c1_minform": min(ratios_m), "c2_minform": max(ratios_m),
          "c1_g": min(ratios_g), "c2_g": max(ratios_g)}
-    valid = all(math.isfinite(v) and v > 0.0 for v in c.values())
+    valid = all(math.isfinite(v) and v > 0.0 for v in c.values()) \
+        and centre_err <= 1e-12
     return LemmaRecord(
         lemma_id="kernel-envelope-sandwich",
         status="pass" if valid else "fail",
         worst_slack=float(min(c["c1_minform"], c["c1_g"]) if valid else 0.0),
         tolerance=0.0, grid=f"t in {t_grid}, {len(ratios_m)} points",
-        detail=c)
+        detail={**c, "centre_ratio": centre, "centre_rel_err": centre_err})
 
 
 def check_tail_ratio(kp: K.KernelParams) -> LemmaRecord:

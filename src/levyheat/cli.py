@@ -52,9 +52,9 @@ def _write_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
     and the assumptions echo, as `_write_csv` stamps its `#` line."""
     stamp = {"levyheat": __version__, "config_hash": cfg.config_hash(),
              "assumptions": cfg.build_constants().assumptions()}
-    with open(path, "w") as fh:
-        json.dump({**stamp, **payload}, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    # encoded first: a NaN or infinity raises before the file is opened
+    path.write_text(json.dumps({**stamp, **payload}, sort_keys=True,
+                               indent=1, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, cfg: ExperimentConfig, extra: str, columns: str,
@@ -155,11 +155,11 @@ def cmd_verify_lemmas(args) -> int:
     report = verify_lemmas(d=args.d, alpha=args.alpha, p=args.p, fast=args.fast)
     payload = report.to_dict()
     payload["levyheat"] = __version__
-    out = Path(args.out) if args.out else None
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    if out:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+    text = json.dumps(payload, sort_keys=True, indent=1,
+                      allow_nan=False) + "\n"
+    if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     for rec in report.records:
@@ -254,8 +254,8 @@ def cmd_growth_scan(args) -> int:
 
 def _read_csv(path, key: str, columns: int, rows: int) -> np.ndarray:
     """Numeric rows of a CSV after its `#` lines and column-name line; at
-    least `rows` rows of at least `columns` columns, or a ValidationError
-    naming `key`."""
+    least `rows` rows of at least `columns` columns, all finite, or a
+    ValidationError naming `key`."""
     with open(path) as fh:
         lines = [line for line in fh if not line.startswith("#")][1:]
     data = (np.loadtxt(lines, delimiter=",", ndmin=2) if lines
@@ -264,6 +264,8 @@ def _read_csv(path, key: str, columns: int, rows: int) -> np.ndarray:
         raise ValidationError(
             key, f"{path} needs at least {rows} data rows of {columns} "
                  f"columns, found {data.shape[0]} of {data.shape[1]}")
+    if not np.all(np.isfinite(data)):
+        raise ValidationError(key, f"{path} holds a NaN or infinite value")
     return data
 
 
@@ -282,11 +284,10 @@ def _parse_weight_arg(cfg: ExperimentConfig):
     elif Path(spec_txt).exists():
         data = _read_csv(spec_txt, "renewal.weight", 2, 1)
         t, w = data[:, 0], data[:, 1]
-        if not (np.all(np.isfinite(data[:, :2])) and np.all(np.diff(t) > 0.0)
-                and np.all(w >= 0.0)):
+        if not (np.all(np.diff(t) > 0.0) and np.all(w >= 0.0)):
             raise ValidationError(
-                "renewal.weight", f"{spec_txt} needs finite, strictly "
-                                  "increasing times and finite values >= 0")
+                "renewal.weight", f"{spec_txt} needs strictly increasing "
+                                  "times and values >= 0")
     else:
         raise ValidationError("renewal.weight",
                               f"cannot interpret {spec_txt!r}")

@@ -9,8 +9,8 @@ replica count; one pass accumulates every requested moment order.  The
 median of means is then reduced a slab of time rows at a time (at most
 _SLAB_BYTES of block means), so beyond the accumulators and the estimates
 a run holds one batch or one slab, never a full-size copy of the block
-sums.  With `jobs` > 1 that many threads step the batches into the same
-sums, which still take their replicas in replica order.
+sums.  Every sum folds a batch's rows in replica order, one axis-0
+`np.sum` per step, also when `jobs` > 1 threads step the batches.
 
 Spatial extrema are taken over grid cells, which under-/over-shoots the
 continuum extrema; the heavy-tail aggregator is median-of-means (16 blocks)
@@ -36,9 +36,8 @@ AGGREGATORS = ("auto", "mom", "mean")
 # 500 x 256 reference grid, where each holds about 640 jumps
 BATCH_BYTES = 16 * 2 ** 20
 # float64 (n_x,) rows one replica keeps live during a step, with room to
-# spare: its field, its rfft spectrum and the moment accumulation's scratch
-# row, plus a dense noise row and the injection's temporaries when the model
-# has a dense plane
+# spare: its field, its rfft spectrum and its moment fold slots, plus a
+# dense noise row and the injection's temporaries when there is a dense plane
 _STEP_ROWS = 8
 # bytes per jump while a batch's noise is built: flat index and value per
 # replica and concatenated, the sort order
@@ -131,44 +130,33 @@ def _batch_size(ms: ModelSpec, grid: GridSpec) -> int:
     return max(1, BATCH_BYTES // _replica_bytes(ms, grid))
 
 
-def _add_blocks(acc: np.ndarray, rows: np.ndarray, first: int) -> None:
-    """Add rows[i], the values of replica first + i, into
-    acc[(first + i) % blocks], so that each block receives its replicas
-    in replica order: one partial cycle up to a multiple of `blocks`, then
-    one in-place addition per cycle."""
-    blocks = len(acc)
-    head = min(-first % blocks, len(rows))
-    acc[first % blocks:first % blocks + head] += rows[:head]
-    for lo in range(head, len(rows), blocks):
-        cycle = rows[lo:lo + blocks]
-        acc[:len(cycle)] += cycle
-
-
 def _accumulate(ms: ModelSpec, grid: GridSpec, ps, moms, seed: int,
                 replicas: int, blocks: int, jobs: int) -> list:
     """Step the replicas in contiguous chunks, one batch each; one pass
     serves every order in `ps`.
 
-    Per p, returns the per-block sums of |X|^p, shape
-    (n_t + 1, blocks, n_x) so that each step adds into one contiguous
-    slab, where `moms` asks for median of means, and
-    otherwise the shift c = |noise-free flow of u0|^p per (time, cell) with
-    the per-cell sums of |X|^p - c and of its square.  Shifting by c keeps
-    the one-pass variance well conditioned in cells the noise has barely
-    reached, where every replica's |X|^p agrees to many digits.
+    Per p, returns (shift, *sums): for median of means (`moms`), None and
+    the per-block sums of |X|^p, (n_t + 1, blocks, n_x), replica r in
+    block r % blocks; for the mean, the shift c = |noise-free flow of
+    u0|^p per (time, cell) and the per-cell sums of |X|^p - c and of its
+    square, each (n_t + 1, 1, n_x).  Shifting by c keeps the one-pass
+    variance well conditioned in cells the noise has barely reached, where
+    every replica's |X|^p agrees to many digits.
 
-    Each sum takes its replicas in replica order: a chunk adds its step-k
-    rows after the chunk before it, and the mean folds its rows into the
-    running sum by an axis-0 reduction, a left fold in numpy.  `jobs`
-    threads step at least `jobs` chunks, each at most a batch; the first
-    chunk that raises cancels those after it and gives the error.
+    A chunk's buffer per lane count (`blocks`, or 1) holds a sum's step-k
+    values in row 0 and replica r in lane r % lanes after it; one axis-0
+    `np.sum`, a left fold in numpy, adds them in replica order (unused
+    slots add +0.0 to sums that are never -0.0).  Chunk i folds after
+    chunk i - 1, so the bits depend on neither `jobs` nor the batch size.
+    `jobs` threads step at least `jobs` chunks, each at most a batch; the
+    first chunk that raises cancels those after it and gives the error.
     """
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
     u0 = ms.u0(grid.x)
     n_t, nx = grid.n_t, grid.n_x
     flow = None if all(moms) else np.abs(heat_flow(ms, grid, dk))
-    sums = [np.zeros((n_t + 1, blocks, nx)) if mom
-            else (flow ** p, np.zeros((n_t + 1, nx)), np.zeros((n_t + 1, nx)))
+    sums = [(None, np.zeros((n_t + 1, blocks, nx))) if mom
+            else (flow ** p, *np.zeros((2, n_t + 1, 1, nx)))
             for p, mom in zip(ps, moms)]
     size = min(_batch_size(ms, grid), -(-replicas // jobs))
     chunks = [range(lo, min(lo + size, replicas))
@@ -179,28 +167,28 @@ def _accumulate(ms: ModelSpec, grid: GridSpec, ps, moms, seed: int,
 
     def step_chunk(i):
         rows = chunks[i]
-        # row 0 holds the running sum that the mean's rows fold into
-        scratch = np.empty((len(rows) + 1, nx))
+        folds = {}
+        for lanes in {blocks if mom else 1 for mom in moms}:
+            off = rows.start % lanes
+            buf = np.zeros((1 + -(-(off + len(rows)) // lanes), lanes, nx))
+            folds[lanes] = buf, buf[1:].reshape(-1, nx)[off:off + len(rows)]
 
         def add(x, k):
-            pw = scratch[1:]
             if i:
                 gates[i - 1].acquire()
                 if failed[i - 1]:
                     raise CancelledError
-            for p, acc in zip(ps, sums):
+            for p, (shift, *accs) in zip(ps, sums):
+                buf, pw = folds[accs[0].shape[1]]
                 np.abs(x, out=pw)
                 pw **= p
-                if isinstance(acc, np.ndarray):
-                    _add_blocks(acc[k], pw, rows.start)
-                else:
-                    shift, s1, s2 = acc
+                if shift is not None:
                     pw -= shift[k]
-                    scratch[0] = s1[k]
-                    np.sum(scratch, axis=0, out=s1[k])
-                    pw *= pw
-                    scratch[0] = s2[k]
-                    np.sum(scratch, axis=0, out=s2[k])
+                for j, acc in enumerate(accs):
+                    if j:
+                        pw *= pw
+                    buf[0] = acc[k]
+                    np.sum(buf, axis=0, out=acc[k])
             if i < len(gates):
                 gates[i].release()
 
@@ -234,8 +222,8 @@ def simulate_moments(ms: ModelSpec, grid: GridSpec, p, replicas: int,
     result is a list of (MomentSeries, MomentSurface), one per order.
     aggregator "auto" resolves to median-of-means for p > 1.5 and the
     plain mean otherwise; "mom" and "mean" force one of them.  `jobs`
-    threads step the replicas; the results do not depend on `jobs` or on
-    the batch size, bit for bit.
+    threads step the replicas; every sum folds them in replica order, so
+    the results do not depend on `jobs` or the batch size, bit for bit.
     """
     if aggregator not in AGGREGATORS:
         raise DomainError(f"unknown aggregator {aggregator!r}; expected one "
@@ -253,11 +241,11 @@ def simulate_moments(ms: ModelSpec, grid: GridSpec, p, replicas: int,
     bcount = np.bincount(np.arange(r) % blocks, minlength=blocks)
     finite_below = 1.0 + ms.kp.alpha / ms.kp.d    # E|X|^q < inf for q below
     out = []
-    for q, agg, acc in zip(ps, aggs, sums):
+    for q, agg, (shift, *accs) in zip(ps, aggs, sums):
         if agg == "mom":
-            est, se = _median_of_means(acc, bcount)
+            est, se = _median_of_means(accs[0], bcount)
         else:
-            shift, s1, s2 = acc
+            s1, s2 = (a[:, 0] for a in accs)
             dev = s1 / r
             est = shift + dev
             var = np.maximum(s2 / r - dev * dev, 0.0) * r / max(r - 1, 1)

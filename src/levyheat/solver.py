@@ -6,8 +6,8 @@ its periodic images, renormalised and applied by circular convolution), and
 inject the cell-lumped noise through the same one-step kernel with sigma
 evaluated at the left time point (the predictable choice).  The torus
 substitution keeps kernel mass exactly 1, so conservation is testable;
-wrap-around bias is reported through the image-mass diagnostic on the
-discrete kernel.
+the wrap-around bias is measured by `DiscreteKernel.image_mass`, which no
+command reports yet (the planned run manifest will carry it).
 """
 
 import math

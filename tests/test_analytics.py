@@ -455,6 +455,39 @@ class TestRenewalSeries:
         assert s / grid.dt == pytest.approx(1.8495, abs=1e-4)
 
 
+def _model_weight():
+    # the default config's `model` weight: alpha = 1.5, atoms, p = 2
+    wt = renewal_weight(KP15, ATOMS, 2.0, 1.0, 0.5)
+    return lambda u: np.interp(u, wt.t, wt.w)
+
+
+class TestGrowthRoot:
+    @pytest.mark.parametrize("weight, horizon, dt", [
+        (lambda t: 2.0 * np.exp(-t), 10.0, 1e-3),
+        (lambda t: 2.0 * np.exp(-t), 10.0, 5e-4),
+        (lambda t: 5.0 * np.exp(-0.5 * t), 1.0, 1e-3),
+        (lambda t: 100.0 * np.exp(-t), 1.0, 1e-3),
+        (_model_weight(), 1.0, 1e-2),
+        (_model_weight(), 10.0, 1e-3),
+    ], ids=["exp:2,1", "exp:2,1-half-dt", "exp:5,0.5", "exp:100,1",
+            "model-T1", "model-T10"])
+    def test_newton_matches_brentq(self, monkeypatch, weight, horizon, dt):
+        # the trapezoid renewal weights of a c4 = 1 solve, as
+        # _volterra_trapezoid passes them; one np.exp per evaluation
+        wv = weight(np.arange(round(horizon / dt) + 1) * dt)
+        v = dt * wv[1:] / (1.0 - 0.5 * dt * wv[0])
+        lags = np.arange(1, len(v) + 1)
+        ref = brentq(lambda s: float(np.dot(v, np.exp(-s * lags))) - 1.0,
+                     0.0, 1e3, xtol=1e-300)
+        calls = []
+        exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda x: calls.append(1) or exp(x))
+        s = analytics._growth_root(v)
+        monkeypatch.undo()
+        assert len(calls) <= 10
+        assert abs(s - ref) <= 1e-15 * ref
+
+
 class TestEmpiricalMomentInequalities:
     """The two moment inequalities behind the lower-bound constants, checked
     on the mathematics itself: no package code computes them."""

@@ -344,9 +344,16 @@ class TestCLI:
         ("--weight", "t,w\n0,1\n1,0.5\n0.5,0.8\n", "renewal.weight"),
         ("--weight", "t,w\n0,1\n0.5,0.8\n0.5,0.7\n", "renewal.weight"),
         ("--weight", "t,w\n0,1\n0.5,nan\n1,0.5\n", "renewal.weight"),
+        ("--series", "t,sup_mean,sup_se,inf_mean,inf_se\n"
+         + "".join(f"{0.1 * k},2,0.01,{'nan' if k == 4 else 1},0.01\n"
+                   for k in range(9)), "renewal.series"),
+        ("--series", "t,sup_mean,sup_se,inf_mean,inf_se\n"
+         + "".join(f"{0.1 * k},{'inf' if k == 8 else 2},0.01,1,0.01\n"
+                   for k in range(9)), "renewal.series"),
     ], ids=["header-only-series", "two-column-series", "one-column-weight",
             "two-row-series", "eight-row-series", "negative-weight",
-            "unsorted-weight", "repeated-time-weight", "nan-weight"])
+            "unsorted-weight", "repeated-time-weight", "nan-weight",
+            "nan-series", "inf-series"])
     def test_short_renewal_csv_exits_3(self, tmp_path, capsys, flag, text,
                                        key):
         path = tmp_path / "input.csv"
@@ -356,6 +363,7 @@ class TestCLI:
         err = capsys.readouterr().err
         assert key in err
         assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["input.csv"]
 
     def test_renewal_check_json_is_stamped(self, tmp_path):
         series = tmp_path / "series.csv"
@@ -606,6 +614,38 @@ class TestCLI:
                      "--fast", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["all_pass"] is True
+
+    def test_json_artifacts_are_standard_json(self, tmp_path, capsys):
+        # every JSON file of an AC-11-style replay parses with NaN and
+        # Infinity rejected; verify-lemmas at alpha = 1.5 has two exact
+        # identities (slack tol / 0), whose slack is null
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN)
+        for argv in (["growth-scan", "--config", str(cfg)],
+                     ["bounds", "--config", str(cfg)],
+                     ["simulate", "--config", str(cfg)]):
+            assert main(argv + ["--out", str(tmp_path / argv[0])]) == 0
+        series = tmp_path / "series.csv"
+        series.write_text("t,sup_mean,sup_se,inf_mean,inf_se\n" + "".join(
+            f"{0.1 * k},{math.exp(0.2 * k)},0.01,{math.exp(0.1 * k)},0.01\n"
+            for k in range(9)))
+        assert main(["renewal", "--series", str(series), "--c3", "1",
+                     "--c4", "0.1", "--weight", "exp:1,1",
+                     "--out", str(tmp_path / "renewal")]) in (0, 1)
+        lemmas = tmp_path / "lemmas.json"
+        assert main(["verify-lemmas", "--alpha", "1.5", "--fast",
+                     "--out", str(lemmas)]) == 0
+        assert "(worst slack inf)" in capsys.readouterr().err
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        paths = sorted(tmp_path.rglob("*.json"))
+        assert len(paths) == 5
+        for path in paths:
+            json.loads(path.read_text(), parse_constant=reject)
+        slacks = [r["worst_slack"] for r in json.loads(
+            lemmas.read_text())["records"]]
+        assert slacks.count(None) == 2
 
     @pytest.mark.parametrize("flag", [["--alpha", "0"], ["--d", "0"]])
     def test_verify_lemmas_zero_is_rejected(self, tmp_path, flag):

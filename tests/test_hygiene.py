@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library's `ast`:
-no module imports a name it does not use, and no module-level private
-name is left without a reference in its own module."""
+no module imports a name it does not use, no module-level private name is
+left without a reference in its own module, and every JSON encoding
+rejects NaN and infinity."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,21 @@ def unreferenced_privates(source: str) -> list:
     return sorted(private - _read_names(tree))
 
 
+def lenient_json_calls(source: str) -> list:
+    """Line numbers of `json.dump`/`json.dumps` calls that do not pass
+    `allow_nan=False`, so could write NaN or Infinity, which standard JSON
+    parsers reject."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+        and node.func.attr in ("dump", "dumps")
+        and not any(k.arg == "allow_nan" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in node.keywords))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
@@ -57,8 +73,16 @@ def test_every_private_name_is_referenced(path):
     assert unreferenced_privates(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_json_rejects_nan(path):
+    assert lenient_json_calls(path.read_text()) == []
+
+
 def test_checkers_catch_leftovers():
     assert unused_imports("import math\nx = 1\n") == ["math"]
     assert unused_imports("from .solver import heat_step as hs\nhs()\n") == []
     assert unreferenced_privates("def _helper():\n    pass\n") == ["_helper"]
     assert unreferenced_privates("_N = 2\ny = _N\n") == []
+    assert lenient_json_calls("import json\njson.dumps(x)\n") == [2]
+    assert lenient_json_calls("json.dump(x, fh, allow_nan=True)\n") == [1]
+    assert lenient_json_calls("json.dumps(x, allow_nan=False)\n") == []

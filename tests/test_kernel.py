@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from levyheat.certify import check_sandwich, check_space_conv
+from levyheat import certify
+from levyheat.certify import DEFAULT_T_GRID, check_sandwich, check_space_conv
 from levyheat.errors import DomainError, QuadratureError
 from levyheat.kernel import (ComparisonKernel, KernelParams, I_formula,
                              _conv_nodes, _gauss_panels, _graded_time_nodes,
@@ -191,6 +192,18 @@ class TestSandwich:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             check_sandwich(KP15, [], [1.0])
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5, 1.9])
+    def test_centre_identity_fails_a_scaled_density(self, monkeypatch, alpha):
+        # q_t(0) / g(t, 0) = Gamma(1 + 1/alpha) / (pi kappa): the true
+        # kernel holds it, one scaled by 1 + 1e-9 does not
+        kp = KernelParams(d=1, alpha=alpha)
+        rec = check_sandwich(kp, DEFAULT_T_GRID, sandwich_grid())
+        assert rec.passed and rec.detail["centre_rel_err"] <= 1e-12
+        true_q = certify.K.q_density
+        monkeypatch.setattr(certify.K, "q_density",
+                            lambda *a: true_q(*a) * (1.0 + 1e-9))
+        assert not check_sandwich(kp, DEFAULT_T_GRID, sandwich_grid()).passed
 
 
 class TestIFormula:
