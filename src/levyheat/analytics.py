@@ -62,7 +62,7 @@ class SigmaSpec:
                 raise DomainError("table sigma needs matching x/y samples")
             dx = np.diff(self.table_x)
             if not np.all(dx > 0.0):
-                raise ValidationError("sigma.table_x",
+                raise ValidationError("table_x",
                                       "samples must be strictly increasing")
             lip = float(np.max(np.abs(np.diff(self.table_y) / dx)))
             lip0 = 0.0
@@ -301,21 +301,21 @@ def subexp_rate(kp: KernelParams, p: float, ms: ModelSpec | None = None,
                 constants: ConstantsConfig = ConstantsConfig()):
     """Subexponential growth radius exponent and threshold.
 
-    r_star = p (1 - d/alpha) / (2 (1 - (p-1) d/alpha)) for p in (1, 2);
+    r_star = p (1 - d/alpha) / (2 (1 - (p-1) d/alpha)) for p in (1, 2];
     eta_star = (c** Theta^(p))^(1/(1-(p-1)d/alpha)) / ((p+1)(d+alpha)) with
-    c** = k5 sigma_lambda^(p) L_{sigma,0}^p c1_g^(p+1) / (4 c2_g); eta_star
-    is None when no model is supplied.  Both carry the configured-constants
-    caveat.
+    c** = k5 sigma_lambda^(p) L_{sigma,0}^p c1_g^(p+1) / (4 c2_g), p < 2;
+    eta_star is None when no model is supplied or p = 2.  Both carry the
+    configured-constants caveat.
     """
     d, alpha = kp.d, kp.alpha
     if not (alpha > d == 1):
         raise DomainError("subexponential bound requires alpha > d = 1")
-    if not (1.0 < p < 2.0):
-        raise DomainError(f"p must lie in (1, 2), got {p}")
+    if not (1.0 < p <= 2.0):
+        raise DomainError(f"p must lie in (1, 2], got {p}")
     a_ml = 1.0 - (p - 1.0) * d / alpha
     r_star = p * (1.0 - d / alpha) / (2.0 * a_ml)
     eta_star = None
-    if ms is not None:
+    if ms is not None and p < 2.0:
         if not ms.sigma.lip0 > 0.0:
             raise DomainError("eta_star requires L_sigma,0 > 0")
         cc = conv_constants(d, alpha, p)
@@ -337,10 +337,8 @@ def compute_bounds(ms: ModelSpec, c: float, p: float,
     if alpha > d == 1 and ms.b == 0.0 and ms.sigma.lip0 > 0.0:
         if 2.0 <= p < 1.0 + alpha / d:
             rep.growth_lower_exp = lower_bound_exponential(ms, p, constants)
-        if 1.0 < p < 2.0:
+        if 1.0 < p <= 2.0:
             rep.subexp_rate, rep.eta_star = subexp_rate(ms.kp, p, ms, constants)
-        elif p == 2.0:
-            rep.subexp_rate = 1.0   # the subexponential radius becomes linear
     return rep
 
 

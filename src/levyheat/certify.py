@@ -302,7 +302,7 @@ def check_tail_ratio(kp: K.KernelParams) -> LemmaRecord:
 def verify_lemmas(d: int = 1, alpha: float = 1.5, p: float = 1.2,
                   fast: bool = False) -> VerificationReport:
     """Run the whole certificate suite for one (d, alpha, p); `fast` keeps
-    the first two times and five abscissas."""
+    the first two times and five abscissas, and alpha alone in two grids."""
     if d != 1:
         raise DomainError("the certificate suite runs in d = 1")
     kp = K.KernelParams(d=d, alpha=alpha)
@@ -312,7 +312,7 @@ def verify_lemmas(d: int = 1, alpha: float = 1.5, p: float = 1.2,
     records = [
         check_beta_identity(),
         check_g_mass(ck, t_grid),
-        check_q_mass((alpha,) if fast else (0.8, 1.2, 1.5)),
+        check_q_mass((alpha,) if fast else tuple(sorted({0.8, 1.2, 1.5, alpha}))),
         check_power_law_transform(),
         check_g_fourier_equality(),
         check_g_tensor_split(ck, t_grid, x_grid),
@@ -321,7 +321,7 @@ def verify_lemmas(d: int = 1, alpha: float = 1.5, p: float = 1.2,
         check_timespace_conv(ck, p),
         check_timespace_conv_ratio(ck, p),
         check_g_p_integral(ck),
-        check_h_moment((alpha,) if fast else (1.0, 1.5)),
+        check_h_moment((alpha,) if fast else tuple(sorted({1.0, 1.5, alpha}))),
         check_sandwich(kp, t_grid, x_grid),
         check_tail_ratio(kp),
     ]

@@ -23,7 +23,7 @@ from . import __version__
 from .analytics import (RenewalProblem, compute_bounds, renewal_solve,
                         renewal_weight, subexp_rate)
 from .certify import verify_lemmas
-from .config import SCHEMA, ExperimentConfig
+from .config import SCHEMA, ExperimentConfig, exp_weight
 from .errors import BlowupError, NoRootError, QuadratureError, ValidationError
 from .estimator import (MomentSeries, growth_index_scan, lyapunov_fit,
                         renewal_check, simulate_moments)
@@ -273,8 +273,8 @@ def _parse_weight_arg(cfg: ExperimentConfig):
     """The weight callable of `renewal.weight`; `exp:` keeps its closed form
     so the solver's refinement pass stays exact, a table interpolates."""
     spec_txt = cfg.get("renewal.weight")
-    if spec_txt.startswith("exp:"):
-        amp, rate = (float(v) for v in spec_txt[4:].split(","))
+    if (exp := exp_weight(spec_txt)) is not None:
+        amp, rate = exp
         return lambda u: amp * np.exp(-rate * np.asarray(u))
     if spec_txt == "model":
         ms = cfg.build_model()

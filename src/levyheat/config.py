@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from . import __version__
 from .analytics import ConstantsConfig, ModelSpec, SigmaSpec, U0Spec
 from .errors import ValidationError
-from .estimator import AGGREGATORS
+from .estimator import AGGREGATORS, MOM_BLOCKS
 from .kernel import KernelParams
 from .noise import LevyMeasureSpec
 from .solver import GridSpec
@@ -65,46 +65,62 @@ def _parse_radius_exponent(s):
     return s
 
 
+def exp_weight(text: str):
+    """(amp, rate) of `exp:<amp>,<rate>`, amp finite and >= 0 and rate
+    finite (else ValueError); None for any other text."""
+    if not text.startswith("exp:"):
+        return None
+    vals = [float(v) for v in text[4:].split(",")]
+    if len(vals) != 2:
+        raise ValueError("expected exp:<amp>,<rate>")
+    if not (0.0 <= vals[0] < math.inf and math.isfinite(vals[1])):
+        raise ValueError("amp must be finite and >= 0, rate finite")
+    return tuple(vals)
+
+
 def _parse_weight(s):
-    """`model`, a CSV path or `exp:<amp>,<rate>` (amp finite and >= 0, rate
-    finite), kept as text so the config hash sees the text."""
-    if s.startswith("exp:"):
-        vals = [float(v) for v in s[4:].split(",")]
-        if len(vals) != 2:
-            raise ValueError("expected exp:<amp>,<rate>")
-        if not (0.0 <= vals[0] < math.inf and math.isfinite(vals[1])):
-            raise ValueError("amp must be finite and >= 0, rate finite")
+    """`model`, a CSV path or `exp:<amp>,<rate>` (see `exp_weight`), kept as
+    text so the config hash sees the text."""
+    exp_weight(s)
     return s
 
 
+# key -> (parser, dataclass, field) for every key a dataclass field backs
+_FIELDS = {
+    "model.d": (int, KernelParams, "d"),
+    "model.alpha": (float, KernelParams, "alpha"),
+    "model.rho": (float, ModelSpec, "rho"),
+    "levy.kind": (str, LevyMeasureSpec, "variant"),
+    "levy.atoms": (_parse_atoms, LevyMeasureSpec, "atoms"),
+    "levy.gamma": (float, LevyMeasureSpec, "gamma_exp"),
+    "levy.delta_in": (float, LevyMeasureSpec, "delta_in"),
+    "levy.outer": (float, LevyMeasureSpec, "outer_cut"),
+    "levy.amplitude": (float, LevyMeasureSpec, "amplitude"),
+    "sigma.kind": (str, SigmaSpec, "kind"),
+    "sigma.slope": (float, SigmaSpec, "slope"),
+    "sigma.intercept": (float, SigmaSpec, "intercept"),
+    "sigma.table_x": (_parse_float_list, SigmaSpec, "table_x"),
+    "sigma.table_y": (_parse_float_list, SigmaSpec, "table_y"),
+    "u0.kind": (str, U0Spec, "kind"),
+    "u0.value": (float, U0Spec, "value"),
+    "u0.c0": (float, U0Spec, "c0"),
+    "u0.decay_c": (float, U0Spec, "decay_c"),
+    "grid.L": (float, GridSpec, "half_width"),
+    "grid.nx": (int, GridSpec, "n_x"),
+    "grid.T": (float, GridSpec, "horizon"),
+    "grid.nt": (int, GridSpec, "n_t"),
+    **{f"constants.{f.name}": (float, ConstantsConfig, f.name)
+       for f in fields(ConstantsConfig)},
+}
+
 # key -> (parser, default); defaults of None mean "absent unless set"
 SCHEMA = {
-    "model.d": (int, 1),
-    "model.alpha": (float, 1.5),
-    "model.rho": (float, 0.0),
-    "levy.kind": (str, "atoms"),
-    "levy.atoms": (_parse_atoms, ((1.0, 1.0), (-1.0, 1.0))),
-    "levy.gamma": (float, 0.5),
-    "levy.delta_in": (float, 0.1),
-    "levy.outer": (float, 1.0),
-    "levy.amplitude": (float, 1.0),
-    "sigma.kind": (str, "linear"),
-    "sigma.slope": (float, 1.0),
-    "sigma.intercept": (float, 0.0),
-    "sigma.table_x": (_parse_float_list, ()),
-    "sigma.table_y": (_parse_float_list, ()),
-    "u0.kind": (str, "constant"),
-    "u0.value": (float, 1.0),
-    "u0.c0": (float, 1.0),
-    "u0.decay_c": (float, 0.0),
-    "grid.L": (float, 32.0),
-    "grid.nx": (int, 256),
-    "grid.T": (float, 5.0),
-    "grid.nt": (int, 500),
+    **{key: (parser, {f.name: f.default for f in fields(cls)}[name])
+       for key, (parser, cls, name) in _FIELDS.items()},
     "run.p": (_parse_float_list, (2.0,)),
     "run.replicas": (int, 100),
     "run.seed": (int, 12345),
-    "run.blocks": (_parse_int_at_least(2), 16),   # SE uses ddof=1
+    "run.blocks": (_parse_int_at_least(2), MOM_BLOCKS),   # SE uses ddof=1
     "run.aggregator": (_parse_aggregator, "auto"),
     "run.jobs": (_parse_int_at_least(1), 1),
     "run.outdir": (str, "."),
@@ -118,8 +134,6 @@ SCHEMA = {
     "renewal.T": (_parse_positive, 10.0),
     "renewal.dt": (_parse_positive, 1e-3),
     "renewal.weight": (_parse_weight, "model"),
-    **{f"constants.{f.name}": (float, f.default)
-       for f in fields(ConstantsConfig)},
 }
 
 
@@ -174,47 +188,32 @@ class ExperimentConfig:
 
     # -- construction -------------------------------------------------------
 
-    def build_levy(self) -> LevyMeasureSpec:
-        kind = self.get("levy.kind")
-        if kind == "atoms":
-            return LevyMeasureSpec(variant="atoms", atoms=self.get("levy.atoms"))
-        if kind == "truncated_power":
-            return LevyMeasureSpec(variant="truncated_power",
-                                   gamma_exp=self.get("levy.gamma"),
-                                   delta_in=self.get("levy.delta_in"),
-                                   outer_cut=self.get("levy.outer"),
-                                   amplitude=self.get("levy.amplitude"))
-        raise ValidationError("levy.kind", f"unknown kind {kind!r}")
-
-    def build_sigma(self) -> SigmaSpec:
-        return SigmaSpec(kind=self.get("sigma.kind"),
-                         slope=self.get("sigma.slope"),
-                         intercept=self.get("sigma.intercept"),
-                         table_x=self.get("sigma.table_x"),
-                         table_y=self.get("sigma.table_y"))
-
-    def build_u0(self) -> U0Spec:
-        return U0Spec(kind=self.get("u0.kind"), value=self.get("u0.value"),
-                      c0=self.get("u0.c0"), decay_c=self.get("u0.decay_c"))
+    def _build(self, cls, **parts):
+        """`cls` with each field the table maps set from its key, and
+        `parts`.  A ValidationError on a field is raised again under its
+        key, any other ValueError under the section of `cls`'s keys."""
+        keys = {name: key for key, (_, owner, name) in _FIELDS.items()
+                if owner is cls}
+        try:
+            return cls(**{name: self.get(key) for name, key in keys.items()},
+                       **parts)
+        except ValidationError as exc:
+            raise ValidationError(keys.get(exc.key_path, exc.key_path),
+                                  exc.message) from exc
+        except ValueError as exc:
+            section = next(iter(keys.values())).partition(".")[0]
+            raise ValidationError(section, str(exc)) from exc
 
     def build_model(self) -> ModelSpec:
-        try:
-            kp = KernelParams(d=self.get("model.d"), alpha=self.get("model.alpha"))
-            return ModelSpec(kp=kp, rho=self.get("model.rho"),
-                             levy=self.build_levy(), sigma=self.build_sigma(),
-                             u0=self.build_u0())
-        except ValidationError:
-            raise
-        except ValueError as exc:
-            raise ValidationError("model", str(exc)) from exc
+        return self._build(ModelSpec, kp=self._build(KernelParams),
+                           levy=self._build(LevyMeasureSpec),
+                           sigma=self._build(SigmaSpec), u0=self._build(U0Spec))
 
     def build_grid(self) -> GridSpec:
-        return GridSpec(half_width=self.get("grid.L"), n_x=self.get("grid.nx"),
-                        horizon=self.get("grid.T"), n_t=self.get("grid.nt"))
+        return self._build(GridSpec)
 
     def build_constants(self) -> ConstantsConfig:
-        return ConstantsConfig(**{f.name: self.get(f"constants.{f.name}")
-                                  for f in fields(ConstantsConfig)})
+        return self._build(ConstantsConfig)
 
     # -- serialization -------------------------------------------------------
 

@@ -43,11 +43,12 @@ class BlowupError(RuntimeError):
 
 
 class ValidationError(ValueError):
-    """Config validation failure; carries the first offending key path."""
+    """Config validation failure; carries its key path and message apart."""
 
     def __init__(self, key_path, message):
         super().__init__(f"{key_path}: {message}")
         self.key_path = key_path
+        self.message = message
 
 
 class DegenerateMeasureError(DomainError):

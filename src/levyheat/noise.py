@@ -30,21 +30,21 @@ class LevyMeasureSpec:
     def __post_init__(self):
         if self.variant == "atoms":
             if not self.atoms:
-                raise ValidationError("levy.atoms", "measure must be nonzero")
+                raise ValidationError("atoms", "measure must be nonzero")
             for z, m in self.atoms:
                 if z == 0.0:
-                    raise ValidationError("levy.atoms", "atom at z = 0 is not a jump")
+                    raise ValidationError("atoms", "atom at z = 0 is not a jump")
                 if m <= 0.0:
-                    raise ValidationError("levy.atoms", f"atom mass must be > 0, got {m}")
+                    raise ValidationError("atoms", f"atom mass must be > 0, got {m}")
         elif self.variant == "truncated_power":
             if self.delta_in <= 0.0:
-                raise ValidationError("levy.delta_in", "inner cutoff must be > 0")
+                raise ValidationError("delta_in", "inner cutoff must be > 0")
             if self.outer_cut <= self.delta_in:
-                raise ValidationError("levy.outer", "outer cutoff must exceed delta_in")
+                raise ValidationError("outer_cut", "outer cutoff must exceed delta_in")
             if self.amplitude <= 0.0:
-                raise ValidationError("levy.amplitude", "amplitude must be > 0")
+                raise ValidationError("amplitude", "amplitude must be > 0")
         else:
-            raise ValidationError("levy.kind", f"unknown variant {self.variant!r}")
+            raise ValidationError("variant", f"unknown variant {self.variant!r}")
 
     # -- closed-form functionals ------------------------------------------
 

@@ -35,12 +35,13 @@ class GridSpec:
     n_t: int = 500
 
     def __post_init__(self):
-        if self.half_width <= 0.0 or self.horizon <= 0.0:
-            raise ValidationError("grid", "half_width and horizon must be positive")
+        for name in ("half_width", "horizon"):
+            if getattr(self, name) <= 0.0:
+                raise ValidationError(name, "must be positive")
         if self.n_x < 2 or (self.n_x & (self.n_x - 1)) != 0:
-            raise ValidationError("grid.nx", f"n_x must be a power of two, got {self.n_x}")
+            raise ValidationError("n_x", f"must be a power of two, got {self.n_x}")
         if self.n_t < 1:
-            raise ValidationError("grid.nt", "n_t must be >= 1")
+            raise ValidationError("n_t", "must be >= 1")
 
     @property
     def dx(self) -> float:
@@ -166,8 +167,11 @@ def sample_noise(ms: ModelSpec, grid: GridSpec, seed: int, replicas):
     (0 - compensator) + b dt dx, plus its Gaussian term when rho > 0; when
     either is nonzero the step carries the dense plane (one reused buffer),
     whose jump cells hold `vals` plus their Gaussian terms.  Memory is
-    O(jumps), plus the dense Gaussian planes.
+    O(jumps), plus the dense Gaussian planes.  Warns if not containment_ok.
     """
+    if not grid.containment_ok(ms.kp.alpha):
+        warnings.warn("domain half-width below 4 T^(1/alpha); wrap-around "
+                      "bias may be significant", stacklevel=2)
     n_r, n_x = len(replicas), grid.n_x
     cell = grid.dt * grid.dx
     compensator = cell * ms.levy.first_moment()
@@ -261,9 +265,6 @@ def run_trajectory(ms: ModelSpec, grid: GridSpec, seed: int,
                    replica: int) -> Trajectory:
     """Advance one noise replica over the whole grid; deterministic in
     (model, grid, seed, replica)."""
-    if not grid.containment_ok(ms.kp.alpha):
-        warnings.warn("domain half-width below 4 T^(1/alpha); wrap-around "
-                      "bias may be significant", stacklevel=2)
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
     x = ms.u0(grid.x)
     fields = np.empty((grid.n_t + 1, grid.n_x))

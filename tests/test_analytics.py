@@ -155,6 +155,12 @@ class TestSubexp:
         r, _ = subexp_rate(KP15, 1.999999)
         assert r == pytest.approx(1.0, abs=1e-4)
 
+    def test_p_two_exactly_one(self):
+        # the formula, not a special case: 1.0 exactly at p = 2 and d = 1,
+        # with no eta_star, which needs p < 2
+        assert subexp_rate(KernelParams(1, 1.5), 2.0)[0] == 1.0
+        assert subexp_rate(KP15, 2.0, model(KP15)) == (1.0, None)
+
     def test_worked_value(self):
         r, _ = subexp_rate(KP15, 1.5)
         assert r == pytest.approx(0.375, rel=1e-12)
@@ -207,7 +213,7 @@ class TestTableSigma:
     def test_non_increasing_x_rejected(self, xs):
         with pytest.raises(ValidationError) as err:
             SigmaSpec(kind="table", table_x=xs, table_y=(-2.0, 0.0, 2.0))
-        assert err.value.key_path == "sigma.table_x"
+        assert err.value.key_path == "table_x"
 
 
 class TestComputeBounds:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from levyheat import certify
@@ -232,6 +233,65 @@ def test_identity_certificate_can_fail(monkeypatch, lemma_id):
         bad.tolerance * (1.0 + offset) / offset, rel=1e-3)
 
 
+def scale_nu_const(monkeypatch, factor):
+    orig = K.nu_const
+
+    def scaled(d, a, p):
+        nu, c_nu = orig(d, a, p)
+        return nu, factor * c_nu
+    monkeypatch.setattr(K, "nu_const", scaled)
+
+
+@pytest.mark.parametrize("check, scale", [
+    (check_power_law_transform, scale_closed_form(K, "bessel_k")),
+    (check_g_fourier_equality, scale_closed_form(K, "bessel_k")),
+    (check_g_fourier_equality, scale_nu_const),
+], ids=["power-law-fourier-transform", "g-fourier-cauchy-equality-transform",
+        "g-fourier-cauchy-equality-lower-bound"])
+def test_fourier_certificate_can_fail(monkeypatch, check, scale):
+    assert check().passed
+    # the transform (or the lower bound's constant) 1e-5 high against an
+    # exact reference: the relative error is the offset itself
+    scale(monkeypatch, 1.0 + 1e-5)
+    bad = check()
+    assert bad.status == "fail"
+    assert bad.worst_slack == pytest.approx(bad.tolerance / 1e-5, rel=1e-3)
+
+
+@dataclasses.dataclass(frozen=True)
+class OffPowerKernel(ComparisonKernel):
+    """g with t to the power `t_power` in the numerator and
+    `r_scale` (d + alpha)/2 as the power of the denominator; at the
+    defaults it is g bit for bit."""
+
+    t_power: float = 1.0
+    r_scale: float = 1.0
+
+    def g(self, t, r):
+        r = np.asarray(r, dtype=float)
+        d, a = self.d, self.alpha
+        return self.kappa * np.float_power(t, self.t_power) / np.float_power(
+            np.float_power(t, 2.0 / a) + r * r, self.r_scale * (d + a) / 2.0)
+
+
+@pytest.mark.parametrize("check, wrong", [
+    (check_g_tensor_split, dict(r_scale=1.01)),
+    (check_g_tensor_split, dict(r_scale=0.99)),
+    (check_g_time_monotone, dict(t_power=1.01)),
+], ids=["tensor-split-power-high", "tensor-split-power-low",
+        "time-comparison-t-power-high"])
+def test_g_inequality_can_fail(check, wrong):
+    # at x = y = 0 the tensor split is an equality at the true power
+    # (d + alpha)/2 only, so a power 1% off fails at t < 1 or at t > 1.
+    # The time comparison holds for every power of the denominator: its
+    # ratio is (2s/t)^(1+d/a) times a power of (t^(2/a) + x^2)/(s^(2/a) +
+    # x^2), both >= 1.  So its wrong kernel takes t^1.01, whose ratio at
+    # s = t/2 tends to 2^(-0.01) < 1 at large x
+    good = check(OffPowerKernel(CK15.params))
+    assert good.passed and good.worst_slack == check(CK15).worst_slack
+    assert check(OffPowerKernel(CK15.params, **wrong)).status == "fail"
+
+
 def test_q_mass_certificate_can_fail(monkeypatch):
     assert check_q_mass((1.5,)).passed
     # a pointwise inversion 1e-5 high puts the mass 1e-5 off, ten times the
@@ -283,6 +343,21 @@ def test_q_mass_small_alpha():
     assert not failed and report.all_pass
     (mass,) = [r for r in report.records if r.lemma_id == "q-unit-mass"]
     assert mass.detail["mass"]["0.3"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_full_suite_certifies_its_alpha(full_report):
+    # the full suite adds alpha to the fixed grids of the unit-mass and
+    # level-set records; at alpha = 1.5 they are the fixed grids alone
+    report = verify_lemmas(alpha=0.3)
+    by_id = {r.lemma_id: r for r in report.records}
+    mass, level = by_id["q-unit-mass"], by_id["minform-levelset-moment"]
+    assert mass.grid == "alpha in (0.3, 0.8, 1.2, 1.5)"
+    assert level.grid.startswith("alpha in (0.3, 1.0, 1.5),")
+    assert mass.passed and level.passed
+    assert mass.detail["mass"]["0.3"] == pytest.approx(1.0, abs=1e-6)
+    full = {r.lemma_id: r.grid for r in full_report.records}
+    assert full["q-unit-mass"] == "alpha in (0.8, 1.2, 1.5)"
+    assert full["minform-levelset-moment"].startswith("alpha in (1.0, 1.5),")
 
 
 def test_q_mass_evaluates_once_per_alpha(monkeypatch):

@@ -52,6 +52,17 @@ sigma.table_y = -2, 0, 2
 """
 
 
+def run_cli_process(argv):
+    """`levyheat <argv>` in a process of its own, stdout and stderr
+    captured, outside the test run's warning filters."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return subprocess.run(
+        [sys.executable, "-m", "levyheat.cli", *argv], capture_output=True,
+        text=True, timeout=60, env={**os.environ, "PYTHONPATH": src + (
+            os.pathsep + path if path else "")})
+
+
 def read_trajectory_header(path):
     """magic, n_t, n_x, dt, dx, seed, replica, config hash"""
     return struct.unpack_from("<4sQQddqQQ", path.read_bytes())
@@ -118,6 +129,27 @@ class TestConfig:
         cfg_text = bad.replace("model.alpha = 1.5", "model.alpha = 0.8")
         with pytest.raises(ValidationError):
             ExperimentConfig.from_text(cfg_text)
+
+    @pytest.mark.parametrize("lines, key", [
+        ("grid.L = -1", "grid.L"),
+        ("grid.T = -1", "grid.T"),
+        ("grid.nx = 100", "grid.nx"),
+        ("grid.nt = 0", "grid.nt"),
+        ("levy.kind = stable", "levy.kind"),
+        ("levy.atoms = 0:1", "levy.atoms"),
+        ("levy.kind = truncated_power\nlevy.delta_in = 0", "levy.delta_in"),
+        ("levy.kind = truncated_power\nlevy.outer = 0.1", "levy.outer"),
+        ("levy.kind = truncated_power\nlevy.amplitude = 0",
+         "levy.amplitude"),
+        (TABLE_SIGMA + "sigma.table_x = 0, 0, 1", "sigma.table_x"),
+    ])
+    def test_field_error_names_its_key(self, lines, key):
+        # the model classes name their field; the config raises the error
+        # again under the key the table maps that field to
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig.from_text(lines + "\n")
+        assert err.value.key_path == key
+        assert str(err.value) == f"{key}: {err.value.message}"
 
     def test_builds_model_and_grid(self):
         cfg = ExperimentConfig.from_text(SMALL_RUN)
@@ -200,6 +232,8 @@ class TestCLI:
         ("moments", ["--jobs", "-1"], "", "run.jobs"),
         ("moments", [], "run.blocks = 0\n", "run.blocks"),
         ("moments", [], "run.blocks = 1\n", "run.blocks"),
+        ("moments", [], "grid.L = -1\n", "grid.L"),
+        ("moments", [], "grid.T = -1\n", "grid.T"),
         ("growth-scan", [], "scan.r = fast\n", "scan.r"),
         ("renewal", ["--dt", "0"], "", "renewal.dt"),
         ("renewal", ["--T", "abc"], "", "renewal.T"),
@@ -210,6 +244,7 @@ class TestCLI:
         ("renewal", ["--weight", "exp:inf,1"], "", "renewal.weight"),
         ("renewal", ["--weight", "exp:1,nan"], "", "renewal.weight"),
     ], ids=["alpha-abc", "jobs-0", "jobs-negative", "blocks-0", "blocks-1",
+            "grid-L-negative", "grid-T-negative",
             "scan-r-fast", "renewal-dt-0", "renewal-T-abc",
             "renewal-weight-exp-1", "renewal-weight-exp-a-b",
             "renewal-weight-exp-1-2-3", "renewal-weight-exp-negative-amp",
@@ -519,6 +554,31 @@ class TestCLI:
         lines = (tmp_path / "scan" / "growth_scan.csv").read_text().splitlines()
         assert lines[1] == "eta,t,value,empty_flag"
 
+    def test_growth_scan_subexp_at_p_two(self, tmp_path):
+        # r* = 1 at p = 2, so the scan's rows are those of scan.r = 1
+        rows = {}
+        for r in ("subexp", "1"):
+            cfg = tmp_path / f"cfg_{r}"
+            cfg.write_text(SMALL_RUN + f"scan.r = {r}\n")
+            assert main(["growth-scan", "--config", str(cfg),
+                         "--out", str(tmp_path / r)]) == 0
+            text = (tmp_path / r / "growth_scan.csv").read_text()
+            rows[r] = text.splitlines()[1:]
+        assert len(rows["1"]) == 1 + 2 * 51
+        assert rows["subexp"] == rows["1"]
+
+    def test_moments_warns_on_uncontained_grid(self, tmp_path):
+        # L = 2 < 4 T^(1/alpha) = 4; moments writes no JSON, so the
+        # warning reaches stderr
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMALL_RUN)
+        for flags, warned in ((["--grid-L", "2"], True), ([], False)):
+            done = run_cli_process(["moments", "--config", str(cfg),
+                                    "--out", str(tmp_path)] + flags)
+            assert done.returncode == 0
+            assert ("wrap-around bias may be significant" in done.stderr) \
+                == warned
+
     def test_trajectory_header_carries_config_hash(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text(SMALL_RUN)
@@ -704,14 +764,9 @@ class TestCLI:
         # the run until the timeout fails the test
         cfg = tmp_path / "cfg"
         cfg.write_text(SMALL_RUN)
-        src = str(Path(cli.__file__).parents[1])
-        path = os.environ.get("PYTHONPATH")
-        done = subprocess.run(
-            [sys.executable, "-m", "levyheat.cli", "moments", "--config",
-             str(cfg), "--sigma", "1e9", "--seed", "76", "--jobs", "2",
-             "--out", str(tmp_path)], capture_output=True, text=True,
-            timeout=60, env={**os.environ, "PYTHONPATH": src + (
-                os.pathsep + path if path else "")})
+        done = run_cli_process(["moments", "--config", str(cfg), "--sigma",
+                                "1e9", "--seed", "76", "--jobs", "2",
+                                "--out", str(tmp_path)])
         assert done.returncode == 1
         errors = [line for line in done.stderr.splitlines()
                   if line.startswith("error:")]

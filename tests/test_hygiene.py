@@ -1,12 +1,14 @@
 """Static checks on the package source, with the standard library's `ast`:
 no module imports a name it does not use, no module-level private name is
-left without a reference in its own module, and every JSON encoding
-rejects NaN and infinity."""
+left without a reference in its own module, every JSON encoding rejects
+NaN and infinity, and only the config and the CLI name config keys."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from levyheat.config import SCHEMA
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "levyheat"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -63,6 +65,12 @@ def lenient_json_calls(source: str) -> list:
                     and k.value.value is False for k in node.keywords))
 
 
+def key_literals(source: str, keys) -> list:
+    """String literals of the module equal to one of `keys`, in order."""
+    return [node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and node.value in keys]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
@@ -78,6 +86,14 @@ def test_json_rejects_nan(path):
     assert lenient_json_calls(path.read_text()) == []
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in ("config.py", "cli.py")],
+    ids=lambda p: p.name)
+def test_only_config_and_cli_name_config_keys(path):
+    # a model class names its own field; the config maps it to the key
+    assert key_literals(path.read_text(), SCHEMA) == []
+
+
 def test_checkers_catch_leftovers():
     assert unused_imports("import math\nx = 1\n") == ["math"]
     assert unused_imports("from .solver import heat_step as hs\nhs()\n") == []
@@ -86,3 +102,5 @@ def test_checkers_catch_leftovers():
     assert lenient_json_calls("import json\njson.dumps(x)\n") == [2]
     assert lenient_json_calls("json.dump(x, fh, allow_nan=True)\n") == [1]
     assert lenient_json_calls("json.dumps(x, allow_nan=False)\n") == []
+    assert key_literals('raise E("grid.nx", "n")\n', SCHEMA) == ["grid.nx"]
+    assert key_literals('raise E("n_x", "grid.nx: n")\n', SCHEMA) == []

@@ -586,6 +586,14 @@ class TestPicard:
         ratios = np.diff(rep.log_d)
         assert np.all(ratios < math.log(0.5))
 
+    def test_uncontained_grid_warns(self):
+        # L = 2 < 4 T^(1/alpha) = 4: the warning comes from sample_noise,
+        # so picard_solve raises it as run_trajectory does
+        grid = GridSpec(half_width=2.0, n_x=16, horizon=1.0, n_t=10)
+        with pytest.warns(UserWarning, match="wrap-around bias"):
+            picard_solve(model(), grid, seed=5, replicas=2, n_iter=2,
+                         beta=1.0, c=0.0, p=2.0)
+
     def test_needs_a_replica(self):
         with pytest.raises(DomainError):
             picard_solve(model(), self.SMALL, seed=0, replicas=0, n_iter=2,
