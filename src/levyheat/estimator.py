@@ -23,7 +23,6 @@ from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .analytics import ModelSpec, RenewalProblem, renewal_solve
 from .errors import DomainError
@@ -306,6 +305,7 @@ def fit_log_slope(t: np.ndarray, values: np.ndarray) -> SlopeFit:
     resid = y - (intercept + slope * t)
     dof = len(t) - 2
     se = math.sqrt(float(np.sum(resid ** 2)) / dof / sxx)
+    from scipy.special import stdtrit
     q = stdtrit(dof, 0.975)
     return SlopeFit(slope=slope, intercept=intercept, se=se,
                     ci_low=slope - q * se, ci_high=slope + q * se, n=len(t))

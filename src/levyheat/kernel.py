@@ -10,7 +10,10 @@ inversion (QUADPACK, checked), a cubic spline for bulk evaluation and the
 power-tail series beyond the spline range.  At alpha = 1 the profile is the
 Cauchy density in closed form.  The numeric kernel is d = 1 only; the
 closed-form formulas (comparison kernel, I(beta,c,p), Fourier transforms,
-convolution constants) accept d in {1, 2, 3}.
+convolution constants) accept d in {1, 2, 3}.  scipy's QUADPACK is imported
+at the first quadrature and its CubicSpline at the first spline build (the
+first profile evaluation away from alpha = 1), so importing this module
+loads no scipy.
 
 The comparison kernel
 
@@ -28,8 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, QuadratureError
 from .specfun import bessel_k, gamma_fn, lgamma_fn
@@ -92,6 +93,7 @@ def _quad_checked(func, a, b, **kw):
     """integrate.quad at the module tolerances (keywords such as `points`
     pass through); raises QuadratureError on a non-finite value or an error
     estimate above QUAD_ERR_REL * max(|value|, 1)."""
+    from scipy import integrate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         val, err = integrate.quad(func, a, b, epsabs=EPSABS, epsrel=EPSREL,
@@ -133,6 +135,7 @@ class StableProfile:
             val = _quad_checked(lambda xi: math.exp(-xi ** self.alpha) * math.cos(r * xi),
                                 0.0, xi_max)
         else:
+            from scipy import integrate
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 val, err = integrate.quad(lambda xi: math.exp(-xi ** self.alpha),
@@ -152,6 +155,7 @@ class StableProfile:
         return out
 
     def _build_spline(self):
+        from scipy.interpolate import CubicSpline
         # the last node is the first one at or past TAIL_START
         nodes = np.concatenate([
             np.arange(0.0, 4.0, 0.02),
@@ -284,20 +288,23 @@ class ComparisonKernel:
     def g_p_numeric(self, t: float, p: float = 1.0) -> float:
         """Quadrature of int_R g(t,y)^p dy (d = 1); g_p_integral is its
         closed form and p = 1 gives the unit mass.  The integrand is `g`'s
-        arithmetic with kappa and the exponents taken once per call."""
+        arithmetic with kappa and the exponents taken once per call, in the
+        variable u = y / t^(1/alpha), so the split at u = 10 and QUADPACK's
+        map of [10, inf) do not depend on the width t^(1/alpha) (which is
+        4^10 at alpha = 0.1, t = 4)."""
         if self.d != 1:
             raise DomainError("numeric g integral implemented for d = 1 only")
         a = self.alpha
         kt, t2a, e = self.kappa * t, t ** (2.0 / a), (1.0 + a) / 2.0
+        width = t ** (1.0 / a)
 
-        def g_p(r):
+        def g_p(u):
+            r = width * u
             return (kt / (t2a + r * r) ** e) ** p
 
-        width = t ** (1.0 / a)
-        mid = 10.0 * width
-        core = _quad_checked(g_p, 0.0, mid, points=[width])
-        far = _quad_checked(g_p, mid, np.inf)
-        return 2.0 * (core + far)
+        core = _quad_checked(g_p, 0.0, 10.0, points=[1.0])
+        far = _quad_checked(g_p, 10.0, np.inf)
+        return 2.0 * width * (core + far)
 
 
 def minform_kernel(kp: KernelParams, t: float, x) -> float:

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta
 
 from .analytics import ModelSpec
 from .errors import BlowupError, DomainError, ValidationError
@@ -97,6 +96,7 @@ def build_discrete_kernel(kp, grid: GridSpec, dt: float) -> DiscreteKernel:
     |y| <= L).  Negative weights are clipped to 0 and the result is
     normalized to unit sum (exactly).
     """
+    from scipy.special import zeta
     if dt <= 0.0:
         raise DomainError("dt must be positive")
     if kp.d != 1:
@@ -255,10 +255,6 @@ class Trajectory:
     grid: GridSpec
     seed: int
     replica: int
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.fields)):
-            raise ValidationError("trajectory", "non-finite field values")
 
 
 def run_trajectory(ms: ModelSpec, grid: GridSpec, seed: int,

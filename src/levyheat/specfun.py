@@ -10,8 +10,6 @@ mittag_leffler relative error <= 1e-10 inside the series-safe region.
 
 import math
 
-from scipy.special import kv
-
 from .errors import DivergenceError, DomainError, OverflowSignal, PoleError
 
 # Switch point of the Mittag-Leffler evaluation: series while the terms
@@ -135,4 +133,5 @@ def bessel_k(nu: float, x: float) -> float:
         raise DomainError(f"bessel_k requires x >= 0, got {x}")
     if x == 0.0:
         raise DivergenceError("K_nu(x) diverges as x -> 0 for every nu")
+    from scipy.special import kv
     return float(kv(nu, x))

@@ -1,9 +1,14 @@
 """Static checks on the package source, with the standard library's `ast`:
 no module imports a name it does not use, no module-level private name is
 left without a reference in its own module, every JSON encoding rejects
-NaN and infinity, and only the config and the CLI name config keys."""
+NaN and infinity, only the config and the CLI name config keys, and no
+module imports scipy when it is imported.  One run in a fresh interpreter
+checks that the numpy-only commands load no scipy module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,6 +76,26 @@ def key_literals(source: str, keys) -> list:
             if isinstance(node, ast.Constant) and node.value in keys]
 
 
+def import_time_imports(source: str, package: str) -> list:
+    """Line numbers of the imports of `package` or its submodules that run
+    when the module is imported: anywhere outside a function body."""
+    found, todo = [], list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        if any(n == package or n.startswith(package + ".") for n in names):
+            found.append(node.lineno)
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
@@ -94,6 +119,41 @@ def test_only_config_and_cli_name_config_keys(path):
     assert key_literals(path.read_text(), SCHEMA) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_at_import(path):
+    # scipy is imported by the functions that call it, so the commands
+    # that need only numpy start without it
+    lines = import_time_imports(path.read_text(), "scipy")
+    assert lines == [], f"{path.name} imports scipy at import time, line(s) {lines}"
+
+
+NUMPY_ONLY_RUN = """
+import sys
+import levyheat.cli as cli
+out = sys.argv[1]
+for argv in (["renewal", "--weight", "exp:1,1", "--out", out],
+             ["bounds", "--out", out],
+             ["specfun", "eval", "--fn", "ml", "--a", "0.5", "--b", "1",
+              "--z", "1"],
+             ["specfun", "eval", "--fn", "gamma", "--x", "1.5"],
+             ["specfun", "eval", "--fn", "beta", "--a", "1", "--b", "2"]):
+    assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_numpy_only_commands_load_no_scipy(tmp_path):
+    path = os.environ.get("PYTHONPATH")
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_RUN, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent) + (
+            os.pathsep + path if path else "")})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "renewal.csv").exists() and (tmp_path / "bounds.json").exists()
+
+
 def test_checkers_catch_leftovers():
     assert unused_imports("import math\nx = 1\n") == ["math"]
     assert unused_imports("from .solver import heat_step as hs\nhs()\n") == []
@@ -104,3 +164,13 @@ def test_checkers_catch_leftovers():
     assert lenient_json_calls("json.dumps(x, allow_nan=False)\n") == []
     assert key_literals('raise E("grid.nx", "n")\n', SCHEMA) == ["grid.nx"]
     assert key_literals('raise E("n_x", "grid.nx: n")\n', SCHEMA) == []
+    assert import_time_imports("import scipy.special\n", "scipy") == [1]
+    assert import_time_imports("from scipy import integrate\n", "scipy") == [1]
+    assert import_time_imports("try:\n    import scipy\nexcept E:\n    pass\n",
+                               "scipy") == [2]
+    assert import_time_imports("class K:\n    from scipy.special import kv\n",
+                               "scipy") == [2]
+    assert import_time_imports("def f():\n    from scipy.special import kv\n",
+                               "scipy") == []
+    assert import_time_imports("import scipyx\nfrom .scipy import a\n",
+                               "scipy") == []

@@ -145,6 +145,13 @@ class TestComparisonKernel:
         for t in (0.25, 1.0, 4.0):
             assert CK15.g_p_numeric(t) == pytest.approx(1.0, abs=1e-8)
 
+    def test_unit_mass_small_alpha_large_t(self):
+        # the width t^(1/alpha) is 4^10 here; the quadrature runs in units
+        # of it, so the r^(-1.1) tail keeps its mass
+        ck = ComparisonKernel(KernelParams(d=1, alpha=0.1))
+        assert ck.g_p_numeric(4.0) == pytest.approx(1.0, abs=1e-10)
+        assert certify.check_g_mass(ck).passed
+
     def test_array_time_matches_scalar_time_bitwise(self):
         t = np.random.default_rng(5).uniform(0.0, 10.0, 4000)
         for r in (0.0, 1.5):
