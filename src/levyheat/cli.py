@@ -27,7 +27,7 @@ from .config import SCHEMA, ExperimentConfig, exp_weight
 from .errors import BlowupError, NoRootError, QuadratureError, ValidationError
 from .estimator import (MomentSeries, growth_index_scan, lyapunov_fit,
                         renewal_check, simulate_moments)
-from .solver import Trajectory, run_trajectory
+from .solver import Trajectory, build_discrete_kernel, run_trajectory
 from . import specfun
 
 EXIT_OK = 0
@@ -204,8 +204,10 @@ def cmd_simulate(args) -> int:
             for message in sorted({str(w.message) for w in caught}):
                 print(f"warning: {message}", file=sys.stderr)
             raise
+    # the kernel every replica stepped with, from the solver's cache
+    image_mass = build_discrete_kernel(ms.kp, grid, grid.dt).image_mass
     _write_json(outdir / "simulate.json", cfg,
-                {"files": paths, "seed": seed,
+                {"files": paths, "image_mass": image_mass, "seed": seed,
                  "warnings": sorted({str(w.message) for w in caught})})
     print(f"wrote {len(paths)} trajectories to {outdir}")
     return EXIT_OK

@@ -6,14 +6,16 @@ symbol exp(-t |xi|^alpha) is self-similar,
     q_t(x) = t^(-1/alpha) * profile(|x| * t^(-1/alpha)),
 
 and every evaluation goes through the unit-time profile: pointwise Fourier
-inversion (QUADPACK, checked), a cubic spline for bulk evaluation and the
-power-tail series beyond the spline range.  At alpha = 1 the profile is the
-Cauchy density in closed form.  The numeric kernel is d = 1 only; the
-closed-form formulas (comparison kernel, I(beta,c,p), Fourier transforms,
-convolution constants) accept d in {1, 2, 3}.  scipy's QUADPACK is imported
-at the first quadrature and its CubicSpline at the first spline build (the
-first profile evaluation away from alpha = 1), so importing this module
-loads no scipy.
+inversion (QUADPACK, checked) and the power-tail series beyond TAIL_START.
+The solver's discrete kernel takes the inversion at its own cell radii; a
+cubic spline through 714 inversions serves only the bulk evaluation of
+`weighted_kernel_integral`.  At alpha = 1 the profile is the Cauchy density
+in closed form.  The numeric kernel is d = 1 only; the closed-form formulas
+(comparison kernel, I(beta,c,p), Fourier transforms, convolution constants)
+accept d in {1, 2, 3}.  scipy's QUADPACK is imported at the first
+quadrature and its CubicSpline at the first spline build (the first
+vectorised profile evaluation away from alpha = 1), so importing this
+module loads no scipy.
 
 The comparison kernel
 

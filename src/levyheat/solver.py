@@ -4,12 +4,17 @@ The scheme is a semigroup Euler step: advance the field through the
 one-step heat semigroup (midpoint values q_dt(m dx) dx of the kernel plus
 its periodic images, renormalised and applied by circular convolution), and
 inject the cell-lumped noise through the same one-step kernel with sigma
-evaluated at the left time point (the predictable choice).  The torus
-substitution keeps kernel mass exactly 1, so conservation is testable;
-the wrap-around bias is measured by `DiscreteKernel.image_mass`, which no
-command reports yet (the planned run manifest will carry it).
+evaluated at the left time point (the predictable choice).  The midpoint
+values take the unit profile's pointwise inversion at each distinct cell
+radius inside TAIL_START (9 of them on the reference grid) and its tail
+series beyond, so no kernel build builds the profile's spline.  A kernel
+is built once per (alpha, n_x, L, dt) and shared read-only.  The torus
+substitution keeps kernel mass exactly 1, so conservation is testable; the
+wrap-around bias is measured by `DiscreteKernel.image_mass`, which
+`simulate.json` records.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -18,7 +23,7 @@ import numpy as np
 
 from .analytics import ModelSpec
 from .errors import BlowupError, DomainError, ValidationError
-from .kernel import get_profile, tail_coefficient
+from .kernel import TAIL_START, get_profile, tail_coefficient
 from .noise import sample_jumps
 
 BLOWUP_GUARD = 1e12
@@ -69,22 +74,28 @@ class GridSpec:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteKernel:
-    """Midpoint-valued, image-wrapped one-step kernel; weights sum to 1 exactly."""
+    """Midpoint-valued, image-wrapped one-step kernel; weights sum to 1 exactly.
+    One instance serves every caller with the same arguments, so it is
+    frozen and its arrays are read-only."""
 
     weights: np.ndarray
     image_mass: float            # wrap-around diagnostic: mass from |y| > L
-    base_weights: np.ndarray = field(default=None, repr=False)   # pre-wrap masses
-    spectrum: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.spectrum is None:
-            self.spectrum = np.fft.rfft(self.weights)
+    base_weights: np.ndarray = field(repr=False)   # pre-wrap masses
+    spectrum: np.ndarray = field(repr=False)       # rfft of the weights
 
 
 def build_discrete_kernel(kp, grid: GridSpec, dt: float) -> DiscreteKernel:
     """Midpoint cell masses q_dt(m dx) dx plus wrapped periodic images.
+
+    The unit profile is evaluated at the cell radii r = |m| dx dt^(-1/alpha)
+    themselves, with the split and clipping of `StableProfile.__call__` but
+    no spline: `StableProfile.direct` (the pointwise inversion) at
+    each distinct r <= TAIL_START, of which there are at most
+    min(n_x/2 + 1, floor(TAIL_START dt^(1/alpha) / dx) + 1) (9 on the
+    reference grid, only r = 0 there at alpha <= 0.8), `tail` beyond, and
+    the Cauchy closed form at alpha = 1.
 
     The images at y + 2Lk, k != 0, are taken through the first power-tail
     term dt c1 |y + 2Lk|^(-1-alpha) dx; summed over every k >= 1 on both
@@ -95,19 +106,38 @@ def build_discrete_kernel(kp, grid: GridSpec, dt: float) -> DiscreteKernel:
     with zeta the Hurwitz zeta function (both second arguments >= 1/2 for
     |y| <= L).  Negative weights are clipped to 0 and the result is
     normalized to unit sum (exactly).
+
+    The kernel is built once per (alpha, n_x, L, dt) and cached: equal
+    arguments return the same frozen object, whose arrays are read-only.
     """
-    from scipy.special import zeta
     if dt <= 0.0:
         raise DomainError("dt must be positive")
     if kp.d != 1:
         raise DomainError("the solver runs in d = 1")
-    n, dx, L = grid.n_x, grid.dx, grid.half_width
-    alpha = kp.alpha
+    return _kernel(kp.alpha, grid.n_x, grid.half_width, dt)
+
+
+@functools.cache
+def _kernel(alpha: float, n: int, L: float, dt: float) -> DiscreteKernel:
+    """`build_discrete_kernel` once per argument tuple, arrays read-only."""
+    from scipy.special import zeta
+    dx = 2.0 * L / n
     offsets = np.arange(n, dtype=float)
     offsets[offsets > n / 2] -= n
     y = offsets * dx
     scale = dt ** (-1.0 / alpha)
-    base = scale * get_profile(alpha)(np.abs(y) * scale) * dx
+    r = np.abs(y) * scale
+    if alpha == 1.0:
+        profile = 1.0 / (math.pi * (1.0 + r * r))
+    else:
+        prof = get_profile(alpha)
+        profile = np.empty_like(r)
+        inside = r <= TAIL_START
+        radii, where = np.unique(r[inside], return_inverse=True)
+        profile[inside] = np.array([prof.direct(x) for x in radii])[where]
+        profile[~inside] = prof.tail(r[~inside])
+        np.maximum(profile, 0.0, out=profile)
+    base = scale * profile * dx
 
     u = y / (2.0 * L)
     image = (dt * tail_coefficient(alpha, 1) * dx * (2.0 * L) ** (-1.0 - alpha)
@@ -116,9 +146,11 @@ def build_discrete_kernel(kp, grid: GridSpec, dt: float) -> DiscreteKernel:
     weights = np.maximum(weights, 0.0)
     total = weights.sum()
     weights /= total
-    return DiscreteKernel(weights=weights,
-                          image_mass=float(image.sum() / total),
-                          base_weights=base)
+    spectrum = np.fft.rfft(weights)
+    for arr in (weights, base, spectrum):
+        arr.flags.writeable = False
+    return DiscreteKernel(weights=weights, image_mass=float(image.sum() / total),
+                          base_weights=base, spectrum=spectrum)
 
 
 def heat_step(fields: np.ndarray, dk: DiscreteKernel,

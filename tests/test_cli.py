@@ -15,6 +15,8 @@ from levyheat import cli
 from levyheat.cli import main
 from levyheat.config import SCHEMA, ExperimentConfig
 from levyheat.errors import ValidationError
+from levyheat.kernel import KernelParams
+from levyheat.solver import build_discrete_kernel
 
 WORKED_BOUNDS = """
 # worked atom example: beta0 = 16
@@ -615,6 +617,13 @@ class TestCLI:
                      "--out", str(tmp_path)] + flags) == 0
         payload = json.loads((tmp_path / "simulate.json").read_text())
         assert payload["warnings"] == expect
+        # the wrap-around diagnostic of the kernel the replicas stepped with
+        grid = ExperimentConfig.from_text(
+            SMALL_RUN + ("grid.L = 1\n" if flags else "")).build_grid()
+        dk = build_discrete_kernel(KernelParams(d=1, alpha=1.5), grid, grid.dt)
+        assert math.isfinite(payload["image_mass"])
+        assert 0.0 < payload["image_mass"] < 1.0
+        assert payload["image_mass"] == dk.image_mass
 
     def test_simulate_blowup_reports_its_warnings(self, tmp_path, capsys):
         # sigma = 1e308 overflows the first injection; the run exits 1 with

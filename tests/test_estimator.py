@@ -374,7 +374,7 @@ class TestBlockReduction:
         # are 16 MiB; a whole-array reduction adds three copies of them
         # (the block means, the sort and the spread's temporary), ~3x
         grid = GridSpec(half_width=32.0, n_x=256, horizon=5.0, n_t=500)
-        build_discrete_kernel(KP15, grid, grid.dt)   # profile cache built
+        build_discrete_kernel(KP15, grid, grid.dt)   # cached before tracing
         tracemalloc.start()
         try:
             quiet_simulate(model(), grid, p=2.0, replicas=32, seed=3,

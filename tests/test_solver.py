@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -7,7 +8,8 @@ import pytest
 
 from levyheat.analytics import ModelSpec, SigmaSpec, U0Spec, compute_bounds
 from levyheat.errors import BlowupError, DomainError, ValidationError
-from levyheat.kernel import KernelParams, q_density, tail_coefficient
+from levyheat.kernel import (TAIL_START, KernelParams, StableProfile,
+                             get_profile, q_density, tail_coefficient)
 from levyheat.noise import LevyMeasureSpec, sample_jumps
 from levyheat import solver
 from levyheat.cli import dump_trajectory, trajectory_csv
@@ -155,6 +157,59 @@ class TestDiscreteKernel:
         g = GridSpec(half_width=8.0, n_x=64, horizon=4.0, n_t=4)
         dk = build_discrete_kernel(KP15, g, 1.0)
         assert 0.0 < dk.image_mass < 0.2
+
+    @pytest.mark.parametrize("alpha, n_x", [(1.5, 256), (1.2, 1024),
+                                            (1.9, 256), (0.8, 4096)])
+    def test_base_weights_are_the_inversion_at_cell_radii(self, alpha, n_x):
+        # interpolating the profile misses these by 6e-9 to 3e-7
+        g = GridSpec(half_width=32.0, n_x=n_x, horizon=5.0, n_t=500)
+        dk = build_discrete_kernel(KernelParams(d=1, alpha=alpha), g, g.dt)
+        scale = g.dt ** (-1.0 / alpha)
+        r = np.arange(n_x // 2 + 1) * g.dx * scale
+        m = np.flatnonzero(r <= TAIL_START)
+        assert len(m) == min(n_x // 2 + 1,
+                             math.floor(TAIL_START / (g.dx * scale)) + 1)
+        direct = get_profile(alpha).direct
+        exact = np.array([scale * direct(x) * g.dx for x in r[m]])
+        np.testing.assert_allclose(dk.base_weights[m], exact, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(dk.base_weights[-m[1:]], dk.base_weights[m[1:]])
+
+    def test_kernel_is_cached_and_read_only(self):
+        g = GridSpec(half_width=8.0, n_x=64, horizon=4.0, n_t=4)
+        dk = build_discrete_kernel(KP15, g, 1.0)
+        # the key is (alpha, n_x, L, dt): the horizon does not enter
+        same = GridSpec(half_width=8.0, n_x=64, horizon=2.0, n_t=2)
+        assert build_discrete_kernel(KernelParams(d=1, alpha=1.5), same, 1.0) is dk
+        assert build_discrete_kernel(KP15, g, 0.5) is not dk
+        for arr in (dk.weights, dk.base_weights, dk.spectrum):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dk.weights = np.ones(64)
+
+    def test_trajectories_share_one_build(self, monkeypatch):
+        # alpha = 1.45 is built nowhere else, so the first call is cold
+        calls = []
+        direct = StableProfile.direct
+
+        def counted(prof, r):
+            calls.append(r)
+            return direct(prof, r)
+
+        monkeypatch.setattr(StableProfile, "direct", counted)
+        ms = model(kp=KernelParams(d=1, alpha=1.45))
+        grid = GridSpec(half_width=16.0, n_x=64, horizon=1.0, n_t=40)
+        counts = []
+        for replica in range(3):
+            run_trajectory(ms, grid, 5, replica)
+            counts.append(len(calls))
+        assert counts[0] > 0 and counts == [counts[0]] * 3
+
+    def test_cold_build_builds_no_spline(self):
+        # alpha = 1.35 is evaluated nowhere else
+        g = GridSpec(half_width=32.0, n_x=256, horizon=5.0, n_t=500)
+        build_discrete_kernel(KernelParams(d=1, alpha=1.35), g, g.dt)
+        assert get_profile(1.35)._spline is None
 
 
 class TestHeatStep:
@@ -510,7 +565,7 @@ class TestPicard:
         peaks = []
         for n_t in (250, 500):
             grid = GridSpec(half_width=32.0, n_x=256, horizon=5.0, n_t=n_t)
-            build_discrete_kernel(KP15, grid, grid.dt)   # profile cache built
+            build_discrete_kernel(KP15, grid, grid.dt)   # cached before tracing
             tracemalloc.start()
             try:
                 self.reference_run(grid)
