@@ -40,7 +40,8 @@ class SigmaSpec:
     Both are derived from the coefficient.  A table is interpolated
     linearly between strictly increasing `table_x` and held flat beyond
     them, so its lip is the steepest segment and its lip0 is 0 (sigma
-    stays bounded while |w| grows).
+    stays bounded while |w| grows).  A field the kind does not read must
+    keep its default.
     """
 
     kind: str = "linear"          # "linear" | "affine" | "table"
@@ -52,12 +53,19 @@ class SigmaSpec:
     lip0: float = field(init=False)
 
     def __post_init__(self):
+        unread = {"linear": ("intercept", "table_x", "table_y"),
+                  "affine": ("table_x", "table_y"), "table": ("slope", "intercept")}
+        if self.kind not in unread:
+            raise DomainError(f"unknown sigma kind {self.kind!r}")
+        for name in unread[self.kind]:
+            if getattr(self, name) != getattr(SigmaSpec, name):
+                raise ValidationError(name, f"sigma kind {self.kind!r} does not read it")
         if self.kind == "linear":
             lip = lip0 = abs(self.slope)
         elif self.kind == "affine":
             lip = abs(self.slope)
             lip0 = abs(self.slope) if self.intercept == 0.0 else 0.0
-        elif self.kind == "table":
+        else:
             if len(self.table_x) != len(self.table_y) or len(self.table_x) < 2:
                 raise DomainError("table sigma needs matching x/y samples")
             dx = np.diff(self.table_x)
@@ -66,8 +74,6 @@ class SigmaSpec:
                                       "samples must be strictly increasing")
             lip = float(np.max(np.abs(np.diff(self.table_y) / dx)))
             lip0 = 0.0
-        else:
-            raise DomainError(f"unknown sigma kind {self.kind!r}")
         object.__setattr__(self, "lip", lip)
         object.__setattr__(self, "lip0", lip0)
 

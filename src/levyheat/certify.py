@@ -286,7 +286,8 @@ def check_sandwich(kp: K.KernelParams, t_grid=(0.5, 1.0, 2.0),
 
 def check_tail_ratio(kp: K.KernelParams) -> LemmaRecord:
     """q_1(r) by pointwise inversion against the TAIL_TERMS-term power-tail
-    series the solver's profile takes beyond its spline, at large r."""
+    series that every vectorised profile evaluation takes beyond TAIL_START,
+    at large r."""
     if kp.d != 1:
         raise DomainError("tail-ratio check implemented for d = 1 only")
     radii = (50.0, 100.0, 200.0)

@@ -6,16 +6,16 @@ symbol exp(-t |xi|^alpha) is self-similar,
     q_t(x) = t^(-1/alpha) * profile(|x| * t^(-1/alpha)),
 
 and every evaluation goes through the unit-time profile: pointwise Fourier
-inversion (QUADPACK, checked) and the power-tail series beyond TAIL_START.
-The solver's discrete kernel takes the inversion at its own cell radii; a
-cubic spline through 714 inversions serves only the bulk evaluation of
-`weighted_kernel_integral`.  At alpha = 1 the profile is the Cauchy density
-in closed form.  The numeric kernel is d = 1 only; the closed-form formulas
-(comparison kernel, I(beta,c,p), Fourier transforms, convolution constants)
-accept d in {1, 2, 3}.  scipy's QUADPACK is imported at the first
-quadrature and its CubicSpline at the first spline build (the first
-vectorised profile evaluation away from alpha = 1), so importing this
-module loads no scipy.
+inversion (QUADPACK, checked) up to TAIL_START, the power-tail series
+beyond, clipped at 0, and the Cauchy density in closed form at alpha = 1.
+`StableProfile.values` gives these exact values at any radii, which the
+solver's discrete kernel and the mass certificate take; `__call__` puts a
+cubic spline through 714 inversions in the inversion's place, for the bulk
+evaluation of `weighted_kernel_integral` only.  The numeric kernel is d = 1
+only; the closed-form formulas (comparison kernel, I(beta,c,p), Fourier
+transforms, convolution constants) accept d in {1, 2, 3}.  scipy's QUADPACK
+is imported at the first quadrature and its CubicSpline at the first
+spline evaluation, so importing this module loads no scipy.
 
 The comparison kernel
 
@@ -45,9 +45,8 @@ LIMIT = 400
 # max(|value|, 1)
 QUAD_ERR_REL = 1e-7
 # the unit-time profile: exp(-xi^alpha) is truncated where xi^alpha >= EXPONENT_CUT;
-# TAIL_START is the one boundary between the Fourier inversion (spline
-# nodes, the nodes of q_mass_numeric's graded Gauss rule) and the
-# TAIL_TERMS-term power-tail series beyond it
+# TAIL_START is the one boundary between the Fourier inversion (`values`,
+# the spline nodes) and the TAIL_TERMS-term power-tail series beyond it
 EXPONENT_CUT = 45.0
 TAIL_START = 45.0
 TAIL_TERMS = 6
@@ -118,7 +117,7 @@ class StableProfile:
         if not (0.0 < alpha < 2.0):
             raise DomainError(f"alpha must lie in (0, 2), got {alpha}")
         self.alpha = float(alpha)
-        self.force_numeric = force_numeric
+        self._closed_form = self.alpha == 1.0 and not force_numeric
         self._spline = None
 
     def center(self) -> float:
@@ -127,8 +126,8 @@ class StableProfile:
     def direct(self, r: float) -> float:
         """Pointwise Fourier inversion (1/pi) int_0^inf exp(-xi^alpha) cos(r xi) dxi."""
         r = abs(float(r))
-        if self.alpha == 1.0 and not self.force_numeric:
-            return 1.0 / (math.pi * (1.0 + r * r))
+        if self._closed_form:
+            return float(self.values(r))
         if r == 0.0:
             return self.center()
         xi_max = EXPONENT_CUT ** (1.0 / self.alpha)
@@ -163,36 +162,44 @@ class StableProfile:
             np.arange(0.0, 4.0, 0.02),
             np.arange(4.0, TAIL_START + 0.08, 0.08),
         ])
-        vals = np.array([self.direct(r) for r in nodes])
-        self._spline = CubicSpline(nodes, vals)
+        self._spline = CubicSpline(nodes, [self.direct(r) for r in nodes])
+
+    def _split(self, r, inside):
+        """The profile at |r|, an array of r's shape: `inside` (vectorised)
+        up to TAIL_START, the tail series beyond, clipped at 0; at alpha = 1
+        (without `force_numeric`) the Cauchy closed form at every r."""
+        r = np.abs(np.asarray(r, dtype=float))
+        if self._closed_form:
+            return np.asarray(1.0 / (math.pi * (1.0 + r * r)))
+        out = np.empty_like(r)
+        near = r <= TAIL_START
+        out[near] = inside(r[near])
+        out[~near] = self.tail(r[~near])
+        return np.maximum(out, 0.0, out=out)
+
+    def values(self, r):
+        """Exact evaluation at every |r|: `direct` once per distinct radius
+        up to TAIL_START, the tail series beyond."""
+        def inversion(radii):
+            distinct, where = np.unique(radii, return_inverse=True)
+            return np.array([self.direct(x) for x in distinct])[where]
+        return self._split(r, inversion)
 
     def __call__(self, r):
-        """Vectorized fast evaluation: spline inside, tail series outside."""
-        if self.alpha == 1.0:
-            r = np.asarray(r, dtype=float)
-            return 1.0 / (math.pi * (1.0 + r * r))
-        if self._spline is None:
-            self._build_spline()
-        r = np.abs(np.asarray(r, dtype=float))
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.empty_like(r)
-        inside = r <= TAIL_START
-        out[inside] = self._spline(r[inside])
-        out[~inside] = self.tail(r[~inside])
-        np.maximum(out, 0.0, out=out)
-        return float(out[0]) if scalar else out
+        """Vectorized fast evaluation: spline inside, tail series outside;
+        a float for a scalar r."""
+        def spline(radii):
+            if self._spline is None:
+                self._build_spline()
+            return self._spline(radii)
+        out = self._split(r, spline)
+        return float(out) if out.ndim == 0 else out
 
 
-_PROFILE_CACHE: dict = {}
-
-
+@functools.cache
 def get_profile(alpha: float) -> StableProfile:
     """The shared profile of one alpha, cached on its exact value."""
-    key = float(alpha)
-    if key not in _PROFILE_CACHE:
-        _PROFILE_CACHE[key] = StableProfile(key)
-    return _PROFILE_CACHE[key]
+    return StableProfile(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +237,19 @@ def q_mass_numeric(kp: KernelParams, t: float) -> float:
     Gauss-Legendre on panels graded at the profile's width
     w = sqrt(Gamma(1/alpha) / Gamma(3/alpha)), its curvature scale at 0
     (q''(0)/q(0) = -1/w^2): cuts at 0, w 10^k while below 1, then 1, 10 and
-    TAIL_START.  `direct` runs at every node, so a wrong inversion shows in
-    the mass.
+    TAIL_START.  The profile's exact `values` run at every node, so a wrong
+    inversion shows in the mass.
     """
     if kp.d != 1:
         raise DomainError("numeric mass check implemented for d = 1 only")
     a = kp.alpha
-    if a == 1.0:
-        core = 2.0 * math.atan(TAIL_START) / math.pi
-    else:
-        # log10(w) from lgamma: Gamma(3/a) overflows for a < 0.018
-        log_w = 0.5 * (lgamma_fn(1.0 / a) - lgamma_fn(3.0 / a)) / math.log(10.0)
-        cuts = [0.0] + [10.0 ** (log_w + k) for k in range(math.ceil(-log_w))]
-        # 20 nodes per panel agree with the adaptive rule to ~1e-12 over
-        # alpha in [0.2, 1.99] (16 leave ~2e-10)
-        r, w = _gauss_panels(cuts + [1.0, 10.0, TAIL_START], 20)
-        direct = get_profile(a).direct
-        core = 2.0 * math.fsum(w_i * direct(r_i) for r_i, w_i in zip(r, w))
+    # log10(w) from lgamma: Gamma(3/a) overflows for a < 0.018
+    log_w = 0.5 * (lgamma_fn(1.0 / a) - lgamma_fn(3.0 / a)) / math.log(10.0)
+    cuts = [0.0] + [10.0 ** (log_w + k) for k in range(math.ceil(-log_w))]
+    # 20 nodes per panel agree with the adaptive rule to ~1e-12 over
+    # alpha in [0.2, 1.99] (16 leave ~2e-10)
+    r, w = _gauss_panels(cuts + [1.0, 10.0, TAIL_START], 20)
+    core = 2.0 * math.fsum(w * get_profile(a).values(r))
     tail = 0.0
     for k in range(1, TAIL_TERMS + 1):
         tail += 2.0 * tail_coefficient(a, k) * TAIL_START ** (-k * a) / (k * a)

@@ -5,10 +5,10 @@ one-step heat semigroup (midpoint values q_dt(m dx) dx of the kernel plus
 its periodic images, renormalised and applied by circular convolution), and
 inject the cell-lumped noise through the same one-step kernel with sigma
 evaluated at the left time point (the predictable choice).  The midpoint
-values take the unit profile's pointwise inversion at each distinct cell
-radius inside TAIL_START (9 of them on the reference grid) and its tail
-series beyond, so no kernel build builds the profile's spline.  A kernel
-is built once per (alpha, n_x, L, dt) and shared read-only.  The torus
+values are the unit profile's exact values at the cell radii
+(`StableProfile.values`: 9 inversions on the reference grid), so no kernel
+build builds the profile's spline.  A kernel is built once per
+(alpha, n_x, L, dt) and shared read-only.  The torus
 substitution keeps kernel mass exactly 1, so conservation is testable; the
 wrap-around bias is measured by `DiscreteKernel.image_mass`, which
 `simulate.json` records.
@@ -23,7 +23,7 @@ import numpy as np
 
 from .analytics import ModelSpec
 from .errors import BlowupError, DomainError, ValidationError
-from .kernel import TAIL_START, get_profile, tail_coefficient
+from .kernel import get_profile, tail_coefficient
 from .noise import sample_jumps
 
 BLOWUP_GUARD = 1e12
@@ -89,13 +89,11 @@ class DiscreteKernel:
 def build_discrete_kernel(kp, grid: GridSpec, dt: float) -> DiscreteKernel:
     """Midpoint cell masses q_dt(m dx) dx plus wrapped periodic images.
 
-    The unit profile is evaluated at the cell radii r = |m| dx dt^(-1/alpha)
-    themselves, with the split and clipping of `StableProfile.__call__` but
-    no spline: `StableProfile.direct` (the pointwise inversion) at
-    each distinct r <= TAIL_START, of which there are at most
-    min(n_x/2 + 1, floor(TAIL_START dt^(1/alpha) / dx) + 1) (9 on the
-    reference grid, only r = 0 there at alpha <= 0.8), `tail` beyond, and
-    the Cauchy closed form at alpha = 1.
+    The unit profile is evaluated exactly at the cell radii
+    r = |m| dx dt^(-1/alpha) themselves by `StableProfile.values`: one
+    pointwise inversion per distinct radius up to `kernel.TAIL_START`,
+    at most min(n_x/2 + 1, floor(TAIL_START dt^(1/alpha) / dx) + 1) of
+    them (9 on the reference grid, only r = 0 there at alpha <= 0.8).
 
     The images at y + 2Lk, k != 0, are taken through the first power-tail
     term dt c1 |y + 2Lk|^(-1-alpha) dx; summed over every k >= 1 on both
@@ -126,17 +124,7 @@ def _kernel(alpha: float, n: int, L: float, dt: float) -> DiscreteKernel:
     offsets[offsets > n / 2] -= n
     y = offsets * dx
     scale = dt ** (-1.0 / alpha)
-    r = np.abs(y) * scale
-    if alpha == 1.0:
-        profile = 1.0 / (math.pi * (1.0 + r * r))
-    else:
-        prof = get_profile(alpha)
-        profile = np.empty_like(r)
-        inside = r <= TAIL_START
-        radii, where = np.unique(r[inside], return_inverse=True)
-        profile[inside] = np.array([prof.direct(x) for x in radii])[where]
-        profile[~inside] = prof.tail(r[~inside])
-        np.maximum(profile, 0.0, out=profile)
+    profile = get_profile(alpha).values(y * scale)
     base = scale * profile * dx
 
     u = y / (2.0 * L)

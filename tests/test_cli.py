@@ -677,6 +677,26 @@ class TestCLI:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "bounds.json").exists()
 
+    @pytest.mark.parametrize("text, flags, key", [
+        ("sigma.intercept = 0.5", [], "sigma.intercept"),
+        ("sigma.table_y = 0, 1", [], "sigma.table_y"),
+        ("sigma.kind = affine\nsigma.table_x = 0, 1", [], "sigma.table_x"),
+        (TABLE_SIGMA + "sigma.slope = 7", [], "sigma.slope"),
+        (TABLE_SIGMA + "sigma.intercept = 0.5", [], "sigma.intercept"),
+        (TABLE_SIGMA, ["--sigma", "7"], "sigma.slope")],
+        ids=["linear-intercept", "linear-table_y", "affine-table_x",
+             "table-slope", "table-intercept", "table-flag"])
+    def test_sigma_field_the_kind_does_not_read_rejects(self, tmp_path, capsys,
+                                                        text, flags, key):
+        # a linear sigma with an intercept would certify L_sigma,0 = 1 for a
+        # coefficient whose sigma(0) is 0.5
+        cfg = tmp_path / "cfg"
+        cfg.write_text(text + "\n")
+        assert main(["bounds", "--config", str(cfg), *flags,
+                     "--out", str(tmp_path)]) == 3
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "bounds.json").exists()
+
     def test_verify_lemmas_fast(self, tmp_path):
         out = tmp_path / "lemmas.json"
         assert main(["verify-lemmas", "--alpha", "1.0", "--d", "1",

@@ -1,7 +1,8 @@
 """Static checks on the package source, with the standard library's `ast`:
 no module imports a name it does not use, no module-level private name is
 left without a reference in its own module, every JSON encoding rejects
-NaN and infinity, only the config and the CLI name config keys, and no
+NaN and infinity, only the config and the CLI name config keys, only the
+kernel reads the profile's split point or its pointwise inversion, and no
 module imports scipy when it is imported.  One run in a fresh interpreter
 checks that the numpy-only commands load no scipy module, and that a
 `moments` run after them loads no `scipy.interpolate`."""
@@ -77,6 +78,19 @@ def key_literals(source: str, keys) -> list:
             if isinstance(node, ast.Constant) and node.value in keys]
 
 
+def profile_internals(source: str) -> list:
+    """Line numbers where the module reads `TAIL_START` (bare, imported or
+    as an attribute) or a `.direct` attribute: the stable profile's split
+    and its pointwise inversion, which `StableProfile.values` owns."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Name) and node.id == "TAIL_START")
+        or (isinstance(node, ast.ImportFrom)
+            and any(a.name == "TAIL_START" for a in node.names))
+        or (isinstance(node, ast.Attribute)
+            and node.attr in ("TAIL_START", "direct")))
+
+
 def import_time_imports(source: str, package: str) -> list:
     """Line numbers of the imports of `package` or its submodules that run
     when the module is imported: anywhere outside a function body."""
@@ -118,6 +132,15 @@ def test_json_rejects_nan(path):
 def test_only_config_and_cli_name_config_keys(path):
     # a model class names its own field; the config maps it to the key
     assert key_literals(path.read_text(), SCHEMA) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "kernel.py"], ids=lambda p: p.name)
+def test_only_the_kernel_splits_the_profile(path):
+    # other modules take the profile's exact values from
+    # `StableProfile.values`, so its split, clip and alpha = 1 branch are
+    # written once
+    assert profile_internals(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -169,6 +192,11 @@ def test_checkers_catch_leftovers():
     assert lenient_json_calls("json.dumps(x, allow_nan=False)\n") == []
     assert key_literals('raise E("grid.nx", "n")\n', SCHEMA) == ["grid.nx"]
     assert key_literals('raise E("n_x", "grid.nx: n")\n', SCHEMA) == []
+    assert profile_internals("from .kernel import TAIL_START, tail\n") == [1]
+    assert profile_internals("r = K.TAIL_START\nprof.direct(r)\n") == [1, 2]
+    assert profile_internals("f = get_profile(a).direct\nx < TAIL_START\n") \
+        == [1, 2]
+    assert profile_internals("prof.values(r)\nTAIL_TERMS\ndirect = 1\n") == []
     assert import_time_imports("import scipy.special\n", "scipy") == [1]
     assert import_time_imports("from scipy import integrate\n", "scipy") == [1]
     assert import_time_imports("try:\n    import scipy\nexcept E:\n    pass\n",

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from levyheat import certify
 from levyheat.certify import DEFAULT_T_GRID, check_sandwich, check_space_conv
 from levyheat.errors import DomainError, QuadratureError
-from levyheat.kernel import (ComparisonKernel, KernelParams, I_formula,
+from levyheat.kernel import (TAIL_START, ComparisonKernel, KernelParams,
+                             I_formula, StableProfile,
                              _conv_nodes, _gauss_panels, _graded_time_nodes,
                              _quad_checked, _space_conv,
                              conv_constants, fourier_power_transform,
@@ -37,6 +38,16 @@ SANDWICH_GOLDEN = {
 }
 
 
+@pytest.fixture
+def direct_calls(monkeypatch):
+    """The radii `StableProfile.direct` runs at, in call order."""
+    calls = []
+    direct = StableProfile.direct
+    monkeypatch.setattr(StableProfile, "direct",
+                        lambda prof, r: calls.append(r) or direct(prof, r))
+    return calls
+
+
 def sandwich_grid():
     return [0.0] + list(np.logspace(-1.0, math.log10(20.0), 12))
 
@@ -55,7 +66,6 @@ class TestQDensity:
 
     def test_cauchy_matches_numeric_inversion(self):
         # generic numeric path at alpha=1 against the closed form
-        from levyheat.kernel import StableProfile
         num = StableProfile(1.0, force_numeric=True)
         for x in (0.5, 2.0, 7.0):
             assert num.direct(x) == pytest.approx(1.0 / (math.pi * (1 + x * x)),
@@ -75,6 +85,38 @@ class TestQDensity:
         assert get_profile(1.5 + 1e-13) is near
         assert get_profile(1.5) is get_profile(3 / 2)
 
+    @pytest.mark.parametrize("alpha", [0.35, 1.5, 1.9])
+    def test_values_are_direct_inside_and_clipped_tail_outside(self, alpha):
+        prof = get_profile(alpha)
+        r = np.array([[0.0, -3.5, 3.5, 45.0, -45.0],
+                      [45.5, -200.0, 3.5, 1e4, 0.0]])
+        got = prof.values(r)
+        assert got.shape == r.shape
+        near = np.abs(r) <= TAIL_START
+        assert got[near].tolist() == [prof.direct(x) for x in r[near]]
+        # the tail series on the same array of radii, so with the same
+        # rounding of its powers
+        np.testing.assert_array_equal(
+            got[~near], np.maximum(prof.tail(np.abs(r[~near])), 0.0))
+        scalar = prof.values(-3.5)
+        assert scalar.shape == () and scalar == prof.direct(3.5)
+
+    def test_values_invert_once_per_distinct_radius(self, direct_calls):
+        r = np.array([1.25, 0.0, -1.25, 7.0, 1.25, 50.0, -50.0, 45.0, 7.0])
+        StableProfile(1.5).values(r)
+        assert sorted(direct_calls) == [0.0, 1.25, 7.0, 45.0]
+
+    def test_values_cauchy_closed_form(self, direct_calls):
+        r = np.array([0.0, 10.0, 100.0])
+        assert StableProfile(1.0).values(r).tolist() == [
+            1.0 / (math.pi * (1.0 + x * x)) for x in (0.0, 10.0, 100.0)]
+        assert direct_calls == []
+        # force_numeric: the inversion inside TAIL_START, the tail beyond
+        num = StableProfile(1.0, force_numeric=True).values(r)
+        assert direct_calls == [0.0, 10.0]
+        np.testing.assert_allclose(num, 1.0 / (math.pi * (1.0 + r * r)),
+                                   rtol=1e-9, atol=0.0)
+
     def test_radial_monotonicity(self):
         # the spline profile at t = 1
         vals = get_profile(1.5)(np.linspace(0.0, 15.0, 40))
@@ -92,6 +134,11 @@ class TestQDensity:
             kp = KernelParams(d=1, alpha=a)
             for t in (0.5, 2.0):
                 assert q_mass_numeric(kp, t) == pytest.approx(1.0, abs=1e-6)
+
+    def test_unit_mass_cauchy(self):
+        # the graded Gauss rule on the closed form, plus the tail series
+        for t in (0.5, 1.0, 2.0):
+            assert abs(q_mass_numeric(KP1, t) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [0.2, 0.3, 0.5, 0.8, 0.995, 1.2, 1.5,
                                        1.9, 1.99])
