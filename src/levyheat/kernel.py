@@ -5,17 +5,20 @@ symbol exp(-t |xi|^alpha) is self-similar,
 
     q_t(x) = t^(-1/alpha) * profile(|x| * t^(-1/alpha)),
 
-and every evaluation goes through the unit-time profile: pointwise Fourier
-inversion (QUADPACK, checked) up to TAIL_START, the power-tail series
-beyond, clipped at 0, and the Cauchy density in closed form at alpha = 1.
-`StableProfile.values` gives these exact values at any radii, which the
-solver's discrete kernel and the mass certificate take; `__call__` puts a
-cubic spline through 714 inversions in the inversion's place, for the bulk
-evaluation of `weighted_kernel_integral` only.  The numeric kernel is d = 1
-only; the closed-form formulas (comparison kernel, I(beta,c,p), Fourier
-transforms, convolution constants) accept d in {1, 2, 3}.  scipy's QUADPACK
-is imported at the first quadrature and its CubicSpline at the first
-spline evaluation, so importing this module loads no scipy.
+and every evaluation goes through the unit-time profile: a Fourier
+inversion up to TAIL_START, the power-tail series beyond, clipped at 0, and
+the Cauchy density in closed form at alpha = 1.  `StableProfile.values`
+gives exact values at any radii, which the solver's discrete kernel and the
+mass certificate take: its inversion is a numpy-only Gauss-Legendre rule on
+a rotated ray, all radii in one array evaluation, with its error checked.
+`StableProfile.direct` is the pointwise QUADPACK inversion, which
+`q_density` takes; `__call__` puts a cubic spline through 714 of them, for
+the bulk evaluation of `weighted_kernel_integral` only.  The numeric kernel
+is d = 1 only; the closed-form formulas (comparison kernel, I(beta,c,p),
+Fourier transforms, convolution constants) accept d in {1, 2, 3}.  scipy's
+QUADPACK is imported at the first quadrature and its CubicSpline at the
+first spline evaluation, so importing this module loads no scipy, and
+neither does `values`.
 
 The comparison kernel
 
@@ -50,6 +53,15 @@ QUAD_ERR_REL = 1e-7
 EXPONENT_CUT = 45.0
 TAIL_START = 45.0
 TAIL_TERMS = 6
+# the ray rule of `values`: the integrand is cut where its modulus falls
+# below exp(-RAY_CUT); RAY_NODES-point Gauss-Legendre panels, checked
+# against the 2 RAY_NODES-point rule, with cuts RAY_RATIO apart towards
+# u = 0; radii go RAY_CHUNK // nodes at a time, so that each temporary
+# holds RAY_CHUNK floats (0.5 MiB)
+RAY_CUT = 40.0
+RAY_NODES = 8
+RAY_RATIO = 2.0
+RAY_CHUNK = 2 ** 16
 
 # ---------------------------------------------------------------------------
 # parameters
@@ -124,7 +136,9 @@ class StableProfile:
         return gamma_fn(1.0 + 1.0 / self.alpha) / math.pi
 
     def direct(self, r: float) -> float:
-        """Pointwise Fourier inversion (1/pi) int_0^inf exp(-xi^alpha) cos(r xi) dxi."""
+        """Pointwise Fourier inversion (1/pi) int_0^inf exp(-xi^alpha) cos(r xi) dxi
+        by QUADPACK (scipy.integrate): the adaptive rule while r xi_max < 40,
+        QAWF beyond."""
         r = abs(float(r))
         if self._closed_form:
             return float(self.values(r))
@@ -173,16 +187,25 @@ class StableProfile:
             return np.asarray(1.0 / (math.pi * (1.0 + r * r)))
         out = np.empty_like(r)
         near = r <= TAIL_START
-        out[near] = inside(r[near])
+        if near.any():
+            out[near] = inside(r[near])
         out[~near] = self.tail(r[~near])
         return np.maximum(out, 0.0, out=out)
 
     def values(self, r):
-        """Exact evaluation at every |r|: `direct` once per distinct radius
-        up to TAIL_START, the tail series beyond."""
+        """Exact evaluation at every |r|, numpy only: `center()` at 0, the
+        ray rule `_ray_inversion` once per distinct radius in
+        (0, TAIL_START], all in one call, and the tail series beyond."""
         def inversion(radii):
             distinct, where = np.unique(radii, return_inverse=True)
-            return np.array([self.direct(x) for x in distinct])[where]
+            # sorted, so only the first can be 0
+            start = int(distinct[0] == 0.0)
+            out = np.empty_like(distinct)
+            if start:
+                out[0] = self.center()
+            if start < len(distinct):
+                out[start:] = _ray_inversion(self.alpha, distinct[start:])
+            return out[where]
         return self._split(r, inversion)
 
     def __call__(self, r):
@@ -194,6 +217,80 @@ class StableProfile:
             return self._spline(radii)
         out = self._split(r, spline)
         return float(out) if out.ndim == 0 else out
+
+
+@functools.cache
+def _ray_rule(alpha: float, n: int, ratio: float):
+    """The ray rule of one alpha, built once and shared read-only:
+    (phi, log_len, v, v^alpha, w).
+
+    phi = min(pi/2, pi/(4 alpha)) is the ray's angle and log_len the log of
+    the length where |u|^alpha cos(alpha phi) reaches RAY_CUT, the longest
+    cut-off length of any radius.  The nodes v lie in [0, 1], in units of
+    each radius's own cut-off length: eight panels of width 1/8, then cuts
+    `ratio` apart towards the branch point u = 0 until the first panel,
+    [0, first cut], spans |u| <= 1e-6 at every radius.  The first third of
+    the nodes and weights is the n-point Gauss-Legendre rule on these
+    panels, the rest the 2n-point rule.
+    """
+    phi = min(math.pi / 2.0, math.pi / (4.0 * alpha))
+    log_len = math.log(RAY_CUT / math.cos(alpha * phi)) / alpha
+    steps = math.ceil((log_len + math.log(1e6 / 8.0)) / math.log(ratio))
+    cuts = np.concatenate([[0.0], 0.125 * ratio ** np.arange(-steps, 0.0),
+                           np.arange(1, 9) / 8.0])
+    (v_lo, w_lo), (v_hi, w_hi) = _gauss_panels(cuts, n), _gauss_panels(cuts, 2 * n)
+    v, w = np.concatenate([v_lo, v_hi]), np.concatenate([w_lo, w_hi])
+    v_alpha = v ** alpha
+    for arr in (v, v_alpha, w):
+        arr.flags.writeable = False
+    return phi, log_len, v, v_alpha, w
+
+
+def _ray_inversion(alpha: float, r):
+    """The unit profile at every radius of the 1-d array r > 0, numpy only:
+
+        f(r) = (1/pi) Re[e^(i phi) int_0^inf exp(-s^alpha e^(i alpha phi)
+                                                 + i r s e^(i phi)) ds],
+
+    the inversion integral moved by Cauchy's theorem from [0, inf) onto the
+    ray u = s e^(i phi) of `_ray_rule`, where cos(alpha phi) > 0.  There
+    the modulus is exp(-s^alpha cos(alpha phi) - r s sin(phi)), so no
+    undamped oscillation is left; each radius is integrated up to the
+    length where it falls to exp(-RAY_CUT).  The 2 RAY_NODES-point rule
+    gives the value and its distance from the RAY_NODES-point rule the
+    error estimate, which raises QuadratureError above
+    QUAD_ERR_REL * max(|value|, 1), as `_quad_checked` does.  Each sum runs
+    along one row (a BLAS product's order is not fixed per row), so a
+    radius gets the same value bit for bit whatever else is in the call.
+    """
+    phi, log_len, v, v_alpha, w = _ray_rule(alpha, RAY_NODES, RAY_RATIO)
+    cos_a, sin_a = math.cos(alpha * phi), math.sin(alpha * phi)
+    cos_p, sin_p = math.cos(phi), math.sin(phi)
+    # each radius's cut-off length: where either term of the exponent
+    # reaches RAY_CUT; in logs, since the length overflows as alpha -> 0
+    log_cut = np.minimum(log_len, math.log(RAY_CUT / sin_p) - np.log(r))
+    length = np.exp(log_cut)
+    low, value = np.empty(len(r)), np.empty(len(r))
+    step = max(1, RAY_CHUNK // len(v))
+    for i in range(0, len(r), step):
+        part = slice(i, i + step)
+        s_alpha = np.exp(alpha * log_cut[part, None]) * v_alpha
+        rs = (r[part] * length[part])[:, None] * v
+        g = np.exp(-(cos_a * s_alpha + sin_p * rs))
+        g *= np.cos(cos_p * rs - sin_a * s_alpha + phi)
+        g *= w
+        low[part] = g[:, :len(v) // 3].sum(axis=1)
+        value[part] = g[:, len(v) // 3:].sum(axis=1)
+    value *= length / math.pi
+    est = np.abs(value - low * length / math.pi)
+    bad = ~(est <= QUAD_ERR_REL * np.maximum(np.abs(value), 1.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise QuadratureError(
+            f"ray rule did not converge at alpha = {alpha}, r = {r[i]} "
+            f"(value {value[i]}, error estimate {est[i]})",
+            estimate=float(est[i]), value=float(value[i]))
+    return value
 
 
 @functools.cache
@@ -228,16 +325,16 @@ def q_density(kp: KernelParams, t: float, x) -> float:
 
 
 def q_mass_numeric(kp: KernelParams, t: float) -> float:
-    """Numeric total mass of q_t (d = 1): quadrature of the pointwise
-    inversion on [0, TAIL_START] plus the power-tail series beyond, the same
-    split as the profile the solver evaluates.
+    """Numeric total mass of q_t (d = 1): quadrature of the profile's
+    `values` (the ray rule) on [0, TAIL_START] plus the power-tail series
+    beyond, the same split and inversion as the solver's kernel.
 
     By self-similarity the mass equals the unit-time mass, so the integral is
     done on the profile directly and t does not enter.  The rule is
     Gauss-Legendre on panels graded at the profile's width
     w = sqrt(Gamma(1/alpha) / Gamma(3/alpha)), its curvature scale at 0
     (q''(0)/q(0) = -1/w^2): cuts at 0, w 10^k while below 1, then 1, 10 and
-    TAIL_START.  The profile's exact `values` run at every node, so a wrong
+    TAIL_START.  `values` runs at every node in one array call, so a wrong
     inversion shows in the mass.
     """
     if kp.d != 1:

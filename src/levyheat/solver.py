@@ -6,9 +6,10 @@ its periodic images, renormalised and applied by circular convolution), and
 inject the cell-lumped noise through the same one-step kernel with sigma
 evaluated at the left time point (the predictable choice).  The midpoint
 values are the unit profile's exact values at the cell radii
-(`StableProfile.values`: 9 inversions on the reference grid), so no kernel
-build builds the profile's spline.  A kernel is built once per
-(alpha, n_x, L, dt) and shared read-only.  The torus
+(`StableProfile.values`: one numpy array call for the 8 nonzero radii of
+the reference grid), so no kernel build builds the profile's spline or
+imports scipy.integrate.  A kernel is built once per (alpha, n_x, L, dt)
+and shared read-only.  The torus
 substitution keeps kernel mass exactly 1, so conservation is testable; the
 wrap-around bias is measured by `DiscreteKernel.image_mass`, which
 `simulate.json` records.
@@ -90,10 +91,11 @@ def build_discrete_kernel(kp, grid: GridSpec, dt: float) -> DiscreteKernel:
     """Midpoint cell masses q_dt(m dx) dx plus wrapped periodic images.
 
     The unit profile is evaluated exactly at the cell radii
-    r = |m| dx dt^(-1/alpha) themselves by `StableProfile.values`: one
-    pointwise inversion per distinct radius up to `kernel.TAIL_START`,
-    at most min(n_x/2 + 1, floor(TAIL_START dt^(1/alpha) / dx) + 1) of
-    them (9 on the reference grid, only r = 0 there at alpha <= 0.8).
+    r = |m| dx dt^(-1/alpha) themselves by `StableProfile.values`, numpy
+    only: the centre value at r = 0 and one array call of the checked ray
+    rule on the distinct radii in (0, `kernel.TAIL_START`], at most
+    min(n_x/2 + 1, floor(TAIL_START dt^(1/alpha) / dx) + 1) radii in all
+    (9 on the reference grid, only r = 0 there at alpha <= 0.8).
 
     The images at y + 2Lk, k != 0, are taken through the first power-tail
     term dt c1 |y + 2Lk|^(-1-alpha) dx; summed over every k >= 1 on both

@@ -294,11 +294,11 @@ def test_g_inequality_can_fail(check, wrong):
 
 def test_q_mass_certificate_can_fail(monkeypatch):
     assert check_q_mass((1.5,)).passed
-    # a pointwise inversion 1e-5 high puts the mass 1e-5 off, ten times the
-    # 1e-6 tolerance
-    orig = K.StableProfile.direct
-    monkeypatch.setattr(K.StableProfile, "direct",
-                        lambda self, r: (1.0 + 1e-5) * orig(self, r))
+    # the ray rule 1e-5 high puts the mass 1e-5 off, ten times the 1e-6
+    # tolerance
+    orig = K._ray_inversion
+    monkeypatch.setattr(K, "_ray_inversion",
+                        lambda alpha, r: (1.0 + 1e-5) * orig(alpha, r))
     assert check_q_mass((1.5,)).status == "fail"
 
 

@@ -5,7 +5,8 @@ NaN and infinity, only the config and the CLI name config keys, only the
 kernel reads the profile's split point or its pointwise inversion, and no
 module imports scipy when it is imported.  One run in a fresh interpreter
 checks that the numpy-only commands load no scipy module, and that a
-`moments` run after them loads no `scipy.interpolate`."""
+`moments` run after them loads neither `scipy.interpolate` nor
+`scipy.integrate`."""
 
 import ast
 import os
@@ -165,7 +166,8 @@ for argv in (["renewal", "--weight", "exp:1,1", "--out", out],
 numpy_only = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert cli.main(["moments", "--nx", "64", "--nt", "20", "--replicas", "2",
                  "--out", out]) == 0
-print(numpy_only, "scipy.interpolate" in sys.modules)
+print(numpy_only, "scipy.interpolate" in sys.modules,
+      "scipy.integrate" in sys.modules)
 """
 
 
@@ -178,7 +180,8 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
             os.pathsep + path if path else "")})
     assert done.returncode == 0, done.stderr
     # no scipy for the numpy-only commands; the Monte Carlo builds no spline
-    assert done.stdout.splitlines()[-1] == "[] False"
+    # and runs no QUADPACK
+    assert done.stdout.splitlines()[-1] == "[] False False"
     assert (tmp_path / "renewal.csv").exists() and (tmp_path / "bounds.json").exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from levyheat import certify
+from levyheat import certify, kernel
 from levyheat.certify import DEFAULT_T_GRID, check_sandwich, check_space_conv
 from levyheat.errors import DomainError, QuadratureError
 from levyheat.kernel import (TAIL_START, ComparisonKernel, KernelParams,
@@ -38,13 +38,18 @@ SANDWICH_GOLDEN = {
 }
 
 
+# radii across (0, TAIL_START] for the cross-checks of the two inversions
+CROSS_RADII = np.array([1e-3, 0.05, 0.3, 0.9, 1.7, 3.1, 5.5, 9.0, 14.0, 21.0,
+                        30.0, 38.5, 44.0, 45.0])
+
+
 @pytest.fixture
-def direct_calls(monkeypatch):
-    """The radii `StableProfile.direct` runs at, in call order."""
+def ray_calls(monkeypatch):
+    """The radii of each `_ray_inversion` call, in call order."""
     calls = []
-    direct = StableProfile.direct
-    monkeypatch.setattr(StableProfile, "direct",
-                        lambda prof, r: calls.append(r) or direct(prof, r))
+    ray = kernel._ray_inversion
+    monkeypatch.setattr(kernel, "_ray_inversion",
+                        lambda alpha, r: calls.append(r.tolist()) or ray(alpha, r))
     return calls
 
 
@@ -93,29 +98,73 @@ class TestQDensity:
         got = prof.values(r)
         assert got.shape == r.shape
         near = np.abs(r) <= TAIL_START
-        assert got[near].tolist() == [prof.direct(x) for x in r[near]]
+        # the ray rule inside, within the cross-check of the two inversions;
+        # centre() itself at 0, and equal radii give equal values
+        np.testing.assert_allclose(got[near], [prof.direct(x) for x in r[near]],
+                                   rtol=1e-10, atol=1e-15)
+        assert got[0, 0] == got[1, 4] == prof.center()
+        assert got[0, 1] == got[0, 2] == got[1, 2]
         # the tail series on the same array of radii, so with the same
         # rounding of its powers
         np.testing.assert_array_equal(
             got[~near], np.maximum(prof.tail(np.abs(r[~near])), 0.0))
         scalar = prof.values(-3.5)
-        assert scalar.shape == () and scalar == prof.direct(3.5)
+        assert scalar.shape == () and scalar == got[0, 1]
 
-    def test_values_invert_once_per_distinct_radius(self, direct_calls):
+    def test_values_invert_once_per_distinct_radius(self, ray_calls):
         r = np.array([1.25, 0.0, -1.25, 7.0, 1.25, 50.0, -50.0, 45.0, 7.0])
-        StableProfile(1.5).values(r)
-        assert sorted(direct_calls) == [0.0, 1.25, 7.0, 45.0]
+        got = StableProfile(1.5).values(r)
+        # one array call on the distinct radii in (0, TAIL_START]
+        assert ray_calls == [[1.25, 7.0, 45.0]]
+        assert got[1] == StableProfile(1.5).center()
 
-    def test_values_cauchy_closed_form(self, direct_calls):
+    def test_no_inversion_beyond_tail_start(self, ray_calls):
+        prof = StableProfile(1.3)
+        assert prof(60.0) == prof.tail(60.0)
+        assert prof._spline is None
+        prof.values(np.array([50.0, -60.0, 1e3]))
+        prof.values(np.array([0.0, 60.0]))
+        assert ray_calls == []
+
+    def test_values_cauchy_closed_form(self, ray_calls):
         r = np.array([0.0, 10.0, 100.0])
         assert StableProfile(1.0).values(r).tolist() == [
             1.0 / (math.pi * (1.0 + x * x)) for x in (0.0, 10.0, 100.0)]
-        assert direct_calls == []
-        # force_numeric: the inversion inside TAIL_START, the tail beyond
+        assert ray_calls == []
+        # force_numeric: the ray rule inside TAIL_START (centre() at 0), the
+        # tail beyond, within the cross-check of the two inversions
+        r = np.concatenate([r, CROSS_RADII])
         num = StableProfile(1.0, force_numeric=True).values(r)
-        assert direct_calls == [0.0, 10.0]
+        assert ray_calls == [sorted({10.0, *CROSS_RADII.tolist()})]
         np.testing.assert_allclose(num, 1.0 / (math.pi * (1.0 + r * r)),
-                                   rtol=1e-9, atol=0.0)
+                                   rtol=1e-10, atol=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.35, 0.8, 0.995, 1.005, 1.5,
+                                       1.9, 1.99])
+    def test_values_match_direct(self, alpha):
+        # two independent inversions: the ray rule (numpy) and QUADPACK
+        prof = get_profile(alpha)
+        direct = [prof.direct(x) for x in CROSS_RADII]
+        np.testing.assert_allclose(prof.values(CROSS_RADII), direct,
+                                   rtol=1e-10, atol=1e-15)
+
+    def test_cross_check_rejects_the_spline(self):
+        # the spline's misses (6e-9 to 3e-7) fail the tolerance that the
+        # ray rule meets
+        prof = get_profile(1.5)
+        direct = [prof.direct(x) for x in CROSS_RADII]
+        with pytest.raises(AssertionError):
+            np.testing.assert_allclose(prof(CROSS_RADII), direct,
+                                       rtol=1e-10, atol=1e-15)
+
+    @pytest.mark.parametrize("starve", [{"RAY_NODES": 3}, {"RAY_RATIO": 1e3}])
+    @pytest.mark.parametrize("alpha", [0.35, 1.5, 1.9])
+    def test_starved_ray_rule_raises(self, monkeypatch, alpha, starve):
+        # too few nodes per panel, or too few panels towards u = 0
+        for name, value in starve.items():
+            monkeypatch.setattr(kernel, name, value)
+        with pytest.raises(QuadratureError):
+            StableProfile(alpha).values(CROSS_RADII)
 
     def test_radial_monotonicity(self):
         # the spline profile at t = 1
