@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import (BlowupError, DegenerateMeasureError, DomainError,
-                     NoRootError, ValidationError)
+                     NoRootError, ValidationError, reject_unread)
 from .kernel import (ConvConstants, I_formula, KernelParams, conv_constants,
                      hmoment_constant, levelset_volume_minform,
                      minform_level_integral)
@@ -57,9 +57,7 @@ class SigmaSpec:
                   "affine": ("table_x", "table_y"), "table": ("slope", "intercept")}
         if self.kind not in unread:
             raise DomainError(f"unknown sigma kind {self.kind!r}")
-        for name in unread[self.kind]:
-            if getattr(self, name) != getattr(SigmaSpec, name):
-                raise ValidationError(name, f"sigma kind {self.kind!r} does not read it")
+        reject_unread(self, self.kind, unread)
         if self.kind == "linear":
             lip = lip0 = abs(self.slope)
         elif self.kind == "affine":
@@ -91,7 +89,8 @@ class SigmaSpec:
 
 @dataclass(frozen=True)
 class U0Spec:
-    """Initial condition: positive constant or polynomial decay C0 (1+|x|)^-c."""
+    """Initial condition: positive constant or polynomial decay C0 (1+|x|)^-c.
+    A field the kind does not read must keep its default."""
 
     kind: str = "constant"        # "constant" | "poly_decay"
     value: float = 1.0
@@ -99,8 +98,10 @@ class U0Spec:
     decay_c: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "poly_decay"):
+        unread = {"constant": ("c0", "decay_c"), "poly_decay": ("value",)}
+        if self.kind not in unread:
             raise DomainError(f"unknown u0 kind {self.kind!r}")
+        reject_unread(self, self.kind, unread)
         if self.kind == "poly_decay" and self.decay_c < 0.0:
             raise DomainError("decay exponent must be >= 0")
 

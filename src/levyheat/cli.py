@@ -27,7 +27,7 @@ from .config import SCHEMA, ExperimentConfig, exp_weight
 from .errors import BlowupError, NoRootError, QuadratureError, ValidationError
 from .estimator import (MomentSeries, growth_index_scan, lyapunov_fit,
                         renewal_check, simulate_moments)
-from .solver import Trajectory, build_discrete_kernel, run_trajectory
+from .solver import GridSpec, build_discrete_kernel, run_trajectory
 from . import specfun
 
 EXIT_OK = 0
@@ -76,25 +76,25 @@ _TRAJ_HEADER = struct.Struct("<4sQQddqQQ")
 _TRAJ_MAGIC = b"LVHT"
 
 
-def dump_trajectory(traj: Trajectory, path: Path, config_hash: str) -> None:
-    """Binary dump: the _TRAJ_HEADER fields, the config hash as the 64-bit
-    integer its hex digits spell, then the field row-major as
-    little-endian float64."""
-    g = traj.grid
+def dump_trajectory(path: Path, cfg: ExperimentConfig, fields: np.ndarray,
+                    grid: GridSpec, seed: int, replica: int) -> None:
+    """Binary dump of one replica's (n_t + 1, n_x) `fields`: the
+    _TRAJ_HEADER fields, the config hash as the 64-bit integer its hex
+    digits spell, then the field row-major as little-endian float64."""
     with open(path, "wb") as fh:
-        fh.write(_TRAJ_HEADER.pack(_TRAJ_MAGIC, g.n_t, g.n_x, g.dt, g.dx,
-                                   traj.seed, traj.replica,
-                                   int(config_hash, 16)))
-        fh.write(np.ascontiguousarray(traj.fields, dtype="<f8").tobytes())
+        fh.write(_TRAJ_HEADER.pack(_TRAJ_MAGIC, grid.n_t, grid.n_x, grid.dt,
+                                   grid.dx, seed, replica,
+                                   int(cfg.config_hash(), 16)))
+        fh.write(np.ascontiguousarray(fields, dtype="<f8").tobytes())
 
 
-def trajectory_csv(traj: Trajectory, path: Path,
-                   cfg: ExperimentConfig) -> None:
-    """CSV dump (t, x, X) for small grids, through `_write_csv`."""
-    g = traj.grid
-    _write_csv(path, cfg, f" seed={traj.seed} replica={traj.replica}", "t,x,X",
-               ((t, xj, traj.fields[k, j]) for k, t in enumerate(g.times)
-                for j, xj in enumerate(g.x)))
+def trajectory_csv(path: Path, cfg: ExperimentConfig, fields: np.ndarray,
+                   grid: GridSpec, seed: int, replica: int) -> None:
+    """CSV dump (t, x, X) of one replica's `fields` for small grids, through
+    `_write_csv`."""
+    _write_csv(path, cfg, f" seed={seed} replica={replica}", "t,x,X",
+               ((t, xj, fields[k, j]) for k, t in enumerate(grid.times)
+                for j, xj in enumerate(grid.x)))
 
 
 # flag -> the config key it overrides; the text is parsed as a config line
@@ -104,7 +104,7 @@ _MODEL_FLAGS = {
     "--sigma": "sigma.slope", "--levy": "levy.atoms", "--seed": "run.seed",
     "--replicas": "run.replicas",
 }
-_JOBS_FLAG = {"--jobs": "run.jobs"}
+_MC_FLAGS = {"--jobs": "run.jobs", **_MODEL_FLAGS}
 _RENEWAL_FLAGS = {
     "--c3": "renewal.c3", "--c4": "renewal.c4", "--T": "renewal.T",
     "--dt": "renewal.dt", "--weight": "renewal.weight",
@@ -126,16 +126,6 @@ def _load_config(args):
     """(config, model, grid) of `_config(args)`."""
     cfg = _config(args)
     return cfg, cfg.build_model(), cfg.build_grid()
-
-
-def _add_common(sub):
-    sub.add_argument("--config", help="experiment config file (key = value lines)")
-    sub.add_argument("--out", default=None, help="output directory override")
-
-
-def _add_flags(sub, table):
-    for flag, key in table.items():
-        sub.add_argument(flag, dest=key, help=f"overrides {key}")
 
 
 def _simulate_moments(cfg: ExperimentConfig, model, grid, p):
@@ -182,21 +172,17 @@ def cmd_bounds(args) -> int:
 def cmd_simulate(args) -> int:
     cfg, ms, grid = _load_config(args)
     seed = cfg.get("run.seed")
-    tag = cfg.config_hash()
     outdir = _outdir(cfg, args.out)
+    write, suffix = ((trajectory_csv, "csv") if args.csv
+                     else (dump_trajectory, "bin"))
     paths = []
     # "always": record every warning, repeats and those a filter would raise
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             for r in range(cfg.get("run.replicas")):
-                traj = run_trajectory(ms, grid, seed, r)
-                if args.csv:
-                    path = outdir / f"trajectory_r{r:04d}.csv"
-                    trajectory_csv(traj, path, cfg)
-                else:
-                    path = outdir / f"trajectory_r{r:04d}.bin"
-                    dump_trajectory(traj, path, tag)
+                path = outdir / f"trajectory_r{r:04d}.{suffix}"
+                write(path, cfg, run_trajectory(ms, grid, seed, r), grid, seed, r)
                 paths.append(path.name)
         except BlowupError:
             # no simulate.json records them: the warnings that explain the
@@ -385,33 +371,28 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None, help="JSON report path")
     s.set_defaults(func=cmd_verify_lemmas)
 
-    s = sub.add_parser("bounds", help="compute the analytic bounds report")
-    _add_common(s)
-    _add_flags(s, _MODEL_FLAGS)
-    s.set_defaults(func=cmd_bounds)
-
-    s = sub.add_parser("simulate", help="simulate and dump trajectories")
-    _add_common(s)
-    _add_flags(s, _MODEL_FLAGS)
-    s.add_argument("--csv", action="store_true", help="CSV dumps (small grids)")
-    s.set_defaults(func=cmd_simulate)
-
-    s = sub.add_parser("moments", help="Monte Carlo moment series")
-    _add_common(s)
-    _add_flags(s, {**_JOBS_FLAG, **_MODEL_FLAGS})
-    s.set_defaults(func=cmd_moments)
-
-    s = sub.add_parser("growth-scan", help="restricted sup-moment scan")
-    _add_common(s)
-    _add_flags(s, {**_JOBS_FLAG, **_MODEL_FLAGS})
-    s.set_defaults(func=cmd_growth_scan)
-
-    s = sub.add_parser("renewal", help="renewal solve / ordering check")
-    _add_common(s)
-    _add_flags(s, _RENEWAL_FLAGS)
-    s.add_argument("--series", default=None,
-                   help="moments CSV; switches to ordering-check mode")
-    s.set_defaults(func=cmd_renewal)
+    # the subcommands that read a config: name, function, help, flag table
+    for name, func, text, flags in (
+            ("bounds", cmd_bounds, "compute the analytic bounds report",
+             _MODEL_FLAGS),
+            ("simulate", cmd_simulate, "simulate and dump trajectories",
+             _MODEL_FLAGS),
+            ("moments", cmd_moments, "Monte Carlo moment series", _MC_FLAGS),
+            ("growth-scan", cmd_growth_scan, "restricted sup-moment scan",
+             _MC_FLAGS),
+            ("renewal", cmd_renewal, "renewal solve / ordering check",
+             _RENEWAL_FLAGS)):
+        s = sub.add_parser(name, help=text)
+        s.add_argument("--config", help="experiment config file (key = value lines)")
+        s.add_argument("--out", default=None, help="output directory override")
+        for flag, key in flags.items():
+            s.add_argument(flag, dest=key, help=f"overrides {key}")
+        s.set_defaults(func=func)
+    sub.choices["simulate"].add_argument("--csv", action="store_true",
+                                         help="CSV dumps (small grids)")
+    sub.choices["renewal"].add_argument(
+        "--series", default=None,
+        help="moments CSV; switches to ordering-check mode")
 
     s = sub.add_parser("specfun", help="special function evaluation")
     s.add_argument("action", choices=["eval"])

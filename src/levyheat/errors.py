@@ -53,3 +53,12 @@ class ValidationError(ValueError):
 
 class DegenerateMeasureError(DomainError):
     """Levy measure carries no mass where the operation requires it."""
+
+
+def reject_unread(spec, kind: str, unread: dict) -> None:
+    """Raise a ValidationError naming the first field of `unread[kind]` that
+    `spec` sets away from its class default: its kind does not read that
+    field, so the value would change nothing but the config hash."""
+    for name in unread[kind]:
+        if getattr(spec, name) != getattr(type(spec), name):
+            raise ValidationError(name, f"kind {kind!r} does not read it")

@@ -354,6 +354,12 @@ def growth_index_scan(surface: MomentSurface, eta_grid,
     """Sup of the moment estimate over cells |x| >= e^(eta t^r), per (eta,
     t > 0); t = 0 is flagged empty.
 
+    A running max over the cells, farthest |x| first, holds every region's
+    sup, and the count of a region's cells picks it.  The radii take
+    `math.exp` (numpy's exp can differ from it in the last bit) of eta
+    times `np.float_power(t, r)`, so a cell on a boundary counts as it does
+    in a scalar loop.
+
     The late-time slope of (1/t^r) log sup is fitted per eta over the last
     half of the horizon; eta_low is the largest eta with a significantly
     positive slope, eta_high the smallest with a significantly negative
@@ -363,18 +369,15 @@ def growth_index_scan(surface: MomentSurface, eta_grid,
     eta_grid = np.asarray(sorted(eta_grid), dtype=float)
     t = surface.times
     absx = np.abs(surface.x)
-    values = np.full((len(eta_grid), len(t)), np.nan)
-    empty = np.ones_like(values, dtype=bool)
-    for i, eta in enumerate(eta_grid):
-        for k, tk in enumerate(t):
-            if tk <= 0.0:
-                continue
-            radius = math.exp(eta * tk ** r)
-            mask = absx >= radius
-            if not mask.any():
-                continue
-            values[i, k] = surface.mean[k, mask].max()
-            empty[i, k] = False
+    order = np.argsort(-absx)
+    running = np.maximum.accumulate(surface.mean[:, order], axis=1)
+    exponent = eta_grid[:, None] * np.float_power(t, r)
+    radius = np.vectorize(math.exp, otypes=[float])(exponent)
+    count = absx.size - np.searchsorted(np.sort(absx), radius)
+    count[:, t <= 0.0] = 0
+    empty = count == 0
+    values = np.where(empty, np.nan,
+                      running[np.arange(len(t)), np.maximum(count - 1, 0)])
 
     lo, hi = t[-1] / 2.0, t[-1]
     slopes = []

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, reject_unread
 
 
 @dataclass(frozen=True)
 class LevyMeasureSpec:
-    """Finite-activity jump measure: atoms or truncated power density."""
+    """Finite-activity jump measure: atoms or truncated power density.  A
+    field the variant does not read must keep its default."""
 
     variant: str = "atoms"                      # "atoms" | "truncated_power"
     atoms: tuple = ((1.0, 1.0), (-1.0, 1.0))    # ((z, mass), ...)
@@ -45,6 +46,9 @@ class LevyMeasureSpec:
                 raise ValidationError("amplitude", "amplitude must be > 0")
         else:
             raise ValidationError("variant", f"unknown variant {self.variant!r}")
+        reject_unread(self, self.variant, {
+            "atoms": ("gamma_exp", "delta_in", "outer_cut", "amplitude"),
+            "truncated_power": ("atoms",)})
 
     # -- closed-form functionals ------------------------------------------
 

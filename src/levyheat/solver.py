@@ -104,8 +104,8 @@ def build_discrete_kernel(kp, grid: GridSpec, dt: float) -> DiscreteKernel:
         dt c1 dx (2L)^(-1-alpha) [zeta(1+alpha, 1 + y/2L) + zeta(1+alpha, 1 - y/2L)]
 
     with zeta the Hurwitz zeta function (both second arguments >= 1/2 for
-    |y| <= L).  Negative weights are clipped to 0 and the result is
-    normalized to unit sum (exactly).
+    |y| <= L).  Both terms are non-negative (the profile values are clipped
+    at 0 and c1 > 0), and the result is normalized to unit sum (exactly).
 
     The kernel is built once per (alpha, n_x, L, dt) and cached: equal
     arguments return the same frozen object, whose arrays are read-only.
@@ -133,7 +133,6 @@ def _kernel(alpha: float, n: int, L: float, dt: float) -> DiscreteKernel:
     image = (dt * tail_coefficient(alpha, 1) * dx * (2.0 * L) ** (-1.0 - alpha)
              * (zeta(1.0 + alpha, 1.0 + u) + zeta(1.0 + alpha, 1.0 - u)))
     weights = base + image
-    weights = np.maximum(weights, 0.0)
     total = weights.sum()
     weights /= total
     spectrum = np.fft.rfft(weights)
@@ -189,7 +188,8 @@ def sample_noise(ms: ModelSpec, grid: GridSpec, seed: int, replicas):
     (0 - compensator) + b dt dx, plus its Gaussian term when rho > 0; when
     either is nonzero the step carries the dense plane (one reused buffer),
     whose jump cells hold `vals` plus their Gaussian terms.  Memory is
-    O(jumps), plus the dense Gaussian planes.  Warns if not containment_ok.
+    O(jumps), plus the dense Gaussian planes, each drawn into its slice of
+    one (n_t, R n_x) array.  Warns if not containment_ok.
     """
     if not grid.containment_ok(ms.kp.alpha):
         warnings.warn("domain half-width below 4 T^(1/alpha); wrap-around "
@@ -199,22 +199,23 @@ def sample_noise(ms: ModelSpec, grid: GridSpec, seed: int, replicas):
     compensator = cell * ms.levy.first_moment()
     drift = ms.b * grid.dt * grid.dx
     base = 0.0 - compensator + drift
-    keys, vals, gauss = [], [], []
+    keys, vals = [], []
+    gaussian = np.empty((grid.n_t, n_r * n_x)) if ms.rho > 0.0 else None
     for i, r in enumerate(replicas):
         rng = grid.noise_grid(seed, r)
         cells, sums = sample_jumps(ms.levy, rng, cell, grid.n_t * n_x)
         step, col = np.divmod(cells, n_x)
         keys.append((step * n_r + i) * n_x + col)
         vals.append(sums - compensator + drift)
-        if ms.rho > 0.0:
-            gauss.append(ms.rho * math.sqrt(cell)
-                         * rng.standard_normal((grid.n_t, n_x)))
+        if gaussian is not None:
+            np.multiply(ms.rho * math.sqrt(cell),
+                        rng.standard_normal((grid.n_t, n_x)),
+                        out=gaussian[:, i * n_x:(i + 1) * n_x])
     keys = np.concatenate(keys)
     order = np.argsort(keys)
     keys, vals = keys[order], np.concatenate(vals)[order]
     bounds = np.searchsorted(keys, n_r * n_x * np.arange(grid.n_t + 1)).tolist()
     pos = np.remainder(keys, n_r * n_x, out=keys)
-    gaussian = np.stack(gauss, axis=1).reshape(grid.n_t, -1) if gauss else None
 
     def steps():
         step = NoiseStep((n_r, n_x), pos[:0], vals[:0])
@@ -269,27 +270,17 @@ def mild_step(fields: np.ndarray, dk: DiscreteKernel, ms: ModelSpec,
     return fields
 
 
-@dataclass
-class Trajectory:
-    """One replica of the simulated field X(t_k, x_j)."""
-
-    fields: np.ndarray           # (n_t + 1, n_x)
-    grid: GridSpec
-    seed: int
-    replica: int
-
-
 def run_trajectory(ms: ModelSpec, grid: GridSpec, seed: int,
-                   replica: int) -> Trajectory:
-    """Advance one noise replica over the whole grid; deterministic in
-    (model, grid, seed, replica)."""
+                   replica: int) -> np.ndarray:
+    """The field X(t_k, x_j) of one noise replica over the whole grid, as
+    an (n_t + 1, n_x) array; deterministic in (model, grid, seed, replica)."""
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
     x = ms.u0(grid.x)
     fields = np.empty((grid.n_t + 1, grid.n_x))
     fields[0] = x
     for k, dlam in enumerate(sample_noise(ms, grid, seed, [replica])):
         fields[k + 1] = mild_step(x, dk, ms, dlam, grid.dx, k)
-    return Trajectory(fields=fields, grid=grid, seed=seed, replica=replica)
+    return fields
 
 
 # ---------------------------------------------------------------------------

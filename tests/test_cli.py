@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -52,6 +53,16 @@ sigma.kind = table
 sigma.table_x = -1, 0, 1
 sigma.table_y = -2, 0, 2
 """
+
+
+# the options every config-reading subcommand takes first, and the model
+# flags, each as (option strings, dest)
+CONFIG_OPTIONS = [("--config", "config"), ("--out", "out")]
+MODEL_OPTIONS = [
+    ("--alpha", "model.alpha"), ("--d", "model.d"), ("--grid-L", "grid.L"),
+    ("--nx", "grid.nx"), ("--T", "grid.T"), ("--nt", "grid.nt"),
+    ("--sigma", "sigma.slope"), ("--levy", "levy.atoms"),
+    ("--seed", "run.seed"), ("--replicas", "run.replicas")]
 
 
 def run_cli_process(argv):
@@ -418,6 +429,32 @@ class TestCLI:
         assert got["assumptions"] == \
             ExperimentConfig().build_constants().assumptions()
 
+    @pytest.mark.parametrize("command, options", [
+        ("verify-lemmas", [("--alpha", "alpha"), ("--d", "d"), ("--p", "p"),
+                           ("--fast", "fast"), ("--out", "out")]),
+        ("bounds", [*CONFIG_OPTIONS, *MODEL_OPTIONS]),
+        ("simulate", [*CONFIG_OPTIONS, *MODEL_OPTIONS, ("--csv", "csv")]),
+        ("moments", [*CONFIG_OPTIONS, ("--jobs", "run.jobs"),
+                     *MODEL_OPTIONS]),
+        ("growth-scan", [*CONFIG_OPTIONS, ("--jobs", "run.jobs"),
+                         *MODEL_OPTIONS]),
+        ("renewal", [*CONFIG_OPTIONS, ("--c3", "renewal.c3"),
+                     ("--c4", "renewal.c4"), ("--T", "renewal.T"),
+                     ("--dt", "renewal.dt"), ("--weight", "renewal.weight"),
+                     ("--series", "series")]),
+        ("specfun", [("action", "action"), ("--fn", "fn"), ("--a", "a"),
+                     ("--b", "b"), ("--nu", "nu"), ("--x", "x"),
+                     ("--z", "z")])])
+    def test_subcommand_options(self, command, options):
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert list(subparsers.choices) == [
+            "verify-lemmas", "bounds", "simulate", "moments", "growth-scan",
+            "renewal", "specfun"]
+        got = [(" ".join(a.option_strings) or a.dest, a.dest)
+               for a in subparsers.choices[command]._actions]
+        assert got == [("-h --help", "help"), *options]
+
     def test_every_dotted_dest_is_a_schema_key(self):
         subparsers = next(a for a in cli.build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
@@ -696,6 +733,46 @@ class TestCLI:
                      "--out", str(tmp_path)]) == 3
         assert key in capsys.readouterr().err
         assert not (tmp_path / "bounds.json").exists()
+
+    @pytest.mark.parametrize("text, flags, key", [
+        ("u0.c0 = 2", [], "u0.c0"),
+        ("u0.decay_c = 0.5", [], "u0.decay_c"),
+        ("u0.kind = poly_decay\nu0.value = 2", [], "u0.value"),
+        ("levy.gamma = 0.7", [], "levy.gamma"),
+        ("levy.delta_in = 0.2", [], "levy.delta_in"),
+        ("levy.outer = 2", [], "levy.outer"),
+        ("levy.amplitude = 3", [], "levy.amplitude"),
+        ("levy.kind = truncated_power\nlevy.atoms = 2:1", [], "levy.atoms"),
+        ("levy.kind = truncated_power", ["--levy", "2:1"], "levy.atoms")],
+        ids=["constant-c0", "constant-decay_c", "poly_decay-value",
+             "atoms-gamma", "atoms-delta_in", "atoms-outer", "atoms-amplitude",
+             "truncated_power-atoms", "truncated_power-flag"])
+    def test_u0_levy_field_the_kind_does_not_read_rejects(
+            self, tmp_path, capsys, text, flags, key):
+        # accepted, such a key would change the config hash and nothing else
+        cfg = tmp_path / "cfg"
+        cfg.write_text(text + "\n")
+        assert main(["bounds", "--config", str(cfg), *flags,
+                     "--out", str(tmp_path)]) == 3
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "bounds.json").exists()
+
+    def test_fields_the_kind_reads_accepted(self):
+        # the defaults, each kind with the fields it reads, and the
+        # benchmark's reference model
+        spec = importlib.util.spec_from_file_location(
+            "workloads", Path(__file__).resolve().parents[1]
+            / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for text in ("", workloads.MODEL_CONFIG,
+                     "u0.kind = constant\nu0.value = 2\n",
+                     "u0.kind = poly_decay\nu0.c0 = 2\nu0.decay_c = 0.5\n",
+                     "levy.kind = atoms\nlevy.atoms = 2:1, -1:3\n",
+                     "levy.kind = truncated_power\nlevy.gamma = 0.7\n"
+                     "levy.delta_in = 0.2\nlevy.outer = 2\n"
+                     "levy.amplitude = 3\n"):
+            ExperimentConfig.from_text(text).build_model()
 
     def test_verify_lemmas_fast(self, tmp_path):
         out = tmp_path / "lemmas.json"

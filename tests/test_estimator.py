@@ -132,7 +132,41 @@ def synthetic_surface():
                          replicas=100)
 
 
+def looped_scan(surface, eta_grid, r):
+    """Reference (values, empty) of `growth_index_scan`: one region at a
+    time, as a double loop over (eta, t)."""
+    eta_grid = np.asarray(sorted(eta_grid), dtype=float)
+    absx = np.abs(surface.x)
+    values = np.full((len(eta_grid), len(surface.times)), np.nan)
+    empty = np.ones_like(values, dtype=bool)
+    for i, eta in enumerate(eta_grid):
+        for k, tk in enumerate(surface.times):
+            mask = absx >= math.exp(eta * tk ** r)
+            if tk > 0.0 and mask.any():
+                values[i, k] = surface.mean[k, mask].max()
+                empty[i, k] = False
+    return values, empty
+
+
 class TestGrowthScan:
+    @pytest.mark.parametrize("r", [1.0, 0.5, 0.375, 2.0])
+    def test_matches_region_by_region_loop(self, r):
+        # cells in +-x pairs; the largest values sit at |x| = 1 = e^0, on
+        # the eta = 0 boundary; eta = 1.5 leaves the torus before the horizon
+        x = -32.0 + 0.25 * np.arange(256)
+        t = np.linspace(0.0, 5.0, 101)
+        mean = np.random.default_rng(3).exponential(1.0, (len(t), len(x)))
+        mean[:, np.abs(x) == 1.0] = 100.0
+        surf = MomentSurface(times=t, x=x, mean=mean, se=0.01 * mean, p=2.0,
+                             replicas=10)
+        eta = [0.8, 0.0, 0.1, 0.4, 1.5]
+        scan = growth_index_scan(surf, eta, r=r)
+        values, empty = looped_scan(surf, eta, r)
+        assert empty[:, 0].all() and empty[-1].any() and not empty.all()
+        assert np.all(values[0, 1:] == 100.0)
+        assert np.array_equal(scan.empty, empty)
+        assert np.array_equal(scan.values, values, equal_nan=True)
+
     def test_sign_change_near_half(self):
         # sup_{|x| >= e^{eta t}} M ~ e^{(1 - 2 eta) t}: critical eta = 1/2
         scan = growth_index_scan(synthetic_surface(),
@@ -271,7 +305,7 @@ class TestBatchedEngine:
                                          blocks=3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fields = np.stack([run_trajectory(ms, self.GRID, 11, r).fields
+            fields = np.stack([run_trajectory(ms, self.GRID, 11, r)
                                for r in range(7)])
         est, se = moment_estimate(fields, p, aggregator=aggregator, blocks=3)
         np.testing.assert_allclose(surface.mean, est, rtol=1e-12, atol=0.0)

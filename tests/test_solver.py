@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 import tracemalloc
 import warnings
 
@@ -324,6 +325,23 @@ class TestSimulationCore:
         assert all(step.plane is None
                    for step in sample_noise(model(), grid, 3, [0]))
 
+    def test_gaussian_planes_held_once(self):
+        # each replica's plane is drawn into its slice of one array; a list
+        # of planes stacked into a copy would hold them twice at its peak
+        grid, replicas = GridSpec(half_width=16.0, n_x=64, horizon=1.0,
+                                  n_t=200), 16
+        ms = ModelSpec(kp=KP15, rho=0.3, levy=ATOMS,
+                       sigma=SigmaSpec(kind="linear", slope=1.0),
+                       u0=U0Spec(kind="constant", value=1.0))
+        tracemalloc.start()
+        try:
+            noise = sample_noise(ms, grid, 3, range(replicas))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert next(noise).plane is not None
+        assert peak <= 1.25 * 8 * grid.n_t * grid.n_x * replicas
+
     def test_negative_rho_rejected(self):
         with pytest.raises(DomainError):
             ModelSpec(kp=KP15, rho=-1.0, levy=ATOMS,
@@ -441,34 +459,33 @@ class TestTrajectory:
         assert np.abs(out - expect).max() < 1e-14
 
     def test_initial_condition_kept(self):
-        traj = quiet_run(model(), self.GRID, seed=4, replica=0)
-        assert np.all(traj.fields[0] == 1.0)
-        assert np.all(np.isfinite(traj.fields))
+        fields = quiet_run(model(), self.GRID, seed=4, replica=0)
+        assert fields.shape == (self.GRID.n_t + 1, self.GRID.n_x)
+        assert np.all(fields[0] == 1.0)
+        assert np.all(np.isfinite(fields))
 
     def test_conservation_with_sigma_zero(self):
         ms = model(slope=0.0, u0=U0Spec(kind="poly_decay", c0=1.0, decay_c=0.5))
         g = GridSpec(half_width=16.0, n_x=128, horizon=1.0, n_t=50)
-        traj = quiet_run(ms, g, seed=5, replica=0)
-        means = traj.fields.mean(axis=1)
+        means = quiet_run(ms, g, seed=5, replica=0).mean(axis=1)
         assert np.abs(means - means[0]).max() < 1e-12
 
     def test_heat_flow_positivity(self):
         ms = model(slope=0.0, u0=U0Spec(kind="poly_decay", c0=1.0, decay_c=0.5))
         g = GridSpec(half_width=16.0, n_x=128, horizon=1.0, n_t=50)
-        traj = quiet_run(ms, g, seed=5, replica=0)
-        assert traj.fields.min() >= -1e-15
+        assert quiet_run(ms, g, seed=5, replica=0).min() >= -1e-15
 
     def test_determinism(self):
         t1 = quiet_run(model(), self.GRID, seed=11, replica=2)
         t2 = quiet_run(model(), self.GRID, seed=11, replica=2)
-        assert np.array_equal(t1.fields, t2.fields)
+        assert np.array_equal(t1, t2)
 
     def test_linear_scaling_covariance(self):
         t1 = quiet_run(model(u0=U0Spec(kind="constant", value=1.0)),
                        self.GRID, seed=11, replica=2)
         t2 = quiet_run(model(u0=U0Spec(kind="constant", value=2.0)),
                        self.GRID, seed=11, replica=2)
-        assert np.array_equal(t2.fields, 2.0 * t1.fields)
+        assert np.array_equal(t2, 2.0 * t1)
 
     def test_refinement_consistency(self):
         # default smoke test: resolved regime, kernel width comparable to dx
@@ -477,21 +494,29 @@ class TestTrajectory:
                                         horizon=1.0, n_t=16), seed=0, replica=0)
         fine = quiet_run(ms, GridSpec(half_width=16.0, n_x=512,
                                       horizon=1.0, n_t=32), seed=0, replica=0)
-        diff = np.abs(coarse.fields[-1] - fine.fields[-1][::2]).max()
+        diff = np.abs(coarse[-1] - fine[-1][::2]).max()
         assert diff <= 1e-3
 
     def test_dumps(self, tmp_path):
         g = GridSpec(half_width=8.0, n_x=16, horizon=0.5, n_t=5)
-        traj = quiet_run(model(), g, seed=1, replica=0)
-        dump_trajectory(traj, tmp_path / "t.bin", "0123456789abcdef")
-        trajectory_csv(traj, tmp_path / "t.csv", ExperimentConfig())
+        fields = quiet_run(model(), g, seed=1, replica=0)
+        cfg = ExperimentConfig()
+        dump_trajectory(tmp_path / "t.bin", cfg, fields, g, 1, 0)
+        trajectory_csv(tmp_path / "t.csv", cfg, fields, g, 1, 0)
         lines = (tmp_path / "t.csv").read_text().splitlines()
         assert lines[0].startswith("# levyheat=")
         assert lines[0].endswith(" seed=1 replica=0")
         assert lines[1] == "t,x,X"
         assert len(lines) == 2 + 6 * 16
         rows = np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=2)
-        assert np.array_equal(rows[:, 2], traj.fields.ravel())
+        assert np.array_equal(rows[:, 2], fields.ravel())
+        raw = (tmp_path / "t.bin").read_bytes()
+        header = struct.unpack_from("<4sQQddqQQ", raw)
+        assert header == (b"LVHT", 5, 16, g.dt, g.dx, 1, 0,
+                          int(cfg.config_hash(), 16))
+        assert np.array_equal(
+            np.frombuffer(raw[struct.calcsize("<4sQQddqQQ"):], dtype="<f8"),
+            fields.ravel())
 
 
 def sequential_picard(ms, grid, seed, replicas, n_iter, beta, c, p,
