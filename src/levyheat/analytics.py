@@ -211,7 +211,8 @@ def beta0(ms: ModelSpec, c: float, p: float,
 
     Geometric bisection on the monotone majorant over BETA_BRACKET to a
     relative width of 1e-10; raises NoRootError if the threshold is not
-    reached at the bracket ceiling (mis-configured jump measure).
+    reached at the bracket ceiling (mis-configured jump measure) or the
+    majorant is NaN there.
     """
     lip = ms.sigma.lip
     if lip <= 0.0:
@@ -221,9 +222,9 @@ def beta0(ms: ModelSpec, c: float, p: float,
         return lip * contraction_constant(ms, beta, c, p, constants) - 0.5
 
     lo, hi = BETA_BRACKET
-    if excess(hi) > 0.0:
-        raise NoRootError(
-            f"contraction constant stays above 1/(2 L_sigma) up to beta = {hi:g}")
+    if not excess(hi) <= 0.0:
+        raise NoRootError("contraction constant not at most 1/(2 L_sigma) "
+                          f"at beta = {hi:g}")
     if excess(lo) <= 0.0:
         return lo
     while hi - lo > 1e-10 * hi:

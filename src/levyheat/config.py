@@ -21,8 +21,23 @@ from .noise import LevyMeasureSpec
 from .solver import GridSpec
 
 
+def _parse_finite(s):
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError("must be finite")
+    return v
+
+
 def _parse_float_list(s):
-    return tuple(float(tok) for tok in s.replace(";", ",").split(",") if tok.strip())
+    return tuple(_parse_finite(tok) for tok in s.replace(";", ",").split(",")
+                 if tok.strip())
+
+
+def _parse_nonempty_list(s):
+    vals = _parse_float_list(s)
+    if not vals:
+        raise ValueError("needs at least one value")
+    return vals
 
 
 def _parse_atoms(s):
@@ -32,7 +47,7 @@ def _parse_atoms(s):
         if not tok:
             continue
         z, _, m = tok.partition(":")
-        out.append((float(z), float(m)))
+        out.append((_parse_finite(z), _parse_finite(m)))
     return tuple(out)
 
 
@@ -61,7 +76,7 @@ def _parse_positive(s):
 def _parse_radius_exponent(s):
     """`subexp` or a number, kept as text so the config hash sees the text."""
     if s != "subexp":
-        float(s)
+        _parse_finite(s)
     return s
 
 
@@ -88,28 +103,28 @@ def _parse_weight(s):
 # key -> (parser, dataclass, field) for every key a dataclass field backs
 _FIELDS = {
     "model.d": (int, KernelParams, "d"),
-    "model.alpha": (float, KernelParams, "alpha"),
-    "model.rho": (float, ModelSpec, "rho"),
+    "model.alpha": (_parse_finite, KernelParams, "alpha"),
+    "model.rho": (_parse_finite, ModelSpec, "rho"),
     "levy.kind": (str, LevyMeasureSpec, "variant"),
     "levy.atoms": (_parse_atoms, LevyMeasureSpec, "atoms"),
-    "levy.gamma": (float, LevyMeasureSpec, "gamma_exp"),
-    "levy.delta_in": (float, LevyMeasureSpec, "delta_in"),
-    "levy.outer": (float, LevyMeasureSpec, "outer_cut"),
-    "levy.amplitude": (float, LevyMeasureSpec, "amplitude"),
+    "levy.gamma": (_parse_finite, LevyMeasureSpec, "gamma_exp"),
+    "levy.delta_in": (_parse_finite, LevyMeasureSpec, "delta_in"),
+    "levy.outer": (_parse_finite, LevyMeasureSpec, "outer_cut"),
+    "levy.amplitude": (_parse_finite, LevyMeasureSpec, "amplitude"),
     "sigma.kind": (str, SigmaSpec, "kind"),
-    "sigma.slope": (float, SigmaSpec, "slope"),
-    "sigma.intercept": (float, SigmaSpec, "intercept"),
+    "sigma.slope": (_parse_finite, SigmaSpec, "slope"),
+    "sigma.intercept": (_parse_finite, SigmaSpec, "intercept"),
     "sigma.table_x": (_parse_float_list, SigmaSpec, "table_x"),
     "sigma.table_y": (_parse_float_list, SigmaSpec, "table_y"),
     "u0.kind": (str, U0Spec, "kind"),
-    "u0.value": (float, U0Spec, "value"),
-    "u0.c0": (float, U0Spec, "c0"),
-    "u0.decay_c": (float, U0Spec, "decay_c"),
-    "grid.L": (float, GridSpec, "half_width"),
+    "u0.value": (_parse_finite, U0Spec, "value"),
+    "u0.c0": (_parse_finite, U0Spec, "c0"),
+    "u0.decay_c": (_parse_finite, U0Spec, "decay_c"),
+    "grid.L": (_parse_finite, GridSpec, "half_width"),
     "grid.nx": (int, GridSpec, "n_x"),
-    "grid.T": (float, GridSpec, "horizon"),
+    "grid.T": (_parse_finite, GridSpec, "horizon"),
     "grid.nt": (int, GridSpec, "n_t"),
-    **{f"constants.{f.name}": (float, ConstantsConfig, f.name)
+    **{f"constants.{f.name}": (_parse_finite, ConstantsConfig, f.name)
        for f in fields(ConstantsConfig)},
 }
 
@@ -117,20 +132,20 @@ _FIELDS = {
 SCHEMA = {
     **{key: (parser, {f.name: f.default for f in fields(cls)}[name])
        for key, (parser, cls, name) in _FIELDS.items()},
-    "run.p": (_parse_float_list, (2.0,)),
+    "run.p": (_parse_nonempty_list, (2.0,)),
     "run.replicas": (int, 100),
     "run.seed": (int, 12345),
     "run.blocks": (_parse_int_at_least(2), MOM_BLOCKS),   # SE uses ddof=1
     "run.aggregator": (_parse_aggregator, "auto"),
     "run.jobs": (_parse_int_at_least(1), 1),
     "run.outdir": (str, "."),
-    "bounds.c": (float, 0.0),
-    "scan.eta": (_parse_float_list, (0.1, 0.2, 0.4, 0.8)),
+    "bounds.c": (_parse_finite, 0.0),
+    "scan.eta": (_parse_nonempty_list, (0.1, 0.2, 0.4, 0.8)),
     "scan.r": (_parse_radius_exponent, "1.0"),
-    "renewal.eps": (float, 1.0),
-    "renewal.delta": (float, 0.5),
-    "renewal.c3": (float, None),
-    "renewal.c4": (float, None),
+    "renewal.eps": (_parse_finite, 1.0),
+    "renewal.delta": (_parse_finite, 0.5),
+    "renewal.c3": (_parse_finite, None),
+    "renewal.c4": (_parse_finite, None),
     "renewal.T": (_parse_positive, 10.0),
     "renewal.dt": (_parse_positive, 1e-3),
     "renewal.weight": (_parse_weight, "model"),

@@ -26,6 +26,7 @@ import numpy as np
 
 from .analytics import ModelSpec, RenewalProblem, renewal_solve
 from .errors import DomainError
+from .noise import cell_base
 from .solver import (GridSpec, build_discrete_kernel, heat_flow, mild_step,
                      sample_noise)
 
@@ -35,8 +36,9 @@ AGGREGATORS = ("auto", "mom", "mean")
 # 500 x 256 reference grid, where each holds about 640 jumps
 BATCH_BYTES = 16 * 2 ** 20
 # float64 (n_x,) rows one replica keeps live during a step, with room to
-# spare: its field, its rfft spectrum and its moment fold slots, plus a
-# dense noise row and the injection's temporaries when there is a dense plane
+# spare: its field, its rfft spectrum and its moment fold slots, plus the
+# injection's temporaries sigma(X) and sigma(X) dense / dx when the step
+# has a dense term (its Gaussian row is counted with the planes)
 _STEP_ROWS = 8
 # bytes per jump while a batch's noise is built: flat index and value per
 # replica and concatenated, the sort order
@@ -129,6 +131,23 @@ def _batch_size(ms: ModelSpec, grid: GridSpec) -> int:
     return max(1, BATCH_BYTES // _replica_bytes(ms, grid))
 
 
+def _drift_flow(ms: ModelSpec, grid: GridSpec, dk) -> np.ndarray:
+    """|X| without its jumps and Gaussian term, (n_t + 1, n_x): the flow
+    of u0, stepped through the dense term the compensator and drift leave
+    in every cell (`noise.cell_base`) when they do not cancel, else the
+    noise-free flow."""
+    base = cell_base(ms.levy, grid.dt, grid.dx)
+    if base == 0.0:
+        return np.abs(heat_flow(ms, grid, dk))
+    x = ms.u0(grid.x)
+    rows = [np.abs(x)]
+    for k in range(grid.n_t):
+        mild_step(x, dk, ms, (np.empty(0, dtype=np.intp), np.empty(0), base),
+                  grid.dx, k)
+        rows.append(np.abs(x))
+    return np.array(rows)
+
+
 def _accumulate(ms: ModelSpec, grid: GridSpec, ps, moms, seed: int,
                 replicas: int, blocks: int, jobs: int) -> list:
     """Step the replicas in contiguous chunks, one batch each; one pass
@@ -136,11 +155,11 @@ def _accumulate(ms: ModelSpec, grid: GridSpec, ps, moms, seed: int,
 
     Per p, returns (shift, *sums): for median of means (`moms`), None and
     the per-block sums of |X|^p, (n_t + 1, blocks, n_x), replica r in
-    block r % blocks; for the mean, the shift c = |noise-free flow of
-    u0|^p per (time, cell) and the per-cell sums of |X|^p - c and of its
-    square, each (n_t + 1, 1, n_x).  Shifting by c keeps the one-pass
-    variance well conditioned in cells the noise has barely reached, where
-    every replica's |X|^p agrees to many digits.
+    block r % blocks; for the mean, the shift c = `_drift_flow`^p per
+    (time, cell) and the per-cell sums of |X|^p - c and of its square,
+    each (n_t + 1, 1, n_x).  Shifting by c keeps the one-pass variance
+    well conditioned in cells the jumps have barely reached, where every
+    replica's |X|^p agrees to many digits.
 
     A chunk's buffer per lane count (`blocks`, or 1) holds a sum's step-k
     values in row 0 and replica r in lane r % lanes after it; one axis-0
@@ -153,7 +172,7 @@ def _accumulate(ms: ModelSpec, grid: GridSpec, ps, moms, seed: int,
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
     u0 = ms.u0(grid.x)
     n_t, nx = grid.n_t, grid.n_x
-    flow = None if all(moms) else np.abs(heat_flow(ms, grid, dk))
+    flow = None if all(moms) else _drift_flow(ms, grid, dk)
     sums = [(None, np.zeros((n_t + 1, blocks, nx))) if mom
             else (flow ** p, *np.zeros((2, n_t + 1, 1, nx)))
             for p, mom in zip(ps, moms)]

@@ -122,6 +122,12 @@ def drift_b(spec: LevyMeasureSpec) -> float:
     return sum(m * z for z, m in spec.atoms if abs(z) >= 1.0)
 
 
+def cell_base(spec: LevyMeasureSpec, dt: float, dx: float) -> float:
+    """dLambda of a dt x dx cell besides its jumps and Gaussian term: the
+    compensator and drift, (0 - dt dx int z lambda(dz)) + b dt dx."""
+    return (0.0 - dt * dx * spec.first_moment()) + drift_b(spec) * dt * dx
+
+
 def sample_jumps(spec: LevyMeasureSpec, rng: np.random.Generator,
                  cell: float, n_cells: int) -> tuple:
     """Jumps of one replica over n_cells cells of volume `cell`, as

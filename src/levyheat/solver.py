@@ -25,7 +25,7 @@ import numpy as np
 from .analytics import ModelSpec
 from .errors import BlowupError, DomainError, ValidationError
 from .kernel import get_profile, tail_coefficient
-from .noise import sample_jumps
+from .noise import cell_base, sample_jumps
 
 BLOWUP_GUARD = 1e12
 
@@ -162,43 +162,27 @@ def heat_flow(ms: ModelSpec, grid: GridSpec, dk: DiscreteKernel) -> np.ndarray:
     return np.vstack([u0, np.fft.irfft(np.fft.rfft(u0) * powers, n=grid.n_x)])
 
 
-@dataclass
-class NoiseStep:
-    """Cell noise of one (R, n_x) step: the jump cells at flat positions
-    `pos`, with their combined dLambda `vals` (jump part, compensator and
-    drift), and, when a cell without jumps is nonzero too, the dense
-    dLambda `plane` of every cell, its jump cells included; else None."""
-
-    shape: tuple
-    pos: np.ndarray
-    vals: np.ndarray
-    plane: np.ndarray | None = None
-
-
 def sample_noise(ms: ModelSpec, grid: GridSpec, seed: int, replicas):
-    """Cell noise Lambda(cell) of the listed replicas, jumps kept sparse.
+    """Cell noise Lambda(cell) of the listed replicas: per step, the jump
+    cells plus one dense term that every cell has.
 
     Replica r draws from its own (seed, r) Philox stream, so its noise does
     not depend on which replicas it is sampled with: its jumps
-    (`noise.sample_jumps`), each jump cell worth (sum - dt dx int z
-    lambda(dz)) + b dt dx, then its Gaussian plane rho sqrt(dt dx) N(0, 1)
-    when rho > 0.  The draws are made here; the returned one-pass iterator
-    yields, for k = 0..n_t-1, one reused NoiseStep holding step k, which the
-    next step overwrites.  A cell without jumps is worth `base` =
-    (0 - compensator) + b dt dx, plus its Gaussian term when rho > 0; when
-    either is nonzero the step carries the dense plane (one reused buffer),
-    whose jump cells hold `vals` plus their Gaussian terms.  Memory is
-    O(jumps), plus the dense Gaussian planes, each drawn into its slice of
-    one (n_t, R n_x) array.  Warns if not containment_ok.
+    (`noise.sample_jumps`), then its Gaussian plane rho sqrt(dt dx) N(0, 1)
+    when rho > 0, into its slice of one (n_t, R n_x) array, to which the
+    compensator and drift every cell has (`noise.cell_base`) are added
+    once.  The one-pass iterator yields, for k = 0..n_t-1, (pos, vals,
+    dense): the flat positions of step k's jump cells in the (R, n_x)
+    plane, their jump sums, and None when rho = 0 and the base is 0, else
+    the float base when rho = 0, else row k of the Gaussian planes.
+    Memory is O(jumps) plus those planes.  Warns if not containment_ok.
     """
     if not grid.containment_ok(ms.kp.alpha):
         warnings.warn("domain half-width below 4 T^(1/alpha); wrap-around "
                       "bias may be significant", stacklevel=2)
     n_r, n_x = len(replicas), grid.n_x
     cell = grid.dt * grid.dx
-    compensator = cell * ms.levy.first_moment()
-    drift = ms.b * grid.dt * grid.dx
-    base = 0.0 - compensator + drift
+    base = cell_base(ms.levy, grid.dt, grid.dx)
     keys, vals = [], []
     gaussian = np.empty((grid.n_t, n_r * n_x)) if ms.rho > 0.0 else None
     for i, r in enumerate(replicas):
@@ -206,38 +190,26 @@ def sample_noise(ms: ModelSpec, grid: GridSpec, seed: int, replicas):
         cells, sums = sample_jumps(ms.levy, rng, cell, grid.n_t * n_x)
         step, col = np.divmod(cells, n_x)
         keys.append((step * n_r + i) * n_x + col)
-        vals.append(sums - compensator + drift)
+        vals.append(sums)
         if gaussian is not None:
             np.multiply(ms.rho * math.sqrt(cell),
                         rng.standard_normal((grid.n_t, n_x)),
                         out=gaussian[:, i * n_x:(i + 1) * n_x])
+    if gaussian is not None and base != 0.0:
+        gaussian += base
+    dense = gaussian if gaussian is not None else (
+        [None if base == 0.0 else base] * grid.n_t)
     keys = np.concatenate(keys)
     order = np.argsort(keys)
     keys, vals = keys[order], np.concatenate(vals)[order]
     bounds = np.searchsorted(keys, n_r * n_x * np.arange(grid.n_t + 1)).tolist()
     pos = np.remainder(keys, n_r * n_x, out=keys)
-
-    def steps():
-        step = NoiseStep((n_r, n_x), pos[:0], vals[:0])
-        if base != 0.0 or gaussian is not None:
-            step.plane = np.full(step.shape, base)
-        flat = None if step.plane is None else step.plane.reshape(-1)
-        for k in range(grid.n_t):
-            lo, hi = bounds[k], bounds[k + 1]
-            step.pos, step.vals = pos[lo:hi], vals[lo:hi]
-            if gaussian is not None:
-                np.add(gaussian[k], base, out=flat)
-                flat[step.pos] = step.vals + gaussian[k, step.pos]
-            elif flat is not None:
-                flat.fill(base)
-                flat[step.pos] = step.vals
-            yield step
-
-    return steps()
+    return ((pos[lo:hi], vals[lo:hi], d)
+            for lo, hi, d in zip(bounds, bounds[1:], dense))
 
 
 def mild_step(fields: np.ndarray, dk: DiscreteKernel, ms: ModelSpec,
-              dlam: NoiseStep, dx: float, step: int, *,
+              dlam: tuple, dx: float, step: int, *,
               sigma_at: np.ndarray | None = None) -> np.ndarray:
     """Mild-solution step `step` -> `step + 1`, in place in `fields`:
 
@@ -245,22 +217,21 @@ def mild_step(fields: np.ndarray, dk: DiscreteKernel, ms: ModelSpec,
 
     with sigma evaluated at the left point, Y = X unless `sigma_at` gives
     another field of the same shape (the previous Picard iterate).  `dlam`
-    is the combined cell noise measure (compensated jumps + drift +
-    Gaussian) of the (R, n_x) cells; `fields` holds one or more copies of
-    that plane along its leading axes.  sigma(Y) dLambda / dx is added to
-    every cell when the step has a dense plane, else at the jump cells
-    only; then `heat_step` writes the step back into `fields`, which is
-    returned.  Raises BlowupError with `step`, the cell and the value of
-    the largest |X| once it passes BLOWUP_GUARD, or of the first non-finite
-    X.
+    is one step (pos, vals, dense) of `sample_noise` on the (R, n_x) plane
+    of the last two axes of `fields` (its one axis when R = 1).  sigma(Y)
+    is read before the step changes the field: sigma(Y) dense / dx is added
+    to every cell, then sigma(Y) vals / dx at the jump cells, and
+    `heat_step` writes the step back into `fields`, which is returned.
+    Raises BlowupError with `step`, the cell and the value of the largest
+    |X| once it passes BLOWUP_GUARD, or of the first non-finite X.
     """
-    cells = math.prod(dlam.shape)
-    x = fields.reshape(-1, cells)
-    y = x if sigma_at is None else sigma_at.reshape(-1, cells)
-    if dlam.plane is None:
-        x[:, dlam.pos] += ms.sigma(y[:, dlam.pos]) * dlam.vals / dx
-    else:
-        x += ms.sigma(y) * dlam.plane.reshape(-1) / dx
+    pos, vals, dense = dlam
+    x = fields.reshape(-1, math.prod(fields.shape[-2:]))
+    y = x if sigma_at is None else sigma_at.reshape(x.shape)
+    jumps = ms.sigma(y[:, pos]) * vals / dx
+    if dense is not None:
+        x += ms.sigma(y) * dense / dx
+    x[:, pos] += jumps
     heat_step(fields, dk, out=fields)
     if not max(fields.max(), -fields.min()) <= BLOWUP_GUARD:
         bad = ~np.isfinite(fields)

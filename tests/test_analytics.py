@@ -78,6 +78,14 @@ class TestBeta0:
         with pytest.raises(NoRootError):
             beta0(model(), 0.0, 1.0)
 
+    def test_nan_majorant_raises(self):
+        # NaN compares false both ways: a ceiling test `excess > 0` lets it
+        # through and the bisection returns the bracket floor
+        for ms, constants in ((model(slope=math.nan), ConstantsConfig()),
+                              (model(), ConstantsConfig(k3=math.nan))):
+            with pytest.raises(NoRootError):
+                beta0(ms, 0.0, 1.0, constants)
+
 
 class TestUpperBounds:
     def test_lyap_product(self):

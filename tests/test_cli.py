@@ -65,6 +65,35 @@ MODEL_OPTIONS = [
     ("--seed", "run.seed"), ("--replicas", "run.replicas")]
 
 
+def _flat(value):
+    return ([v for item in value for v in _flat(item)]
+            if isinstance(value, tuple) else [value])
+
+
+def _float_keys():
+    """A case per SCHEMA key whose parser yields floats: the key and the
+    probe text it parses, with each number in turn replaced by nan, inf
+    and -inf."""
+    cases = []
+    for key, (parser, _) in SCHEMA.items():
+        for probe in ("0.5", "0.5:0.5"):
+            try:
+                value = parser(probe)
+            except ValueError:
+                continue
+            if any(isinstance(v, float) for v in _flat(value)):
+                parts = probe.split(":")
+                texts = [":".join(parts[:i] + [bad] + parts[i + 1:])
+                         for i in range(len(parts))
+                         for bad in ("nan", "inf", "-inf")]
+                cases.append(pytest.param(key, texts, id=key))
+            break
+    return cases
+
+
+FLOAT_KEYS = _float_keys()
+
+
 def run_cli_process(argv):
     """`levyheat <argv>` in a process of its own, stdout and stderr
     captured, outside the test run's warning filters."""
@@ -130,12 +159,31 @@ class TestConfig:
             cfg.set("run.blocks", 1)
         assert err.value.key_path == "run.blocks"
 
+    def test_float_keys_cover_every_float_kind(self):
+        keys = {case.values[0] for case in FLOAT_KEYS}
+        assert {"model.alpha", "model.rho", "sigma.slope", "sigma.table_x",
+                "levy.atoms", "constants.k3", "run.p", "scan.eta",
+                "renewal.T", "renewal.c3"} <= keys
+        assert not keys & {"model.d", "grid.nx", "scan.r", "renewal.weight"}
+
+    @pytest.mark.parametrize("key, texts", FLOAT_KEYS)
+    def test_non_finite_float_rejected_naming_key(self, key, texts):
+        cfg = ExperimentConfig()
+        for text in texts:
+            with pytest.raises(ValidationError) as err:
+                cfg.set(key, text)
+            assert err.value.key_path == key
+
     def test_scan_r_keeps_its_text(self):
         assert ExperimentConfig.from_text("scan.r = 1.0").config_hash() \
             == ExperimentConfig().config_hash()
         for text in ("subexp", "0.5", "1e-1"):
             cfg = ExperimentConfig.from_text(f"scan.r = {text}")
             assert cfg.get("scan.r") == text
+        for text in ("nan", "inf"):
+            with pytest.raises(ValidationError) as err:
+                ExperimentConfig.from_text(f"scan.r = {text}")
+            assert err.value.key_path == "scan.r"
 
     def test_semantic_violation_caught_at_parse(self):
         bad = SMALL_RUN + "model.rho = 0.5\n"     # d >= alpha would be fine...
@@ -256,12 +304,28 @@ class TestCLI:
         ("renewal", ["--weight", "exp:-1,1"], "", "renewal.weight"),
         ("renewal", ["--weight", "exp:inf,1"], "", "renewal.weight"),
         ("renewal", ["--weight", "exp:1,nan"], "", "renewal.weight"),
+        ("bounds", [], "sigma.slope = nan\n", "sigma.slope"),
+        ("bounds", ["--sigma", "inf"], "", "sigma.slope"),
+        ("bounds", [], "constants.k3 = nan\n", "constants.k3"),
+        ("bounds", ["--levy", "1:nan"], "", "levy.atoms"),
+        ("moments", [], "model.rho = nan\n", "model.rho"),
+        ("growth-scan", [], "scan.r = -inf\n", "scan.r"),
+        ("bounds", [], "run.p =\n", "run.p"),
+        ("moments", [], "run.p =\n", "run.p"),
+        ("growth-scan", [], "run.p =\n", "run.p"),
+        ("renewal", [], "run.p =\n", "run.p"),
+        ("growth-scan", [], "scan.eta =\n", "scan.eta"),
     ], ids=["alpha-abc", "jobs-0", "jobs-negative", "blocks-0", "blocks-1",
             "grid-L-negative", "grid-T-negative",
             "scan-r-fast", "renewal-dt-0", "renewal-T-abc",
             "renewal-weight-exp-1", "renewal-weight-exp-a-b",
             "renewal-weight-exp-1-2-3", "renewal-weight-exp-negative-amp",
-            "renewal-weight-exp-infinite-amp", "renewal-weight-exp-nan-rate"])
+            "renewal-weight-exp-infinite-amp", "renewal-weight-exp-nan-rate",
+            "bounds-slope-nan", "bounds-sigma-flag-inf", "bounds-k3-nan",
+            "bounds-levy-flag-nan-mass", "moments-rho-nan",
+            "growth-scan-r-negative-inf", "bounds-empty-p", "moments-empty-p",
+            "growth-scan-empty-p", "renewal-empty-p",
+            "growth-scan-empty-eta"])
     def test_bad_run_value_exits_3_naming_key(self, tmp_path, capsys,
                                               command, flags, lines, key):
         cfg = tmp_path / "cfg"

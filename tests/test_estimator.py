@@ -18,10 +18,16 @@ from levyheat.solver import GridSpec, build_discrete_kernel, run_trajectory
 
 KP15 = KernelParams(d=1, alpha=1.5)
 ATOMS = LevyMeasureSpec(variant="atoms", atoms=((1.0, 1.0), (-1.0, 1.0)))
+# the model's noise per step: jumps only (symmetric atoms, rho = 0); plus a
+# dense Gaussian term; plus the float dense term that asymmetric atoms'
+# compensator and drift leave
+NOISES = {"sparse": {}, "gaussian": {"rho": 0.3},
+          "drift": {"levy": LevyMeasureSpec(
+              variant="atoms", atoms=((2.0, 0.5), (-0.5, 1.0)))}}
 
 
-def model(slope=1.0, u0=None):
-    return ModelSpec(kp=KP15, rho=0.0, levy=ATOMS,
+def model(slope=1.0, u0=None, rho=0.0, levy=ATOMS):
+    return ModelSpec(kp=KP15, rho=rho, levy=levy,
                      sigma=SigmaSpec(kind="linear", slope=slope),
                      u0=u0 or U0Spec(kind="constant", value=1.0))
 
@@ -246,23 +252,27 @@ class TestSimulateMoments:
         # one pass at p = 1.2 (mean) and 2.0 (median of means), 7 replicas
         # in 3 blocks: one batch, then chunks of 4 and 3, of 3, 3 and 1,
         # and of 1 each, on up to 7 threads switching every microsecond, so
-        # that an addition out of replica order shows
-        def run(jobs):
-            return quiet_simulate(model(), self.GRID, p=(1.2, 2.0),
-                                  replicas=7, seed=5, blocks=3, jobs=jobs)
-        with monkeypatch.context() as m:
-            m.setattr(estimator, "ThreadPoolExecutor", None)  # no thread
-            serial = run(1)
-        assert [series.aggregator for series, _ in serial] == ["mean", "mom"]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for jobs in (2, 3, 7):
-                for (_, want), (_, got) in zip(serial, run(jobs)):
-                    assert np.array_equal(got.mean, want.mean)
-                    assert np.array_equal(got.se, want.se)
-        finally:
-            sys.setswitchinterval(interval)
+        # that an addition out of replica order shows; for each kind of
+        # step noise
+        for noise in NOISES.values():
+            def run(jobs):
+                return quiet_simulate(model(**noise), self.GRID,
+                                      p=(1.2, 2.0), replicas=7, seed=5,
+                                      blocks=3, jobs=jobs)
+            with monkeypatch.context() as m:
+                m.setattr(estimator, "ThreadPoolExecutor", None)  # no thread
+                serial = run(1)
+            assert [series.aggregator for series, _ in serial] == ["mean",
+                                                                   "mom"]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for jobs in (2, 3, 7):
+                    for (_, want), (_, got) in zip(serial, run(jobs)):
+                        assert np.array_equal(got.mean, want.mean)
+                        assert np.array_equal(got.se, want.se)
+            finally:
+                sys.setswitchinterval(interval)
 
 
 class TestBatchedEngine:
@@ -270,15 +280,12 @@ class TestBatchedEngine:
 
     GRID = GridSpec(half_width=8.0, n_x=32, horizon=0.5, n_t=20)
 
-    def use_batches_of(self, monkeypatch, size):
-        per_replica = estimator._replica_bytes(model(), self.GRID)
+    def use_batches_of(self, monkeypatch, size, ms=None):
+        ms = ms or model()
+        per_replica = estimator._replica_bytes(ms, self.GRID)
         monkeypatch.setattr(estimator, "BATCH_BYTES",
                             size * per_replica + per_replica // 2)
-        assert estimator._batch_size(model(), self.GRID) == size
-
-    @pytest.fixture
-    def batches_of_three(self, monkeypatch):
-        self.use_batches_of(monkeypatch, 3)
+        assert estimator._batch_size(ms, self.GRID) == size
 
     def test_budget_counts_jumps_not_dense_noise(self):
         # per replica, a step's rows and the expected jumps (640 on the
@@ -295,11 +302,16 @@ class TestBatchedEngine:
         assert estimator._replica_bytes(gauss, grid) == \
             per_replica + 8 * grid.n_t * grid.n_x
 
-    @pytest.mark.parametrize("p, aggregator", [(1.2, "mean"), (2.0, "mom")])
-    def test_matches_per_replica_trajectories(self, batches_of_three, p,
+    @pytest.mark.parametrize("noise, p, aggregator", [
+        pytest.param(noise, p, aggregator, id="-".join(
+            ([] if noise == "sparse" else [noise]) + [str(p), aggregator]))
+        for noise in NOISES for p, aggregator in ((1.2, "mean"), (2.0, "mom"))])
+    def test_matches_per_replica_trajectories(self, monkeypatch, noise, p,
                                               aggregator):
         # 7 replicas in batches 3, 3, 1; 3 blocks hold 3, 2 and 2 replicas
-        ms = model(u0=U0Spec(kind="poly_decay", c0=1.0, decay_c=0.5))
+        ms = model(u0=U0Spec(kind="poly_decay", c0=1.0, decay_c=0.5),
+                   **NOISES[noise])
+        self.use_batches_of(monkeypatch, 3, ms)
         series, surface = quiet_simulate(ms, self.GRID, p=p, replicas=7,
                                          seed=11, aggregator=aggregator,
                                          blocks=3)

@@ -15,8 +15,8 @@ from levyheat.noise import LevyMeasureSpec, sample_jumps
 from levyheat import kernel, solver
 from levyheat.cli import dump_trajectory, trajectory_csv
 from levyheat.config import ExperimentConfig
-from levyheat.solver import (GridSpec, NoiseStep, build_discrete_kernel,
-                             heat_flow, heat_step, mild_step, picard_solve,
+from levyheat.solver import (GridSpec, build_discrete_kernel, heat_flow,
+                             heat_step, mild_step, picard_solve,
                              run_trajectory, sample_noise)
 
 KP15 = KernelParams(d=1, alpha=1.5)
@@ -30,25 +30,27 @@ def model(slope=1.0, u0=None, kp=KP15):
                      u0=u0 or U0Spec(kind="constant", value=1.0))
 
 
-def dense_step(step):
-    """The (R, n_x) array of one NoiseStep, copied out of the reused step:
-    its dense plane, or zeros with the jump cells' values written in."""
-    if step.plane is not None:
-        return step.plane.copy()
-    plane = np.zeros(step.shape)
-    plane.reshape(-1)[step.pos] = step.vals
-    return plane
+def dense_step(step, shape):
+    """The two terms of one `sample_noise` step as two arrays of the
+    plane's `shape`: the dense term in every cell (zeros when it is None),
+    and zeros with the jump sums written in at the jump cells."""
+    pos, vals, dense = step
+    jumps = np.zeros(math.prod(shape))
+    jumps[pos] = vals
+    return (np.broadcast_to(0.0 if dense is None else dense,
+                            jumps.shape).reshape(shape),
+            jumps.reshape(shape))
 
 
 def dense(plane):
-    """A NoiseStep whose every cell's dLambda is in the dense `plane`."""
-    return NoiseStep(plane.shape, np.empty(0, dtype=np.intp), np.empty(0),
-                     plane)
+    """A noise step without jump cells whose dense term is `plane`."""
+    return np.empty(0, dtype=np.intp), np.empty(0), plane.reshape(-1)
 
 
-def dense_noise(noise):
-    """The (n_t, R, n_x) array of every step `sample_noise` yields."""
-    return np.stack([dense_step(step) for step in noise])
+def dense_noise(noise, shape):
+    """The (n_t, *shape) array of every step's dLambda, each cell's dense
+    term plus its jump sum."""
+    return np.stack([sum(dense_step(step, shape)) for step in noise])
 
 
 def quiet_run(*args, **kw):
@@ -267,44 +269,43 @@ class TestSimulationCore:
             np.testing.assert_allclose(flow[k], x, rtol=1e-12, atol=0.0)
 
     def test_noise_matches_per_replica_increments(self):
-        # asymmetric atoms, so the drift and compensator terms are nonzero
-        # and every step carries a dense plane, with and without a
-        # Gaussian part
+        # asymmetric atoms, so the drift and compensator terms are nonzero:
+        # every step's dense term is base plus the Gaussian planes, or the
+        # float base alone
         levy = LevyMeasureSpec(variant="atoms", atoms=((2.0, 0.5), (-0.5, 1.0)))
+        grid, replicas, n_x = self.GRID, [4, 0, 9], self.GRID.n_x
+        cell = grid.dt * grid.dx
         for rho in (0.3, 0.0):
             ms = ModelSpec(kp=KP15, rho=rho, levy=levy,
                            sigma=SigmaSpec(kind="linear", slope=1.0),
                            u0=U0Spec(kind="constant", value=1.0))
-            assert ms.b != 0.0
-            grid, replicas = self.GRID, [4, 0, 9]
+            base = (0.0 - cell * levy.first_moment()) + ms.b * grid.dt * grid.dx
+            assert ms.b != 0.0 and base != 0.0
             noise = sample_noise(ms, grid, 21, replicas)
-            steps, planes = [], []
-            for step in noise:
-                assert step.plane is not None
-                steps.append(step)
-                planes.append(dense_step(step))
+            steps = list(noise)
             assert len(steps) == grid.n_t
-            assert all(step is steps[0] for step in steps)   # one reused buffer
             assert next(noise, None) is None                  # one pass
-            dlam = np.stack(planes)
-            assert dlam.shape == (grid.n_t, 3, grid.n_x)
-            cell = grid.dt * grid.dx
+            assert all(np.all(np.diff(pos) > 0) for pos, _, _ in steps)
+            if rho > 0.0:                 # rows of one array, not copies
+                assert all(d.base is steps[0][2].base for _, _, d in steps)
             for i, r in enumerate(replicas):
                 # the replica's stream redrawn by hand: jumps, then the
                 # Gaussian plane
                 rng = grid.noise_grid(21, r)
-                cells, sums = sample_jumps(levy, rng, cell,
-                                           grid.n_t * grid.n_x)
+                cells, sums = sample_jumps(levy, rng, cell, grid.n_t * n_x)
                 assert len(cells) > 0
-                jumps = np.bincount(cells, weights=sums,
-                                    minlength=grid.n_t * grid.n_x)
-                ref = ((jumps.reshape(grid.n_t, grid.n_x)
-                        - cell * levy.first_moment())
-                       + ms.b * grid.dt * grid.dx)
                 if rho > 0.0:
-                    ref += rho * math.sqrt(cell) * rng.standard_normal(
-                        (grid.n_t, grid.n_x))
-                assert np.array_equal(dlam[:, i], ref)
+                    gauss = rho * math.sqrt(cell) * rng.standard_normal(
+                        (grid.n_t, n_x)) + base
+                for k, (pos, vals, dense) in enumerate(steps):
+                    mine, here = pos // n_x == i, cells // n_x == k
+                    assert np.array_equal(pos[mine] % n_x, cells[here] % n_x)
+                    assert np.array_equal(vals[mine], sums[here])
+                    if rho > 0.0:
+                        assert np.array_equal(dense.reshape(3, n_x)[i],
+                                              gauss[k])
+                    else:
+                        assert type(dense) is float and dense == base
 
     def test_gaussian_part_scaled_by_rho(self):
         grid = GridSpec(half_width=32.0, n_x=256, horizon=8.0, n_t=200)
@@ -312,25 +313,23 @@ class TestSimulationCore:
         ms = ModelSpec(kp=KP15, rho=0.7, levy=ATOMS,
                        sigma=SigmaSpec(kind="linear", slope=1.0),
                        u0=U0Spec(kind="constant", value=1.0))
-        # the symmetric atoms leave no compensator or drift, so a cell
-        # without jumps holds its Gaussian term alone
-        gauss = []
-        for step in sample_noise(ms, grid, 3, [0]):
-            free = np.ones(grid.n_x, dtype=bool)
-            free[step.pos] = False
-            gauss.append(step.plane[0, free])
-        gauss = np.concatenate(gauss)
-        assert grid.n_t * grid.n_x - gauss.size > 0
+        # the symmetric atoms leave no compensator or drift, so every
+        # cell's dense term is its Gaussian term alone
+        gauss = np.concatenate([dense for _, _, dense
+                                in sample_noise(ms, grid, 3, [0])])
+        assert gauss.size == grid.n_t * grid.n_x
         assert gauss.std() == pytest.approx(0.7 * math.sqrt(cell), rel=0.02)
-        assert all(step.plane is None
-                   for step in sample_noise(model(), grid, 3, [0]))
+        assert all(dense is None
+                   for _, _, dense in sample_noise(model(), grid, 3, [0]))
 
     def test_gaussian_planes_held_once(self):
-        # each replica's plane is drawn into its slice of one array; a list
-        # of planes stacked into a copy would hold them twice at its peak
+        # each replica's plane is drawn into its slice of one array, and
+        # base is added to it in place; a list of planes stacked into a
+        # copy would hold them twice at its peak
         grid, replicas = GridSpec(half_width=16.0, n_x=64, horizon=1.0,
                                   n_t=200), 16
-        ms = ModelSpec(kp=KP15, rho=0.3, levy=ATOMS,
+        levy = LevyMeasureSpec(variant="atoms", atoms=((2.0, 0.5), (-0.5, 1.0)))
+        ms = ModelSpec(kp=KP15, rho=0.3, levy=levy,
                        sigma=SigmaSpec(kind="linear", slope=1.0),
                        u0=U0Spec(kind="constant", value=1.0))
         tracemalloc.start()
@@ -339,7 +338,7 @@ class TestSimulationCore:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert next(noise).plane is not None
+        assert next(noise)[2] is not None
         assert peak <= 1.25 * 8 * grid.n_t * grid.n_x * replicas
 
     def test_negative_rho_rejected(self):
@@ -353,7 +352,7 @@ class TestSimulationCore:
         grid, guard = self.GRID, 3.0
         monkeypatch.setattr(solver, "BLOWUP_GUARD", guard)
         dk = build_discrete_kernel(KP15, grid, grid.dt)
-        dlam = dense_noise(sample_noise(ms, grid, 5, range(4)))
+        dlam = dense_noise(sample_noise(ms, grid, 5, range(4)), (4, grid.n_x))
         # the one sweep by hand, X^1 and X^2 stepped together:
         # X^{n+1} = Q(X^{n+1} + sigma(X^n) dLambda / dx); the first step at
         # which either passes the guard reports the largest |X| of both
@@ -413,14 +412,16 @@ class TestMildStep:
         assert not math.isfinite(info.value.value)
 
     @pytest.mark.parametrize("case", ["symmetric", "asymmetric", "sigma_at",
-                                      "affine"])
+                                      "affine", "drift"])
     def test_injection_matches_dense_formula(self, case):
-        # each step bit for bit against heat_step(X + sigma(Y) dLambda / dx)
+        # each step bit for bit against the two-term formula
+        # heat_step(X + sigma(Y) dense / dx + sigma(Y) jumps / dx), with
+        # sigma(Y) read from the field before the step
         levy, rho, sigma = ATOMS, 0.0, SigmaSpec(kind="linear", slope=1.0)
-        if case == "asymmetric":
+        if case in ("asymmetric", "drift"):
             levy = LevyMeasureSpec(variant="atoms",
                                    atoms=((2.0, 0.5), (-0.5, 1.0)))
-            rho = 0.3
+            rho = 0.3 if case == "asymmetric" else 0.0
         elif case == "affine":
             sigma = SigmaSpec(kind="affine", slope=0.5, intercept=2.0)
         ms = ModelSpec(kp=KP15, rho=rho, levy=levy, sigma=sigma,
@@ -429,17 +430,20 @@ class TestMildStep:
         shape = (2, 3, 128) if case == "sigma_at" else (3, 128)
         jumps = 0
         for k, step in enumerate(sample_noise(ms, self.grid, 9, range(3))):
-            assert (step.plane is None) == (case != "asymmetric")
-            jumps += len(step.pos)
+            assert type(step[2]) is {"asymmetric": np.ndarray,
+                                     "drift": float}.get(case, type(None))
+            jumps += len(step[0])
             fields = rng.standard_normal(shape)
             below = rng.standard_normal(shape) if case == "sigma_at" else None
             y = fields if below is None else below
-            dense = heat_step(fields + ms.sigma(y) * dense_step(step)
-                              / self.grid.dx, self.dk)
+            terms = dense_step(step, (3, 128))
+            expect = heat_step(fields + ms.sigma(y) * terms[0] / self.grid.dx
+                               + ms.sigma(y) * terms[1] / self.grid.dx,
+                               self.dk)
             out = mild_step(fields, self.dk, ms, step, self.grid.dx, k,
                             sigma_at=below)
             assert out is fields
-            assert np.array_equal(fields, dense)
+            assert np.array_equal(fields, expect)
         assert jumps > 0
 
 
@@ -452,9 +456,8 @@ class TestTrajectory:
         ms = ModelSpec(kp=KP15, rho=0.0, levy=ATOMS,
                        sigma=SigmaSpec(kind="affine", slope=0.0, intercept=1.0),
                        u0=U0Spec(kind="constant", value=0.0))
-        jump = np.zeros(grid.n_x)
-        jump[40] = 1.0
-        out = mild_step(ms.u0(grid.x), dk, ms, dense(jump), grid.dx, 0)
+        jump = np.array([40]), np.array([1.0]), None
+        out = mild_step(ms.u0(grid.x), dk, ms, jump, grid.dx, 0)
         expect = np.roll(dk.weights, 40) / grid.dx
         assert np.abs(out - expect).max() < 1e-14
 
