@@ -51,6 +51,25 @@ class TestContraction:
         # and it is accepted for p >= 2
         assert contraction_constant(ms, 4.0, 0.0, 2.0) > 0.0
 
+    def test_drift_term_of_an_asymmetric_measure(self):
+        # atoms (2, 0.5), (-0.5, 1) have drift b = 2 * 0.5 = 1 (only
+        # |z| >= 1 counts), and every |z|^p moment of the symmetric
+        # (+-2, 0.25), (+-0.5, 0.5); so the two majorants differ by the
+        # drift term |b| k2 I(beta, 0, 1), with I(beta, 0, 1) =
+        # 2 (1 + alpha) / (alpha beta) in closed form: 5 at alpha = 1.5,
+        # beta = 2, k2 = 3
+        asym = LevyMeasureSpec(atoms=((2.0, 0.5), (-0.5, 1.0)))
+        sym = LevyMeasureSpec(atoms=((2.0, 0.25), (-2.0, 0.25),
+                                     (0.5, 0.5), (-0.5, 0.5)))
+        consts = ConstantsConfig(k2=3.0)
+        gap = (contraction_constant(model(KP15, levy=asym), 2.0, 0.0, 1.2, consts)
+               - contraction_constant(model(KP15, levy=sym), 2.0, 0.0, 1.2, consts))
+        assert model(KP15, levy=asym).b == 1.0
+        assert gap == pytest.approx(5.0, rel=1e-12)
+        # and beta0 pays for it
+        assert (beta0(model(KP15, levy=asym), 0.0, 1.2)
+                > beta0(model(KP15, levy=sym), 0.0, 1.2))
+
     @pytest.mark.parametrize("c,p", [(0.0, 1.0), (0.4, 1.2), (0.0, 2.0)])
     def test_decreasing_to_zero(self, c, p):
         kp = KP15 if p >= 2.0 or c > 0 else KP1

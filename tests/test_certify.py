@@ -33,6 +33,20 @@ def test_every_record_passes(full_report):
     assert full_report.all_pass
 
 
+SWEEP = [(alpha, p) for alpha in (0.1, 0.2, 0.3, 0.5, 0.8, 0.99, 1.0, 1.01,
+                                  1.2, 1.5, 1.8, 1.9, 1.99)
+         for p in (1.05, 1.5) if p < 1.0 + alpha]
+
+
+@pytest.mark.parametrize("alpha, p", SWEEP)
+def test_every_record_passes_across_alpha(alpha, p):
+    # the full suite across (0, 2); at alpha = 0.1 and 0.2 the mass and
+    # tail records need more than six terms of the tail series
+    report = verify_lemmas(d=1, alpha=alpha, p=p)
+    assert len(report.records) == 14
+    assert [r.lemma_id for r in report.records if not r.passed] == []
+
+
 def test_report_shape(full_report):
     payload = full_report.to_dict()
     # canonical JSON round-trip

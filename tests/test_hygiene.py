@@ -2,8 +2,9 @@
 no module imports a name it does not use, no module-level private name is
 left without a reference in its own module, every JSON encoding rejects
 NaN and infinity, only the config and the CLI name config keys, only the
-kernel reads the profile's split point or its pointwise inversion, and no
-module imports scipy when it is imported.  One run in a fresh interpreter
+kernel reads the profile's split point or its pointwise inversion, every
+QUADPACK call is the checked one in `kernel._quad_checked`, and no module
+imports scipy when it is imported.  One run in a fresh interpreter
 checks that the numpy-only commands load no scipy module, and that a
 `moments` run after them loads neither `scipy.interpolate` nor
 `scipy.integrate`."""
@@ -92,6 +93,34 @@ def profile_internals(source: str) -> list:
             and node.attr in ("TAIL_START", "direct")))
 
 
+def quad_calls(source: str) -> list:
+    """(innermost enclosing function, line) of every call of QUADPACK's
+    `quad`: an attribute `.quad`, or a name that `from scipy.integrate
+    import quad` binds (aliases included)."""
+    tree = ast.parse(source)
+    names = {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module == "scipy.integrate"
+             for a in node.names if a.name == "quad"}
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and (
+                    isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "quad"
+                    or isinstance(child.func, ast.Name)
+                    and child.func.id in names):
+                found.append((where, child.lineno))
+            visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
 def import_time_imports(source: str, package: str) -> list:
     """Line numbers of the imports of `package` or its submodules that run
     when the module is imported: anywhere outside a function body."""
@@ -142,6 +171,14 @@ def test_only_the_kernel_splits_the_profile(path):
     # `StableProfile.values`, so its split, clip and alpha = 1 branch are
     # written once
     assert profile_internals(path.read_text()) == []
+
+
+def test_one_quadpack_call_site():
+    # every QUADPACK integral reads its error estimate through the one
+    # checked wrapper
+    calls = [(path.name, where) for path in MODULES
+             for where, _ in quad_calls(path.read_text())]
+    assert calls == [("kernel.py", "_quad_checked")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -200,6 +237,14 @@ def test_checkers_catch_leftovers():
     assert profile_internals("f = get_profile(a).direct\nx < TAIL_START\n") \
         == [1, 2]
     assert profile_internals("prof.values(r)\nTAIL_TERMS\ndirect = 1\n") == []
+    assert quad_calls("def f():\n    g = lambda: integrate.quad(h, 0, 1)\n") \
+        == [("f", 2)]
+    assert quad_calls("from scipy.integrate import quad as q\nq(f, 0, 1)\n") \
+        == [(None, 2)]
+    assert quad_calls("class P:\n    def d(self):\n"
+                      "        return scipy.integrate.quad(f, 0, 1)\n") \
+        == [("d", 3)]
+    assert quad_calls("integrate.quad_vec(f, 0, 1)\nquad(f)\n") == []
     assert import_time_imports("import scipy.special\n", "scipy") == [1]
     assert import_time_imports("from scipy import integrate\n", "scipy") == [1]
     assert import_time_imports("try:\n    import scipy\nexcept E:\n    pass\n",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from levyheat.kernel import (TAIL_START, ComparisonKernel, KernelParams,
                              conv_constants, fourier_power_transform,
                              g_fourier, g_fourier_lower, g_p_integral,
                              get_profile, h_moment, hmoment_constant,
-                             minform_kernel, nu_const, q_density,
+                             minform_kernel, minform_level_integral,
+                             nu_const, q_density,
                              q_mass_numeric, tail_coefficient,
                              timespace_conv_gp, timespace_conv_gratio,
                              weighted_kernel_integral)
@@ -41,6 +43,25 @@ SANDWICH_GOLDEN = {
 # radii across (0, TAIL_START] for the cross-checks of the two inversions
 CROSS_RADII = np.array([1e-3, 0.05, 0.3, 0.9, 1.7, 3.1, 5.5, 9.0, 14.0, 21.0,
                         30.0, 38.5, 44.0, 45.0])
+
+
+def quadpack_profile(alpha, r):
+    """Reference: the unit profile at r > 0 by QUADPACK alone, independent
+    of the ray rule: the adaptive rule over the decay range [0, xi_max]
+    while r xi_max < 40, the oscillatory Fourier rule (QAWF) on [0, inf)
+    beyond."""
+    xi_max = kernel.EXPONENT_CUT ** (1.0 / alpha)
+    if r * xi_max < 40.0:
+        val = _quad_checked(lambda xi: math.exp(-xi ** alpha) * math.cos(r * xi),
+                            0.0, xi_max)
+    else:
+        with warnings.catch_warnings():
+            # its error estimate is not read: the cross-checks judge it
+            warnings.simplefilter("ignore")
+            val, _ = quad(lambda xi: math.exp(-xi ** alpha), 0.0, np.inf,
+                          weight="cos", wvar=r, epsabs=kernel.EPSABS,
+                          limit=kernel.LIMIT)
+    return max(val, 0.0) / math.pi
 
 
 @pytest.fixture
@@ -142,20 +163,36 @@ class TestQDensity:
     @pytest.mark.parametrize("alpha", [0.2, 0.35, 0.8, 0.995, 1.005, 1.5,
                                        1.9, 1.99])
     def test_values_match_direct(self, alpha):
-        # two independent inversions: the ray rule (numpy) and QUADPACK
+        # two independent inversions: the ray rule (numpy) and QUADPACK;
+        # `direct` meets the same reference
         prof = get_profile(alpha)
-        direct = [prof.direct(x) for x in CROSS_RADII]
-        np.testing.assert_allclose(prof.values(CROSS_RADII), direct,
+        ref = [quadpack_profile(alpha, x) for x in CROSS_RADII]
+        np.testing.assert_allclose(prof.values(CROSS_RADII), ref,
+                                   rtol=1e-10, atol=1e-15)
+        np.testing.assert_allclose([prof.direct(x) for x in CROSS_RADII], ref,
                                    rtol=1e-10, atol=1e-15)
 
     def test_cross_check_rejects_the_spline(self):
         # the spline's misses (6e-9 to 3e-7) fail the tolerance that the
         # ray rule meets
-        prof = get_profile(1.5)
-        direct = [prof.direct(x) for x in CROSS_RADII]
+        ref = [quadpack_profile(1.5, x) for x in CROSS_RADII]
         with pytest.raises(AssertionError):
-            np.testing.assert_allclose(prof(CROSS_RADII), direct,
+            np.testing.assert_allclose(get_profile(1.5)(CROSS_RADII), ref,
                                        rtol=1e-10, atol=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.35, 1.5, 1.9])
+    def test_direct_takes_the_ray_rule_beyond_the_threshold(self, ray_calls,
+                                                            alpha):
+        # QUADPACK while r xi_max < 40; past it one ray-rule radius per
+        # call, the value of `values` bit for bit, also beyond TAIL_START
+        # (where `values` takes the tail series instead)
+        prof = StableProfile(alpha)
+        edge = 40.0 / kernel.EXPONENT_CUT ** (1.0 / alpha)
+        got = [prof.direct(r) for r in (0.5 * edge, -2.0 * edge, 1e3)]
+        assert ray_calls == [[2.0 * edge], [1e3]]
+        assert got[0] == pytest.approx(prof.values(0.5 * edge), rel=1e-10)
+        assert got[1] == prof.values(2.0 * edge)
+        assert got[2] > 0.0
 
     @pytest.mark.parametrize("starve", [{"RAY_NODES": 3}, {"RAY_RATIO": 1e3}])
     @pytest.mark.parametrize("alpha", [0.35, 1.5, 1.9])
@@ -197,7 +234,7 @@ class TestQDensity:
         direct = get_profile(alpha).direct
         core = 2.0 * _quad_checked(direct, 0.0, 45.0, points=[1.0, 10.0])
         tail = sum(2.0 * tail_coefficient(alpha, k) * 45.0 ** (-k * alpha)
-                   / (k * alpha) for k in range(1, 7))
+                   / (k * alpha) for k in range(1, kernel.TAIL_TERMS + 1))
         mass = q_mass_numeric(KernelParams(d=1, alpha=alpha), 1.0)
         assert mass == pytest.approx(core + tail, abs=1e-11)
 
@@ -270,6 +307,21 @@ class TestMinform:
         flat = t ** (-1.0 / kp.alpha)
         assert minform_kernel(kp, t, x) == pytest.approx(flat, rel=1e-12)
         assert t / x ** (1 + kp.alpha) == pytest.approx(flat, rel=1e-12)
+
+    def test_level_integral_logarithmic_case(self):
+        # p (1 + alpha) = 1: the power part integrates t^p / y to a
+        # logarithm; against quadrature of the kernel itself, up to
+        # r_out = (t / eps)^(1/(1+alpha)), where h falls to eps
+        t, eps, p = 0.5, 0.1, 0.5
+        r_in, r_out = t, math.sqrt(t / eps)
+        ref = 2.0 * quad(lambda y: minform_kernel(KP1, t, y) ** p, 0.0, r_out,
+                         points=[r_in], epsabs=0.0, epsrel=1e-13)[0]
+        got = minform_level_integral(KP1, t, p, eps)
+        assert got == pytest.approx(ref, rel=1e-12)
+        # and the power branch meets it from both sides
+        for dp in (-1e-6, 1e-6):
+            assert minform_level_integral(KP1, t, p + dp, eps) == pytest.approx(
+                got, rel=1e-5)
 
 
 class TestSandwich:
@@ -424,6 +476,20 @@ class TestFourier:
         # transform of (1+x^2)^{-1} at z=1 equals pi e^{-1}
         assert fourier_power_transform(1, 1.0, 0.0, 1.0) == pytest.approx(
             math.pi * math.exp(-1.0), rel=1e-10)
+
+    @pytest.mark.parametrize("d, mu, mass", [
+        (1, 0.0, lambda a: math.pi / a),
+        (1, 0.5, lambda a: 2.0 / a ** 2),
+        (2, 1.0, lambda a: math.pi / a ** 2),
+        (3, 1.0, lambda a: math.pi ** 2 / a)])
+    def test_power_law_zero_frequency_is_its_integral(self, d, mu, mass):
+        # int_{R^d} (a^2 + |x|^2)^(-mu-1) dx in closed form, and the z -> 0
+        # limit of the Bessel branch
+        for a in (0.5, 2.0):
+            assert fourier_power_transform(d, a, mu, 0.0) == pytest.approx(
+                mass(a), rel=1e-13)
+            assert fourier_power_transform(d, a, mu, 1e-7) == pytest.approx(
+                mass(a), rel=1e-6)
 
     def test_nu_constants_cauchy(self):
         nu, c_nu = nu_const(1, 1.0, 1.0)
