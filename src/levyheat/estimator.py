@@ -17,6 +17,7 @@ continuum extrema; the heavy-tail aggregator is median-of-means (16 blocks)
 by default for p > 1.5, since a single mean is fragile under jump noise.
 """
 
+import functools
 import math
 import threading
 from concurrent.futures import CancelledError, ThreadPoolExecutor
@@ -291,12 +292,26 @@ def simulate_moments(ms: ModelSpec, grid: GridSpec, p, replicas: int,
 
 @dataclass
 class SlopeFit:
+    """Log-linear slope, its standard error and its two-sided 95% CI; the
+    CI's t quantile (scipy.special) is taken on first read, once per fit."""
+
     slope: float
     intercept: float
     se: float
-    ci_low: float
-    ci_high: float
     n: int
+
+    @functools.cached_property
+    def _t_quantile(self):
+        from scipy.special import stdtrit
+        return stdtrit(self.n - 2, 0.975)
+
+    @property
+    def ci_low(self) -> float:
+        return self.slope - self._t_quantile * self.se
+
+    @property
+    def ci_high(self) -> float:
+        return self.slope + self._t_quantile * self.se
 
     @property
     def positive(self) -> bool:
@@ -308,7 +323,7 @@ class SlopeFit:
 
 
 def fit_log_slope(t: np.ndarray, values: np.ndarray) -> SlopeFit:
-    """Least-squares slope of log(values) against t, two-sided 95% CI from
+    """Least-squares slope of log(values) against t, standard error from
     the residuals."""
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -324,10 +339,7 @@ def fit_log_slope(t: np.ndarray, values: np.ndarray) -> SlopeFit:
     resid = y - (intercept + slope * t)
     dof = len(t) - 2
     se = math.sqrt(float(np.sum(resid ** 2)) / dof / sxx)
-    from scipy.special import stdtrit
-    q = stdtrit(dof, 0.975)
-    return SlopeFit(slope=slope, intercept=intercept, se=se,
-                    ci_low=slope - q * se, ci_high=slope + q * se, n=len(t))
+    return SlopeFit(slope=slope, intercept=intercept, se=se, n=len(t))
 
 
 @dataclass

@@ -1,7 +1,10 @@
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from levyheat.kernel import KernelParams
 from levyheat.noise import LevyMeasureSpec
 from levyheat.solver import GridSpec, build_discrete_kernel, run_trajectory
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 KP15 = KernelParams(d=1, alpha=1.5)
 ATOMS = LevyMeasureSpec(variant="atoms", atoms=((1.0, 1.0), (-1.0, 1.0)))
 # the model's noise per step: jumps only (symmetric atoms, rho = 0); plus a
@@ -98,6 +102,20 @@ class TestMomentEstimate:
             moment_estimate(np.ones((1, 3)), 1.0)
 
 
+LAZY_CI_RUN = """
+import sys
+import numpy as np
+from levyheat.estimator import MomentSeries, lyapunov_fit
+t = np.linspace(0.0, 4.0, 41)
+fit = lyapunov_fit(MomentSeries(times=t, sup_mean=np.exp(2 * t),
+                                sup_se=np.zeros(41), inf_mean=np.exp(t),
+                                inf_se=np.zeros(41), p=2.0, replicas=10))
+print("scipy.special" in sys.modules)
+assert fit.lower.ci_low > 0.0
+print("scipy.special" in sys.modules)
+"""
+
+
 class TestSlopeFits:
     def test_exact_exponential(self):
         t = np.linspace(0.0, 5.0, 40)
@@ -117,6 +135,32 @@ class TestSlopeFits:
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
             fit_log_slope(np.arange(6.0), np.array([1, 2, 0, 3, 4, 5.0]))
+
+    def test_ci_is_the_t_interval_read_once(self, monkeypatch):
+        # the quantile is taken on first read, once per fit, and the CI
+        # is the eager one's bit for bit
+        import scipy.special
+        stdtrit = scipy.special.stdtrit
+        calls = []
+        monkeypatch.setattr(scipy.special, "stdtrit",
+                            lambda *a: calls.append(a) or stdtrit(*a))
+        t = np.linspace(0.0, 5.0, 40)
+        fit = fit_log_slope(t, np.exp(0.3 * t + 0.1 * np.sin(7.0 * t)))
+        assert calls == []
+        q = stdtrit(38, 0.975)
+        assert (fit.ci_low, fit.ci_high) == (fit.slope - q * fit.se,
+                                             fit.slope + q * fit.se)
+        assert fit.positive and not fit.negative
+        assert calls == [(38, 0.975)]
+
+    def test_lyapunov_fit_loads_scipy_only_for_a_ci(self):
+        path = os.environ.get("PYTHONPATH")
+        done = subprocess.run(
+            [sys.executable, "-c", LAZY_CI_RUN], capture_output=True,
+            text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC) + (
+                os.pathsep + path if path else "")})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True"]
 
     def test_lyapunov_fit_windows(self):
         times = np.linspace(0.0, 4.0, 41)

@@ -5,9 +5,9 @@ NaN and infinity, only the config and the CLI name config keys, only the
 kernel reads the profile's split point or its pointwise inversion, every
 QUADPACK call is the checked one in `kernel._quad_checked`, and no module
 imports scipy when it is imported.  One run in a fresh interpreter
-checks that the numpy-only commands load no scipy module, and that a
-`moments` run after them loads neither `scipy.interpolate` nor
-`scipy.integrate`."""
+checks that the numpy-only commands load no scipy module, and that the
+Monte Carlo (`simulate`, `moments` and `solver.picard_solve`) loads none
+after them either."""
 
 import ast
 import os
@@ -200,11 +200,22 @@ for argv in (["renewal", "--weight", "exp:1,1", "--out", out],
              ["specfun", "eval", "--fn", "gamma", "--x", "1.5"],
              ["specfun", "eval", "--fn", "beta", "--a", "1", "--b", "2"]):
     assert cli.main(argv) == 0, argv
-numpy_only = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+numpy_only = loaded()
+assert cli.main(["simulate", "--nx", "32", "--nt", "10", "--replicas", "2",
+                 "--out", out]) == 0
 assert cli.main(["moments", "--nx", "64", "--nt", "20", "--replicas", "2",
                  "--out", out]) == 0
-print(numpy_only, "scipy.interpolate" in sys.modules,
-      "scipy.integrate" in sys.modules)
+# a grid of its own, so its kernel is built cold too
+from levyheat.config import ExperimentConfig
+from levyheat.solver import picard_solve
+cfg = ExperimentConfig()
+cfg.set("grid.nx", "16")
+cfg.set("grid.nt", "10")
+picard_solve(cfg.build_model(), cfg.build_grid(), seed=1, replicas=2,
+             n_iter=2, beta=1.0, c=0.0, p=2.0)
+print(numpy_only, loaded())
 """
 
 
@@ -216,10 +227,12 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": str(SRC.parent) + (
             os.pathsep + path if path else "")})
     assert done.returncode == 0, done.stderr
-    # no scipy for the numpy-only commands; the Monte Carlo builds no spline
-    # and runs no QUADPACK
-    assert done.stdout.splitlines()[-1] == "[] False False"
-    assert (tmp_path / "renewal.csv").exists() and (tmp_path / "bounds.json").exists()
+    # no scipy for the numpy-only commands, nor for the Monte Carlo: it
+    # builds no spline, runs no QUADPACK, sums the kernel's images in numpy
+    # and reads no slope CI
+    assert done.stdout.splitlines()[-1] == "[] []"
+    for name in ("renewal.csv", "bounds.json", "simulate.json", "moments_p2.csv"):
+        assert (tmp_path / name).exists(), name
 
 
 def test_checkers_catch_leftovers():

@@ -18,6 +18,7 @@ from levyheat.config import ExperimentConfig
 from levyheat.solver import (GridSpec, build_discrete_kernel, heat_flow,
                              heat_step, mild_step, picard_solve,
                              run_trajectory, sample_noise)
+from test_kernel import quadpack_profile
 
 KP15 = KernelParams(d=1, alpha=1.5)
 KP1 = KernelParams(d=1, alpha=1.0)
@@ -108,6 +109,16 @@ class TestInitialField:
             assert u[j] == pytest.approx(u[(n - j) % n], rel=1e-14)
 
 
+def image_sum_error() -> float:
+    """Largest relative gap of `solver._hurwitz_zeta` to scipy's zeta on 200
+    alphas in [0.01, 1.999] and 257 second arguments in [1/2, 3/2]."""
+    from scipy.special import zeta
+    a = np.linspace(0.5, 1.5, 257)
+    return max(np.abs(solver._hurwitz_zeta(1.0 + alpha, a)
+                      / zeta(1.0 + alpha, a) - 1.0).max()
+               for alpha in np.linspace(0.01, 1.999, 200))
+
+
 class TestDiscreteKernel:
     def test_weights_sum_to_one(self):
         g = GridSpec(half_width=32.0, n_x=256, horizon=5.0, n_t=500)
@@ -156,6 +167,18 @@ class TestDiscreteKernel:
         np.testing.assert_allclose(dk.weights, (dk.base_weights + image) / total,
                                    rtol=1e-9, atol=0.0)
 
+    def test_image_sum_matches_scipy_zeta(self):
+        # the numpy image series against Cephes' Hurwitz zeta over the
+        # kernel's whole range: s = 1 + alpha in (1, 3), a = 1 +- y/2L
+        assert image_sum_error() < 2e-15
+
+    @pytest.mark.parametrize("terms, coeffs", [(12, 4), (8, 6)])
+    def test_image_sum_bound_can_fail(self, monkeypatch, terms, coeffs):
+        # fewer Bernoulli terms (3.2e-14) or direct terms (5.3e-15) miss it
+        monkeypatch.setattr(solver, "_ZETA_TERMS", terms)
+        monkeypatch.setattr(solver, "_ZETA_EM", solver._ZETA_EM[:coeffs])
+        assert image_sum_error() > 2e-15
+
     def test_image_mass_reported(self):
         g = GridSpec(half_width=8.0, n_x=64, horizon=4.0, n_t=4)
         dk = build_discrete_kernel(KP15, g, 1.0)
@@ -172,13 +195,12 @@ class TestDiscreteKernel:
         m = np.flatnonzero(r <= TAIL_START)
         assert len(m) == min(n_x // 2 + 1,
                              math.floor(TAIL_START / (g.dx * scale)) + 1)
-        prof = get_profile(alpha)
-        np.testing.assert_array_equal(dk.base_weights[m],
-                                      scale * prof.values(r[m]) * g.dx)
-        # and the pointwise inversion's (QUADPACK below r xi_max = 40, one
-        # ray-rule radius beyond), within the cross-check of the two
+        values = get_profile(alpha).values(r[m])
+        np.testing.assert_array_equal(dk.base_weights[m], scale * values * g.dx)
+        # and QUADPACK's, independent of the ray rule, within the profile's
+        # cross-check (worst 3e-11 relative, at alpha = 1.9)
         np.testing.assert_allclose(dk.base_weights[m] / (scale * g.dx),
-                                   [prof.direct(x) for x in r[m]],
+                                   [quadpack_profile(alpha, x) for x in r[m]],
                                    rtol=1e-10, atol=1e-15)
         np.testing.assert_array_equal(dk.base_weights[-m[1:]], dk.base_weights[m[1:]])
 
