@@ -102,8 +102,8 @@ class U0Spec:
         if self.kind not in unread:
             raise DomainError(f"unknown u0 kind {self.kind!r}")
         reject_unread(self, self.kind, unread)
-        if self.kind == "poly_decay" and self.decay_c < 0.0:
-            raise DomainError("decay exponent must be >= 0")
+        if self.kind == "poly_decay" and not 0.0 <= self.decay_c < math.inf:
+            raise DomainError("decay exponent must be finite and >= 0")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -148,8 +148,8 @@ class ModelSpec:
     u0: U0Spec = field(default_factory=U0Spec)
 
     def __post_init__(self):
-        if self.rho < 0.0:
-            raise DomainError("rho must be >= 0")
+        if not 0.0 <= self.rho < math.inf:
+            raise DomainError("rho must be finite and >= 0")
         if self.rho > 0.0 and self.kp.d >= self.kp.alpha:
             raise DomainError("the Gaussian part requires d < alpha; set rho = 0")
         if (self.u0.kind == "poly_decay" and self.u0.decay_c > 0.0
@@ -422,10 +422,10 @@ class RenewalProblem:
     weight: object
 
     def __post_init__(self):
-        if self.c3 <= 0.0 or self.c4 < 0.0:
-            raise DomainError("requires c3 > 0 and c4 >= 0")
-        if self.dt <= 0.0 or self.horizon <= 0.0:
-            raise DomainError("requires dt > 0 and horizon > 0")
+        if not (0.0 < self.c3 < math.inf and 0.0 <= self.c4 < math.inf):
+            raise DomainError("requires finite c3 > 0 and c4 >= 0")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.horizon < math.inf):
+            raise DomainError("requires finite dt > 0 and horizon > 0")
         n = self.horizon / self.dt
         if abs(n - round(n)) > 1e-9:
             raise DomainError("horizon must be an integral number of steps")

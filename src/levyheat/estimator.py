@@ -28,8 +28,7 @@ import numpy as np
 from .analytics import ModelSpec, RenewalProblem, renewal_solve
 from .errors import DomainError
 from .noise import cell_base
-from .solver import (GridSpec, build_discrete_kernel, heat_flow, mild_step,
-                     sample_noise)
+from .solver import GridSpec, build_discrete_kernel, mild_step, sample_noise
 
 MOM_BLOCKS = 16
 AGGREGATORS = ("auto", "mom", "mean")
@@ -133,18 +132,16 @@ def _batch_size(ms: ModelSpec, grid: GridSpec) -> int:
 
 
 def _drift_flow(ms: ModelSpec, grid: GridSpec, dk) -> np.ndarray:
-    """|X| without its jumps and Gaussian term, (n_t + 1, n_x): the flow
-    of u0, stepped through the dense term the compensator and drift leave
-    in every cell (`noise.cell_base`) when they do not cancel, else the
-    noise-free flow."""
-    base = cell_base(ms.levy, grid.dt, grid.dx)
-    if base == 0.0:
-        return np.abs(heat_flow(ms, grid, dk))
+    """|X| without its jumps and Gaussian term, (n_t + 1, n_x): u0 stepped
+    by `mild_step` with no jump cells and, as dense term, the one the
+    compensator and drift leave in every cell (`noise.cell_base`), None
+    when they cancel, so the noise-free flow takes the replicas' steps."""
+    dlam = (np.empty(0, dtype=np.intp), np.empty(0),
+            cell_base(ms.levy, grid.dt, grid.dx) or None)
     x = ms.u0(grid.x)
     rows = [np.abs(x)]
     for k in range(grid.n_t):
-        mild_step(x, dk, ms, (np.empty(0, dtype=np.intp), np.empty(0), base),
-                  grid.dx, k)
+        mild_step(x, dk, ms, dlam, grid.dx, k)
         rows.append(np.abs(x))
     return np.array(rows)
 
@@ -249,6 +246,10 @@ def simulate_moments(ms: ModelSpec, grid: GridSpec, p, replicas: int,
                           f"of {', '.join(AGGREGATORS)}")
     if replicas < 2:
         raise DomainError("need at least 2 replicas")
+    if blocks < 2:
+        raise DomainError("need at least 2 blocks")
+    if jobs < 1:
+        raise DomainError("need at least 1 job")
     ps = [float(v) for v in np.atleast_1d(p)]
     aggs = [aggregator if aggregator != "auto" else
             ("mom" if q > 1.5 else "mean") for q in ps]

@@ -46,8 +46,8 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("half_width", "horizon"):
-            if getattr(self, name) <= 0.0:
-                raise ValidationError(name, "must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValidationError(name, "must be positive and finite")
         if self.n_x < 2 or (self.n_x & (self.n_x - 1)) != 0:
             raise ValidationError("n_x", f"must be a power of two, got {self.n_x}")
         if self.n_t < 1:
@@ -178,14 +178,6 @@ def heat_step(fields: np.ndarray, dk: DiscreteKernel,
     spec = np.fft.rfft(fields, axis=-1)
     spec *= dk.spectrum
     return np.fft.irfft(spec, n=fields.shape[-1], axis=-1, out=out)
-
-
-def heat_flow(ms: ModelSpec, grid: GridSpec, dk: DiscreteKernel) -> np.ndarray:
-    """Noise-free flow of u0 at every time point, (n_t + 1, n_x): step k
-    applies the k-th power of the kernel spectrum to u0 in one transform."""
-    u0 = ms.u0(grid.x)
-    powers = dk.spectrum ** np.arange(1, grid.n_t + 1)[:, None]
-    return np.vstack([u0, np.fft.irfft(np.fft.rfft(u0) * powers, n=grid.n_x)])
 
 
 def sample_noise(ms: ModelSpec, grid: GridSpec, seed: int, replicas):
@@ -320,16 +312,19 @@ def picard_solve(ms: ModelSpec, grid: GridSpec, seed: int, replicas: int,
                  target_ratio: float = 0.5) -> PicardReport:
     """Discrete Picard iteration mirroring the existence argument.
 
-    X^0 is the deterministic heat flow of u0; X^{n+1} = X^0 + S(sigma(X^n))
-    with S the one-step-kernel stochastic convolution, shared noise across
+    X^0 is the noise-free flow of u0; X^{n+1} = X^0 + S(sigma(X^n)) with S
+    the one-step-kernel stochastic convolution, shared noise across
     iterates.  Step k of X^{n+1} needs only step k of X^n, so one time
-    sweep advances X^1..X^n_iter together as one (n_iter, replicas, n_x)
-    `mild_step` with sigma frozen at [X^0, X^1, ..., X^(n_iter-1)], and
-    reduces each decrement's weighted norm as it goes: memory is
-    O(n_iter replicas n_x) plus the sparse noise and the (n_t + 1, n_x) heat
-    flow.  A blow-up reports the first step at which any iterate passes the
-    guard, with the cell and value of the largest |X| over every iterate and
-    replica at that step.  Reports d_n for n = 0..n_iter-1 and checks
+    sweep holds X^0..X^n_iter at step k in one (n_iter + 1, replicas, n_x)
+    array: X^1..X^n_iter advance together as one `mild_step` with sigma
+    frozen at X^0..X^(n_iter-1), and X^0 is one u0 row advanced by the
+    same `heat_step` and copied into every replica, so with sigma = 0
+    every iterate is X^0 bit for bit.  Each decrement's weighted norm is
+    reduced as the sweep goes: memory is that array, one more of n_iter
+    rows for the decrements' powers, and the sparse noise.  A blow-up
+    reports the first step at which any iterate passes the guard, with the
+    cell and value of the largest |X| over every iterate and replica at
+    that step.  Reports d_n for n = 0..n_iter-1 and checks
     d_{n+1} <= target_ratio * d_n + statistical slack over the first
     `resolved` decrements.
     """
@@ -340,21 +335,22 @@ def picard_solve(ms: ModelSpec, grid: GridSpec, seed: int, replicas: int,
     if replicas < 1:
         raise DomainError("need at least one replica")
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
-    flow = heat_flow(ms, grid, dk)
     weight = c * np.log1p(np.abs(grid.x))
-    state = np.empty((n_iter, replicas, grid.n_x))     # X^1..X^n_iter at step k
-    state[:] = flow[0]
-    below = state.copy()                               # X^0..X^(n_iter-1)
-    powers = np.empty_like(state)                      # |X^(n+1) - X^n|^p
+    x0 = ms.u0(grid.x)
+    its = np.empty((n_iter + 1, replicas, grid.n_x))   # X^0..X^n_iter at step k
+    its[:] = x0
+    powers = np.empty_like(its[1:])                    # |X^(n+1) - X^n|^p
     log_d = np.full(n_iter, -np.inf)
     rel_se = np.zeros(n_iter)
     log_rel = np.full(n_iter, -np.inf)   # log of d_n / |X^n| at the arg-max cell
     times, rows = grid.times, np.arange(n_iter)
     for k, dlam in enumerate(sample_noise(ms, grid, seed, range(replicas))):
-        mild_step(state, dk, ms, dlam, grid.dx, k, sigma_at=below)
-        below[0] = flow[k + 1]
-        below[1:] = state[:-1]
-        np.subtract(state, below, out=powers)
+        # its[1:] and its[:-1] overlap: mild_step reads sigma(X^n) before
+        # it writes X^(n+1), so each iterate steps on its predecessor's
+        # step-k values
+        mild_step(its[1:], dk, ms, dlam, grid.dx, k, sigma_at=its[:-1])
+        its[0] = heat_step(x0, dk, out=x0)
+        np.subtract(its[1:], its[:-1], out=powers)
         np.abs(powers, out=powers)
         powers **= p
         moment = np.mean(powers, axis=1)                # (n_iter, n_x)
@@ -367,7 +363,7 @@ def picard_solve(ms: ModelSpec, grid: GridSpec, seed: int, replicas: int,
                 se = (np.std(powers[n], axis=0, ddof=1)[j] / math.sqrt(replicas)
                       if replicas > 1 else 0.0)
                 rel_se[n] = se / moment[n, j] / p
-                level = np.mean(np.abs(below[n, :, j]) ** p)
+                level = np.mean(np.abs(its[n, :, j]) ** p)
                 log_rel[n] = (np.log(moment[n, j]) - np.log(level)) / p
 
     resolved = 0

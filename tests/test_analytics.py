@@ -33,6 +33,27 @@ class TestAdmissibleRange:
             contraction_constant(model(KP15), 4.0, 0.0, 2.5)
 
 
+# each range check, given a value that is not a finite number
+NON_FINITE = {
+    "GridSpec.half_width": lambda v: GridSpec(half_width=v),
+    "GridSpec.horizon": lambda v: GridSpec(horizon=v),
+    "ModelSpec.rho": lambda v: model(KP15, rho=v),
+    "U0Spec.decay_c": lambda v: U0Spec(kind="poly_decay", decay_c=v),
+    **{f"RenewalProblem.{name}": lambda v, name=name: RenewalProblem(
+        **{"c3": 1.0, "c4": 1.0, "horizon": 1.0, "dt": 0.1, name: v},
+        weight=np.exp) for name in ("c3", "c4", "horizon", "dt")},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("check", NON_FINITE)
+def test_range_checks_reject_non_finite(check, value):
+    # a check written x <= 0 lets NaN through; none may let a bare
+    # ValueError (round(nan)) or OverflowError (round(inf)) escape instead
+    with pytest.raises((DomainError, ValidationError)):
+        NON_FINITE[check](value)
+
+
 class TestContraction:
     def test_worked_value(self):
         assert contraction_constant(model(), 4.0, 0.0, 1.0) == pytest.approx(

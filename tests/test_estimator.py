@@ -407,6 +407,14 @@ class TestBatchedEngine:
             quiet_simulate(model(), self.GRID, p=2.0, replicas=7, seed=11,
                            aggregator="median")
 
+    def test_blocks_and_jobs_out_of_range_rejected(self):
+        # one block leaves no spread for the SE (NaN), and no job or
+        # block at all divided by zero
+        for kw in ({"blocks": 1}, {"blocks": 0}, {"jobs": 0}, {"jobs": -1}):
+            with pytest.raises(DomainError, match="at least"):
+                quiet_simulate(model(), self.GRID, p=2.0, replicas=7,
+                               seed=11, **kw)
+
     def test_blowup_reports_step(self, monkeypatch):
         # the run reports the first chunk in replica order holding a replica
         # that blows up, at the earliest such step in that chunk; stepped

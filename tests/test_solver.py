@@ -15,9 +15,9 @@ from levyheat.noise import LevyMeasureSpec, sample_jumps
 from levyheat import kernel, solver
 from levyheat.cli import dump_trajectory, trajectory_csv
 from levyheat.config import ExperimentConfig
-from levyheat.solver import (GridSpec, build_discrete_kernel, heat_flow,
-                             heat_step, mild_step, picard_solve,
-                             run_trajectory, sample_noise)
+from levyheat.solver import (GridSpec, build_discrete_kernel, heat_step,
+                             mild_step, picard_solve, run_trajectory,
+                             sample_noise)
 from test_kernel import quadpack_profile
 
 KP15 = KernelParams(d=1, alpha=1.5)
@@ -52,6 +52,14 @@ def dense_noise(noise, shape):
     """The (n_t, *shape) array of every step's dLambda, each cell's dense
     term plus its jump sum."""
     return np.stack([sum(dense_step(step, shape)) for step in noise])
+
+
+def stepped_flow(ms, grid, dk):
+    """The noise-free flow of u0, (n_t + 1, n_x): n_t `heat_step`s."""
+    rows = [ms.u0(grid.x)]
+    for _ in range(grid.n_t):
+        rows.append(heat_step(rows[-1], dk))
+    return np.array(rows)
 
 
 def quiet_run(*args, **kw):
@@ -280,16 +288,6 @@ class TestHeatStep:
 class TestSimulationCore:
     GRID = GridSpec(half_width=16.0, n_x=64, horizon=1.0, n_t=40)
 
-    def test_heat_flow_matches_iterated_steps(self):
-        ms = model(u0=U0Spec(kind="poly_decay", c0=1.0, decay_c=0.5))
-        dk = build_discrete_kernel(KP15, self.GRID, self.GRID.dt)
-        flow = heat_flow(ms, self.GRID, dk)
-        x = ms.u0(self.GRID.x)
-        assert np.array_equal(flow[0], x)
-        for k in range(1, self.GRID.n_t + 1):
-            x = heat_step(x, dk)
-            np.testing.assert_allclose(flow[k], x, rtol=1e-12, atol=0.0)
-
     def test_noise_matches_per_replica_increments(self):
         # asymmetric atoms, so the drift and compensator terms are nonzero:
         # every step's dense term is base plus the Gaussian planes, or the
@@ -378,7 +376,7 @@ class TestSimulationCore:
         # the one sweep by hand, X^1 and X^2 stepped together:
         # X^{n+1} = Q(X^{n+1} + sigma(X^n) dLambda / dx); the first step at
         # which either passes the guard reports the largest |X| of both
-        x0 = heat_flow(ms, grid, dk)
+        x0 = stepped_flow(ms, grid, dk)
         x1 = x2 = np.tile(x0[0], (4, 1))
         for k in range(grid.n_t):
             x1, x2 = (heat_step(x1 + ms.sigma(x0[k]) * dlam[k] / grid.dx, dk),
@@ -565,7 +563,7 @@ def sequential_picard(ms, grid, seed, replicas, n_iter, beta, c, p,
     pipelined `picard_solve` replaced; each sweep samples the shared noise
     afresh.  Returns (log_d, rel_se, failures)."""
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
-    current = np.broadcast_to(heat_flow(ms, grid, dk)[:, None, :],
+    current = np.broadcast_to(stepped_flow(ms, grid, dk)[:, None, :],
                               (grid.n_t + 1, replicas, grid.n_x)).copy()
     log_d, rel_se = [], []
     for _ in range(n_iter):
@@ -609,17 +607,31 @@ class TestPicard:
     # 1980452994 is the program seed of the benchmark's harness seed 1
     REFERENCE = dict(seed=1980452994, replicas=32, n_iter=5, c=0.0, p=2.0,
                      target_ratio=0.7)
+    NOISES = {"sparse": {}, "gaussian": {"rho": 0.3},
+              "drift": {"levy": LevyMeasureSpec(
+                  variant="atoms", atoms=((2.0, 0.5), (-0.5, 1.0)))}}
+    U0S = {"constant": U0Spec(kind="constant", value=1.0),
+           "decay": U0Spec(kind="poly_decay", c0=1.0, decay_c=0.5)}
 
     def reference_run(self, grid=None):
         ms = model()
         beta = 2.0 * compute_bounds(ms, 0.0, 2.0).beta0
         return picard_solve(ms, grid or self.GRID, beta=beta, **self.REFERENCE)
 
-    @pytest.mark.parametrize("p, c, replicas, beta", [
-        (2.0, 0.0, 4, 1.0), (1.2, 0.3, 8, 0.5), (2.0, 0.0, 1, 1.0)])
-    def test_pipeline_matches_sequential_sweeps(self, p, c, replicas, beta):
-        # bit for bit, the se = 0 branch (one replica) and failures included
-        args = (model(), self.SMALL, 5, replicas, 4, beta, c, p)
+    @pytest.mark.parametrize("noise, u0, p, c, replicas, beta", [
+        pytest.param("sparse", "constant", 2.0, 0.0, 4, 1.0, id="2.0-0.0-4-1.0"),
+        pytest.param("sparse", "constant", 1.2, 0.3, 8, 0.5, id="1.2-0.3-8-0.5"),
+        pytest.param("sparse", "constant", 2.0, 0.0, 1, 1.0, id="2.0-0.0-1-1.0"),
+    ] + [pytest.param(noise, u0, 2.0, 0.0, 4, 1.0, id=f"{noise}-{u0}")
+         for noise in ("gaussian", "drift") for u0 in ("constant", "decay")])
+    def test_pipeline_matches_sequential_sweeps(self, noise, u0, p, c,
+                                                replicas, beta):
+        # bit for bit, the se = 0 branch (one replica) and failures included;
+        # a dense term (a Gaussian plane, or the float base that asymmetric
+        # atoms leave) reads sigma at every cell of the iterate below, whose
+        # rows the one iterate array shares with the rows it writes
+        ms = dataclasses.replace(model(u0=self.U0S[u0]), **self.NOISES[noise])
+        args = (ms, self.SMALL, 5, replicas, 4, beta, c, p)
         rep = picard_solve(*args)
         log_d, rel_se, failures = sequential_picard(*args)
         assert rep.log_d.tolist() == log_d.tolist()
@@ -688,10 +700,16 @@ class TestPicard:
         assert [f["n"] for f in rep.failures] == [0, 1, 2]
 
     def test_sigma_zero_fixed_point_immediately(self):
-        rep = picard_solve(model(slope=0.0), self.GRID, seed=3, replicas=4,
-                           n_iter=3, beta=10.0, c=0.0, p=2.0)
-        assert np.all(np.isinf(rep.log_d))       # all decrements exactly zero
-        assert rep.contraction_ok
+        # every iterate, X^0 included, takes the same heat steps, so all
+        # decrements are exactly zero for any u0; a decaying u0 shows a
+        # flow taken any other way (as spectral powers it parts from the
+        # steps by up to 3.7e-14 relative, and d_0 reads e^-34.6 here)
+        for u0, grid, seed, beta in ((self.U0S["constant"], self.GRID, 3, 10.0),
+                                     (self.U0S["decay"], self.SMALL, 5, 1.0)):
+            rep = picard_solve(model(slope=0.0, u0=u0), grid, seed=seed,
+                               replicas=4, n_iter=3, beta=beta, c=0.0, p=2.0)
+            assert rep.log_d.tolist() == [-np.inf] * 3
+            assert rep.contraction_ok
 
     def test_zero_noise_replica(self):
         # noise-free increments: stochastic convolutions vanish identically
