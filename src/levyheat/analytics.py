@@ -8,11 +8,14 @@ renewal solve per Richardson grid, each tilted by its own growth root, with
 beta1 and beta1_half the two grids' trapezoid roots and overflow raised as
 BlowupError.
 
-The proofs behind the lower bounds involve constants that are not written
-in closed form (martingale maximal inequalities and the compensated-Poisson
+The proofs behind the bounds involve constants that are not written in
+closed form (martingale maximal inequalities and the compensated-Poisson
 lower bound).  Those enter here as a ConstantsConfig with default value 1,
 and every report echoes the configured values in its `assumptions` list so
-downstream consumers cannot mistake the output for sharp constants.
+downstream consumers cannot mistake the output for sharp constants.  The
+heat-kernel envelope pair c1_g g <= q <= c2_g g that the lower bounds carry
+is not among them: `kernel.envelope_constants` derives it, and a report
+records the pair it used.
 """
 
 import math
@@ -23,8 +26,8 @@ import numpy as np
 from .errors import (BlowupError, DegenerateMeasureError, DomainError,
                      NoRootError, ValidationError, reject_unread)
 from .kernel import (ConvConstants, I_formula, KernelParams, conv_constants,
-                     hmoment_constant, levelset_volume_minform,
-                     minform_level_integral)
+                     envelope_constants, hmoment_constant,
+                     levelset_volume_minform, minform_level_integral)
 from .noise import LevyMeasureSpec, drift_b
 
 # ---------------------------------------------------------------------------
@@ -114,14 +117,16 @@ class U0Spec:
 
 @dataclass(frozen=True)
 class ConstantsConfig:
-    """Non-explicit proof constants, all defaulting to 1.
+    """The proof constants that are not explicit, all defaulting to 1.
 
     k1: Gaussian maximal-inequality constant (continuous martingale part)
     k2: drift-term constant
     k3: compensated-Poisson p-th moment constant
     k4: mixed quadratic-variation constant (p >= 2 route)
     k5: moment lower-bound prefactor in the intermittency route
-    c1_g, c2_g: kernel comparison envelope q ~ g
+
+    The kernel envelope pair (c1_g, c2_g) is explicit, so it is no setting:
+    `kernel.envelope_constants` derives it.
     """
 
     k1: float = 1.0
@@ -129,8 +134,6 @@ class ConstantsConfig:
     k3: float = 1.0
     k4: float = 1.0
     k5: float = 1.0
-    c1_g: float = 1.0
-    c2_g: float = 1.0
 
     def assumptions(self) -> list:
         return [f"{f.name}={getattr(self, f.name):g} (configured, not derived)"
@@ -253,6 +256,8 @@ class BoundsReport:
     subexp_rate: float | None = None
     eta_star: float | None = None
     conv_constants: ConvConstants | None = None
+    # (c1_g, c2_g) from kernel.envelope_constants, when a lower figure uses it
+    envelope_g: tuple | None = None
     assumptions: list = field(default_factory=list)
 
 
@@ -287,7 +292,9 @@ def lower_bound_exponential(ms: ModelSpec, p: float,
     L_sigma,0 > 0 and p in [2, 1 + alpha/d):
 
         (c** Lambda^(p))^(1/(1-(p-1)d/alpha)) / (p (d + alpha)),
-        c** = k5 sigma_lambda^(p) L_{sigma,0}^p c1_g^p / 4.
+        c** = k5 sigma_lambda^(p) L_{sigma,0}^p c1_g^p / 4,
+
+    c1_g from `kernel.envelope_constants`.
     """
     d, alpha = ms.kp.d, ms.kp.alpha
     if not (alpha > d == 1):
@@ -300,7 +307,8 @@ def lower_bound_exponential(ms: ModelSpec, p: float,
         raise DomainError(f"p must lie in [2, 1 + alpha/d), got {p}")
     cc = conv_constants(d, alpha, p)
     c_star = constants.k5 * ms.levy.moment(p) * ms.sigma.lip0 ** p
-    c_dstar = c_star * constants.c1_g ** p / 4.0
+    c1_g, _ = envelope_constants(alpha)
+    c_dstar = c_star * c1_g ** p / 4.0
     expo = 1.0 / (1.0 - (p - 1.0) * d / alpha)
     return (c_dstar * cc.lambda_p) ** expo / (p * (d + alpha))
 
@@ -311,9 +319,9 @@ def subexp_rate(kp: KernelParams, p: float, ms: ModelSpec | None = None,
 
     r_star = p (1 - d/alpha) / (2 (1 - (p-1) d/alpha)) for p in (1, 2];
     eta_star = (c** Theta^(p))^(1/(1-(p-1)d/alpha)) / ((p+1)(d+alpha)) with
-    c** = k5 sigma_lambda^(p) L_{sigma,0}^p c1_g^(p+1) / (4 c2_g), p < 2;
-    eta_star is None when no model is supplied or p = 2.  Both carry the
-    configured-constants caveat.
+    c** = k5 sigma_lambda^(p) L_{sigma,0}^p c1_g^(p+1) / (4 c2_g), p < 2,
+    with the pair from `kernel.envelope_constants`; eta_star is None when no
+    model is supplied or p = 2.  It carries the configured-constants caveat.
     """
     d, alpha = kp.d, kp.alpha
     if not (alpha > d == 1):
@@ -328,7 +336,8 @@ def subexp_rate(kp: KernelParams, p: float, ms: ModelSpec | None = None,
             raise DomainError("eta_star requires L_sigma,0 > 0")
         cc = conv_constants(d, alpha, p)
         c_star = constants.k5 * ms.levy.moment(p) * ms.sigma.lip0 ** p
-        c_dstar = c_star * constants.c1_g ** (p + 1.0) / (4.0 * constants.c2_g)
+        c1_g, c2_g = envelope_constants(alpha)
+        c_dstar = c_star * c1_g ** (p + 1.0) / (4.0 * c2_g)
         eta_star = ((c_dstar * cc.theta_p) ** (1.0 / a_ml)
                     / ((p + 1.0) * (d + alpha)))
     return r_star, eta_star
@@ -337,7 +346,8 @@ def subexp_rate(kp: KernelParams, p: float, ms: ModelSpec | None = None,
 def compute_bounds(ms: ModelSpec, c: float, p: float,
                    constants: ConstantsConfig = ConstantsConfig()) -> BoundsReport:
     """Full BoundsReport: beta0 and upper bounds always; lower-bound figures
-    whenever their hypotheses hold (omitted as None otherwise)."""
+    whenever their hypotheses hold (omitted as None otherwise), with the
+    envelope pair they read in `envelope_g`."""
     rep = upper_bounds(ms, c, p, constants)
     d, alpha = ms.kp.d, ms.kp.alpha
     if d / (d + alpha) < p:
@@ -347,6 +357,8 @@ def compute_bounds(ms: ModelSpec, c: float, p: float,
             rep.growth_lower_exp = lower_bound_exponential(ms, p, constants)
         if 1.0 < p <= 2.0:
             rep.subexp_rate, rep.eta_star = subexp_rate(ms.kp, p, ms, constants)
+    if rep.growth_lower_exp is not None or rep.eta_star is not None:
+        rep.envelope_g = envelope_constants(alpha)
     return rep
 
 

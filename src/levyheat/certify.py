@@ -56,7 +56,8 @@ class VerificationReport:
 
 
 def _ineq_record(lemma_id, slacks, grid_desc) -> LemmaRecord:
-    worst = float(min(slacks))
+    # np.min, not min: a NaN slack anywhere makes the worst NaN, a fail
+    worst = float(np.min(slacks))
     # equality cases of the bounds land at slack 1 up to rounding
     passed = worst >= 1.0 - 1e-9
     return LemmaRecord(lemma_id=lemma_id,
@@ -252,11 +253,14 @@ def check_h_moment(alphas=(1.0, 1.5)) -> LemmaRecord:
 
 def check_sandwich(kp: K.KernelParams, t_grid=(0.5, 1.0, 2.0),
                    x_grid=None) -> LemmaRecord:
-    """Empirical envelope ratios q/minform and q/g: finite and positive, and
-    q_t(0)/g(t, 0) = Gamma(1 + 1/alpha)/(pi kappa) to a relative 1e-12.
+    """The sandwich c1_g g <= q <= c2_g g at every grid point, with the pair
+    that `kernel.envelope_constants` derives, and q_t(0)/g(t, 0) =
+    Gamma(1 + 1/alpha)/(pi kappa) to a relative 1e-12.
 
-    The extrema over the grid are empirical envelope constants, not proven
-    bounds; the slack is the smaller of the two minima.
+    The slack is min(ratio / c1_g, c2_g / ratio) over the grid ratios q/g,
+    judged as `_ineq_record` judges it, so a wrong pair or a wrong q fails.
+    The min-form ratios q/minform must be finite and positive; their grid
+    extrema are reported as empirical constants, not proven bounds.
     """
     x_grid = list(x_grid if x_grid is not None else default_x_grid())
     t_grid = tuple(t_grid)
@@ -272,16 +276,18 @@ def check_sandwich(kp: K.KernelParams, t_grid=(0.5, 1.0, 2.0),
     centre = gamma_fn(1.0 + 1.0 / kp.alpha) / (math.pi * ck.kappa)
     centre_err = max(abs(K.q_density(kp, t, 0.0) / ck.g(t, 0.0) / centre
                          - 1.0) for t in t_grid)
-    c = {"c1_minform": min(ratios_m), "c2_minform": max(ratios_m),
-         "c1_g": min(ratios_g), "c2_g": max(ratios_g)}
-    valid = all(math.isfinite(v) and v > 0.0 for v in c.values()) \
-        and centre_err <= 1e-12
-    return LemmaRecord(
-        lemma_id="kernel-envelope-sandwich",
-        status="pass" if valid else "fail",
-        worst_slack=float(min(c["c1_minform"], c["c1_g"]) if valid else 0.0),
-        tolerance=0.0, grid=f"t in {t_grid}, {len(ratios_m)} points",
-        detail={**c, "centre_ratio": centre, "centre_rel_err": centre_err})
+    c1_g, c2_g = K.envelope_constants(kp.alpha)
+    ratios_g = np.array(ratios_g)
+    rec = _ineq_record("kernel-envelope-sandwich",
+                       np.minimum(ratios_g / c1_g, c2_g / ratios_g),
+                       f"t in {t_grid}, {len(ratios_m)} points")
+    if not (all(math.isfinite(v) and v > 0.0 for v in ratios_m)
+            and centre_err <= 1e-12):
+        rec.status = "fail"
+    rec.detail = {"c1_minform": min(ratios_m), "c2_minform": max(ratios_m),
+                  "c1_g": c1_g, "c2_g": c2_g, "centre_ratio": centre,
+                  "centre_rel_err": centre_err}
+    return rec
 
 
 def check_tail_ratio(kp: K.KernelParams) -> LemmaRecord:

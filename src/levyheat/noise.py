@@ -33,17 +33,22 @@ class LevyMeasureSpec:
             if not self.atoms:
                 raise ValidationError("atoms", "measure must be nonzero")
             for z, m in self.atoms:
-                if z == 0.0:
-                    raise ValidationError("atoms", "atom at z = 0 is not a jump")
-                if m <= 0.0:
-                    raise ValidationError("atoms", f"atom mass must be > 0, got {m}")
+                if not math.isfinite(z) or z == 0.0:
+                    raise ValidationError("atoms", f"atom at z = {z} is not a "
+                                          "finite nonzero jump")
+                if not 0.0 < m < math.inf:
+                    raise ValidationError("atoms", f"atom mass must be finite "
+                                          f"and > 0, got {m}")
         elif self.variant == "truncated_power":
-            if self.delta_in <= 0.0:
-                raise ValidationError("delta_in", "inner cutoff must be > 0")
-            if self.outer_cut <= self.delta_in:
-                raise ValidationError("outer_cut", "outer cutoff must exceed delta_in")
-            if self.amplitude <= 0.0:
-                raise ValidationError("amplitude", "amplitude must be > 0")
+            if not math.isfinite(self.gamma_exp):
+                raise ValidationError("gamma_exp", "exponent must be finite")
+            if not 0.0 < self.delta_in < math.inf:
+                raise ValidationError("delta_in", "inner cutoff must be finite and > 0")
+            if not self.delta_in < self.outer_cut < math.inf:
+                raise ValidationError("outer_cut", "outer cutoff must be finite "
+                                      "and exceed delta_in")
+            if not 0.0 < self.amplitude < math.inf:
+                raise ValidationError("amplitude", "amplitude must be finite and > 0")
         else:
             raise ValidationError("variant", f"unknown variant {self.variant!r}")
         reject_unread(self, self.variant, {

@@ -330,8 +330,14 @@ def picard_solve(ms: ModelSpec, grid: GridSpec, seed: int, replicas: int,
     """
     if n_iter < 2:
         raise DomainError("need at least two iterates to measure contraction")
-    if beta <= 0.0:
-        raise DomainError("beta must be positive")
+    if not 0.0 < beta < math.inf:
+        raise DomainError(f"beta must be positive and finite, got {beta}")
+    if not 1.0 <= p < math.inf:
+        raise DomainError(f"p must be finite and >= 1, got {p}")
+    if not 0.0 <= c < math.inf:
+        raise DomainError(f"c must be finite and >= 0, got {c}")
+    if not 0.0 < target_ratio < 1.0:
+        raise DomainError(f"target_ratio must lie in (0, 1), got {target_ratio}")
     if replicas < 1:
         raise DomainError("need at least one replica")
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)

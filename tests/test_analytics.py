@@ -12,7 +12,7 @@ from levyheat.analytics import (BoundsReport, ConstantsConfig, ModelSpec,
                                 renewal_weight, subexp_rate, upper_bounds)
 from levyheat import analytics
 from levyheat.errors import DomainError, NoRootError, ValidationError
-from levyheat.kernel import KernelParams
+from levyheat.kernel import KernelParams, envelope_constants
 from levyheat.noise import LevyMeasureSpec
 from levyheat.solver import GridSpec, build_discrete_kernel
 
@@ -176,9 +176,11 @@ class TestLowerBoundExponential:
     def test_unit_constant_substitution(self):
         from levyheat.kernel import conv_constants
         lam = conv_constants(1, 1.5, 2.0).lambda_p
-        # with sigma_lambda = 2 and all configured constants 1:
-        # c** = 2/4, exponent 1/(1 - 1/1.5) = 3, denominator p(d+alpha) = 5
-        expect = (0.5 * lam) ** 3.0 / 5.0
+        # with sigma_lambda = 2, all configured constants 1 and the derived
+        # c1_g: c** = 2 c1_g^2 / 4, exponent 1/(1 - 1/1.5) = 3, denominator
+        # p(d+alpha) = 5
+        c1_g = envelope_constants(1.5)[0]
+        expect = (0.5 * c1_g ** 2 * lam) ** 3.0 / 5.0
         assert lower_bound_exponential(self.ms, 2.0) == pytest.approx(
             expect, rel=1e-12)
 
@@ -254,6 +256,7 @@ class TestTableSigma:
         assert rep.beta0 == pytest.approx(beta0(model(KP15, slope=2.0), 0.0, 2.0),
                                           rel=1e-9)
         assert rep.growth_lower_exp is None
+        assert rep.envelope_g is None
         with pytest.raises(DomainError):
             lower_bound_exponential(table, 2.0)
 
@@ -281,6 +284,33 @@ class TestComputeBounds:
         assert rep.subexp_rate == pytest.approx(0.375)
         assert rep.eta_star is not None and rep.eta_star > 0
         assert rep.growth_lower_exp is None
+
+    # the reference model's lower figures (c = 0) with c1_g = c2_g = 1, as
+    # they were while the pair was a setting of that default
+    UNIT_FIGURES = {1.2: ("eta_star", 1.5974333400965886e-06),
+                    1.5: ("eta_star", 8.363809183275947e-09),
+                    2.0: ("growth_lower_exp", 2.1421767623563988e-13)}
+
+    @pytest.mark.parametrize("p", sorted(UNIT_FIGURES))
+    def test_unit_pair_reproduces_unit_figures(self, monkeypatch, p):
+        monkeypatch.setattr(analytics, "envelope_constants",
+                            lambda alpha: (1.0, 1.0))
+        name, unit = self.UNIT_FIGURES[p]
+        rep = compute_bounds(model(KP15), 0.0, p)
+        assert getattr(rep, name) == unit
+        assert rep.envelope_g == (1.0, 1.0)
+
+    @pytest.mark.parametrize("p", sorted(UNIT_FIGURES))
+    def test_lower_figures_move_only_through_the_pair(self, p):
+        # c** carries c1_g^p at p >= 2 and c1_g^(p+1) / c2_g below; the
+        # figure raises it to 1 / (1 - (p-1)/alpha)
+        c1, c2 = envelope_constants(1.5)
+        name, unit = self.UNIT_FIGURES[p]
+        rep = compute_bounds(model(KP15), 0.0, p)
+        factor = c1 ** p if p >= 2.0 else c1 ** (p + 1.0) / c2
+        assert getattr(rep, name) == pytest.approx(
+            unit * factor ** (1.0 / (1.0 - (p - 1.0) / 1.5)), rel=1e-12)
+        assert rep.envelope_g == (c1, c2)
 
 
 class TestRenewalWeight:

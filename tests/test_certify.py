@@ -149,6 +149,13 @@ def test_array_grid_slacks_equal_scalar_loop(monkeypatch, check, loop, alpha):
     assert seen == [loop(ck, DEFAULT_T_GRID, x_grid)]
 
 
+@pytest.mark.parametrize("slacks", [[1.0, math.nan], [math.nan, 1.0]],
+                         ids=["nan-last", "nan-first"])
+def test_nan_slack_fails(slacks):
+    # Python's min skipped a NaN after the first slack, which then passed
+    assert not certify._ineq_record("x", slacks, "grid").passed
+
+
 def test_work_budget(monkeypatch):
     # the certificate quadratures run as arrays: a full suite makes few
     # scalar g calls and few panel builds (396 and 254, of which 203 build

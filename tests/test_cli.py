@@ -252,6 +252,16 @@ class TestCLI:
         cfg.write_text("model.banana = 3\n")
         assert main(["bounds", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("key", ["constants.c1_g", "constants.c2_g"])
+    def test_derived_envelope_pair_is_no_key(self, tmp_path, capsys, key):
+        # kernel.envelope_constants derives the pair; a config still
+        # setting it fails as an unknown key
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{key} = 1\n")
+        assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert f"{key}: unknown configuration key" in capsys.readouterr().err
+        assert not (tmp_path / "bounds.json").exists()
+
     def test_missing_config_exits_3(self):
         assert main(["bounds", "--config", "/nonexistent/cfg"]) == 3
 

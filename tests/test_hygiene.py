@@ -1,7 +1,8 @@
 """Static checks on the package source, with the standard library's `ast`:
 no module imports a name it does not use, no module-level private name is
 left without a reference in its own module, every JSON encoding rejects
-NaN and infinity, only the config and the CLI name config keys, only the
+NaN and infinity, only the config and the CLI name config keys, every
+config key's field is read somewhere besides the config, only the
 kernel reads the profile's split point or its pointwise inversion, every
 QUADPACK call is the checked one in `kernel._quad_checked`, and no module
 imports scipy when it is imported.  One run in a fresh interpreter
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from levyheat.config import SCHEMA
+from levyheat.config import _FIELDS, SCHEMA
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "levyheat"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -78,6 +79,13 @@ def key_literals(source: str, keys) -> list:
     """String literals of the module equal to one of `keys`, in order."""
     return [node.value for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Constant) and node.value in keys]
+
+
+def attribute_reads(source: str) -> set:
+    """Names the module reads as an attribute, `obj.name`; a read by name,
+    `getattr(obj, "name")`, is not one."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
 def profile_internals(source: str) -> list:
@@ -164,6 +172,16 @@ def test_only_config_and_cli_name_config_keys(path):
     assert key_literals(path.read_text(), SCHEMA) == []
 
 
+def test_every_config_field_is_read():
+    # a setting that no code reads by name changes nothing but the config
+    # hash; `reject_unread` and `assumptions()` read fields through
+    # `getattr`, which does not count
+    read = set().union(*(attribute_reads(p.read_text()) for p in MODULES
+                         if p.name != "config.py"))
+    assert sorted(key for key, (_, _, name) in _FIELDS.items()
+                  if name not in read) == []
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "kernel.py"], ids=lambda p: p.name)
 def test_only_the_kernel_splits_the_profile(path):
@@ -245,6 +263,8 @@ def test_checkers_catch_leftovers():
     assert lenient_json_calls("json.dumps(x, allow_nan=False)\n") == []
     assert key_literals('raise E("grid.nx", "n")\n', SCHEMA) == ["grid.nx"]
     assert key_literals('raise E("n_x", "grid.nx: n")\n', SCHEMA) == []
+    assert attribute_reads("x = spec.k1\ny = getattr(spec, 'c1_g')\n"
+                           "spec.c2_g = 1\n") == {"k1"}
     assert profile_internals("from .kernel import TAIL_START, tail\n") == [1]
     assert profile_internals("r = K.TAIL_START\nprof.direct(r)\n") == [1, 2]
     assert profile_internals("f = get_profile(a).direct\nx < TAIL_START\n") \

@@ -12,7 +12,8 @@ from levyheat.kernel import (TAIL_START, ComparisonKernel, KernelParams,
                              I_formula, StableProfile,
                              _conv_nodes, _gauss_panels, _graded_time_nodes,
                              _quad_checked, _space_conv,
-                             conv_constants, fourier_power_transform,
+                             conv_constants, envelope_constants,
+                             fourier_power_transform,
                              g_fourier, g_fourier_lower, g_p_integral,
                              get_profile, h_moment, hmoment_constant,
                              minform_kernel, minform_level_integral,
@@ -30,13 +31,15 @@ CK15 = ComparisonKernel(KP15)
 # mpmath quadosc of (1/pi) int_0^inf exp(-2 xi^1.5) cos(3 xi) dxi, 30 digits
 Q_A15_T2_X3 = 0.059390873869693941
 
-# regression goldens from the first certified run of the default grid
-# (d=1, alpha=1.5, t in {0.5, 1, 2}, x = 0 plus log-spaced to 20)
+# the sandwich record at alpha = 1.5: the min-form pair is the grid's
+# extrema (d=1, t in {0.5, 1, 2}, x = 0 plus log-spaced to 20), the g pair
+# the derived one; the grid's largest q/g was 1.5049357110976804, below the
+# supremum at u = |x| t^(-1/alpha) ~ 2.0
 SANDWICH_GOLDEN = {
     "c1_minform": 0.23541281764685917,
     "c2_minform": 0.49754534265119466,
     "c1_g": 0.6885777861536297,
-    "c2_g": 1.5049357110976804,
+    "c2_g": 1.5146683433694226,
 }
 
 
@@ -359,6 +362,51 @@ class TestSandwich:
         monkeypatch.setattr(certify.K, "q_density",
                             lambda *a: true_q(*a) * (1.0 + 1e-9))
         assert not check_sandwich(kp, DEFAULT_T_GRID, sandwich_grid()).passed
+
+
+def envelope_ratio(alpha, u):
+    """rho(u) = q_t(x) / g(t, x) at u = |x| t^(-1/alpha), from `values`."""
+    return (get_profile(alpha).values(u)
+            * np.float_power(1.0 + u * u, (1.0 + alpha) / 2.0)
+            / kernel.kappa_const(1, alpha))
+
+
+class TestEnvelopeConstants:
+    def test_ends_match_closed_forms(self):
+        # rho(0) = Gamma(1 + 1/alpha) / (pi kappa), rho(inf) = C_alpha / kappa
+        # with C_alpha = Gamma(1 + alpha) sin(pi alpha / 2) / pi
+        def ends(a):
+            kap = kernel.kappa_const(1, a)
+            return (gamma_fn(1.0 + 1.0 / a) / (math.pi * kap),
+                    gamma_fn(1.0 + a) * math.sin(math.pi * a / 2.0)
+                    / (math.pi * kap))
+        assert envelope_constants(1.5)[0] == pytest.approx(ends(1.5)[0], rel=1e-12)
+        assert envelope_constants(0.3)[1] == pytest.approx(ends(0.3)[0], rel=1e-12)
+        assert envelope_constants(1.9)[0] == pytest.approx(ends(1.9)[1], rel=1e-12)
+
+    def test_cauchy_pair_is_unit(self):
+        # q = g exactly at alpha = 1
+        assert envelope_constants(1.0) == pytest.approx((1.0, 1.0), abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.5, 1.9])
+    def test_pair_brackets_and_meets_a_dense_grid(self, alpha):
+        # the interior extrema lie near u = 2; the ends are u = 0 and the
+        # far tail, where rho(1e6) is within 1e-11 of rho(inf) at alpha = 1.9
+        u = np.concatenate([[0.0], np.linspace(0.5, 5.0, 45001),
+                            np.logspace(1.0, 6.0, 501)])
+        rho = envelope_ratio(alpha, u)
+        c1, c2 = envelope_constants(alpha)
+        assert c1 <= rho.min() <= c1 * (1.0 + 1e-9)
+        assert c2 * (1.0 - 1e-9) <= rho.max() <= c2
+
+    @pytest.mark.parametrize("side", ["c1_g", "c2_g"])
+    def test_sandwich_fails_a_pair_one_percent_tight(self, monkeypatch, side):
+        assert check_sandwich(KP15, DEFAULT_T_GRID, sandwich_grid()).passed
+        c1, c2 = envelope_constants(1.5)
+        tight = (1.01 * c1, c2) if side == "c1_g" else (c1, 0.99 * c2)
+        monkeypatch.setattr(certify.K, "envelope_constants", lambda alpha: tight)
+        rec = check_sandwich(KP15, DEFAULT_T_GRID, sandwich_grid())
+        assert not rec.passed and rec.worst_slack < 1.0 - 1e-9
 
 
 class TestIFormula:

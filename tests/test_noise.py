@@ -78,6 +78,27 @@ class TestValidation:
             LevyMeasureSpec(variant="truncated_power", delta_in=1.0,
                             outer_cut=0.5)
 
+    @pytest.mark.parametrize("key, spec", [
+        ("atoms", dict(variant="atoms", atoms=((1.0, math.nan),))),
+        ("atoms", dict(variant="atoms", atoms=((math.nan, 1.0),))),
+        ("atoms", dict(variant="atoms", atoms=((1.0, math.inf),))),
+        ("atoms", dict(variant="atoms", atoms=((-math.inf, 1.0),))),
+        ("gamma_exp", dict(variant="truncated_power", gamma_exp=math.nan)),
+        ("delta_in", dict(variant="truncated_power", delta_in=math.nan)),
+        ("outer_cut", dict(variant="truncated_power", outer_cut=math.nan)),
+        ("amplitude", dict(variant="truncated_power", amplitude=math.nan)),
+        ("outer_cut", dict(variant="truncated_power", outer_cut=math.inf)),
+        ("amplitude", dict(variant="truncated_power", amplitude=math.inf)),
+    ], ids=["atom-mass-nan", "atom-z-nan", "atom-mass-inf", "atom-z-inf",
+            "gamma-nan", "delta-nan", "outer-nan", "amplitude-nan",
+            "outer-inf", "amplitude-inf"])
+    def test_non_finite_rejected_naming_field(self, key, spec):
+        # NaN passes a plain `x <= 0` check: atoms (1, nan) had total mass
+        # NaN and (nan, 1) total mass 0
+        with pytest.raises(ValidationError) as err:
+            LevyMeasureSpec(**spec)
+        assert err.value.key_path == key
+
     def test_symmetry_flag(self):
         assert ATOMS.symmetric
         assert TPOW.symmetric

@@ -750,3 +750,15 @@ class TestPicard:
         with pytest.raises(DomainError):
             picard_solve(model(), self.GRID, seed=0, replicas=2, n_iter=1,
                          beta=1.0, c=0.0, p=2.0)
+
+    @pytest.mark.parametrize("bad", [
+        {"beta": math.nan}, {"beta": math.inf}, {"p": math.nan},
+        {"c": math.nan}, {"target_ratio": math.nan}],
+        ids=["beta-nan", "beta-inf", "p-nan", "c-nan", "target-ratio-nan"])
+    def test_non_finite_arguments_rejected(self, bad):
+        # each passed the plain checks: the first four returned log_d all
+        # -inf with contraction_ok True, target_ratio = NaN a growing log_d
+        # with contraction_ok True
+        args = dict(seed=5, replicas=4, n_iter=3, beta=1.0, c=0.0, p=2.0)
+        with pytest.raises(DomainError):
+            picard_solve(model(), self.SMALL, **{**args, **bad})
