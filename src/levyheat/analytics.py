@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import (BlowupError, DegenerateMeasureError, DomainError,
-                     NoRootError, ValidationError, reject_unread)
+                     NoRootError, reject_unread, require)
 from .kernel import (ConvConstants, I_formula, KernelParams, conv_constants,
                      envelope_constants, hmoment_constant,
                      levelset_volume_minform, minform_level_integral)
@@ -58,21 +58,22 @@ class SigmaSpec:
     def __post_init__(self):
         unread = {"linear": ("intercept", "table_x", "table_y"),
                   "affine": ("table_x", "table_y"), "table": ("slope", "intercept")}
-        if self.kind not in unread:
-            raise DomainError(f"unknown sigma kind {self.kind!r}")
+        require(self.kind in unread, "kind", self.kind, "{linear, affine, table}")
         reject_unread(self, self.kind, unread)
+        require(math.isfinite(self.slope), "slope", self.slope, "(-inf, inf)")
+        require(math.isfinite(self.intercept), "intercept", self.intercept,
+                "(-inf, inf)")
         if self.kind == "linear":
             lip = lip0 = abs(self.slope)
         elif self.kind == "affine":
             lip = abs(self.slope)
             lip0 = abs(self.slope) if self.intercept == 0.0 else 0.0
         else:
-            if len(self.table_x) != len(self.table_y) or len(self.table_x) < 2:
-                raise DomainError("table sigma needs matching x/y samples")
+            require(len(self.table_x) == len(self.table_y) >= 2, "table_x",
+                    self.table_x, "sequences of 2 or more, as long as table_y")
             dx = np.diff(self.table_x)
-            if not np.all(dx > 0.0):
-                raise ValidationError("table_x",
-                                      "samples must be strictly increasing")
+            require(np.all(dx > 0.0), "table_x", self.table_x,
+                    "strictly increasing sequences")
             lip = float(np.max(np.abs(np.diff(self.table_y) / dx)))
             lip0 = 0.0
         object.__setattr__(self, "lip", lip)
@@ -102,11 +103,12 @@ class U0Spec:
 
     def __post_init__(self):
         unread = {"constant": ("c0", "decay_c"), "poly_decay": ("value",)}
-        if self.kind not in unread:
-            raise DomainError(f"unknown u0 kind {self.kind!r}")
+        require(self.kind in unread, "kind", self.kind, "{constant, poly_decay}")
         reject_unread(self, self.kind, unread)
-        if self.kind == "poly_decay" and not 0.0 <= self.decay_c < math.inf:
-            raise DomainError("decay exponent must be finite and >= 0")
+        require(math.isfinite(self.value), "value", self.value, "(-inf, inf)")
+        require(math.isfinite(self.c0), "c0", self.c0, "(-inf, inf)")
+        require(0.0 <= self.decay_c < math.inf, "decay_c", self.decay_c,
+                "[0, inf)")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -135,6 +137,11 @@ class ConstantsConfig:
     k4: float = 1.0
     k5: float = 1.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            require(0.0 <= value < math.inf, f.name, value, "[0, inf)")
+
     def assumptions(self) -> list:
         return [f"{f.name}={getattr(self, f.name):g} (configured, not derived)"
                 for f in fields(self)]
@@ -151,13 +158,11 @@ class ModelSpec:
     u0: U0Spec = field(default_factory=U0Spec)
 
     def __post_init__(self):
-        if not 0.0 <= self.rho < math.inf:
-            raise DomainError("rho must be finite and >= 0")
-        if self.rho > 0.0 and self.kp.d >= self.kp.alpha:
-            raise DomainError("the Gaussian part requires d < alpha; set rho = 0")
-        if (self.u0.kind == "poly_decay" and self.u0.decay_c > 0.0
-                and not (self.u0.decay_c < self.kp.alpha)):
-            raise DomainError("polynomial decay exponent must lie in [0, alpha)")
+        require(0.0 <= self.rho < math.inf, "rho", self.rho, "[0, inf)")
+        require(self.rho == 0.0 or self.kp.d < self.kp.alpha, "rho", self.rho,
+                "{0} unless d < alpha")
+        require(self.u0.decay_c < self.kp.alpha, "decay_c", self.u0.decay_c,
+                "[0, alpha)")
 
     @property
     def b(self) -> float:
@@ -180,12 +185,9 @@ def contraction_constant(ms: ModelSpec, beta: float, c: float, p: float,
     Strictly decreasing in beta, -> 0 as beta -> infinity.
     """
     d, alpha = ms.kp.d, ms.kp.alpha
-    if not (1.0 <= p < 1.0 + alpha / d):
-        raise DomainError(f"p must lie in [1, 1 + alpha/d), got {p}")
-    if not (0.0 <= c < alpha):
-        raise DomainError(f"c must lie in [0, alpha), got {c}")
-    if p < 2.0 and ms.rho != 0.0:
-        raise DomainError("the Gaussian part requires p >= 2; set rho = 0")
+    require(1.0 <= p < 1.0 + alpha / d, "p", p, "[1, 1 + alpha/d)")
+    require(0.0 <= c < alpha, "c", c, "[0, alpha)")
+    require(p >= 2.0 or ms.rho == 0.0, "p", p, "[2, 1 + alpha/d) when rho > 0")
     total = 0.0
     if ms.rho > 0.0:
         total += (ms.rho * constants.k1
@@ -218,8 +220,7 @@ def beta0(ms: ModelSpec, c: float, p: float,
     majorant is NaN there.
     """
     lip = ms.sigma.lip
-    if lip <= 0.0:
-        raise DomainError("beta0 requires L_sigma > 0")
+    require(lip > 0.0, "sigma.lip", lip, "(0, inf)")
 
     def excess(beta):
         return lip * contraction_constant(ms, beta, c, p, constants) - 0.5
@@ -269,18 +270,14 @@ def upper_bounds(ms: ModelSpec, c: float, p: float,
     c in (0, alpha); it is omitted (None) when only the Lyapunov hypothesis
     holds, and requesting it with decay_c = 0 is an error.
     """
-    b0 = beta0(ms, c, p, constants)
+    b0 = beta0(ms, c, p, constants)     # c in [0, alpha)
     rep = BoundsReport(p=p, c=c, beta0=b0, lyap_upper=p * b0,
                        assumptions=constants.assumptions())
     if c > 0.0:
         if ms.sigma.at_zero != 0.0:
             raise DomainError("growth-index upper bound requires sigma(0) = 0")
-        if not (0.0 < c < ms.kp.alpha):
-            raise DomainError("growth-index upper bound requires c in (0, alpha)")
-        if not (ms.u0.kind == "poly_decay" and 0.0 < c <= ms.u0.decay_c):
-            raise DomainError(
-                "growth-index upper bound requires polynomial initial decay "
-                "with exponent at least c (sup (1+|y|)^c |u0(y)| < infinity)")
+        require(ms.u0.kind == "poly_decay" and c <= ms.u0.decay_c, "c", c,
+                "(0, decay_c] of a polynomially decaying u0")
         rep.growth_upper = b0 / c
     return rep
 
@@ -297,14 +294,11 @@ def lower_bound_exponential(ms: ModelSpec, p: float,
     c1_g from `kernel.envelope_constants`.
     """
     d, alpha = ms.kp.d, ms.kp.alpha
-    if not (alpha > d == 1):
-        raise DomainError("exponential lower bound requires alpha > d = 1")
+    require(alpha > d == 1, "alpha", alpha, "(1, 2) with d = 1")
     if ms.b != 0.0:
         raise DomainError("exponential lower bound requires drift b = 0")
-    if not ms.sigma.lip0 > 0.0:
-        raise DomainError("exponential lower bound requires L_sigma,0 > 0")
-    if not (2.0 <= p < 1.0 + alpha / d):
-        raise DomainError(f"p must lie in [2, 1 + alpha/d), got {p}")
+    require(ms.sigma.lip0 > 0.0, "sigma.lip0", ms.sigma.lip0, "(0, inf)")
+    require(2.0 <= p < 1.0 + alpha / d, "p", p, "[2, 1 + alpha/d)")
     cc = conv_constants(d, alpha, p)
     c_star = constants.k5 * ms.levy.moment(p) * ms.sigma.lip0 ** p
     c1_g, _ = envelope_constants(alpha)
@@ -324,16 +318,13 @@ def subexp_rate(kp: KernelParams, p: float, ms: ModelSpec | None = None,
     model is supplied or p = 2.  It carries the configured-constants caveat.
     """
     d, alpha = kp.d, kp.alpha
-    if not (alpha > d == 1):
-        raise DomainError("subexponential bound requires alpha > d = 1")
-    if not (1.0 < p <= 2.0):
-        raise DomainError(f"p must lie in (1, 2], got {p}")
+    require(alpha > d == 1, "alpha", alpha, "(1, 2) with d = 1")
+    require(1.0 < p <= 2.0, "p", p, "(1, 2]")
     a_ml = 1.0 - (p - 1.0) * d / alpha
     r_star = p * (1.0 - d / alpha) / (2.0 * a_ml)
     eta_star = None
     if ms is not None and p < 2.0:
-        if not ms.sigma.lip0 > 0.0:
-            raise DomainError("eta_star requires L_sigma,0 > 0")
+        require(ms.sigma.lip0 > 0.0, "sigma.lip0", ms.sigma.lip0, "(0, inf)")
         cc = conv_constants(d, alpha, p)
         c_star = constants.k5 * ms.levy.moment(p) * ms.sigma.lip0 ** p
         c1_g, c2_g = envelope_constants(alpha)
@@ -394,10 +385,9 @@ def renewal_weight(kp: KernelParams, levy: LevyMeasureSpec, p: float,
     the exact integral.
     """
     d, alpha = kp.d, kp.alpha
-    if not (1.0 < p < 1.0 + alpha / d):
-        raise DomainError(f"p must lie in (1, 1 + alpha/d), got {p}")
-    if eps <= 0.0 or delta < 0.0:
-        raise DomainError("requires eps > 0 and delta >= 0")
+    require(1.0 < p < 1.0 + alpha / d, "p", p, "(1, 1 + alpha/d)")
+    require(0.0 < eps < math.inf, "eps", eps, "(0, inf)")
+    require(0.0 <= delta < math.inf, "delta", delta, "[0, inf)")
     mass = levy.mass_above(delta)
     if mass <= 0.0:
         raise DegenerateMeasureError(
@@ -434,13 +424,13 @@ class RenewalProblem:
     weight: object
 
     def __post_init__(self):
-        if not (0.0 < self.c3 < math.inf and 0.0 <= self.c4 < math.inf):
-            raise DomainError("requires finite c3 > 0 and c4 >= 0")
-        if not (0.0 < self.dt < math.inf and 0.0 < self.horizon < math.inf):
-            raise DomainError("requires finite dt > 0 and horizon > 0")
+        for name in ("c3", "horizon", "dt"):
+            value = getattr(self, name)
+            require(0.0 < value < math.inf, name, value, "(0, inf)")
+        require(0.0 <= self.c4 < math.inf, "c4", self.c4, "[0, inf)")
         n = self.horizon / self.dt
-        if abs(n - round(n)) > 1e-9:
-            raise DomainError("horizon must be an integral number of steps")
+        require(abs(n - round(n)) <= 1e-9, "horizon", self.horizon,
+                "whole multiples of dt")
 
     def grid(self, refine: int = 1) -> np.ndarray:
         n = int(round(self.horizon / self.dt)) * refine
@@ -553,8 +543,8 @@ def renewal_solve(rp: RenewalProblem) -> RenewalSolution:
     t1 = rp.grid(1)
     wv = rp.weight_values(t1)
     # the base grid's denominator is the smaller of the two
-    if 1.0 - rp.c4 * rp.dt * 0.5 * wv[0] <= 0.0:
-        raise DomainError("step too large: c4 dt w(0) / 2 >= 1")
+    require(rp.c4 * rp.dt * 0.5 * wv[0] < 1.0, "dt", rp.dt,
+            "(0, 2 / (c4 w(0))); step too large otherwise")
     f1, beta1 = _volterra_trapezoid(wv, rp.c3, rp.c4, rp.dt)
     f2, beta1_half = _volterra_trapezoid(rp.weight_values(rp.grid(2)),
                                          rp.c3, rp.c4, rp.dt / 2.0)

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require
 from . import kernel as K
 from .specfun import beta_fn, gamma_fn
 
@@ -78,6 +78,8 @@ DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 def default_x_grid(n: int = 13, x_max: float = 20.0):
     """Default certificate abscissas: origin plus log-spaced radii up to x_max."""
+    require(2 <= n < math.inf, "n", n, "the integers at least 2")
+    require(0.0 < x_max < math.inf, "x_max", x_max, "(0, inf)")
     return [0.0] + list(np.logspace(-1.0, math.log10(x_max), n - 1))
 
 
@@ -177,8 +179,7 @@ def check_space_conv(ck: K.ComparisonKernel, p: float, t_grid=(0.5, 1.0, 2.0),
     """
     d, a = ck.d, ck.alpha
     s_fracs = (0.2, 0.4, 0.8)
-    if not (d / (d + a) < p < 1.0 + a / d):
-        raise DomainError("requires p in (d/(d+alpha), 1+alpha/d)")
+    K.require_conv_order(d, a, p)
     x_grid = x_grid if x_grid is not None else default_x_grid(9, 10.0)
     gam = K.gamma_conv_constant(d, a, p)
     slacks = []
@@ -197,9 +198,12 @@ def check_space_conv(ck: K.ComparisonKernel, p: float, t_grid=(0.5, 1.0, 2.0),
 def _timespace_record(lemma_id, ck, p, lhs, const, kernel, t_grid,
                       x_grid) -> LemmaRecord:
     """Time-space self-convolution lhs(ck, p, t, x) against the bound
-    const Gamma(a) / Gamma(2a) t^a kernel(t, x), a = 1 - (p-1) d / alpha."""
+    C Gamma(a) / Gamma(2a) t^a kernel(t, x), a = 1 - (p-1) d / alpha, C the
+    `const` field of `kernel.conv_constants`."""
+    K.require_conv_order(ck.d, ck.alpha, p)
     a_ml = 1.0 - (p - 1.0) * ck.d / ck.alpha
-    scale = const * gamma_fn(a_ml) / gamma_fn(2.0 * a_ml)
+    scale = (getattr(K.conv_constants(ck.d, ck.alpha, p), const)
+             * gamma_fn(a_ml) / gamma_fn(2.0 * a_ml))
     slacks = [lhs(ck, p, t, x) / (scale * t ** a_ml * kernel(t, x))
               for t in t_grid for x in x_grid]
     return _ineq_record(lemma_id, slacks,
@@ -210,8 +214,7 @@ def check_timespace_conv(ck: K.ComparisonKernel, p: float,
                          t_grid=(0.5, 2.0), x_grid=(0.0, 1.0, 5.0)) -> LemmaRecord:
     """Single time-space self-convolution of g^p against the Lambda bound."""
     return _timespace_record(
-        "g-timespace-convolution", ck, p, K.timespace_conv_gp,
-        K.conv_constants(ck.d, ck.alpha, p).lambda_p,
+        "g-timespace-convolution", ck, p, K.timespace_conv_gp, "lambda_p",
         lambda t, x: ck.g(t, x) ** p, t_grid, x_grid)
 
 
@@ -220,7 +223,7 @@ def check_timespace_conv_ratio(ck: K.ComparisonKernel, p: float,
     """Time-space self-convolution of g^(p+1)/g(.,0) against the Theta bound."""
     return _timespace_record(
         "gratio-timespace-convolution", ck, p, K.timespace_conv_gratio,
-        K.conv_constants(ck.d, ck.alpha, p).theta_p,
+        "theta_p",
         lambda t, x: ck.g(t, x) ** (p + 1.0) / ck.g(t, 0.0), t_grid, x_grid)
 
 
@@ -294,8 +297,7 @@ def check_tail_ratio(kp: K.KernelParams) -> LemmaRecord:
     """q_1(r) by pointwise inversion against the TAIL_TERMS-term power-tail
     series that every vectorised profile evaluation takes beyond TAIL_START,
     at large r."""
-    if kp.d != 1:
-        raise DomainError("tail-ratio check implemented for d = 1 only")
+    require(kp.d == 1, "d", kp.d, "{1}")
     radii = (50.0, 100.0, 200.0)
     q = [K.q_density(kp, 1.0, r) for r in radii]
     series = K.get_profile(kp.alpha).tail(np.array(radii)).tolist()
@@ -310,9 +312,9 @@ def verify_lemmas(d: int = 1, alpha: float = 1.5, p: float = 1.2,
                   fast: bool = False) -> VerificationReport:
     """Run the whole certificate suite for one (d, alpha, p); `fast` keeps
     the first two times and five abscissas, and alpha alone in two grids."""
-    if d != 1:
-        raise DomainError("the certificate suite runs in d = 1")
+    require(d == 1, "d", d, "{1}")
     kp = K.KernelParams(d=d, alpha=alpha)
+    K.require_conv_order(d, alpha, p)
     ck = K.ComparisonKernel(kp)
     x_grid = default_x_grid(5 if fast else 13)
     t_grid = DEFAULT_T_GRID[:2] if fast else DEFAULT_T_GRID

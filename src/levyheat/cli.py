@@ -24,7 +24,8 @@ from .analytics import (RenewalProblem, compute_bounds, renewal_solve,
                         renewal_weight, subexp_rate)
 from .certify import verify_lemmas
 from .config import SCHEMA, ExperimentConfig, exp_weight
-from .errors import BlowupError, NoRootError, QuadratureError, ValidationError
+from .errors import (BlowupError, NoRootError, QuadratureError, ValidationError,
+                     require)
 from .estimator import (MomentSeries, growth_index_scan, lyapunov_fit,
                         renewal_check, simulate_moments)
 from .solver import GridSpec, build_discrete_kernel, run_trajectory
@@ -248,10 +249,9 @@ def _read_csv(path, key: str, columns: int, rows: int) -> np.ndarray:
         lines = [line for line in fh if not line.startswith("#")][1:]
     data = (np.loadtxt(lines, delimiter=",", ndmin=2) if lines
             else np.empty((0, 0)))
-    if data.shape[0] < rows or data.shape[1] < columns:
-        raise ValidationError(
-            key, f"{path} needs at least {rows} data rows of {columns} "
-                 f"columns, found {data.shape[0]} of {data.shape[1]}")
+    require(data.shape[0] >= rows and data.shape[1] >= columns, key,
+            data.shape, f"tables of at least {rows} rows by {columns} "
+                        f"columns ({path})")
     if not np.all(np.isfinite(data)):
         raise ValidationError(key, f"{path} holds a NaN or infinite value")
     return data
@@ -272,10 +272,9 @@ def _parse_weight_arg(cfg: ExperimentConfig):
     elif Path(spec_txt).exists():
         data = _read_csv(spec_txt, "renewal.weight", 2, 1)
         t, w = data[:, 0], data[:, 1]
-        if not (np.all(np.diff(t) > 0.0) and np.all(w >= 0.0)):
-            raise ValidationError(
-                "renewal.weight", f"{spec_txt} needs strictly increasing "
-                                  "times and values >= 0")
+        require(np.all(np.diff(t) > 0.0) and np.all(w >= 0.0),
+                "renewal.weight", spec_txt,
+                "tables of strictly increasing times and values >= 0")
     else:
         raise ValidationError("renewal.weight",
                               f"cannot interpret {spec_txt!r}")

@@ -28,13 +28,13 @@ def _parse_finite(s):
     return v
 
 
-def _parse_float_list(s):
-    return tuple(_parse_finite(tok) for tok in s.replace(";", ",").split(",")
+def _parse_float_list(s, parse=_parse_finite):
+    return tuple(parse(tok) for tok in s.replace(";", ",").split(",")
                  if tok.strip())
 
 
-def _parse_nonempty_list(s):
-    vals = _parse_float_list(s)
+def _parse_nonempty_list(s, parse=_parse_finite):
+    vals = _parse_float_list(s, parse)
     if not vals:
         raise ValueError("needs at least one value")
     return vals
@@ -71,6 +71,11 @@ def _parse_positive(s):
     if not 0.0 < v < float("inf"):
         raise ValueError("must be positive and finite")
     return v
+
+
+def _parse_orders(s):
+    """Moment orders: one or more, each positive and finite."""
+    return _parse_nonempty_list(s, _parse_positive)
 
 
 def _parse_radius_exponent(s):
@@ -132,7 +137,7 @@ _FIELDS = {
 SCHEMA = {
     **{key: (parser, {f.name: f.default for f in fields(cls)}[name])
        for key, (parser, cls, name) in _FIELDS.items()},
-    "run.p": (_parse_nonempty_list, (2.0,)),
+    "run.p": (_parse_orders, (2.0,)),
     "run.replicas": (int, 100),
     "run.seed": (int, 12345),
     "run.blocks": (_parse_int_at_least(2), MOM_BLOCKS),   # SE uses ddof=1
@@ -184,6 +189,7 @@ class ExperimentConfig:
         cfg = cls(values=values)
         cfg.build_model()       # fail fast on semantic violations
         cfg.build_grid()
+        cfg.build_constants()
         return cfg
 
     @classmethod
@@ -205,19 +211,19 @@ class ExperimentConfig:
 
     def _build(self, cls, **parts):
         """`cls` with each field the table maps set from its key, and
-        `parts`.  A ValidationError on a field is raised again under its
-        key, any other ValueError under the section of `cls`'s keys."""
+        `parts`.  A ValidationError naming a field of `cls` or of a part is
+        raised again under that field's key."""
         keys = {name: key for key, (_, owner, name) in _FIELDS.items()
                 if owner is cls}
         try:
             return cls(**{name: self.get(key) for name, key in keys.items()},
                        **parts)
         except ValidationError as exc:
-            raise ValidationError(keys.get(exc.key_path, exc.key_path),
+            owners = {cls, *map(type, parts.values())}
+            named = {name: key for key, (_, owner, name) in _FIELDS.items()
+                     if owner in owners}
+            raise ValidationError(named.get(exc.key_path, exc.key_path),
                                   exc.message) from exc
-        except ValueError as exc:
-            section = next(iter(keys.values())).partition(".")[0]
-            raise ValidationError(section, str(exc)) from exc
 
     def build_model(self) -> ModelSpec:
         return self._build(ModelSpec, kp=self._build(KernelParams),

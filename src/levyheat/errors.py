@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one domain check.
+
+Every entry point checks a numeric argument with `require(ok, name,
+value, domain)`, `ok` the in-range test: `0.0 < p < math.inf`, or
+`math.isfinite(x)` on the whole line.  It is False for NaN and for an
+infinite value, so neither can pass.  A failure raises a ValidationError,
+a DomainError that carries the name: `p: must lie in (0, inf), got nan`.
+"""
 
 
 class DomainError(ValueError):
@@ -42,8 +49,9 @@ class BlowupError(RuntimeError):
         self.value = value
 
 
-class ValidationError(ValueError):
-    """Config validation failure; carries its key path and message apart."""
+class ValidationError(DomainError):
+    """An argument or config value outside its domain; carries the name or
+    key path and the message apart."""
 
     def __init__(self, key_path, message):
         super().__init__(f"{key_path}: {message}")
@@ -53,6 +61,12 @@ class ValidationError(ValueError):
 
 class DegenerateMeasureError(DomainError):
     """Levy measure carries no mass where the operation requires it."""
+
+
+def require(ok, name: str, value, domain: str) -> None:
+    """Raise a ValidationError naming `name` unless `ok` (see above)."""
+    if not ok:
+        raise ValidationError(name, f"must lie in {domain}, got {value!r}")
 
 
 def reject_unread(spec, kind: str, unread: dict) -> None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytics import ModelSpec, RenewalProblem, renewal_solve
-from .errors import DomainError
+from .errors import DomainError, require
 from .noise import cell_base
 from .solver import GridSpec, build_discrete_kernel, mild_step, sample_noise
 
@@ -99,8 +99,9 @@ class MomentSeries:
     variance_finite: bool = True
 
     def __post_init__(self):
-        if np.any(self.sup_mean < self.inf_mean):
-            raise DomainError("sup series must dominate inf series")
+        gap = np.asarray(self.sup_mean) - self.inf_mean
+        require(np.all(gap >= 0.0), "sup_mean - inf_mean",
+                float(np.min(gap, initial=0.0)), "[0, inf)")
 
 
 @dataclass
@@ -241,16 +242,15 @@ def simulate_moments(ms: ModelSpec, grid: GridSpec, p, replicas: int,
     threads step the replicas; every sum folds them in replica order, so
     the results do not depend on `jobs` or the batch size, bit for bit.
     """
-    if aggregator not in AGGREGATORS:
-        raise DomainError(f"unknown aggregator {aggregator!r}; expected one "
-                          f"of {', '.join(AGGREGATORS)}")
-    if replicas < 2:
-        raise DomainError("need at least 2 replicas")
-    if blocks < 2:
-        raise DomainError("need at least 2 blocks")
-    if jobs < 1:
-        raise DomainError("need at least 1 job")
+    require(aggregator in AGGREGATORS, "aggregator", aggregator,
+            "{" + ", ".join(AGGREGATORS) + "}")
+    require(2 <= replicas < math.inf, "replicas", replicas,
+            "the integers at least 2")
+    require(2 <= blocks < math.inf, "blocks", blocks, "the integers at least 2")
+    require(1 <= jobs < math.inf, "jobs", jobs, "the integers at least 1")
     ps = [float(v) for v in np.atleast_1d(p)]
+    for q in ps:
+        require(0.0 < q < math.inf, "p", q, "(0, inf)")
     aggs = [aggregator if aggregator != "auto" else
             ("mom" if q > 1.5 else "mean") for q in ps]
     moms = [a == "mom" for a in aggs]
@@ -328,10 +328,9 @@ def fit_log_slope(t: np.ndarray, values: np.ndarray) -> SlopeFit:
     the residuals."""
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
-    if len(t) < 5:
-        raise DomainError("need at least 5 points for a slope fit")
-    if np.any(values <= 0.0):
-        raise DomainError("nonpositive values in the fit window")
+    require(len(t) >= 5, "t", t, "sequences of at least 5 points")
+    ok = (0.0 < values) & (values < math.inf)
+    require(ok.all(), "values", float(values[np.argmin(ok)]), "(0, inf)")
     y = np.log(values)
     tbar = t.mean()
     sxx = float(np.sum((t - tbar) ** 2))
@@ -356,8 +355,6 @@ def lyapunov_fit(series: MomentSeries) -> LyapunovFit:
     t = series.times
     lo, hi = t[-1] / 2.0, t[-1]
     mask = (t >= lo) & (t <= hi)
-    if mask.sum() < 5:
-        raise DomainError("window holds fewer than 5 series points")
     return LyapunovFit(upper=fit_log_slope(t[mask], series.sup_mean[mask]),
                        lower=fit_log_slope(t[mask], series.inf_mean[mask]),
                        window=(float(lo), float(hi)))
@@ -398,6 +395,7 @@ def growth_index_scan(surface: MomentSurface, eta_grid,
     one.  Regions that leave the torus are flagged empty and excluded from
     fits.
     """
+    require(math.isfinite(r), "r", r, "(-inf, inf)")
     eta_grid = np.asarray(sorted(eta_grid), dtype=float)
     t = surface.times
     absx = np.abs(surface.x)
@@ -471,8 +469,8 @@ def renewal_check(series: MomentSeries, weight, c3: float,
     the callable w that `renewal_solve` evaluates.  The margin is reported
     everywhere; the pass verdict applies from 10% of the horizon on."""
     t = series.times
-    if np.any(series.inf_mean <= 0.0):
-        raise DomainError("renewal check needs positive inf-moment estimates")
+    require(np.all(series.inf_mean > 0.0), "inf_mean",
+            float(np.min(series.inf_mean)), "(0, inf)")
     if t[0] != 0.0:
         raise DomainError("series times must start at 0")
     dt = float(t[1] - t[0])

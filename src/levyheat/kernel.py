@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import QuadratureError, require
 from .specfun import bessel_k, gamma_fn, lgamma_fn
 
 # quadrature tolerances shared by the kernel integrals
@@ -87,10 +87,9 @@ class KernelParams:
     alpha: float = 1.5
 
     def __post_init__(self):
-        if self.d < 1 or self.d != int(self.d):
-            raise DomainError(f"dimension must be a positive integer, got {self.d}")
-        if not (0.0 < self.alpha < 2.0):
-            raise DomainError(f"alpha must lie in (0, 2), got {self.alpha}")
+        require(1 <= self.d < math.inf and self.d % 1 == 0, "d", self.d,
+                "{1, 2, 3, ...}")
+        require(0.0 < self.alpha < 2.0, "alpha", self.alpha, "(0, 2)")
 
 
 def omega_d(d: int) -> float:
@@ -137,8 +136,7 @@ class StableProfile:
     """
 
     def __init__(self, alpha: float, force_numeric: bool = False):
-        if not (0.0 < alpha < 2.0):
-            raise DomainError(f"alpha must lie in (0, 2), got {alpha}")
+        require(0.0 < alpha < 2.0, "alpha", alpha, "(0, 2)")
         self.alpha = float(alpha)
         self._closed_form = self.alpha == 1.0 and not force_numeric
         self._spline = None
@@ -320,12 +318,12 @@ def q_density(kp: KernelParams, t: float, x) -> float:
 
     The profile returns the exact Cauchy form at alpha = 1; d != 1 raises.
     """
-    if kp.d != 1:
-        raise DomainError(f"q_density is implemented for d = 1 only, got d={kp.d}")
-    if t <= 0.0:
-        raise DomainError(f"q_density requires t > 0, got {t}")
+    require(kp.d == 1, "d", kp.d, "{1}")
+    require(0.0 < t < math.inf, "t", t, "(0, inf)")
+    r = _norm(x)
+    require(r < math.inf, "x", x, "(-inf, inf)")
     scale = t ** (-1.0 / kp.alpha)
-    return scale * get_profile(kp.alpha).direct(_norm(x) * scale)
+    return scale * get_profile(kp.alpha).direct(r * scale)
 
 
 def q_mass_numeric(kp: KernelParams, t: float) -> float:
@@ -341,8 +339,8 @@ def q_mass_numeric(kp: KernelParams, t: float) -> float:
     TAIL_START.  `values` runs at every node in one array call, so a wrong
     inversion shows in the mass.
     """
-    if kp.d != 1:
-        raise DomainError("numeric mass check implemented for d = 1 only")
+    require(kp.d == 1, "d", kp.d, "{1}")
+    require(0.0 < t < math.inf, "t", t, "(0, inf)")
     a = kp.alpha
     # log10(w) from lgamma: Gamma(3/a) overflows for a < 0.018
     log_w = 0.5 * (lgamma_fn(1.0 / a) - lgamma_fn(3.0 / a)) / math.log(10.0)
@@ -384,8 +382,8 @@ class ComparisonKernel:
         powers are np.float_power, the C library's pow on every element as
         Python's ** on floats; np.power's SIMD loops can round differently,
         so g(t, r)[i] == g(t[i], r) holds bit for bit."""
-        if np.any(np.asarray(t) <= 0.0):
-            raise DomainError(f"g requires t > 0, got {t}")
+        ts = np.asarray(t)
+        require(np.all((0.0 < ts) & (ts < math.inf)), "t", t, "(0, inf)")
         r = np.asarray(r, dtype=float)
         d, a = self.d, self.alpha
         return self.kappa * t / np.float_power(
@@ -398,9 +396,10 @@ class ComparisonKernel:
         variable u = y / t^(1/alpha), so the split at u = 10 and QUADPACK's
         map of [10, inf) do not depend on the width t^(1/alpha) (which is
         4^10 at alpha = 0.1, t = 4)."""
-        if self.d != 1:
-            raise DomainError("numeric g integral implemented for d = 1 only")
+        require(self.d == 1, "d", self.d, "{1}")
         a = self.alpha
+        require(0.0 < t < math.inf, "t", t, "(0, inf)")
+        require(1 / (1 + a) < p < math.inf, "p", p, "(d/(d+alpha), inf)")
         kt, t2a, e = self.kappa * t, t ** (2.0 / a), (1.0 + a) / 2.0
         width = t ** (1.0 / a)
 
@@ -415,9 +414,9 @@ class ComparisonKernel:
 
 def minform_kernel(kp: KernelParams, t: float, x) -> float:
     """Envelope min(t^(-d/alpha), t / |x|^(d+alpha)); brackets q_t up to constants."""
-    if t <= 0.0:
-        raise DomainError(f"minform_kernel requires t > 0, got {t}")
+    require(0.0 < t < math.inf, "t", t, "(0, inf)")
     r = _norm(x)
+    require(r < math.inf, "x", x, "(-inf, inf)")
     flat = t ** (-kp.d / kp.alpha)
     if r == 0.0:
         return flat
@@ -476,14 +475,10 @@ def envelope_constants(alpha: float) -> tuple:
 
 
 def _check_icpc(d, alpha, beta, c, p):
-    if not (1.0 <= p < 1.0 + alpha / d):
-        raise DomainError(f"p must lie in [1, 1 + alpha/d) = [1, {1 + alpha / d}), got {p}")
-    if not (0.0 <= c < d + alpha):
-        raise DomainError(f"c must lie in [0, d + alpha), got {c}")
-    if not (p > d / (d + alpha - c)):
-        raise DomainError(f"p must exceed d/(d+alpha-c) = {d / (d + alpha - c)}, got {p}")
-    if not (beta > 0.0):
-        raise DomainError(f"beta must be positive, got {beta}")
+    require(1.0 <= p < 1.0 + alpha / d, "p", p, "[1, 1 + alpha/d)")
+    require(0.0 <= c < d + alpha, "c", c, "[0, d + alpha)")
+    require(p > d / (d + alpha - c), "p", p, "(d/(d+alpha-c), 1 + alpha/d)")
+    require(0.0 < beta < math.inf, "beta", beta, "(0, inf)")
 
 
 def I_formula(kp: KernelParams, beta: float, c: float, p: float) -> float:
@@ -531,8 +526,7 @@ def weighted_kernel_integral(kp: KernelParams, beta: float, c: float, p: float) 
     which stays well-conditioned for arbitrarily large beta.
     """
     d, a = kp.d, kp.alpha
-    if d != 1:
-        raise DomainError("weighted_kernel_integral implemented for d = 1 only")
+    require(d == 1, "d", d, "{1}")
     _check_icpc(d, a, beta, c, p)
     prof = get_profile(a)
     pc = p * c
@@ -570,16 +564,15 @@ def weighted_kernel_integral(kp: KernelParams, beta: float, c: float, p: float) 
 
 def hmoment_constant(d: int, alpha: float, p: float) -> float:
     """c_{d,alpha}^(p) = omega_d (d+alpha)^2 / (d (2d+alpha) (d+alpha-pd))."""
-    if not (0.0 <= p < 1.0 + alpha / d):
-        raise DomainError(f"p must lie in [0, 1 + alpha/d), got {p}")
+    KernelParams(d, alpha)      # checks d and alpha
+    require(0.0 <= p < 1.0 + alpha / d, "p", p, "[0, 1 + alpha/d)")
     return (omega_d(d) * (d + alpha) ** 2
             / (d * (2.0 * d + alpha) * (d + alpha - p * d)))
 
 
 def levelset_volume_minform(d: int, alpha: float, eps: float) -> float:
     """Space-time volume of {min-form kernel > eps}; exact closed form."""
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
+    require(0.0 < eps < math.inf, "eps", eps, "(0, inf)")
     return hmoment_constant(d, alpha, 0.0) * eps ** (-(1.0 + alpha / d))
 
 
@@ -589,10 +582,10 @@ def minform_level_integral(kp: KernelParams, t: float, p: float, eps: float) -> 
     Exact closed form; vanishes for t >= eps^(-alpha).
     """
     d, a = kp.d, kp.alpha
-    if d != 1:
-        raise DomainError("minform level-set integral implemented for d = 1 only")
-    if eps <= 0.0 or t <= 0.0:
-        raise DomainError("requires t > 0 and eps > 0")
+    require(d == 1, "d", d, "{1}")
+    require(0.0 < t < math.inf, "t", t, "(0, inf)")
+    require(0.0 <= p < math.inf, "p", p, "[0, inf)")
+    require(0.0 < eps < math.inf, "eps", eps, "(0, inf)")
     if t >= eps ** (-a):
         return 0.0
     r_in = t ** (1.0 / a)
@@ -639,14 +632,11 @@ def h_moment(kp: KernelParams, eps: float, p: float):
     below HMOMENT_ALPHA_FLOOR = 0.02 with a DomainError.
     """
     d, a = kp.d, kp.alpha
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
+    require(0.0 < eps < math.inf, "eps", eps, "(0, inf)")
     closed = hmoment_constant(d, a, p) * eps ** (-(1.0 + a / d - p))
     if d != 1:
         return closed, None
-    if a < HMOMENT_ALPHA_FLOOR:
-        raise DomainError(f"the level-set moment quadrature needs alpha >= "
-                          f"{HMOMENT_ALPHA_FLOOR}, got {a}")
+    require(a >= HMOMENT_ALPHA_FLOOR, "alpha", a, f"[{HMOMENT_ALPHA_FLOOR}, 2)")
     t, w_t = _gauss_panels(eps ** (-a) * np.asarray(HMOMENT_TIME_CUTS), 24)
     s, w_s = _gauss_panels([0.0, 1.0], 24)
     # logarithms throughout: t^(1/alpha) underflows at small alpha
@@ -666,10 +656,8 @@ def h_moment(kp: KernelParams, eps: float, p: float):
 def g_p_integral(ck: ComparisonKernel, t: float, p: float) -> float:
     """Closed form of int g(t,y)^p dy for p > d/(d+alpha)."""
     d, a = ck.d, ck.alpha
-    if not (p > d / (d + a)):
-        raise DomainError(f"requires p > d/(d+alpha) = {d / (d + a)}, got {p}")
-    if t <= 0.0:
-        raise DomainError("t must be positive")
+    require(d / (d + a) < p < math.inf, "p", p, "(d/(d+alpha), inf)")
+    require(0.0 < t < math.inf, "t", t, "(0, inf)")
     return (ck.kappa ** p * math.pi ** (d / 2.0) * t ** (-(p - 1.0) * d / a)
             * math.exp(lgamma_fn(p * (d + a) / 2.0 - d / 2.0)
                        - lgamma_fn(p * (d + a) / 2.0)))
@@ -677,9 +665,9 @@ def g_p_integral(ck: ComparisonKernel, t: float, p: float) -> float:
 
 def nu_const(d: int, alpha: float, p: float):
     """(nu, c_nu) of the Fourier lower bound: nu = p(d+alpha)/2 - d/2."""
+    KernelParams(d, alpha)      # checks d and alpha
     nu = p * (d + alpha) / 2.0 - d / 2.0
-    if nu <= 0.0:
-        raise DomainError(f"requires p > d/(d+alpha), got p={p}")
+    require(0.0 < nu < math.inf, "p", p, "(d/(d+alpha), inf)")
     c_nu = math.pi ** (d / 2.0) * gamma_fn(nu) / gamma_fn(d / 2.0 + nu)
     return nu, c_nu
 
@@ -731,10 +719,8 @@ def fourier_power_transform(d: int, a: float, mu: float, z) -> float:
     Equals (2 pi)^(d/2) / (2^mu Gamma(mu+1)) (|z|/a)^(mu+1-d/2) K_{(d-2)/2-mu}(a |z|)
     for z != 0, with the K-order taken by absolute value.
     """
-    if a <= 0.0:
-        raise DomainError("scale a must be positive")
-    if not (mu > (d - 2.0) / 2.0):
-        raise DomainError(f"requires mu > (d-2)/2, got mu={mu}")
+    require(0.0 < a < math.inf, "a", a, "(0, inf)")
+    require((d - 2.0) / 2.0 < mu < math.inf, "mu", mu, "((d-2)/2, inf)")
     r = _norm(z)
     if r == 0.0:
         return (math.pi ** (d / 2.0) * gamma_fn(mu + 1.0 - d / 2.0)
@@ -747,8 +733,8 @@ def fourier_power_transform(d: int, a: float, mu: float, z) -> float:
 def g_fourier(ck: ComparisonKernel, t: float, p: float, z) -> float:
     """Exact Fourier transform of g(t, .)^p at frequency z."""
     d, a = ck.d, ck.alpha
-    if not (p > d / (d + a)):
-        raise DomainError("requires p > d/(d+alpha)")
+    require(d / (d + a) < p < math.inf, "p", p, "(d/(d+alpha), inf)")
+    require(0.0 < t < math.inf, "t", t, "(0, inf)")
     r = _norm(z)
     if r == 0.0:
         return g_p_integral(ck, t, p)
@@ -760,7 +746,9 @@ def g_fourier_lower(ck: ComparisonKernel, t: float, p: float, z) -> float:
     """Certified lower bound kappa^p c_nu t^(-(p-1)d/alpha) e^(-t^(1/alpha) |z|)."""
     d, a = ck.d, ck.alpha
     _, c_nu = nu_const(d, a, p)
+    require(0.0 < t < math.inf, "t", t, "(0, inf)")
     r = _norm(z)
+    require(r < math.inf, "z", z, "(-inf, inf)")
     return (ck.kappa ** p * c_nu * t ** (-(p - 1.0) * d / a)
             * math.exp(-t ** (1.0 / a) * r))
 
@@ -804,8 +792,7 @@ def _space_conv(ck: ComparisonKernel, q: float, t: float, s, x: float):
 
     one power per node.
     """
-    if ck.d != 1:
-        raise DomainError("numeric convolutions implemented for d = 1 only")
+    require(ck.d == 1, "d", ck.d, "{1}")
     a = ck.alpha
     u = t - s
     y, w = _conv_nodes(ck, u, s, x)
@@ -823,8 +810,23 @@ def _graded_time_nodes(t: float):
     return s.reshape(-1, 16), w.reshape(-1, 16)
 
 
+def require_conv_order(d, alpha, p) -> None:
+    """The orders p of the convolution bounds: d/(d+alpha) < p <
+    1 + alpha/d, where g^p is integrable and a = 1 - (p-1) d/alpha > 0."""
+    require(d / (d + alpha) < p < 1.0 + alpha / d, "p", p,
+            "(d/(d+alpha), 1 + alpha/d)")
+
+
+def _check_timespace(ck: ComparisonKernel, p: float, t: float, x: float):
+    """The domain the time-space convolutions share."""
+    require_conv_order(ck.d, ck.alpha, p)
+    require(0.0 < t < math.inf, "t", t, "(0, inf)")
+    require(math.isfinite(x), "x", x, "(-inf, inf)")
+
+
 def timespace_conv_gp(ck: ComparisonKernel, p: float, t: float, x: float) -> float:
     """Numeric (g^p star g^p)(t, x), d = 1, one time panel at a time."""
+    _check_timespace(ck, p, t, x)
     return float(sum(ws @ _space_conv(ck, p, t, s, x)
                      for s, ws in zip(*_graded_time_nodes(t))))
 
@@ -833,6 +835,7 @@ def timespace_conv_gratio(ck: ComparisonKernel, p: float, t: float, x: float) ->
     """Numeric (g^(p) star g^(p))(t, x) for the ratio kernel
     g^(p)(u, .) = g(u, .)^(p+1) / g(u, 0), d = 1: the space convolution of
     g^(p+1) divided by the two centre values."""
+    _check_timespace(ck, p, t, x)
     return float(sum(ws @ (_space_conv(ck, p + 1.0, t, s, x)
                            / (ck.g(t - s, 0.0) * ck.g(s, 0.0)))
                      for s, ws in zip(*_graded_time_nodes(t))))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, reject_unread
+from .errors import ValidationError, reject_unread, require
 
 
 @dataclass(frozen=True)
@@ -33,22 +33,17 @@ class LevyMeasureSpec:
             if not self.atoms:
                 raise ValidationError("atoms", "measure must be nonzero")
             for z, m in self.atoms:
-                if not math.isfinite(z) or z == 0.0:
-                    raise ValidationError("atoms", f"atom at z = {z} is not a "
-                                          "finite nonzero jump")
-                if not 0.0 < m < math.inf:
-                    raise ValidationError("atoms", f"atom mass must be finite "
-                                          f"and > 0, got {m}")
+                require(0.0 < abs(z) < math.inf and 0.0 < m < math.inf,
+                        "atoms", (z, m), "jumps z != 0 with masses in (0, inf)")
         elif self.variant == "truncated_power":
-            if not math.isfinite(self.gamma_exp):
-                raise ValidationError("gamma_exp", "exponent must be finite")
-            if not 0.0 < self.delta_in < math.inf:
-                raise ValidationError("delta_in", "inner cutoff must be finite and > 0")
-            if not self.delta_in < self.outer_cut < math.inf:
-                raise ValidationError("outer_cut", "outer cutoff must be finite "
-                                      "and exceed delta_in")
-            if not 0.0 < self.amplitude < math.inf:
-                raise ValidationError("amplitude", "amplitude must be finite and > 0")
+            require(math.isfinite(self.gamma_exp), "gamma_exp",
+                    self.gamma_exp, "(-inf, inf)")
+            require(0.0 < self.delta_in < math.inf, "delta_in", self.delta_in,
+                    "(0, inf)")
+            require(self.delta_in < self.outer_cut < math.inf, "outer_cut",
+                    self.outer_cut, "(delta_in, inf)")
+            require(0.0 < self.amplitude < math.inf, "amplitude",
+                    self.amplitude, "(0, inf)")
         else:
             raise ValidationError("variant", f"unknown variant {self.variant!r}")
         reject_unread(self, self.variant, {
@@ -71,8 +66,8 @@ class LevyMeasureSpec:
     def moment_above(self, p: float, delta: float) -> float:
         """int_{|z| > delta} |z|^p lambda(dz).  The three above are exact
         cases of it: no atom sits at z = 0, and |z| ** 0.0 is exactly 1."""
-        if p < 0.0:
-            raise DomainError("moment order p must be >= 0")
+        require(0.0 <= p < math.inf, "p", p, "[0, inf)")
+        require(0.0 <= delta < math.inf, "delta", delta, "[0, inf)")
         if self.variant == "atoms":
             return sum(m * abs(z) ** p for z, m in self.atoms if abs(z) > delta)
         lo, hi = max(delta, self.delta_in), self.outer_cut

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytics import ModelSpec
-from .errors import BlowupError, DomainError, ValidationError
+from .errors import BlowupError, require
 from .kernel import get_profile, tail_coefficient
 from .noise import cell_base, sample_jumps
 
@@ -46,12 +46,12 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("half_width", "horizon"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValidationError(name, "must be positive and finite")
-        if self.n_x < 2 or (self.n_x & (self.n_x - 1)) != 0:
-            raise ValidationError("n_x", f"must be a power of two, got {self.n_x}")
-        if self.n_t < 1:
-            raise ValidationError("n_t", "must be >= 1")
+            value = getattr(self, name)
+            require(0.0 < value < math.inf, name, value, "(0, inf)")
+        require(2 <= self.n_x < math.inf and not self.n_x & (self.n_x - 1),
+                "n_x", self.n_x, "the powers of two at least 2")
+        require(1 <= self.n_t < math.inf, "n_t", self.n_t,
+                "the integers at least 1")
 
     @property
     def dx(self) -> float:
@@ -117,10 +117,8 @@ def build_discrete_kernel(kp, grid: GridSpec, dt: float) -> DiscreteKernel:
     The kernel is built once per (alpha, n_x, L, dt) and cached: equal
     arguments return the same frozen object, whose arrays are read-only.
     """
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
-    if kp.d != 1:
-        raise DomainError("the solver runs in d = 1")
+    require(0.0 < dt < math.inf, "dt", dt, "(0, inf)")
+    require(kp.d == 1, "d", kp.d, "{1}")
     return _kernel(kp.alpha, grid.n_x, grid.half_width, dt)
 
 
@@ -328,18 +326,13 @@ def picard_solve(ms: ModelSpec, grid: GridSpec, seed: int, replicas: int,
     d_{n+1} <= target_ratio * d_n + statistical slack over the first
     `resolved` decrements.
     """
-    if n_iter < 2:
-        raise DomainError("need at least two iterates to measure contraction")
-    if not 0.0 < beta < math.inf:
-        raise DomainError(f"beta must be positive and finite, got {beta}")
-    if not 1.0 <= p < math.inf:
-        raise DomainError(f"p must be finite and >= 1, got {p}")
-    if not 0.0 <= c < math.inf:
-        raise DomainError(f"c must be finite and >= 0, got {c}")
-    if not 0.0 < target_ratio < 1.0:
-        raise DomainError(f"target_ratio must lie in (0, 1), got {target_ratio}")
-    if replicas < 1:
-        raise DomainError("need at least one replica")
+    require(2 <= n_iter < math.inf, "n_iter", n_iter, "the integers at least 2")
+    require(0.0 < beta < math.inf, "beta", beta, "(0, inf)")
+    require(1.0 <= p < math.inf, "p", p, "[1, inf)")
+    require(0.0 <= c < math.inf, "c", c, "[0, inf)")
+    require(0.0 < target_ratio < 1.0, "target_ratio", target_ratio, "(0, 1)")
+    require(1 <= replicas < math.inf, "replicas", replicas,
+            "the integers at least 1")
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
     weight = c * np.log1p(np.abs(grid.x))
     x0 = ms.u0(grid.x)

@@ -10,7 +10,8 @@ mittag_leffler relative error <= 1e-10 inside the series-safe region.
 
 import math
 
-from .errors import DivergenceError, DomainError, OverflowSignal, PoleError
+from .errors import (DivergenceError, DomainError, OverflowSignal, PoleError,
+                     require)
 
 # Switch point of the Mittag-Leffler evaluation: series while the terms
 # decay before this index and z**(1/a) stays below the cap.
@@ -25,6 +26,7 @@ def gamma_fn(x: float) -> float:
     value exceeds the double range (x > ~171.6).
     """
     x = float(x)
+    require(math.isfinite(x), "x", x, "(-inf, inf)")
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"Gamma pole at non-positive integer x = {x}")
     try:
@@ -35,23 +37,17 @@ def gamma_fn(x: float) -> float:
 
 def lgamma_fn(x: float) -> float:
     """log |Gamma(x)|; used where Gamma itself would overflow."""
+    require(math.isfinite(x), "x", x, "(-inf, inf)")
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"Gamma pole at non-positive integer x = {x}")
     return math.lgamma(x)
 
 
-def beta_fn(p: float, q: float) -> float:
-    """Beta function B(p, q) = Gamma(p) Gamma(q) / Gamma(p + q) for p, q > 0."""
-    if p <= 0.0 or q <= 0.0:
-        raise DomainError("beta_fn requires p > 0 and q > 0")
-    return math.exp(lgamma_fn(p) + lgamma_fn(q) - lgamma_fn(p + q))
-
-
-def _validate_ml(a: float, b: float) -> None:
-    if not (a > 0.0):
-        raise DomainError(f"Mittag-Leffler parameter a must be > 0, got {a}")
-    if not (b > 0.0):
-        raise DomainError(f"Mittag-Leffler parameter b must be > 0, got {b}")
+def beta_fn(a: float, b: float) -> float:
+    """Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b) for a, b > 0."""
+    require(0.0 < a < math.inf, "a", a, "(0, inf)")
+    require(0.0 < b < math.inf, "b", b, "(0, inf)")
+    return math.exp(lgamma_fn(a) + lgamma_fn(b) - lgamma_fn(a + b))
 
 
 def ml_series(a: float, b: float, z: float,
@@ -63,8 +59,12 @@ def ml_series(a: float, b: float, z: float,
     OverflowSignal is raised if terms stop fitting in doubles.  This is the
     raw engine; `mittag_leffler` wraps it with the series/asymptotic switch.
     """
-    _validate_ml(a, b)
+    require(0.0 < a < math.inf, "a", a, "(0, inf)")
+    require(0.0 < b < math.inf, "b", b, "(0, inf)")
+    require(1 <= max_terms < math.inf, "max_terms", max_terms,
+            "the integers at least 1")
     z = float(z)
+    require(math.isfinite(z), "z", z, "(-inf, inf)")
     if z == 0.0:
         return 1.0 / gamma_fn(b)
     log_absz = math.log(abs(z))
@@ -95,11 +95,9 @@ def ml_asymptotic(a: float, b: float, z: float) -> float:
     Valid for a in (0, 2), b > 0 and large positive z; the first algebraic
     correction is dropped.
     """
-    _validate_ml(a, b)
-    if not (0.0 < a < 2.0):
-        raise DomainError(f"asymptotic regime requires a in (0,2), got {a}")
-    if not (z > 0.0):
-        raise DomainError(f"asymptotic regime requires z > 0, got {z}")
+    require(0.0 < a < 2.0, "a", a, "(0, 2)")
+    require(0.0 < b < math.inf, "b", b, "(0, inf)")
+    require(0.0 < z < math.inf, "z", z, "(0, inf)")
     log_val = (1.0 - b) / a * math.log(z) + z ** (1.0 / a) - math.log(a)
     if log_val > 709.0:
         raise OverflowSignal(f"Mittag-Leffler value overflows (log ~ {log_val:.1f})")
@@ -114,8 +112,8 @@ def mittag_leffler(a: float, b: float, z: float) -> float:
     z with a in (0, 2) it switches to the exponential asymptotic (relative
     error there is O(1/z), flagged in the docstring rather than returned).
     """
-    _validate_ml(a, b)
     z = float(z)
+    require(math.isfinite(z), "z", z, "(-inf, inf)")
     if z > 0.0 and 0.0 < a < 2.0 and z ** (1.0 / a) >= ML_SERIES_ARG_CAP:
         return ml_asymptotic(a, b, z)
     return ml_series(a, b, z)
@@ -129,8 +127,8 @@ def bessel_k(nu: float, x: float) -> float:
     """
     nu = abs(float(nu))
     x = float(x)
-    if x < 0.0:
-        raise DomainError(f"bessel_k requires x >= 0, got {x}")
+    require(nu < math.inf, "nu", nu, "(-inf, inf)")
+    require(0.0 <= x < math.inf, "x", x, "(0, inf)")
     if x == 0.0:
         raise DivergenceError("K_nu(x) diverges as x -> 0 for every nu")
     from scipy.special import kv

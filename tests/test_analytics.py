@@ -118,13 +118,19 @@ class TestBeta0:
         with pytest.raises(NoRootError):
             beta0(model(), 0.0, 1.0)
 
-    def test_nan_majorant_raises(self):
+    def test_nan_majorant_raises(self, monkeypatch):
         # NaN compares false both ways: a ceiling test `excess > 0` lets it
-        # through and the bisection returns the bracket floor
-        for ms, constants in ((model(slope=math.nan), ConstantsConfig()),
-                              (model(), ConstantsConfig(k3=math.nan))):
-            with pytest.raises(NoRootError):
-                beta0(ms, 0.0, 1.0, constants)
+        # through and the bisection returns the bracket floor.  A NaN slope
+        # or k3, which made the majorant NaN, is refused where it is set,
+        # so the NaN majorant is patched in
+        for make in (lambda: model(slope=math.nan),
+                     lambda: ConstantsConfig(k3=math.nan)):
+            with pytest.raises(DomainError):
+                make()
+        monkeypatch.setattr(analytics, "contraction_constant",
+                            lambda *args: math.nan)
+        with pytest.raises(NoRootError):
+            beta0(model(), 0.0, 1.0)
 
 
 class TestUpperBounds:

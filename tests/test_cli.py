@@ -325,6 +325,10 @@ class TestCLI:
         ("growth-scan", [], "run.p =\n", "run.p"),
         ("renewal", [], "run.p =\n", "run.p"),
         ("growth-scan", [], "scan.eta =\n", "scan.eta"),
+        ("moments", [], "run.p = -1\n", "run.p"),
+        ("moments", [], "run.p = 0\n", "run.p"),
+        ("bounds", [], "run.p = -1\n", "run.p"),
+        ("bounds", [], "run.p = 0\n", "run.p"),
     ], ids=["alpha-abc", "jobs-0", "jobs-negative", "blocks-0", "blocks-1",
             "grid-L-negative", "grid-T-negative",
             "scan-r-fast", "renewal-dt-0", "renewal-T-abc",
@@ -335,7 +339,8 @@ class TestCLI:
             "bounds-levy-flag-nan-mass", "moments-rho-nan",
             "growth-scan-r-negative-inf", "bounds-empty-p", "moments-empty-p",
             "growth-scan-empty-p", "renewal-empty-p",
-            "growth-scan-empty-eta"])
+            "growth-scan-empty-eta", "moments-p-negative", "moments-p-0",
+            "bounds-p-negative", "bounds-p-0"])
     def test_bad_run_value_exits_3_naming_key(self, tmp_path, capsys,
                                               command, flags, lines, key):
         cfg = tmp_path / "cfg"
@@ -347,6 +352,30 @@ class TestCLI:
         assert key in err
         assert "Traceback" not in err
         assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("argv, name", [
+        (["specfun", "eval", "--fn", "bessel-k", "--nu", "0.5", "--x", "nan"],
+         "x"),
+        (["specfun", "eval", "--fn", "beta", "--a", "nan"], "a"),
+        (["specfun", "eval", "--fn", "gamma", "--x", "nan"], "x"),
+        (["specfun", "eval", "--fn", "ml-asymptotic", "--a", "0.5", "--b", "1",
+          "--z", "inf"], "z"),
+        (["verify-lemmas", "--p", "nan"], "p"),
+        (["verify-lemmas", "--alpha", "inf"], "alpha"),
+    ], ids=["bessel-k-x-nan", "beta-a-nan", "gamma-x-nan",
+            "ml-asymptotic-z-inf", "verify-lemmas-p-nan",
+            "verify-lemmas-alpha-inf"])
+    def test_non_finite_flag_exits_3_naming_it(self, capsys, monkeypatch,
+                                               argv, name):
+        # each printed nan and exited 0, or ran the records ahead of the
+        # first that checked p; now no record runs
+        import levyheat.certify as certify
+        monkeypatch.setattr(certify, "check_beta_identity",
+                            lambda: pytest.fail("a record ran"))
+        assert main(argv) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"validation error: {name}: must lie in" in out.err
 
     def test_numerical_failure_exits_1_without_traceback(self, tmp_path,
                                                           capsys):
