@@ -294,12 +294,12 @@ def check_sandwich(kp: K.KernelParams, t_grid=(0.5, 1.0, 2.0),
 
 
 def check_tail_ratio(kp: K.KernelParams) -> LemmaRecord:
-    """q_1(r) by pointwise inversion against the TAIL_TERMS-term power-tail
-    series that every vectorised profile evaluation takes beyond TAIL_START,
-    at large r."""
+    """The TAIL_TERMS-term power-tail series, which every route to q_1 takes
+    beyond TAIL_START, against the numeric inversion it replaces there, the
+    ray rule `kernel._ray_inversion`, at large r (at alpha = 1 too)."""
     require(kp.d == 1, "d", kp.d, "{1}")
     radii = (50.0, 100.0, 200.0)
-    q = [K.q_density(kp, 1.0, r) for r in radii]
+    q = K._ray_inversion(kp.alpha, np.array(radii)).tolist()
     series = K.get_profile(kp.alpha).tail(np.array(radii)).tolist()
     rec = _eq_record("kernel-tail-constant",
                      [abs(v / ref - 1.0) for v, ref in zip(q, series)],

@@ -244,10 +244,12 @@ def simulate_moments(ms: ModelSpec, grid: GridSpec, p, replicas: int,
     """
     require(aggregator in AGGREGATORS, "aggregator", aggregator,
             "{" + ", ".join(AGGREGATORS) + "}")
-    require(2 <= replicas < math.inf, "replicas", replicas,
+    require(2 <= replicas < math.inf and replicas % 1 == 0, "replicas",
+            replicas, "the integers at least 2")
+    require(2 <= blocks < math.inf and blocks % 1 == 0, "blocks", blocks,
             "the integers at least 2")
-    require(2 <= blocks < math.inf, "blocks", blocks, "the integers at least 2")
-    require(1 <= jobs < math.inf, "jobs", jobs, "the integers at least 1")
+    require(1 <= jobs < math.inf and jobs % 1 == 0, "jobs", jobs,
+            "the integers at least 1")
     ps = [float(v) for v in np.atleast_1d(p)]
     for q in ps:
         require(0.0 < q < math.inf, "p", q, "(0, inf)")

@@ -11,10 +11,11 @@ the Cauchy density in closed form at alpha = 1.  `StableProfile.values`
 gives exact values at any radii, which the solver's discrete kernel and the
 mass certificate take: its inversion is a numpy-only Gauss-Legendre rule on
 a rotated ray, all radii in one array evaluation, with its error checked.
-`StableProfile.direct` is the pointwise inversion, which `q_density`
-takes: QUADPACK's adaptive rule at small radii, one radius of the ray rule
-beyond; `__call__` puts a cubic spline through 714 of them, for
-the bulk evaluation of `weighted_kernel_integral` only.  The numeric kernel
+`StableProfile.direct`, which `q_density` takes, is one radius at a time:
+QUADPACK's adaptive rule at small nonzero radii, `values` everywhere else,
+so every route to the profile takes the tail series beyond TAIL_START;
+`__call__` puts a cubic spline through 714 `direct` values, for the bulk
+evaluation of `weighted_kernel_integral` only.  The numeric kernel
 is d = 1 only; the closed-form formulas (comparison kernel, I(beta,c,p),
 Fourier transforms, convolution constants) accept d in {1, 2, 3}.  scipy's
 QUADPACK is imported at the first quadrature and its CubicSpline at the
@@ -145,17 +146,14 @@ class StableProfile:
         return gamma_fn(1.0 + 1.0 / self.alpha) / math.pi
 
     def direct(self, r: float) -> float:
-        """Pointwise Fourier inversion (1/pi) int_0^inf exp(-xi^alpha) cos(r xi) dxi
-        at any r, clipped at 0: QUADPACK's adaptive rule while r xi_max < 40,
-        the ray rule `_ray_inversion` beyond; both check their error."""
+        """The profile at one |r|: while 0 < r xi_max < 40 (and the alpha = 1
+        closed form is off), QUADPACK's checked adaptive rule on the Fourier
+        inversion (1/pi) int_0^xi_max exp(-xi^alpha) cos(r xi) dxi, clipped
+        at 0; everywhere else `values(r)`, bit for bit."""
         r = abs(float(r))
-        if self._closed_form:
-            return float(self.values(r))
-        if r == 0.0:
-            return self.center()
         xi_max = EXPONENT_CUT ** (1.0 / self.alpha)
-        if r * xi_max >= 40.0:
-            return max(float(_ray_inversion(self.alpha, np.array([r]))[0]), 0.0)
+        if self._closed_form or not 0.0 < r * xi_max < 40.0:
+            return float(self.values(r))
         # few oscillations over the decay range: plain adaptive rule
         val = _quad_checked(lambda xi: math.exp(-xi ** self.alpha) * math.cos(r * xi),
                             0.0, xi_max)
@@ -182,15 +180,19 @@ class StableProfile:
     def _split(self, r, inside):
         """The profile at |r|, an array of r's shape: `inside` (vectorised)
         up to TAIL_START, the tail series beyond, clipped at 0; at alpha = 1
-        (without `force_numeric`) the Cauchy closed form at every r."""
-        r = np.abs(np.asarray(r, dtype=float))
+        (without `force_numeric`) the Cauchy closed form at every r.  A
+        radius that is not finite raises, naming r."""
+        r = np.asarray(r, dtype=float)
+        require(np.all(np.isfinite(r)), "r", r, "(-inf, inf)")
+        r = np.abs(r)
         if self._closed_form:
             return np.asarray(1.0 / (math.pi * (1.0 + r * r)))
         out = np.empty_like(r)
         near = r <= TAIL_START
         if near.any():
             out[near] = inside(r[near])
-        out[~near] = self.tail(r[~near])
+        if not near.all():
+            out[~near] = self.tail(r[~near])
         return np.maximum(out, 0.0, out=out)
 
     def values(self, r):
@@ -312,9 +314,9 @@ def _norm(x) -> float:
 
 
 def q_density(kp: KernelParams, t: float, x) -> float:
-    """Stable transition density q_t(x) in d = 1: the scaled unit profile's
-    pointwise inversion, t^(-1/alpha) profile.direct(|x| t^(-1/alpha)), at
-    every radius (no tail series, so it can check the series).
+    """Stable transition density q_t(x) in d = 1: the scaled unit profile,
+    t^(-1/alpha) profile.direct(|x| t^(-1/alpha)), so QUADPACK's rule at
+    small radii, the ray rule up to TAIL_START and the tail series beyond.
 
     The profile returns the exact Cauchy form at alpha = 1; d != 1 raises.
     """
@@ -385,6 +387,7 @@ class ComparisonKernel:
         ts = np.asarray(t)
         require(np.all((0.0 < ts) & (ts < math.inf)), "t", t, "(0, inf)")
         r = np.asarray(r, dtype=float)
+        require(np.all(np.isfinite(r)), "r", r, "(-inf, inf)")
         d, a = self.d, self.alpha
         return self.kappa * t / np.float_power(
             np.float_power(t, 2.0 / a) + r * r, (d + a) / 2.0)

@@ -329,10 +329,10 @@ def test_tail_certificate_can_fail(monkeypatch, alpha):
     good = check_tail_ratio(kp)
     assert good.passed and good.tolerance == 1e-6
     assert len(good.detail["q"]) == len(good.detail["tail_series"]) == 3
-    # a density 1e-5 high is ten times the tolerance off the series
-    orig = K.q_density
-    monkeypatch.setattr(K, "q_density",
-                        lambda *args: (1.0 + 1e-5) * orig(*args))
+    # an inversion 1e-5 high is ten times the tolerance off the series
+    orig = K._ray_inversion
+    monkeypatch.setattr(K, "_ray_inversion",
+                        lambda alpha, r: (1.0 + 1e-5) * orig(alpha, r))
     assert check_tail_ratio(kp).status == "fail"
     monkeypatch.undo()
     # so is a first tail coefficient 1e-4 off, the leading term of the series
@@ -344,13 +344,14 @@ def test_tail_certificate_can_fail(monkeypatch, alpha):
 
 def test_q_mass_inversion_count(monkeypatch):
     # the graded rule takes 20 nodes on each of 3 or 4 panels per alpha
-    # (220 in all); an adaptive QUADPACK integral takes 525
-    calls = []
-    orig = K.StableProfile.direct
-    monkeypatch.setattr(K.StableProfile, "direct",
-                        lambda self, r: calls.append(r) or orig(self, r))
+    # (220 in all), one ray-rule call per alpha; an adaptive QUADPACK
+    # integral takes 525
+    sizes = []
+    orig = K._ray_inversion
+    monkeypatch.setattr(K, "_ray_inversion",
+                        lambda alpha, r: sizes.append(len(r)) or orig(alpha, r))
     rec = check_q_mass((0.8, 1.2, 1.5))
-    assert rec.passed and len(calls) <= 240
+    assert rec.passed and len(sizes) == 3 and sum(sizes) <= 240
     assert set(rec.detail["mass"]) == {"0.8", "1.2", "1.5"}
     assert all(abs(m - 1.0) <= 1e-6 for m in rec.detail["mass"].values())
 

@@ -4,7 +4,8 @@ left without a reference in its own module, every JSON encoding rejects
 NaN and infinity, only the config and the CLI name config keys, every
 config key's field is read somewhere besides the config, only the
 kernel reads the profile's split point or its pointwise inversion, every
-QUADPACK call is the checked one in `kernel._quad_checked`, every range
+QUADPACK call is the checked one in `kernel._quad_checked`, the ray rule
+runs only in `StableProfile.values` and the tail certificate, every range
 check goes through `errors.require`, and no module imports scipy when it
 is imported.  One run in a fresh interpreter checks that the numpy-only
 commands load no scipy module, and that the Monte Carlo (`simulate`,
@@ -115,32 +116,51 @@ def profile_internals(source: str) -> list:
             and node.attr in ("TAIL_START", "direct")))
 
 
-def quad_calls(source: str) -> list:
-    """(innermost enclosing function, line) of every call of QUADPACK's
-    `quad`: an attribute `.quad`, or a name that `from scipy.integrate
-    import quad` binds (aliases included)."""
-    tree = ast.parse(source)
-    names = {a.asname or a.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom)
-             and node.module == "scipy.integrate"
-             for a in node.names if a.name == "quad"}
+def _calls(tree, attr: str, names: set) -> list:
+    """(qualified enclosing definition, line) of every call of an attribute
+    `.attr` or of a bare name in `names`.  The qualified name runs through
+    classes and functions, so a helper nested in a method reads
+    `StableProfile.values.inversion`; None at module level."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
                 continue
             if isinstance(child, ast.Call) and (
-                    isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "quad"
-                    or isinstance(child.func, ast.Name)
-                    and child.func.id in names):
+                    getattr(child.func, "attr", None) == attr
+                    or getattr(child.func, "id", None) in names):
                 found.append((where, child.lineno))
             visit(child, where)
 
     visit(tree, None)
     return found
+
+
+def _import_aliases(tree, name: str, module: str | None = None) -> set:
+    """The names that `from <module> import name` binds, aliases included;
+    any module when `module` is None."""
+    return {a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and module in (None, node.module)
+            for a in node.names if a.name == name}
+
+
+def quad_calls(source: str) -> list:
+    """Every call of QUADPACK's `quad`, as `_calls` gives it: an attribute
+    `.quad`, or a name that `from scipy.integrate import quad` binds."""
+    tree = ast.parse(source)
+    return _calls(tree, "quad", _import_aliases(tree, "quad", "scipy.integrate"))
+
+
+def ray_rule_calls(source: str) -> list:
+    """Every call of the ray rule `_ray_inversion`, as `_calls` gives it:
+    an attribute, the bare name or an import alias."""
+    tree = ast.parse(source)
+    return _calls(tree, "_ray_inversion",
+                  {"_ray_inversion"} | _import_aliases(tree, "_ray_inversion"))
 
 
 _ORDERED = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
@@ -238,6 +258,17 @@ def test_one_quadpack_call_site():
     assert calls == [("kernel.py", "_quad_checked")]
 
 
+def test_one_ray_rule_evaluator():
+    # the ray rule runs inside `values`, behind its split at TAIL_START, and
+    # in the tail certificate as the inversion the series replaces; a
+    # second evaluator could take it where the series belongs
+    allowed = ("kernel.StableProfile.values", "certify.check_tail_ratio")
+    calls = [f"{path.stem}.{where}" for path in MODULES
+             for where, _ in ray_rule_calls(path.read_text())]
+    assert [c for c in calls
+            if not any(c == a or c.startswith(a + ".") for a in allowed)] == []
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "errors.py"], ids=lambda p: p.name)
 def test_range_checks_go_through_require(path):
@@ -323,8 +354,17 @@ def test_checkers_catch_leftovers():
         == [(None, 2)]
     assert quad_calls("class P:\n    def d(self):\n"
                       "        return scipy.integrate.quad(f, 0, 1)\n") \
-        == [("d", 3)]
+        == [("P.d", 3)]
     assert quad_calls("integrate.quad_vec(f, 0, 1)\nquad(f)\n") == []
+    assert ray_rule_calls("class P:\n    def values(self):\n"
+                          "        def inv(r):\n"
+                          "            return _ray_inversion(a, r)\n") \
+        == [("P.values.inv", 4)]
+    assert ray_rule_calls("from .kernel import _ray_inversion as ray\n"
+                          "def direct(r):\n    return ray(a, [r])\n"
+                          "K._ray_inversion(a, r)\n") \
+        == [("direct", 3), (None, 4)]
+    assert ray_rule_calls("f = K._ray_inversion\n_ray_rule(a, 8, 2.0)\n") == []
     assert import_time_imports("import scipy.special\n", "scipy") == [1]
     assert import_time_imports("from scipy import integrate\n", "scipy") == [1]
     assert import_time_imports("try:\n    import scipy\nexcept E:\n    pass\n",
@@ -480,7 +520,7 @@ DOMAINS = [
     *[("estimator.simulate_moments", name,
        lambda v, name=name: E.simulate_moments(MS, GRID, 2.0, **{
            "replicas": 2, "seed": 1, name: v}),
-       f"the integers at least {low}", (low - 1,))
+       f"the integers at least {low}", (low - 1, 2.5))
       for name, low in (("replicas", 2), ("blocks", 2), ("jobs", 1))],
     ("estimator.fit_log_slope", "values",
      lambda v: E.fit_log_slope(TIMES[:6], [1.0, 2.0, 3.0, v, 5.0, 6.0]),
@@ -602,15 +642,15 @@ DOMAINS = [
     ("solver.GridSpec", "horizon", lambda v: S.GridSpec(horizon=v),
      "(0, inf)", (0.0,)),
     ("solver.GridSpec", "n_x", lambda v: S.GridSpec(n_x=v),
-     "the powers of two at least 2", (1, 3, 100)),
+     "the powers of two at least 2", (1, 3, 100, 2.5)),
     ("solver.GridSpec", "n_t", lambda v: S.GridSpec(n_t=v),
-     "the integers at least 1", (0,)),
+     "the integers at least 1", (0, 2.5)),
     ("solver.build_discrete_kernel", "dt",
      lambda v: S.build_discrete_kernel(KP, GRID, v), "(0, inf)", (0.0,)),
     ("solver.picard_solve", "replicas", lambda v: picard(replicas=v),
-     "the integers at least 1", (0,)),
+     "the integers at least 1", (0, 2.5)),
     ("solver.picard_solve", "n_iter", lambda v: picard(n_iter=v),
-     "the integers at least 2", (1,)),
+     "the integers at least 2", (1, 2.5)),
     ("solver.picard_solve", "beta", lambda v: picard(beta=v), "(0, inf)",
      (0.0,)),
     ("solver.picard_solve", "c", lambda v: picard(c=v), "[0, inf)", (-0.1,)),
@@ -638,6 +678,15 @@ DOMAINS = [
      ()),
     ("specfun.bessel_k", "x", lambda v: F.bessel_k(0.5, v), "(0, inf)",
      (-0.5,)),
+    # radii, element by element: one bad radius among good ones
+    ("kernel.StableProfile.direct", "r", lambda v: K.get_profile(1.5).direct(v),
+     "(-inf, inf)", ()),
+    *[(f"kernel.StableProfile.{name}", "r",
+       lambda v, name=name: getattr(K.get_profile(1.5), name)([1.0, v]),
+       "(-inf, inf)", ())
+      for name in ("values", "__call__")],
+    ("kernel.ComparisonKernel.g", "r", lambda v: CK.g(1.0, [1.0, v]),
+     "(-inf, inf)", ()),
 ]
 
 # numeric parameters with no row, each for its reason
@@ -660,8 +709,7 @@ EXEMPT = {
     "checked GridSpec or model, once per step or per replica": (
         "solver.mild_step", "solver.sample_noise", "noise.sample_jumps",
         "noise.cell_base", "noise.LevyMeasureSpec.sample_sizes",
-        "solver.GridSpec.containment_ok", "analytics.RenewalProblem.grid",
-        "kernel.StableProfile.direct"),
+        "solver.GridSpec.containment_ok", "analytics.RenewalProblem.grid"),
     "closed forms valid at every argument their Gamma call takes; NaN and "
     "+-inf raise a DomainError there, naming the Gamma argument x": (
         "kernel.omega_d", "kernel.kappa_const", "kernel.tail_coefficient",

@@ -184,18 +184,38 @@ class TestQDensity:
                                        rtol=1e-10, atol=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.35, 1.5, 1.9])
-    def test_direct_takes_the_ray_rule_beyond_the_threshold(self, ray_calls,
-                                                            alpha):
-        # QUADPACK while r xi_max < 40; past it one ray-rule radius per
-        # call, the value of `values` bit for bit, also beyond TAIL_START
-        # (where `values` takes the tail series instead)
+    def test_direct_is_values_outside_the_quadpack_core(self, monkeypatch,
+                                                        ray_calls, alpha):
+        # QUADPACK while 0 < r xi_max < 40; `values` bit for bit elsewhere:
+        # centre() at 0, the ray rule up to TAIL_START, the tail series
+        # beyond it, and the Cauchy closed form at every r at alpha = 1
+        quads = []
+        checked = kernel._quad_checked
+        monkeypatch.setattr(kernel, "_quad_checked",
+                            lambda *a, **kw: quads.append(a) or checked(*a, **kw))
         prof = StableProfile(alpha)
         edge = 40.0 / kernel.EXPONENT_CUT ** (1.0 / alpha)
-        got = [prof.direct(r) for r in (0.5 * edge, -2.0 * edge, 1e3)]
-        assert ray_calls == [[2.0 * edge], [1e3]]
-        assert got[0] == pytest.approx(prof.values(0.5 * edge), rel=1e-10)
-        assert got[1] == prof.values(2.0 * edge)
-        assert got[2] > 0.0
+        radii = (0.0, -2.0 * edge, 50.0, 1e6)
+        assert [prof.direct(r) for r in radii] == [float(prof.values(r))
+                                                   for r in radii]
+        assert ray_calls == [[2.0 * edge]] * 2 and quads == []
+        core = prof.direct(0.5 * edge)
+        assert len(quads) == 1
+        assert core == pytest.approx(prof.values(0.5 * edge), rel=1e-10)
+        # 0.4 lies in alpha = 1's QUADPACK core, r < 40 / 45
+        cauchy = StableProfile(1.0)
+        radii = (0.0, 0.4, 3.0, 1e3)
+        assert [cauchy.direct(r) for r in radii] == cauchy.values(radii).tolist()
+        assert len(quads) == 1
+
+    @pytest.mark.parametrize("alpha, r", [(1.99, 1e6), (1.9, 1e5)])
+    def test_far_tail_is_the_series(self, alpha, r):
+        # near alpha = 2 the ray rule missed the series there by -5.55e-3
+        # and -9.17e-7 without raising: its error check is absolute, and
+        # these values are far below 1
+        series = float(get_profile(alpha).tail(r))
+        assert q_density(KernelParams(1, alpha), 1.0, r) == pytest.approx(
+            series, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("starve", [{"RAY_NODES": 3}, {"RAY_RATIO": 1e3}])
     @pytest.mark.parametrize("alpha", [0.35, 1.5, 1.9])
