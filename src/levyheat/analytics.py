@@ -69,6 +69,9 @@ class SigmaSpec:
             lip = abs(self.slope)
             lip0 = abs(self.slope) if self.intercept == 0.0 else 0.0
         else:
+            for name in ("table_x", "table_y"):
+                table = getattr(self, name)
+                require(np.all(np.isfinite(table)), name, table, "(-inf, inf)")
             require(len(self.table_x) == len(self.table_y) >= 2, "table_x",
                     self.table_x, "sequences of 2 or more, as long as table_y")
             dx = np.diff(self.table_x)

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, require
+from .errors import DomainError, is_count, require
 from . import kernel as K
 from .specfun import beta_fn, gamma_fn
 
@@ -78,7 +78,7 @@ DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 def default_x_grid(n: int = 13, x_max: float = 20.0):
     """Default certificate abscissas: origin plus log-spaced radii up to x_max."""
-    require(2 <= n < math.inf, "n", n, "the integers at least 2")
+    require(is_count(n, 2), "n", n, "the integers at least 2")
     require(0.0 < x_max < math.inf, "x_max", x_max, "(0, inf)")
     return [0.0] + list(np.logspace(-1.0, math.log10(x_max), n - 1))
 
@@ -312,7 +312,7 @@ def verify_lemmas(d: int = 1, alpha: float = 1.5, p: float = 1.2,
                   fast: bool = False) -> VerificationReport:
     """Run the whole certificate suite for one (d, alpha, p); `fast` keeps
     the first two times and five abscissas, and alpha alone in two grids."""
-    require(d == 1, "d", d, "{1}")
+    require(is_count(d, 1) and d == 1, "d", d, "{1}")
     kp = K.KernelParams(d=d, alpha=alpha)
     K.require_conv_order(d, alpha, p)
     ck = K.ComparisonKernel(kp)

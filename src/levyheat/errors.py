@@ -3,9 +3,13 @@
 Every entry point checks a numeric argument with `require(ok, name,
 value, domain)`, `ok` the in-range test: `0.0 < p < math.inf`, or
 `math.isfinite(x)` on the whole line.  It is False for NaN and for an
-infinite value, so neither can pass.  A failure raises a ValidationError,
-a DomainError that carries the name: `p: must lie in (0, inf), got nan`.
+infinite value, so neither can pass.  A count's test is `is_count(n,
+low)`, which refuses a float such as 4.0 before any arithmetic on it.  A
+failure raises a ValidationError, a DomainError that carries the name:
+`p: must lie in (0, inf), got nan`.
 """
+
+from numbers import Integral
 
 
 class DomainError(ValueError):
@@ -67,6 +71,11 @@ def require(ok, name: str, value, domain: str) -> None:
     """Raise a ValidationError naming `name` unless `ok` (see above)."""
     if not ok:
         raise ValidationError(name, f"must lie in {domain}, got {value!r}")
+
+
+def is_count(n, low: int) -> bool:
+    """True for an integer at least `low`, a numpy integer included."""
+    return isinstance(n, Integral) and n >= low
 
 
 def reject_unread(spec, kind: str, unread: dict) -> None:

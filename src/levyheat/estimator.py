@@ -10,7 +10,9 @@ median of means is then reduced a slab of time rows at a time (at most
 _SLAB_BYTES of block means), so beyond the accumulators and the estimates
 a run holds one batch or one slab, never a full-size copy of the block
 sums.  Every sum folds a batch's rows in replica order, one axis-0
-`np.sum` per step, also when `jobs` > 1 threads step the batches.
+`np.sum` per step, also when `jobs` > 1 threads step the batches.  The
+mean's sums are shifted by replica 0's own |X|^p, so the estimator steps
+replicas and nothing else.
 
 Spatial extrema are taken over grid cells, which under-/over-shoots the
 continuum extrema; the heavy-tail aggregator is median-of-means (16 blocks)
@@ -26,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytics import ModelSpec, RenewalProblem, renewal_solve
-from .errors import DomainError, require
-from .noise import cell_base
+from .errors import DomainError, is_count, require
 from .solver import GridSpec, build_discrete_kernel, mild_step, sample_noise
 
 MOM_BLOCKS = 16
@@ -132,21 +133,6 @@ def _batch_size(ms: ModelSpec, grid: GridSpec) -> int:
     return max(1, BATCH_BYTES // _replica_bytes(ms, grid))
 
 
-def _drift_flow(ms: ModelSpec, grid: GridSpec, dk) -> np.ndarray:
-    """|X| without its jumps and Gaussian term, (n_t + 1, n_x): u0 stepped
-    by `mild_step` with no jump cells and, as dense term, the one the
-    compensator and drift leave in every cell (`noise.cell_base`), None
-    when they cancel, so the noise-free flow takes the replicas' steps."""
-    dlam = (np.empty(0, dtype=np.intp), np.empty(0),
-            cell_base(ms.levy, grid.dt, grid.dx) or None)
-    x = ms.u0(grid.x)
-    rows = [np.abs(x)]
-    for k in range(grid.n_t):
-        mild_step(x, dk, ms, dlam, grid.dx, k)
-        rows.append(np.abs(x))
-    return np.array(rows)
-
-
 def _accumulate(ms: ModelSpec, grid: GridSpec, ps, moms, seed: int,
                 replicas: int, blocks: int, jobs: int) -> list:
     """Step the replicas in contiguous chunks, one batch each; one pass
@@ -154,11 +140,14 @@ def _accumulate(ms: ModelSpec, grid: GridSpec, ps, moms, seed: int,
 
     Per p, returns (shift, *sums): for median of means (`moms`), None and
     the per-block sums of |X|^p, (n_t + 1, blocks, n_x), replica r in
-    block r % blocks; for the mean, the shift c = `_drift_flow`^p per
-    (time, cell) and the per-cell sums of |X|^p - c and of its square,
-    each (n_t + 1, 1, n_x).  Shifting by c keeps the one-pass variance
-    well conditioned in cells the jumps have barely reached, where every
-    replica's |X|^p agrees to many digits.
+    block r % blocks; for the mean, the shift c = replica 0's own |X|^p
+    per (time, cell), (n_t + 1, n_x), and the per-cell sums of |X|^p - c
+    and of its square, each (n_t + 1, 1, n_x).  Shifting by one sample of
+    the data (Chan, Golub & LeVeque 1983) keeps the one-pass variance well
+    conditioned in cells the jumps have barely reached, where every
+    replica's |X|^p agrees to many digits.  Chunk 0 holds replica 0 and
+    writes c's step-k row before it folds step k, which every later chunk
+    folds after it.
 
     A chunk's buffer per lane count (`blocks`, or 1) holds a sum's step-k
     values in row 0 and replica r in lane r % lanes after it; one axis-0
@@ -171,10 +160,9 @@ def _accumulate(ms: ModelSpec, grid: GridSpec, ps, moms, seed: int,
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
     u0 = ms.u0(grid.x)
     n_t, nx = grid.n_t, grid.n_x
-    flow = None if all(moms) else _drift_flow(ms, grid, dk)
     sums = [(None, np.zeros((n_t + 1, blocks, nx))) if mom
-            else (flow ** p, *np.zeros((2, n_t + 1, 1, nx)))
-            for p, mom in zip(ps, moms)]
+            else (np.empty((n_t + 1, nx)), *np.zeros((2, n_t + 1, 1, nx)))
+            for mom in moms]
     size = min(_batch_size(ms, grid), -(-replicas // jobs))
     chunks = [range(lo, min(lo + size, replicas))
               for lo in range(0, replicas, size)]
@@ -200,6 +188,8 @@ def _accumulate(ms: ModelSpec, grid: GridSpec, ps, moms, seed: int,
                 np.abs(x, out=pw)
                 pw **= p
                 if shift is not None:
+                    if not i:
+                        shift[k] = pw[0]
                     pw -= shift[k]
                 for j, acc in enumerate(accs):
                     if j:
@@ -244,12 +234,10 @@ def simulate_moments(ms: ModelSpec, grid: GridSpec, p, replicas: int,
     """
     require(aggregator in AGGREGATORS, "aggregator", aggregator,
             "{" + ", ".join(AGGREGATORS) + "}")
-    require(2 <= replicas < math.inf and replicas % 1 == 0, "replicas",
-            replicas, "the integers at least 2")
-    require(2 <= blocks < math.inf and blocks % 1 == 0, "blocks", blocks,
+    require(is_count(replicas, 2), "replicas", replicas,
             "the integers at least 2")
-    require(1 <= jobs < math.inf and jobs % 1 == 0, "jobs", jobs,
-            "the integers at least 1")
+    require(is_count(blocks, 2), "blocks", blocks, "the integers at least 2")
+    require(is_count(jobs, 1), "jobs", jobs, "the integers at least 1")
     ps = [float(v) for v in np.atleast_1d(p)]
     for q in ps:
         require(0.0 < q < math.inf, "p", q, "(0, inf)")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError, require
+from .errors import QuadratureError, is_count, require
 from .specfun import bessel_k, gamma_fn, lgamma_fn
 
 # quadrature tolerances shared by the kernel integrals
@@ -88,8 +88,7 @@ class KernelParams:
     alpha: float = 1.5
 
     def __post_init__(self):
-        require(1 <= self.d < math.inf and self.d % 1 == 0, "d", self.d,
-                "{1, 2, 3, ...}")
+        require(is_count(self.d, 1), "d", self.d, "{1, 2, 3, ...}")
         require(0.0 < self.alpha < 2.0, "alpha", self.alpha, "(0, 2)")
 
 
@@ -107,6 +106,12 @@ def tail_coefficient(alpha: float, k: int = 1) -> float:
     """k-th coefficient of the d=1 stable tail series sum_k c_k r^(-1-k alpha)."""
     return ((-1.0) ** (k + 1) * gamma_fn(k * alpha + 1.0)
             * math.sin(k * math.pi * alpha / 2.0) / (math.pi * math.factorial(k)))
+
+
+@functools.cache
+def _tail_coefficients(alpha: float) -> tuple:
+    """c_1 .. c_TAIL_TERMS of one alpha, evaluated once per alpha."""
+    return tuple(tail_coefficient(alpha, k) for k in range(1, TAIL_TERMS + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +169,8 @@ class StableProfile:
         accurate for large r."""
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
-        for k in range(1, TAIL_TERMS + 1):
-            out += tail_coefficient(self.alpha, k) * r ** (-1.0 - k * self.alpha)
+        for k, c in enumerate(_tail_coefficients(self.alpha), 1):
+            out += c * r ** (-1.0 - k * self.alpha)
         return out
 
     def _build_spline(self):
@@ -352,8 +357,8 @@ def q_mass_numeric(kp: KernelParams, t: float) -> float:
     r, w = _gauss_panels(cuts + [1.0, 10.0, TAIL_START], 20)
     core = 2.0 * math.fsum(w * get_profile(a).values(r))
     tail = 0.0
-    for k in range(1, TAIL_TERMS + 1):
-        tail += 2.0 * tail_coefficient(a, k) * TAIL_START ** (-k * a) / (k * a)
+    for k, c in enumerate(_tail_coefficients(a), 1):
+        tail += 2.0 * c * TAIL_START ** (-k * a) / (k * a)
     return core + tail
 
 

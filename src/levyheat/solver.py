@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytics import ModelSpec
-from .errors import BlowupError, require
+from .errors import BlowupError, is_count, require
 from .kernel import get_profile, tail_coefficient
 from .noise import cell_base, sample_jumps
 
@@ -48,11 +48,10 @@ class GridSpec:
         for name in ("half_width", "horizon"):
             value = getattr(self, name)
             require(0.0 < value < math.inf, name, value, "(0, inf)")
-        require(2 <= self.n_x < math.inf and self.n_x % 1 == 0
-                and not self.n_x & (self.n_x - 1),
+        require(is_count(self.n_x, 2) and not self.n_x & (self.n_x - 1),
                 "n_x", self.n_x, "the powers of two at least 2")
-        require(1 <= self.n_t < math.inf and self.n_t % 1 == 0, "n_t",
-                self.n_t, "the integers at least 1")
+        require(is_count(self.n_t, 1), "n_t", self.n_t,
+                "the integers at least 1")
 
     @property
     def dx(self) -> float:
@@ -327,14 +326,13 @@ def picard_solve(ms: ModelSpec, grid: GridSpec, seed: int, replicas: int,
     d_{n+1} <= target_ratio * d_n + statistical slack over the first
     `resolved` decrements.
     """
-    require(2 <= n_iter < math.inf and n_iter % 1 == 0, "n_iter", n_iter,
-            "the integers at least 2")
+    require(is_count(n_iter, 2), "n_iter", n_iter, "the integers at least 2")
     require(0.0 < beta < math.inf, "beta", beta, "(0, inf)")
     require(1.0 <= p < math.inf, "p", p, "[1, inf)")
     require(0.0 <= c < math.inf, "c", c, "[0, inf)")
     require(0.0 < target_ratio < 1.0, "target_ratio", target_ratio, "(0, 1)")
-    require(1 <= replicas < math.inf and replicas % 1 == 0, "replicas",
-            replicas, "the integers at least 1")
+    require(is_count(replicas, 1), "replicas", replicas,
+            "the integers at least 1")
     dk = build_discrete_kernel(ms.kp, grid, grid.dt)
     weight = c * np.log1p(np.abs(grid.x))
     x0 = ms.u0(grid.x)

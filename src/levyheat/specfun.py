@@ -11,7 +11,7 @@ mittag_leffler relative error <= 1e-10 inside the series-safe region.
 import math
 
 from .errors import (DivergenceError, DomainError, OverflowSignal, PoleError,
-                     require)
+                     is_count, require)
 
 # Switch point of the Mittag-Leffler evaluation: series while the terms
 # decay before this index and z**(1/a) stays below the cap.
@@ -61,7 +61,7 @@ def ml_series(a: float, b: float, z: float,
     """
     require(0.0 < a < math.inf, "a", a, "(0, inf)")
     require(0.0 < b < math.inf, "b", b, "(0, inf)")
-    require(1 <= max_terms < math.inf, "max_terms", max_terms,
+    require(is_count(max_terms, 1), "max_terms", max_terms,
             "the integers at least 1")
     z = float(z)
     require(math.isfinite(z), "z", z, "(-inf, inf)")

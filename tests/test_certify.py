@@ -335,10 +335,11 @@ def test_tail_certificate_can_fail(monkeypatch, alpha):
                         lambda alpha, r: (1.0 + 1e-5) * orig(alpha, r))
     assert check_tail_ratio(kp).status == "fail"
     monkeypatch.undo()
-    # so is a first tail coefficient 1e-4 off, the leading term of the series
-    coef = K.tail_coefficient
-    monkeypatch.setattr(K, "tail_coefficient",
-                        lambda a, k=1: (1.0 + 1e-4 * (k == 1)) * coef(a, k))
+    # so is a first tail coefficient 1e-4 off, the leading term of the
+    # series (the coefficients are evaluated once per alpha, there)
+    coef = K._tail_coefficients
+    monkeypatch.setattr(K, "_tail_coefficients", lambda a: (
+        (1.0 + 1e-4) * coef(a)[0], *coef(a)[1:]))
     assert check_tail_ratio(kp).status == "fail"
 
 

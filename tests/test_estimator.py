@@ -346,23 +346,28 @@ class TestBatchedEngine:
         assert estimator._replica_bytes(gauss, grid) == \
             per_replica + 8 * grid.n_t * grid.n_x
 
-    @pytest.mark.parametrize("noise, p, aggregator", [
-        pytest.param(noise, p, aggregator, id="-".join(
-            ([] if noise == "sparse" else [noise]) + [str(p), aggregator]))
-        for noise in NOISES for p, aggregator in ((1.2, "mean"), (2.0, "mom"))])
+    @pytest.mark.parametrize("noise, p, aggregator, replicas", [
+        pytest.param(noise, p, aggregator, replicas, id="-".join(
+            ([] if noise == "sparse" else [noise]) + [str(p), aggregator]
+            + ([] if replicas == 7 else [str(replicas)])))
+        for noise in NOISES
+        for p, aggregator, replicas in ((1.2, "mean", 7), (2.0, "mom", 7),
+                                        (1.2, "mean", 200))])
     def test_matches_per_replica_trajectories(self, monkeypatch, noise, p,
-                                              aggregator):
-        # 7 replicas in batches 3, 3, 1; 3 blocks hold 3, 2 and 2 replicas
+                                              aggregator, replicas):
+        # 7 replicas in batches 3, 3, 1; 3 blocks hold 3, 2 and 2 replicas.
+        # The mean's sums are shifted by replica 0's |X|^p: at 200 replicas
+        # the one-pass variance without a shift is off by up to 1e-11 here
         ms = model(u0=U0Spec(kind="poly_decay", c0=1.0, decay_c=0.5),
                    **NOISES[noise])
         self.use_batches_of(monkeypatch, 3, ms)
-        series, surface = quiet_simulate(ms, self.GRID, p=p, replicas=7,
-                                         seed=11, aggregator=aggregator,
-                                         blocks=3)
+        series, surface = quiet_simulate(ms, self.GRID, p=p,
+                                         replicas=replicas, seed=11,
+                                         aggregator=aggregator, blocks=3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fields = np.stack([run_trajectory(ms, self.GRID, 11, r)
-                               for r in range(7)])
+                               for r in range(replicas)])
         est, se = moment_estimate(fields, p, aggregator=aggregator, blocks=3)
         np.testing.assert_allclose(surface.mean, est, rtol=1e-12, atol=0.0)
         # every replica starts from u0, so the t = 0 spread is rounding
@@ -389,6 +394,18 @@ class TestBatchedEngine:
         three = surface()
         assert np.array_equal(one.mean, three.mean)
         assert np.array_equal(one.se, three.se)
+
+    def test_steps_only_replica_chunks(self, monkeypatch):
+        # a run with a mean order steps its chunks of replicas and nothing
+        # else: batches of 3, 3 and 1 replicas, n_t steps each
+        stepped = []
+        step = estimator.mild_step
+        monkeypatch.setattr(estimator, "mild_step",
+                            lambda x, *a: stepped.append(len(x)) or step(x, *a))
+        self.use_batches_of(monkeypatch, 3)
+        quiet_simulate(model(), self.GRID, p=(1.2, 2.0), replicas=7,
+                       seed=11)
+        assert sorted(stepped) == sorted([3, 3, 1] * self.GRID.n_t)
 
     def test_orders_in_one_pass_match_single_runs(self):
         ms = model(u0=U0Spec(kind="poly_decay", c0=1.0, decay_c=0.5))

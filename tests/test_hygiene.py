@@ -5,8 +5,9 @@ NaN and infinity, only the config and the CLI name config keys, every
 config key's field is read somewhere besides the config, only the
 kernel reads the profile's split point or its pointwise inversion, every
 QUADPACK call is the checked one in `kernel._quad_checked`, the ray rule
-runs only in `StableProfile.values` and the tail certificate, every range
-check goes through `errors.require`, and no module imports scipy when it
+runs only in `StableProfile.values` and the tail certificate, only
+`solver.sample_noise` turns the Levy measure into cell noise
+(`noise.cell_base`), every range check goes through `errors.require`, and no module imports scipy when it
 is imported.  One run in a fresh interpreter checks that the numpy-only
 commands load no scipy module, and that the Monte Carlo (`simulate`,
 `moments` and `solver.picard_solve`) loads none after them either.  A
@@ -163,6 +164,14 @@ def ray_rule_calls(source: str) -> list:
                   {"_ray_inversion"} | _import_aliases(tree, "_ray_inversion"))
 
 
+def cell_base_calls(source: str) -> list:
+    """Every call of `noise.cell_base`, as `_calls` gives it: an attribute,
+    the bare name or an import alias."""
+    tree = ast.parse(source)
+    return _calls(tree, "cell_base",
+                  {"cell_base"} | _import_aliases(tree, "cell_base"))
+
+
 _ORDERED = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
 
@@ -269,6 +278,14 @@ def test_one_ray_rule_evaluator():
             if not any(c == a or c.startswith(a + ".") for a in allowed)] == []
 
 
+def test_one_place_turns_the_measure_into_cell_noise():
+    # the compensator and drift reach the cells only through the noise the
+    # replicas step with; a second caller would mirror the noise model
+    calls = [f"{path.stem}.{where}" for path in MODULES
+             for where, _ in cell_base_calls(path.read_text())]
+    assert calls == ["solver.sample_noise"]
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "errors.py"], ids=lambda p: p.name)
 def test_range_checks_go_through_require(path):
@@ -365,6 +382,14 @@ def test_checkers_catch_leftovers():
                           "K._ray_inversion(a, r)\n") \
         == [("direct", 3), (None, 4)]
     assert ray_rule_calls("f = K._ray_inversion\n_ray_rule(a, 8, 2.0)\n") == []
+    assert cell_base_calls("from .noise import cell_base\n"
+                           "def _drift_flow(ms, grid):\n"
+                           "    return cell_base(ms.levy, grid.dt, grid.dx)\n") \
+        == [("_drift_flow", 3)]
+    assert cell_base_calls("from .noise import cell_base as base\n"
+                           "class E:\n    def f(self):\n        base(m, 1, 1)\n"
+                           "N.cell_base(m, 1, 1)\n") == [("E.f", 4), (None, 5)]
+    assert cell_base_calls("f = N.cell_base\ncell_bases(m, 1, 1)\n") == []
     assert import_time_imports("import scipy.special\n", "scipy") == [1]
     assert import_time_imports("from scipy import integrate\n", "scipy") == [1]
     assert import_time_imports("try:\n    import scipy\nexcept E:\n    pass\n",
@@ -498,7 +523,7 @@ DOMAINS = [
     ("analytics.RenewalProblem", "dt", lambda v: renewal(dt=v), "(0, inf)",
      (0.0,)),
     ("certify.default_x_grid", "n", lambda v: C.default_x_grid(n=v),
-     "the integers at least 2", (1,)),
+     "the integers at least 2", (1, 2.5, 4.0)),
     ("certify.default_x_grid", "x_max", lambda v: C.default_x_grid(x_max=v),
      "(0, inf)", (0.0,)),
     *[("certify." + check.__name__, "p", lambda v, check=check: check(CK, v),
@@ -506,7 +531,7 @@ DOMAINS = [
       for check in (C.check_space_conv, C.check_timespace_conv,
                     C.check_timespace_conv_ratio)],
     ("certify.verify_lemmas", "d", lambda v: C.verify_lemmas(d=v), "{1}",
-     (2,)),
+     (2, 1.0)),
     ("certify.verify_lemmas", "alpha", lambda v: C.verify_lemmas(alpha=v),
      "(0, 2)", (0.0, 2.0)),
     ("certify.verify_lemmas", "p", lambda v: C.verify_lemmas(p=v),
@@ -520,7 +545,7 @@ DOMAINS = [
     *[("estimator.simulate_moments", name,
        lambda v, name=name: E.simulate_moments(MS, GRID, 2.0, **{
            "replicas": 2, "seed": 1, name: v}),
-       f"the integers at least {low}", (low - 1, 2.5))
+       f"the integers at least {low}", (low - 1, 2.5, 4.0))
       for name, low in (("replicas", 2), ("blocks", 2), ("jobs", 1))],
     ("estimator.fit_log_slope", "values",
      lambda v: E.fit_log_slope(TIMES[:6], [1.0, 2.0, 3.0, v, 5.0, 6.0]),
@@ -533,7 +558,7 @@ DOMAINS = [
     ("estimator.renewal_check", "c4",
      lambda v: E.renewal_check(SERIES, np.exp, 1.0, v), "[0, inf)", (-0.1,)),
     ("kernel.KernelParams", "d", lambda v: K.KernelParams(d=v),
-     "{1, 2, 3, ...}", (0, 1.5)),
+     "{1, 2, 3, ...}", (0, 1.5, 4.0)),
     ("kernel.KernelParams", "alpha", lambda v: K.KernelParams(alpha=v),
      "(0, 2)", (0.0, 2.0)),
     *[(f"kernel.{name}", "alpha", make, "(0, 2)", (0.0, 2.0))
@@ -589,7 +614,7 @@ DOMAINS = [
       for func in (K.hmoment_constant, K.levelset_volume_minform,
                    K.nu_const, K.gamma_conv_constant, K.conv_constants)
       for d, name, domain, near in (
-          (True, "d", "{1, 2, 3, ...}", (0, 1.5)),
+          (True, "d", "{1, 2, 3, ...}", (0, 1.5, 4.0)),
           (False, "alpha", "(0, 2)", (0.0, 2.0)))],
     *[(f"kernel.{func.__name__}", "p",
        lambda v, func=func: func(1, 1.5, v), "(d/(d+alpha), inf)", (0.4,))
@@ -642,15 +667,15 @@ DOMAINS = [
     ("solver.GridSpec", "horizon", lambda v: S.GridSpec(horizon=v),
      "(0, inf)", (0.0,)),
     ("solver.GridSpec", "n_x", lambda v: S.GridSpec(n_x=v),
-     "the powers of two at least 2", (1, 3, 100, 2.5)),
+     "the powers of two at least 2", (1, 3, 100, 2.5, 4.0)),
     ("solver.GridSpec", "n_t", lambda v: S.GridSpec(n_t=v),
-     "the integers at least 1", (0, 2.5)),
+     "the integers at least 1", (0, 2.5, 4.0)),
     ("solver.build_discrete_kernel", "dt",
      lambda v: S.build_discrete_kernel(KP, GRID, v), "(0, inf)", (0.0,)),
     ("solver.picard_solve", "replicas", lambda v: picard(replicas=v),
-     "the integers at least 1", (0, 2.5)),
+     "the integers at least 1", (0, 2.5, 4.0)),
     ("solver.picard_solve", "n_iter", lambda v: picard(n_iter=v),
-     "the integers at least 2", (1, 2.5)),
+     "the integers at least 2", (1, 2.5, 4.0)),
     ("solver.picard_solve", "beta", lambda v: picard(beta=v), "(0, inf)",
      (0.0,)),
     ("solver.picard_solve", "c", lambda v: picard(c=v), "[0, inf)", (-0.1,)),
@@ -673,7 +698,7 @@ DOMAINS = [
            (0.0,) if func is F.ml_asymptotic else ()))],
     ("specfun.ml_series", "max_terms",
      lambda v: F.ml_series(0.5, 1.0, 1.0, max_terms=v),
-     "the integers at least 1", (0,)),
+     "the integers at least 1", (0, 2.5, 4.0)),
     ("specfun.bessel_k", "nu", lambda v: F.bessel_k(v, 1.0), "(-inf, inf)",
      ()),
     ("specfun.bessel_k", "x", lambda v: F.bessel_k(0.5, v), "(0, inf)",
@@ -687,6 +712,10 @@ DOMAINS = [
       for name in ("values", "__call__")],
     ("kernel.ComparisonKernel.g", "r", lambda v: CK.g(1.0, [1.0, v]),
      "(-inf, inf)", ()),
+    ("analytics.SigmaSpec", "table_x", lambda v: A.SigmaSpec(
+        kind="table", table_x=(0.0, v), table_y=(0.0, 1.0)), "(-inf, inf)", ()),
+    ("analytics.SigmaSpec", "table_y", lambda v: A.SigmaSpec(
+        kind="table", table_x=(0.0, 1.0), table_y=(0.0, v)), "(-inf, inf)", ()),
 ]
 
 # numeric parameters with no row, each for its reason
@@ -710,6 +739,8 @@ EXEMPT = {
         "solver.mild_step", "solver.sample_noise", "noise.sample_jumps",
         "noise.cell_base", "noise.LevyMeasureSpec.sample_sizes",
         "solver.GridSpec.containment_ok", "analytics.RenewalProblem.grid"),
+    "a check's lower bound, a literal at every call site": (
+        "errors.is_count:low",),
     "closed forms valid at every argument their Gamma call takes; NaN and "
     "+-inf raise a DomainError there, naming the Gamma argument x": (
         "kernel.omega_d", "kernel.kappa_const", "kernel.tail_coefficient",
@@ -731,6 +762,25 @@ def test_every_numeric_parameter_has_a_domain():
     listed = {entry for entries in EXEMPT.values() for entry in entries}
     assert sorted(e for e in listed if not any(
         e in (cid, f"{cid}:{name}") for cid, name in found)) == []
+
+
+def test_counts_take_numpy_integers():
+    # a count is an integer, a numpy integer included, and means the same
+    # either way
+    n = np.int64
+    grid = S.GridSpec(half_width=8.0, n_x=n(16), horizon=1.0, n_t=np.int32(4))
+    assert grid == GRID and K.KernelParams(d=n(1)) == K.KernelParams(d=1)
+    assert C.default_x_grid(n(5)) == C.default_x_grid(5)
+    assert F.ml_series(0.5, 1.0, 1.0, max_terms=n(50)) == \
+        F.ml_series(0.5, 1.0, 1.0, max_terms=50)
+    for want, got in zip(
+            E.simulate_moments(MS, GRID, (1.2, 2.0), 3, 1, blocks=2, jobs=2),
+            E.simulate_moments(MS, grid, (1.2, 2.0), n(3), 1, blocks=n(2),
+                               jobs=n(2))):
+        assert np.array_equal(want[1].mean, got[1].mean)
+        assert np.array_equal(want[1].se, got[1].se)
+    assert np.array_equal(picard(replicas=n(2), n_iter=n(3)).log_d,
+                          picard(replicas=2, n_iter=3).log_d)
 
 
 @pytest.mark.parametrize("row", DOMAINS,

@@ -217,6 +217,33 @@ class TestQDensity:
         assert q_density(KernelParams(1, alpha), 1.0, r) == pytest.approx(
             series, rel=1e-12, abs=0.0)
 
+    def test_tail_coefficients_once_per_alpha(self, monkeypatch):
+        # the series' 16 Gamma-based coefficients are evaluated once per
+        # alpha, however many tail values and masses are taken, and the
+        # sums keep their order, so every value is the per-call loop's
+        alpha, r = 1.37, np.geomspace(50.0, 1e6, 7)
+        want = np.zeros_like(r)
+        for k in range(1, kernel.TAIL_TERMS + 1):
+            want += tail_coefficient(alpha, k) * r ** (-1.0 - k * alpha)
+        mass_tail = 0.0
+        for k in range(1, kernel.TAIL_TERMS + 1):
+            mass_tail += (2.0 * tail_coefficient(alpha, k)
+                          * TAIL_START ** (-k * alpha) / (k * alpha))
+        calls = []
+        coefficient = kernel.tail_coefficient
+        monkeypatch.setattr(kernel, "tail_coefficient",
+                            lambda *a: calls.append(a) or coefficient(*a))
+        kernel._tail_coefficients.cache_clear()
+        prof = StableProfile(alpha)
+        for _ in range(3):
+            assert np.array_equal(prof.tail(r), want)
+        assert np.array_equal(prof.values(r), want)
+        # one node of weight 0 leaves the mass its tail, 2 int_45^inf q
+        monkeypatch.setattr(kernel, "_gauss_panels",
+                            lambda cuts, n: (np.zeros(1), np.zeros(1)))
+        assert q_mass_numeric(KernelParams(1, alpha), 1.0) == mass_tail
+        assert len(calls) == kernel.TAIL_TERMS
+
     @pytest.mark.parametrize("starve", [{"RAY_NODES": 3}, {"RAY_RATIO": 1e3}])
     @pytest.mark.parametrize("alpha", [0.35, 1.5, 1.9])
     def test_starved_ray_rule_raises(self, monkeypatch, alpha, starve):
